@@ -166,8 +166,8 @@ def _load_processed(path: Path):
 
 
 def _extract_one(task) -> str:
-    path, out_dir, profile, f1_window, multi_window, epoch_len = task
-    manifest = registry.build_manifest(profile, f1_window, multi_window)
+    path, out_dir, profile, epoch_len = task
+    manifest = registry.build_manifest(profile)
     processed = _load_processed(path)
     matrix = registry.assemble_feature_matrix(processed, manifest, epoch_len)
     signal_io.write_feature_matrix(matrix, out_dir / f"{processed.subject_id}.csv")
@@ -181,8 +181,7 @@ def cmd_extract(args, cfg: PipelineConfig) -> int:
     paths = sorted(pre_dir.glob("*.npz"))
     if not paths:
         raise CardiosleepError(f"no preprocessed subjects in {pre_dir}")
-    tasks = [(p, out_dir, cfg.profile, cfg.f1_window, cfg.multi_window,
-              cfg.epoch_len_s) for p in paths]
+    tasks = [(p, out_dir, cfg.profile, cfg.epoch_len_s) for p in paths]
     done = _map(_extract_one, tasks, cfg.workers)
     _log_run(Path(args.out), "extract", paths, cfg)
     print(f"extract: {len(done)} subjects -> {out_dir}")
@@ -266,7 +265,7 @@ def _sequences(mats, stats, require_labels: bool):
 def cmd_train(args, cfg: PipelineConfig) -> int:
     feat_dir = Path(args.features)
     split = json.loads(Path(args.split).read_text())
-    manifest = registry.build_manifest(cfg.profile, cfg.f1_window, cfg.multi_window)
+    manifest = registry.build_manifest(cfg.profile)
     train_mats = _load_matrices(feat_dir, split["train"], manifest)
     val_mats = _load_matrices(feat_dir, split["val"], manifest)
     stats = registry.fit_normalization(train_mats)
@@ -286,7 +285,7 @@ def cmd_train(args, cfg: PipelineConfig) -> int:
 
 
 def _load_model(args, cfg: PipelineConfig):
-    manifest = registry.build_manifest(cfg.profile, cfg.f1_window, cfg.multi_window)
+    manifest = registry.build_manifest(cfg.profile)
     params, _ = blstm.load_checkpoint(args.model, registry.manifest_hash(manifest))
     stats = _load_norm(Path(args.norm), manifest)
     return manifest, params, stats

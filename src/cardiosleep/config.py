@@ -1,9 +1,10 @@
 """Pipeline configuration: a single key-value tree with validated defaults.
 
 Every default that the source publication fixes is kept here: 30 s epochs,
-sudden-variation windows of 119 and 9 epochs, AHI < 5 cohort gate, 5% deep /
-15% REM regular-sleep thresholds, 70/30 subject split, and the 2x16-unit
-bidirectional model with 4 output classes.
+AHI < 5 cohort gate, 5% deep / 15% REM regular-sleep thresholds, 70/30
+subject split, and the 2x16-unit bidirectional model with 4 output classes.
+The 119- and 9-epoch feature windows are fixed in the feature manifest
+(``registry.F1_WINDOW``, ``registry.MULTI_WINDOW``).
 """
 from __future__ import annotations
 
@@ -22,8 +23,6 @@ from .errors import ConfigError
 @dataclass
 class PipelineConfig:
     epoch_len_s: float = 30.0
-    f1_window: int = 119
-    multi_window: int = 9
     profile: str = "single"          # "single" | "two-channel"
     ahi_max: float = 5.0
     deep_min_frac: float = 0.05
@@ -37,10 +36,6 @@ class PipelineConfig:
     def validate(self) -> "PipelineConfig":
         if self.epoch_len_s <= 0:
             raise ConfigError("epoch_len_s must be positive")
-        for name in ("f1_window", "multi_window"):
-            v = getattr(self, name)
-            if v < 1 or v % 2 == 0:
-                raise ConfigError(f"{name} must be a positive odd number, got {v}")
         if self.profile not in ("single", "two-channel"):
             raise ConfigError(f"unknown profile {self.profile!r}")
         if not 0 < self.split_ratio < 1:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RecordingTooShort
-from .types import RrSeries, SignalTrace
+from .types import SignalTrace
 
 
 @dataclass(frozen=True)
@@ -65,29 +65,6 @@ def resolve_window(grid: EpochGrid, center: int, n: int) -> WindowSpan:
     first = max(0, center - half)
     last = min(grid.n_epochs - 1, center + half)
     return WindowSpan(center_epoch=center, first_epoch=first, last_epoch=last)
-
-
-def interval_epoch_indices(rr: RrSeries, grid: EpochGrid) -> np.ndarray:
-    """Epoch index per RR interval; an interval belongs to the epoch containing
-    its first peak time. -1 where the interval falls outside the grid."""
-    first_peaks = rr.peak_times_s[:-1]
-    idx = np.floor(first_peaks / grid.epoch_len_s).astype(int)
-    idx[(first_peaks < 0) | (idx >= grid.n_epochs)] = -1
-    return idx
-
-
-def window_rr_values(rr: RrSeries, grid: EpochGrid, center: int, n: int
-                     ) -> tuple[np.ndarray, np.ndarray, WindowSpan]:
-    """RR intervals whose first peak time lies inside the window.
-
-    Returns (first_peak_times, interval_values, span).
-    """
-    span = resolve_window(grid, center, n)
-    t0, t1 = span.time_span(grid)
-    first_peaks = rr.peak_times_s[:-1]
-    lo = np.searchsorted(first_peaks, t0, side="left")
-    hi = np.searchsorted(first_peaks, t1, side="left")
-    return first_peaks[lo:hi], rr.intervals_s[lo:hi], span
 
 
 def window_trace_values(trace: SignalTrace, grid: EpochGrid, center: int, n: int

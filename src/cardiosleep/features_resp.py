@@ -7,6 +7,7 @@ import numpy as np
 from scipy import signal as sps
 
 from .errors import InsufficientData, LengthMismatch, NoBreathsDetected, ZeroTotal
+from .features_rr import _one_sided_power
 
 BREATH_NAMES = [
     # time domain (15)
@@ -121,16 +122,6 @@ def breath_features(segment: np.ndarray, sample_rate_hz: float) -> dict:
         # interval-based features stay missing by contract
         pass
     return out
-
-
-def _one_sided_power(y: np.ndarray) -> np.ndarray:
-    n = len(y)
-    spec = np.fft.rfft(y)
-    p = np.abs(spec) ** 2 / n ** 2
-    p[1:] *= 2.0
-    if n % 2 == 0:
-        p[-1] /= 2.0
-    return p
 
 
 def _half_power_bandwidth(freqs: np.ndarray, p: np.ndarray, k: int) -> float:

@@ -5,9 +5,9 @@ from typing import Optional
 
 import numpy as np
 
-from . import preprocess, registry
+from . import preprocess
 from .errors import SubjectUnusable
-from .registry import FeatureManifest, FeatureMatrix
+from .registry import FeatureMatrix
 from .types import ProcessedSubject, SubjectRecord
 
 
@@ -24,13 +24,6 @@ def preprocess_subject(record: SubjectRecord) -> ProcessedSubject:
     return ProcessedSubject(subject_id=record.subject_id, rr=rr,
                             breath_chest=chest, breath_abdomen=abdomen,
                             hypnogram=record.hypnogram)
-
-
-def extract_features(record: SubjectRecord,
-                     manifest: Optional[FeatureManifest] = None,
-                     epoch_len_s: float = 30.0) -> FeatureMatrix:
-    processed = preprocess_subject(record)
-    return registry.assemble_feature_matrix(processed, manifest, epoch_len_s)
 
 
 def matrix_to_sequence(matrix: FeatureMatrix) -> tuple[np.ndarray, Optional[np.ndarray]]:

@@ -11,17 +11,20 @@ breathing set: 104 + 25 + 23 = 152.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import features_resp, features_rr
+from .cohort import merge_stages
 from .epoching import (EpochGrid, build_epoch_grid, resolve_window,
-                       window_rr_values, window_trace_values)
-from .errors import EmptyTrainingSet, ManifestMismatch, SubjectUnusable
+                       window_trace_values)
+from .errors import (EmptyTrainingSet, InsufficientData, LengthMismatch,
+                     ManifestMismatch, MissingCenter, NoBreathsDetected,
+                     NoValidEpochs, SubjectUnusable, ZeroTotal)
 from .preprocess import usable_intervals
-from .types import FourStage, Hypnogram, ProcessedSubject
+from .types import Hypnogram, ProcessedSubject, SignalTrace
 
 N_FEATURES = 152
 
@@ -35,6 +38,7 @@ class ManifestEntry:
     source: str      # extractor family
     window_n: int    # epochs
     units: str
+    key: str         # the name the family's extractor returns for this entry
 
 
 @dataclass(frozen=True)
@@ -89,44 +93,37 @@ class NormStats:
 
 # --- manifest construction ------------------------------------------------
 
-def _entries(names: list[str], source: str, window_n: int, units: str = "") -> list[ManifestEntry]:
-    return [ManifestEntry(n, source, window_n, units) for n in names]
+def _entries(keys: list[str], source: str, window_n: int, units: str = "",
+             name: str = "{}") -> list[ManifestEntry]:
+    return [ManifestEntry(name.format(k), source, window_n, units, k) for k in keys]
 
 
-def build_manifest(profile: str = "single", f1_window: int = F1_WINDOW,
-                   multi_window: int = MULTI_WINDOW) -> FeatureManifest:
+def build_manifest(profile: str = "single") -> FeatureManifest:
     """The canonical manifest for a breathing-channel profile."""
     if profile not in ("single", "two-channel"):
         raise ValueError(f"unknown profile {profile!r}")
-    if f1_window % 2 == 0 or multi_window % 2 == 0:
-        raise ValueError("window widths must be odd")
-    MULTI_WINDOW_ = multi_window
     base: list[ManifestEntry] = []
     base += _entries(features_rr.HRV_TIME_NAMES, "rr_time", 1, "s")
     base += _entries(features_rr.STAT_NAMES, "rr_stat", 1, "s")
-    base += _entries(features_rr.NONLINEAR_NAMES, "rr_nonlinear", MULTI_WINDOW_, "")
-    base += [ManifestEntry("rr_f1", "rr_novel", f1_window, "s"),
-             ManifestEntry("rr_f2", "rr_novel", MULTI_WINDOW_, "s"),
-             ManifestEntry("rr_f3", "rr_novel", MULTI_WINDOW_, "s")]
-    base += _entries(features_rr.FREQ_NAMES, "rr_freq", MULTI_WINDOW_, "")
-    base += [ManifestEntry(f"br_chest_{n}", "breath_chest", 1, "")
-             for n in features_resp.BREATH_NAMES]
-    base += _entries(features_resp.CPC_NAMES, "cpc", MULTI_WINDOW_, "")
+    base += _entries(features_rr.NONLINEAR_NAMES, "rr_nonlinear", MULTI_WINDOW)
+    base += _entries(["rr_f1"], "rr_novel", F1_WINDOW, "s")
+    base += _entries(["rr_f2", "rr_f3"], "rr_novel", MULTI_WINDOW, "s")
+    base += _entries(features_rr.FREQ_NAMES, "rr_freq", MULTI_WINDOW)
+    base += _entries(features_resp.BREATH_NAMES, "breath_chest", 1, name="br_chest_{}")
+    base += _entries(features_resp.CPC_NAMES, "cpc", MULTI_WINDOW)
 
     if profile == "two-channel":
-        base += [ManifestEntry(f"br_abd_{n}", "breath_abdomen", 1, "")
-                 for n in features_resp.BREATH_NAMES]
+        base += _entries(features_resp.BREATH_NAMES, "breath_abdomen", 1,
+                         name="br_abd_{}")
 
     # second-window re-evaluations fill the remaining slots, in fixed order
     pool: list[ManifestEntry] = []
-    pool += [ManifestEntry(f"{n}_w{MULTI_WINDOW_}", "rr_time", MULTI_WINDOW_, "s")
-             for n in features_rr.HRV_TIME_NAMES]
-    pool += [ManifestEntry(f"{n}_w{MULTI_WINDOW_}", "rr_stat", MULTI_WINDOW_, "s")
-             for n in features_rr.STAT_NAMES]
-    pool += [ManifestEntry(f"{n}_w1", "rr_freq", 1, "")
-             for n in features_rr.FREQ_NAMES]
-    need = N_FEATURES - len(base)
-    base += pool[:need]
+    pool += _entries(features_rr.HRV_TIME_NAMES, "rr_time", MULTI_WINDOW, "s",
+                     name=f"{{}}_w{MULTI_WINDOW}")
+    pool += _entries(features_rr.STAT_NAMES, "rr_stat", MULTI_WINDOW, "s",
+                     name=f"{{}}_w{MULTI_WINDOW}")
+    pool += _entries(features_rr.FREQ_NAMES, "rr_freq", 1, name="{}_w1")
+    base += pool[:N_FEATURES - len(base)]
     return FeatureManifest(tuple(base))
 
 
@@ -153,25 +150,108 @@ def _rr_epoch_means(times: np.ndarray, values: np.ndarray, grid: EpochGrid
     return means, counts
 
 
-def _window_slice(times: np.ndarray, values: np.ndarray, grid: EpochGrid,
-                  center: int, n: int):
-    span = resolve_window(grid, center, n)
-    t0, t1 = span.time_span(grid)
-    lo = np.searchsorted(times, t0, side="left")
-    hi = np.searchsorted(times, t1, side="left")
-    return times[lo:hi], values[lo:hi], span
+class _Night:
+    """One subject on its epoch grid: what the family evaluators read."""
+
+    def __init__(self, subject: ProcessedSubject, grid: EpochGrid):
+        self.subject = subject
+        self.grid = grid
+        self.times, self.values = usable_intervals(subject.rr)
+        self.epoch_means, self.epoch_counts = _rr_epoch_means(
+            self.times, self.values, grid)
+
+    def rr_window(self, center: int, n: int):
+        """Usable RR intervals starting inside the window: (times, values, t0, t1)."""
+        t0, t1 = resolve_window(self.grid, center, n).time_span(self.grid)
+        lo = np.searchsorted(self.times, t0, side="left")
+        hi = np.searchsorted(self.times, t1, side="left")
+        return self.times[lo:hi], self.values[lo:hi], t0, t1
+
+
+# Each evaluator returns its family's dict for one centre epoch and window
+# width.  Extractors are looked up on their modules at call time so that
+# wrappers installed on those attributes see every call.
+
+def _rr_time(night: _Night, center: int, n: int) -> dict:
+    return features_rr.hrv_time_features(night.rr_window(center, n)[1])
+
+
+def _rr_stat(night: _Night, center: int, n: int) -> dict:
+    return features_rr.statistical_features(night.rr_window(center, n)[1])
+
+
+def _rr_nonlinear(night: _Night, center: int, n: int) -> dict:
+    return features_rr.nonlinear_features(night.rr_window(center, n)[1])
+
+
+def _rr_freq(night: _Night, center: int, n: int) -> dict:
+    return features_rr.rr_freq_features(*night.rr_window(center, n))
+
+
+def _novel_or_nan(fn, *args) -> float:
+    try:
+        return fn(*args)
+    except (MissingCenter, NoValidEpochs):
+        return np.nan
+
+
+def _rr_novel(night: _Night, center: int, n: int) -> dict:
+    """The three sudden-variation features; each goes missing on its own."""
+    means, counts, grid = night.epoch_means, night.epoch_counts, night.grid
+    return {
+        "rr_f1": _novel_or_nan(features_rr.novel_f1, means, counts, grid, center, n),
+        "rr_f2": _novel_or_nan(features_rr.novel_f2, means, counts,
+                               night.rr_window(center, n)[1], center),
+        "rr_f3": _novel_or_nan(features_rr.novel_f3, means, counts, grid, center, n),
+    }
+
+
+def _breath(trace: SignalTrace, night: _Night, center: int, n: int) -> dict:
+    seg, _ = window_trace_values(trace, night.grid, center, n)
+    return features_resp.breath_features(seg, trace.sample_rate_hz)
+
+
+def _breath_chest(night: _Night, center: int, n: int) -> dict:
+    return _breath(night.subject.breath_chest, night, center, n)
+
+
+def _breath_abdomen(night: _Night, center: int, n: int) -> dict:
+    return _breath(night.subject.breath_abdomen, night, center, n)
+
+
+def _cpc(night: _Night, center: int, n: int) -> dict:
+    times, values, t0, t1 = night.rr_window(center, n)
+    chest = night.subject.breath_chest
+    seg, _ = window_trace_values(chest, night.grid, center, n)
+    spec = features_resp.cpc_spectrum(times, values, seg, chest.sample_rate_hz,
+                                      t0, t1)
+    return features_resp.cpc_band_features(spec)
+
+
+# manifest source -> (evaluator, errors that leave the family's entries missing)
+_FAMILIES = {
+    "rr_time": (_rr_time, InsufficientData),
+    "rr_stat": (_rr_stat, InsufficientData),
+    "rr_nonlinear": (_rr_nonlinear, InsufficientData),
+    "rr_freq": (_rr_freq, InsufficientData),
+    "rr_novel": (_rr_novel, ()),  # each feature catches its own errors
+    "breath_chest": (_breath_chest, NoBreathsDetected),
+    "breath_abdomen": (_breath_abdomen, NoBreathsDetected),
+    "cpc": (_cpc, (InsufficientData, ZeroTotal, LengthMismatch)),
+}
 
 
 def assemble_feature_matrix(subject: ProcessedSubject,
                             manifest: Optional[FeatureManifest] = None,
                             epoch_len_s: float = 30.0,
                             max_missing_frac: float = 0.5) -> FeatureMatrix:
-    """Evaluate every manifest feature for every epoch of one subject."""
+    """Evaluate every manifest feature for every epoch of one subject.
+
+    Entries sharing a (source, window width) are computed by one evaluator
+    call per epoch over exactly that width.
+    """
     if manifest is None:
         manifest = build_manifest("single")
-    by_name = {e.name: e for e in manifest.entries}
-    f1_n = by_name["rr_f1"].window_n
-    multi_n = by_name["rr_f3"].window_n
     two_channel = any(e.source == "breath_abdomen" for e in manifest.entries)
     if two_channel and subject.breath_abdomen is None:
         raise SubjectUnusable(
@@ -180,103 +260,24 @@ def assemble_feature_matrix(subject: ProcessedSubject,
 
     duration = min(subject.rr.peak_times_s[-1], subject.breath_chest.duration_s)
     grid = build_epoch_grid(duration, epoch_len_s)
-    times, values = usable_intervals(subject.rr)
-    epoch_means, epoch_counts = _rr_epoch_means(times, values, grid)
-
+    night = _Night(subject, grid)
     n_ep = grid.n_epochs
-    cols = {e.name: np.full(n_ep, np.nan) for e in manifest.entries}
-    windows = sorted({e.window_n for e in manifest.entries
-                      if e.source in ("rr_time", "rr_stat", "rr_freq")})
 
-    for c in range(n_ep):
-        # RR windows reused across feature families
-        win_cache = {}
-        for n in windows:
-            win_cache[n] = _window_slice(times, values, grid, c, n)
+    groups: dict[tuple[str, int], list[int]] = {}
+    for j, e in enumerate(manifest.entries):
+        groups.setdefault((e.source, e.window_n), []).append(j)
 
-        for n in windows:
-            _, vals, span = win_cache[n]
-            suffix = "" if n == 1 else f"_w{n}"
-            alt_suffix = f"_w{n}" if n == 1 else ""
-            for group, fn in (("hrv", features_rr.hrv_time_features),
-                              ("stat", features_rr.statistical_features)):
-                names = (features_rr.HRV_TIME_NAMES if group == "hrv"
-                         else features_rr.STAT_NAMES)
-                # evaluate once per window width; store under whichever
-                # manifest name exists for this width
-                wanted = [nm for nm in names
-                          if (nm + ("" if n == 1 else f"_w{n}")) in cols]
-                if not wanted:
-                    continue
-                try:
-                    feats = fn(vals)
-                except features_rr.InsufficientData:
-                    feats = {nm: np.nan for nm in names}
-                for nm in wanted:
-                    cols[nm + ("" if n == 1 else f"_w{n}")][c] = feats[nm]
-
-            wt0, wt1 = span.time_span(grid)
-            freq_wanted = [nm for nm in features_rr.FREQ_NAMES
-                           if (nm + ("" if n == multi_n else f"_w{n}")) in cols]
-            if freq_wanted:
-                w_times, w_vals, _ = win_cache[n]
-                try:
-                    feats = features_rr.rr_freq_features(w_times, w_vals, wt0, wt1)
-                except features_rr.InsufficientData:
-                    feats = {nm: np.nan for nm in features_rr.FREQ_NAMES}
-                key_sfx = "" if n == multi_n else f"_w{n}"
-                for nm in freq_wanted:
-                    cols[nm + key_sfx][c] = feats[nm]
-
-        # nonlinear (9-epoch window)
-        if "rr_sampen" in cols:
-            _, vals9, _ = win_cache.get(multi_n) or _window_slice(
-                times, values, grid, c, multi_n)
+    mat = np.full((n_ep, len(manifest)), np.nan)
+    for (source, n), cols in groups.items():
+        evaluate, errors = _FAMILIES[source]
+        keys = [manifest.entries[j].key for j in cols]
+        for c in range(n_ep):
             try:
-                feats = features_rr.nonlinear_features(vals9)
-            except features_rr.InsufficientData:
-                feats = {nm: np.nan for nm in features_rr.NONLINEAR_NAMES}
-            for nm in features_rr.NONLINEAR_NAMES:
-                cols[nm][c] = feats[nm]
-
-        # novel sudden-variation features
-        cols["rr_f1"][c] = _safe_novel(features_rr.novel_f1, epoch_means,
-                                       epoch_counts, grid, c, f1_n)
-        t9, v9, span9 = win_cache.get(multi_n) or _window_slice(
-            times, values, grid, c, multi_n)
-        cols["rr_f2"][c] = _safe_f2(epoch_means, epoch_counts, v9, c)
-        cols["rr_f3"][c] = _safe_novel(features_rr.novel_f3, epoch_means,
-                                       epoch_counts, grid, c, multi_n)
-
-        # breathing features
-        for src, trace in (("breath_chest", subject.breath_chest),
-                           ("breath_abdomen", subject.breath_abdomen)):
-            prefix = "br_chest_" if src == "breath_chest" else "br_abd_"
-            if trace is None or (prefix + features_resp.BREATH_NAMES[0]) not in cols:
+                feats = evaluate(night, c, n)
+            except errors:
                 continue
-            seg, _ = window_trace_values(trace, grid, c, 1)
-            try:
-                feats = features_resp.breath_features(seg, trace.sample_rate_hz)
-            except features_resp.NoBreathsDetected:
-                feats = {nm: np.nan for nm in features_resp.BREATH_NAMES}
-            for nm in features_resp.BREATH_NAMES:
-                cols[prefix + nm][c] = feats[nm]
+            mat[c, cols] = [feats[k] for k in keys]
 
-        # cardiopulmonary coupling over the 9-epoch window
-        if "cpc_sum_hf" in cols:
-            seg, spanb = window_trace_values(subject.breath_chest, grid, c, multi_n)
-            bt0, bt1 = spanb.time_span(grid)
-            try:
-                spec = features_resp.cpc_spectrum(
-                    t9, v9, seg, subject.breath_chest.sample_rate_hz, bt0, bt1)
-                feats = features_resp.cpc_band_features(spec)
-            except (features_resp.InsufficientData, features_resp.ZeroTotal,
-                    features_resp.LengthMismatch):
-                feats = {nm: np.nan for nm in features_resp.CPC_NAMES}
-            for nm in features_resp.CPC_NAMES:
-                cols[nm][c] = feats[nm]
-
-    mat = np.column_stack([cols[e.name] for e in manifest.entries])
     missing = ~np.isfinite(mat)
     if missing.mean() > max_missing_frac:
         raise SubjectUnusable(
@@ -284,25 +285,11 @@ def assemble_feature_matrix(subject: ProcessedSubject,
 
     labels = None
     if subject.hypnogram is not None:
-        labs = subject.hypnogram.labels[:n_ep]
-        if len(labs) == n_ep and subject.hypnogram.scheme == "four":
-            labels = Hypnogram(tuple(labs), "four", epoch_len_s)
+        hyp = merge_stages(subject.hypnogram)
+        if len(hyp) >= n_ep:
+            labels = Hypnogram(hyp.labels[:n_ep], "four", epoch_len_s)
     return FeatureMatrix(manifest=manifest, values=mat, missing_mask=missing,
                          labels=labels, subject_id=subject.subject_id)
-
-
-def _safe_novel(fn, epoch_means, epoch_counts, grid, center, n):
-    try:
-        return fn(epoch_means, epoch_counts, grid, center, n)
-    except Exception:
-        return np.nan
-
-
-def _safe_f2(epoch_means, epoch_counts, window_values, center):
-    try:
-        return features_rr.novel_f2(epoch_means, epoch_counts, window_values, center)
-    except Exception:
-        return np.nan
 
 
 # --- normalization --------------------------------------------------------
@@ -340,13 +327,5 @@ def apply_normalization(matrix: FeatureMatrix, stats: NormStats) -> FeatureMatri
     z = np.where(stats.constant[None, :], 0.0, z)
     z = np.where(matrix.missing_mask, 0.0, z)
     return FeatureMatrix(manifest=matrix.manifest, values=z,
-                         missing_mask=matrix.missing_mask,
-                         labels=matrix.labels, subject_id=matrix.subject_id)
-
-
-def denormalize(matrix: FeatureMatrix, stats: NormStats) -> FeatureMatrix:
-    sd = np.where(stats.constant, 1.0, stats.sd)
-    x = matrix.values * sd + stats.mean
-    return FeatureMatrix(manifest=matrix.manifest, values=x,
                          missing_mask=matrix.missing_mask,
                          labels=matrix.labels, subject_id=matrix.subject_id)

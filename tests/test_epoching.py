@@ -5,13 +5,7 @@ from hypothesis import given, strategies as st
 
 from cardiosleep import epoching
 from cardiosleep.errors import RecordingTooShort
-from cardiosleep.types import RrSeries, SignalTrace
-
-
-def _rr(times):
-    times = np.asarray(times, dtype=float)
-    iv = np.diff(times)
-    return RrSeries(times, iv, np.ones(len(iv), dtype=bool))
+from cardiosleep.types import SignalTrace
 
 
 class TestGrid:
@@ -70,20 +64,6 @@ class TestResolveWindow:
 
 
 class TestValueSelection:
-    def test_interval_epoch_indices_by_first_peak(self):
-        rr = _rr([29.5, 30.5, 60.1, 95.0, 125.0])
-        grid = epoching.EpochGrid(30.0, 3)
-        assert list(epoching.interval_epoch_indices(rr, grid)) == [0, 1, 2, -1]
-
-    def test_window_rr_values_boundaries(self):
-        # interval starting exactly on the window edge belongs to the window
-        rr = _rr([29.0, 30.0, 59.0, 60.0, 61.0])
-        grid = epoching.EpochGrid(30.0, 3)
-        times, values, span = epoching.window_rr_values(rr, grid, 1, 1)
-        assert np.allclose(times, [30.0, 59.0])
-        assert np.allclose(values, [29.0, 1.0])
-        assert span.effective_n == 1
-
     def test_window_trace_values_counts(self):
         trace = SignalTrace("B", 25.0, np.arange(25 * 120, dtype=float))
         grid = epoching.EpochGrid(30.0, 4)
