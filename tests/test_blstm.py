@@ -152,6 +152,148 @@ class TestGradients:
             blstm.loss_and_gradients(p, [])
 
 
+# --- per-timestep reference ------------------------------------------------
+# The original loop formulation of one direction: it walks time backwards
+# for the backward direction and does the input projection and the weight
+# gradient updates inside the loop. The vectorised implementation must match
+# it within float64 round-off.
+
+def _ref_sigmoid(z):
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def _ref_run_direction(W, U, b, X, reverse):
+    T = X.shape[0]
+    H = U.shape[1]
+    hs = np.zeros((T, H))
+    cache = [None] * T
+    h = np.zeros(H)
+    c = np.zeros(H)
+    order = range(T - 1, -1, -1) if reverse else range(T)
+    for t in order:
+        z = W @ X[t] + U @ h + b
+        i = _ref_sigmoid(z[:H])
+        f = _ref_sigmoid(z[H:2 * H])
+        g = np.tanh(z[2 * H:3 * H])
+        o = _ref_sigmoid(z[3 * H:])
+        c_new = f * c + i * g
+        tc = np.tanh(c_new)
+        cache[t] = (i, f, g, o, c, h, tc, X[t])
+        h = o * tc
+        c = c_new
+        hs[t] = h
+    return hs, cache
+
+
+def _ref_backward_direction(W, U, dH, cache, reverse):
+    T = len(cache)
+    H = U.shape[1]
+    dW = np.zeros_like(W)
+    dU = np.zeros_like(U)
+    db = np.zeros(4 * H)
+    dX = np.zeros((T, W.shape[1]))
+    dh_next = np.zeros(H)
+    dc_next = np.zeros(H)
+    order = range(T) if reverse else range(T - 1, -1, -1)
+    for t in order:
+        i, f, g, o, c_prev, h_prev, tc, x = cache[t]
+        dh = dH[t] + dh_next
+        do = dh * tc
+        dc = dh * o * (1.0 - tc * tc) + dc_next
+        di = dc * g
+        df = dc * c_prev
+        dg = dc * i
+        dc_next = dc * f
+        dz = np.concatenate([di * i * (1 - i), df * f * (1 - f),
+                             dg * (1 - g * g), do * o * (1 - o)])
+        dW += np.outer(dz, x)
+        dU += np.outer(dz, h_prev)
+        db += dz
+        dX[t] = W.T @ dz
+        dh_next = U.T @ dz
+    return dW, dU, db, dX
+
+
+def _ref_forward(p, X):
+    layer_in, layers = X, []
+    for l in range(p.layers):
+        outs, caches = [], {}
+        for d in p.directions:
+            hs, caches[d] = _ref_run_direction(
+                p.weights[f"l{l}{d}_W"], p.weights[f"l{l}{d}_U"],
+                p.weights[f"l{l}{d}_b"], layer_in, reverse=(d == "b"))
+            outs.append(hs)
+        layers.append(caches)
+        layer_in = np.concatenate(outs, axis=1)
+    logits = layer_in @ p.weights["out_W"].T + p.weights["out_b"]
+    expz = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return expz / expz.sum(axis=1, keepdims=True), layer_in, layers
+
+
+def _ref_loss_and_gradients(p, batch, cw):
+    grads = {k: np.zeros_like(v) for k, v in p.weights.items()}
+    runs = [(_ref_forward(p, X), y) for X, y in batch]
+    total_w = sum(float(np.sum(cw[y])) for _, y in batch)
+    loss = sum(float(np.sum(-cw[y] * np.log(probs[np.arange(len(y)), y])))
+               for (probs, _, _), y in runs) / total_w
+    H = p.hidden
+    for (probs, hcat, layers), y in runs:
+        dlogits = probs.copy()
+        dlogits[np.arange(len(y)), y] -= 1.0
+        dlogits *= (cw[y] / total_w)[:, None]
+        grads["out_W"] += dlogits.T @ hcat
+        grads["out_b"] += dlogits.sum(axis=0)
+        dlayer = dlogits @ p.weights["out_W"]
+        for l in range(p.layers - 1, -1, -1):
+            dX_total = 0.0
+            for k, d in enumerate(p.directions):
+                dW, dU, db, dX = _ref_backward_direction(
+                    p.weights[f"l{l}{d}_W"], p.weights[f"l{l}{d}_U"],
+                    dlayer[:, k * H:(k + 1) * H], layers[l][d],
+                    reverse=(d == "b"))
+                grads[f"l{l}{d}_W"] += dW
+                grads[f"l{l}{d}_U"] += dU
+                grads[f"l{l}{d}_b"] += db
+                dX_total = dX_total + dX
+            dlayer = dX_total
+    return loss, grads
+
+
+def _assert_round_off_close(actual, expected):
+    # float64 round-off: relative 1e-12, absolute 1e-12 of the array's scale
+    scale = float(np.max(np.abs(expected)))
+    np.testing.assert_allclose(actual, expected, rtol=1e-12,
+                               atol=1e-12 * scale)
+
+
+class TestMatchesPerTimestepReference:
+    @pytest.mark.parametrize("bidirectional", [True, False],
+                             ids=["bidirectional", "unidirectional"])
+    @pytest.mark.parametrize("t", [1, 120])
+    def test_forward_and_gradients(self, bidirectional, t):
+        rng = np.random.default_rng(11)
+        p = blstm.init_params(2, input_dim=DIM, layers=2,
+                              bidirectional=bidirectional)
+        for k in p.weights:  # non-zero biases exercise every term
+            p.weights[k] += rng.normal(0, 0.3, p.weights[k].shape)
+        batch = [(rng.normal(0, 2.0, (t, DIM)), rng.integers(0, 4, t)),
+                 (rng.normal(0, 2.0, (t + 3, DIM)), rng.integers(0, 4, t + 3))]
+        cw = np.array([1.0, 2.0, 0.5, 1.5])
+        for X, _ in batch:
+            _assert_round_off_close(blstm.forward(p, X), _ref_forward(p, X)[0])
+        loss, grads = blstm.loss_and_gradients(p, batch, cw)
+        ref_loss, ref_grads = _ref_loss_and_gradients(p, batch, cw)
+        assert loss == pytest.approx(ref_loss, rel=1e-12)
+        assert grads.keys() == ref_grads.keys()
+        for k in grads:
+            _assert_round_off_close(grads[k], ref_grads[k])
+
+
 class TestTraining:
     def test_zero_learning_rate_is_a_no_op(self):
         rng = np.random.default_rng(7)
