@@ -4,16 +4,19 @@ Two stacked bidirectional layers (hidden size 16 each direction) and a
 4-class softmax output layer. All math is double precision so finite
 difference gradient checks at 1e-5 are meaningful. Gate order inside the
 stacked weight matrices is input, forget, cell, output.
+The backward direction is the same forward-in-time recurrence run over the
+reversed sequence. Work that does not depend on the previous hidden state
+(input projection, weight gradients) is done outside the time loop.
 """
 from __future__ import annotations
 
-import copy
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy.special import expit
 
 from .errors import (EmptyDataset, ManifestMismatch, NonFiniteInput,
                      NonFiniteLoss, ShapeMismatch)
@@ -55,19 +58,10 @@ class TrainConfig:
     class_weights: Optional[Sequence[float]] = None
 
     def __post_init__(self):
-        for name in ("learning_rate", "max_epochs", "batch_size", "clip_norm",
-                     "patience"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
-
-
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+        for name, low in (("learning_rate", 0), ("max_epochs", 1),
+                          ("batch_size", 1), ("clip_norm", 0), ("patience", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}")
 
 
 def init_params(seed: int, input_dim: int = 152, hidden: int = 16,
@@ -102,27 +96,24 @@ def init_params(seed: int, input_dim: int = 152, hidden: int = 16,
 
 # --- forward --------------------------------------------------------------
 
-def _run_direction(W, U, b, X, reverse: bool):
+def _run_direction(W, U, b, X):
+    """One LSTM direction over X (T, din), forward in time. Returns hidden and
+    cell states (T+1, H), row 0 the zero initial state, and the gate
+    activations (T, 4H): tanh for the cell gate, sigmoid for the others."""
     T = X.shape[0]
     H = U.shape[1]
-    hs = np.zeros((T, H))
-    cache = [None] * T
-    h = np.zeros(H)
-    c = np.zeros(H)
-    order = range(T - 1, -1, -1) if reverse else range(T)
-    for t in order:
-        z = W @ X[t] + U @ h + b
-        i = _sigmoid(z[:H])
-        f = _sigmoid(z[H:2 * H])
-        g = np.tanh(z[2 * H:3 * H])
-        o = _sigmoid(z[3 * H:])
-        c_new = f * c + i * g
-        tc = np.tanh(c_new)
-        cache[t] = (i, f, g, o, c, h, tc, X[t])
-        h = o * tc
-        c = c_new
-        hs[t] = h
-    return hs, cache
+    Z = X @ W.T + b
+    gates = np.empty((T, 4 * H))
+    hs = np.zeros((T + 1, H))
+    cs = np.zeros((T + 1, H))
+    for t in range(T):
+        z = Z[t] + U @ hs[t]
+        a = expit(z, out=gates[t])
+        a[2 * H:3 * H] = np.tanh(z[2 * H:3 * H])
+        i, f, g, o = a.reshape(4, H)
+        cs[t + 1] = f * cs[t] + i * g
+        hs[t + 1] = o * np.tanh(cs[t + 1])
+    return hs, cs, gates
 
 
 def _forward_full(params: BlstmParams, X: np.ndarray):
@@ -142,12 +133,12 @@ def _forward_full(params: BlstmParams, X: np.ndarray):
         outs = []
         caches = {}
         for d in params.directions:
-            hs, cache = _run_direction(params.weights[f"l{l}{d}_W"],
-                                       params.weights[f"l{l}{d}_U"],
-                                       params.weights[f"l{l}{d}_b"],
-                                       layer_in, reverse=(d == "b"))
-            outs.append(hs)
-            caches[d] = cache
+            step = -1 if d == "b" else 1  # "b" runs over reversed time
+            hs, cs, gates = _run_direction(
+                params.weights[f"l{l}{d}_W"], params.weights[f"l{l}{d}_U"],
+                params.weights[f"l{l}{d}_b"], layer_in[::step])
+            caches[d] = (hs, cs, gates)
+            outs.append(hs[1:][::step])
         layer_caches.append((layer_in, caches))
         layer_in = np.concatenate(outs, axis=1)
 
@@ -155,12 +146,12 @@ def _forward_full(params: BlstmParams, X: np.ndarray):
     shifted = logits - logits.max(axis=1, keepdims=True)
     expz = np.exp(shifted)
     probs = expz / expz.sum(axis=1, keepdims=True)
-    return probs, logits, layer_in, layer_caches
+    return probs, layer_in, layer_caches
 
 
 def forward(params: BlstmParams, X: np.ndarray) -> np.ndarray:
     """Per-epoch class probabilities, shape (T, classes); rows sum to 1."""
-    probs, _, _, _ = _forward_full(params, X)
+    probs, _, _ = _forward_full(params, X)
     return probs
 
 
@@ -172,34 +163,39 @@ def predict(params: BlstmParams, X: np.ndarray) -> Hypnogram:
 
 # --- backward -------------------------------------------------------------
 
-def _backward_direction(W, U, dH, cache, reverse: bool):
-    T = len(cache)
-    H = U.shape[1]
-    din = W.shape[1]
-    dW = np.zeros_like(W)
-    dU = np.zeros_like(U)
-    db = np.zeros(4 * H)
-    dX = np.zeros((T, din))
-    dh_next = np.zeros(H)
-    dc_next = np.zeros(H)
-    order = range(T) if reverse else range(T - 1, -1, -1)
-    for t in order:
-        i, f, g, o, c_prev, h_prev, tc, x = cache[t]
-        dh = dH[t] + dh_next
-        do = dh * tc
-        dc = dh * o * (1.0 - tc * tc) + dc_next
-        di = dc * g
-        df = dc * c_prev
-        dg = dc * i
-        dc_next = dc * f
-        dz = np.concatenate([di * i * (1 - i), df * f * (1 - f),
-                             dg * (1 - g * g), do * o * (1 - o)])
-        dW += np.outer(dz, x)
-        dU += np.outer(dz, h_prev)
-        db += dz
-        dX[t] = W.T @ dz
-        dh_next = U.T @ dz
-    return dW, dU, db, dX
+def _backward_direction(W, U, X, dH, cache):
+    """dW, dU, db, dX of one direction that ``_run_direction`` ran over X,
+    given dH (T, H), the loss gradient of its hidden states."""
+    hs, cs, gates = cache
+    T, H = dH.shape
+    i, f, g, o = (gates[:, k * H:(k + 1) * H] for k in range(4))
+    tc = np.tanh(cs[1:])
+    # derivative of each pre-activation with respect to dc (input, forget
+    # and cell gates) or dh (output gate)
+    dz_dc = np.stack([g * i * (1 - i), cs[:-1] * f * (1 - f),
+                      i * (1 - g * g)], axis=1)
+    dz_dh = tc * o * (1 - o)
+    dc_dh = o * (1 - tc * tc)
+    dZ = np.empty((T, 4 * H))
+    dZ_gates = dZ.reshape(T, 4, H)
+    dh = np.zeros(H)
+    dc = np.zeros(H)
+    for t in range(T - 1, -1, -1):
+        dh = dH[t] + dh
+        dc = dh * dc_dh[t] + dc
+        dZ_gates[t, :3] = dc * dz_dc[t]
+        dZ_gates[t, 3] = dh * dz_dh[t]
+        dc = dc * f[t]
+        dh = U.T @ dZ[t]
+    return dZ.T @ X, dZ.T @ hs[:-1], dZ.sum(axis=0), dZ @ W
+
+
+def _weighted_nll(probs: np.ndarray, y: np.ndarray,
+                  class_weights: np.ndarray) -> tuple[float, float]:
+    """(class-weighted negative log-likelihood of labels y, sum of weights)."""
+    w = class_weights[y]
+    p = np.maximum(probs[np.arange(len(y)), y], 1e-300)
+    return float(np.sum(-w * np.log(p))), float(np.sum(w))
 
 
 def loss_and_gradients(params: BlstmParams, batch: Sequence[tuple],
@@ -221,15 +217,14 @@ def loss_and_gradients(params: BlstmParams, batch: Sequence[tuple],
     total_weight = 0.0
     per_seq = []
     for X, y in batch:
-        probs, logits, hcat, layer_caches = _forward_full(params, X)
+        probs, hcat, layer_caches = _forward_full(params, X)
         y = np.asarray(y, dtype=int)
         if len(y) != len(probs):
             raise ShapeMismatch("label length differs from sequence length")
-        w = class_weights[y]
-        total_loss += float(np.sum(-w * np.log(np.maximum(probs[np.arange(len(y)), y],
-                                                          1e-300))))
-        total_weight += float(np.sum(w))
-        per_seq.append((probs, y, w, hcat, layer_caches))
+        seq_loss, seq_weight = _weighted_nll(probs, y, class_weights)
+        total_loss += seq_loss
+        total_weight += seq_weight
+        per_seq.append((probs, y, class_weights[y], hcat, layer_caches))
 
     if not np.isfinite(total_loss) or total_weight <= 0:
         raise NonFiniteLoss(f"loss={total_loss}, weight={total_weight}")
@@ -247,14 +242,15 @@ def loss_and_gradients(params: BlstmParams, batch: Sequence[tuple],
             layer_in, caches = layer_caches[l]
             dX_total = np.zeros_like(layer_in)
             for k, d in enumerate(params.directions):
-                dH = dlayer[:, k * H:(k + 1) * H]
+                step = -1 if d == "b" else 1
                 dW, dU, db, dX = _backward_direction(
                     params.weights[f"l{l}{d}_W"], params.weights[f"l{l}{d}_U"],
-                    dH, caches[d], reverse=(d == "b"))
+                    layer_in[::step], dlayer[::step, k * H:(k + 1) * H],
+                    caches[d])
                 grads[f"l{l}{d}_W"] += dW
                 grads[f"l{l}{d}_U"] += dU
                 grads[f"l{l}{d}_b"] += db
-                dX_total += dX
+                dX_total += dX[::step]
             dlayer = dX_total
     return loss, grads
 
@@ -293,10 +289,9 @@ def evaluate_loss(params: BlstmParams, data: Sequence[tuple],
     for X, y in data:
         probs = forward(params, X)
         y = np.asarray(y, dtype=int)
-        w = class_weights[y]
-        total_loss += float(np.sum(-w * np.log(np.maximum(
-            probs[np.arange(len(y)), y], 1e-300))))
-        total_weight += float(np.sum(w))
+        seq_loss, seq_weight = _weighted_nll(probs, y, class_weights)
+        total_loss += seq_loss
+        total_weight += seq_weight
         correct += int(np.sum(np.argmax(probs, axis=1) == y))
         total += len(y)
     return total_loss / max(total_weight, 1e-300), correct / max(total, 1)
@@ -331,8 +326,8 @@ def train(config: TrainConfig, train_data: Sequence[tuple],
 
     for _epoch in range(config.max_epochs):
         order = rng.permutation(len(train_data))
-        for start in range(0, len(order), max(1, config.batch_size)):
-            idx = order[start:start + max(1, config.batch_size)]
+        for start in range(0, len(order), config.batch_size):
+            idx = order[start:start + config.batch_size]
             batch = [train_data[i] for i in idx]
             _, grads = loss_and_gradients(params, batch, cw)
             _clip(grads, config.clip_norm)

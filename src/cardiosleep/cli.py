@@ -18,7 +18,7 @@ from . import blstm, cohort, evaluate, pipeline, registry, signal_io, synth
 from .config import PipelineConfig, load_config
 from .errors import (CardiosleepError, ConfigError, NonFiniteInput,
                      NonFiniteLoss)
-from .types import Hypnogram, RrSeries, SignalTrace, SubjectRecord
+from .types import RrSeries, SignalTrace, SubjectRecord
 
 EXIT_OK = 0
 EXIT_CONFIG = 2

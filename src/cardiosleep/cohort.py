@@ -6,7 +6,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import EmptyHypnogram, EmptyList, MissingMetadata, NegativeAhi
+from .errors import EmptyHypnogram, EmptyList, NegativeAhi
 from .types import FourStage, Hypnogram, SixStage, SubjectRecord
 
 

@@ -1,10 +1,11 @@
 """Pipeline configuration: a single key-value tree with validated defaults.
 
 Every default that the source publication fixes is kept here: 30 s epochs,
-AHI < 5 cohort gate, 5% deep / 15% REM regular-sleep thresholds, 70/30
-subject split, and the 2x16-unit bidirectional model with 4 output classes.
-The 119- and 9-epoch feature windows are fixed in the feature manifest
-(``registry.F1_WINDOW``, ``registry.MULTI_WINDOW``).
+5% deep / 15% REM regular-sleep thresholds, 70/30 subject split, and the
+2x16-unit bidirectional model with 4 output classes. The AHI < 5 cohort gate
+is fixed in ``cohort.classify_ahi``; the 119- and 9-epoch feature windows are
+fixed in the feature manifest (``registry.F1_WINDOW``,
+``registry.MULTI_WINDOW``).
 """
 from __future__ import annotations
 
@@ -24,7 +25,6 @@ from .errors import ConfigError
 class PipelineConfig:
     epoch_len_s: float = 30.0
     profile: str = "single"          # "single" | "two-channel"
-    ahi_max: float = 5.0
     deep_min_frac: float = 0.05
     rem_min_frac: float = 0.15
     regular_sleep_denominator: str = "all"   # "all" | "sleep"

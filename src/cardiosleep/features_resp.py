@@ -118,9 +118,6 @@ def breath_features(segment: np.ndarray, sample_rate_hz: float) -> dict:
         f2, p2 = _second_peak(fq, q, k)
         out["peak2_freq"] = f2
         out["peak2_power"] = p2
-    if len(peaks) < 2:
-        # interval-based features stay missing by contract
-        pass
     return out
 
 

@@ -8,13 +8,13 @@ modulated sinusoid plus baseline drift and noise.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import InvalidProfile
-from .types import (FOUR_STAGE_ORDER, FourStage, Hypnogram, SignalTrace,
-                    SubjectRecord, four_hypnogram_from_indices)
+from .types import (FOUR_STAGE_ORDER, FourStage, SignalTrace, SubjectRecord,
+                    four_hypnogram_from_indices)
 
 ECG_RATE_HZ = 200.0
 BREATH_RATE_HZ = 25.0

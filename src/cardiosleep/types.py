@@ -1,7 +1,7 @@
 """Core domain types: signal traces, hypnograms, RR series, subject records."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 

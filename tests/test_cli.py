@@ -114,16 +114,18 @@ class TestPipelineStages:
 class TestExitCodes:
     def test_config_error_is_two(self, tmp_path):
         bad = tmp_path / "bad.yaml"
-        bad.write_text("split_ratio: 1.5\n")
-        code = cli.main(["--config", str(bad), "synth",
-                         "--out", str(tmp_path), "--subjects", "2"])
-        assert code == 2
+        for text in ("split_ratio: 1.5\n", "train:\n  max_epochs: 0\n"):
+            bad.write_text(text)
+            code = cli.main(["--config", str(bad), "synth",
+                             "--out", str(tmp_path), "--subjects", "2"])
+            assert code == 2, text
 
     def test_unknown_config_key_is_two(self, tmp_path):
         bad = tmp_path / "bad.yaml"
-        bad.write_text("not_a_key: 1\n")
-        assert cli.main(["--config", str(bad), "synth",
-                         "--out", str(tmp_path)]) == 2
+        for text in ("not_a_key: 1\n", "ahi_max: 10\n"):
+            bad.write_text(text)
+            assert cli.main(["--config", str(bad), "synth",
+                             "--out", str(tmp_path)]) == 2, text
 
     def test_missing_input_file_is_three(self, tmp_path):
         assert cli.main(["preprocess", "--meta", str(tmp_path / "nope.jsonl"),
