@@ -146,9 +146,50 @@ class TestNonlinear:
     def test_sampen_constant_is_nan(self):
         assert math.isnan(fr.sample_entropy(np.full(60, 1.0)))
 
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_sampen_equals_oracle_on_quantised_rr(self, m, seed):
+        # RR values on a 5 ms grid repeat, so many template distances tie
+        x = _quantised_rr(seed, 90)
+        assert _same(fr.sample_entropy(x, m),
+                     _sampen_oracle(x, m, 0.2 * np.std(x)))
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_sampen_equals_oracle_at_tolerance_boundary(self, m):
+        # choose r_frac near 0.2 so that r equals a pairwise distance that
+        # occurs: pairs at exactly |x_i - x_j| == r must count as matches
+        x = _quantised_rr(3, 90)
+        sd = np.std(x)
+        dist = np.abs(x[:, None] - x[None, :])
+        r_frac = min((d / sd for d in np.unique(dist[dist > 0])
+                      if (d / sd) * sd == d), key=lambda f: abs(f - 0.2))
+        r = r_frac * sd
+        assert np.any(dist == r)
+        assert _same(fr.sample_entropy(x, m, r_frac), _sampen_oracle(x, m, r))
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_sampen_nan_cases(self, m):
+        x = _quantised_rr(4, 40)
+        assert math.isnan(fr.sample_entropy(x[:m + 1], m))
+        assert math.isfinite(fr.sample_entropy(x[:m + 2], m, r_frac=10.0))
+        assert math.isnan(fr.sample_entropy(np.full(40, 0.9), m))
+        # no two values lie within r, so no template pair matches
+        assert math.isnan(fr.sample_entropy(np.arange(40.0), m, r_frac=0.01))
+
+
+def _quantised_rr(seed, n):
+    return np.round(np.random.default_rng(seed).normal(0.9, 0.05, n) * 200) / 200
+
+
+def _same(a, b):
+    return (math.isnan(a) and math.isnan(b)) or a == b
+
 
 def _sampen_oracle(x, m, r):
-    """Literal double-loop sample entropy, Chebyshev distance, i != j."""
+    """Literal double-loop sample entropy, Chebyshev distance, i != j.
+
+    Counts N - length + 1 templates at each length; NaN when either count is 0.
+    """
     def matches(length):
         count = 0
         n = len(x) - length + 1
@@ -159,7 +200,10 @@ def _sampen_oracle(x, m, r):
                 if max(abs(x[i + k] - x[j + k]) for k in range(length)) <= r:
                     count += 1
         return count
-    return -np.log(matches(m + 1) / matches(m))
+    a, b = matches(m + 1), matches(m)
+    if a == 0 or b == 0:
+        return np.nan
+    return -np.log(a / b)
 
 
 class TestNovelFeatures:
