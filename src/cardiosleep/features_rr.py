@@ -168,23 +168,26 @@ def _longest_true_run(mask: np.ndarray) -> int:
 
 def sample_entropy(values: np.ndarray, m: int = 2, r_frac: float = 0.2) -> float:
     """Sample entropy with template length m and tolerance r = r_frac * SD
-    (Chebyshev distance), computed over all template pairs i != j."""
+    (Chebyshev distance), computed over all template pairs i != j.
+
+    Templates of length k start at every index, so there are N - m + 1 of
+    them at length m and N - m at length m + 1; Richman & Moorman (2000) use
+    the first N - m at both lengths.
+    """
     x = np.asarray(values, dtype=float)
     n = len(x)
     sd = np.std(x)
     if n < m + 2 or sd == 0:
         return np.nan
     r = r_frac * sd
-
-    def count_matches(length: int) -> int:
-        templ = np.lib.stride_tricks.sliding_window_view(x, length)
-        # pairwise Chebyshev distances between templates
-        diff = np.abs(templ[:, None, :] - templ[None, :, :]).max(axis=2)
-        k = len(templ)
-        return int(np.sum(diff <= r) - k)  # exclude self-matches
-
-    b = count_matches(m)
-    a = count_matches(m + 1)
+    # templates i and j of length L match iff close[i + s, j + s] for all s < L
+    close = np.abs(x[:, None] - x[None, :]) <= r
+    k = n - m + 1
+    match = close[:k, :k].copy()
+    for s in range(1, m):
+        match &= close[s:s + k, s:s + k]
+    b = np.count_nonzero(match) - k  # exclude self-matches
+    a = np.count_nonzero(match[:-1, :-1] & close[m:, m:]) - (k - 1)
     if b == 0 or a == 0:
         return np.nan
     return float(-np.log(a / b))
