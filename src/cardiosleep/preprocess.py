@@ -39,10 +39,16 @@ def detect_r_peaks(ecg: SignalTrace) -> np.ndarray:
         raise FlatSignal("ECG variance below detection threshold")
 
     bp = _bandpass_qrs(x, fs)
-    deriv = np.gradient(bp)
-    sq = deriv * deriv
+    # squared np.gradient(bp), built in one array to bound peak memory
+    sq = np.empty_like(bp)
+    np.subtract(bp[2:], bp[:-2], out=sq[1:-1])
+    sq[1:-1] /= 2.0
+    sq[0] = bp[1] - bp[0]
+    sq[-1] = bp[-1] - bp[-2]
+    sq *= sq
     win = max(1, int(round(0.150 * fs)))
     integ = np.convolve(sq, np.ones(win) / win, mode="same")
+    del sq
 
     # candidate local maxima of the integrated signal
     cand, _ = sps.find_peaks(integ, distance=max(1, int(round(REFRACTORY_S * fs))))
