@@ -89,7 +89,8 @@ def statistical_features(values: np.ndarray) -> dict:
     mean = float(np.mean(x))
     sd = float(np.std(x))
     var = sd * sd
-    q = {p: float(np.quantile(x, p / 100)) for p in (5, 10, 25, 75, 90, 95)}
+    q05, q10, q25, q75, q90, q95 = (
+        float(v) for v in np.quantile(x, [0.05, 0.10, 0.25, 0.75, 0.90, 0.95]))
     d = np.diff(x)
     centered = x - mean
     above = x > mean
@@ -126,9 +127,9 @@ def statistical_features(values: np.ndarray) -> dict:
         "rr_stat_max": float(np.max(x)),
         "rr_stat_range": float(np.ptp(x)),
         "rr_stat_median": float(np.median(x)),
-        "rr_stat_q05": q[5], "rr_stat_q10": q[10], "rr_stat_q25": q[25],
-        "rr_stat_q75": q[75], "rr_stat_q90": q[90], "rr_stat_q95": q[95],
-        "rr_stat_iqr": q[75] - q[25],
+        "rr_stat_q05": q05, "rr_stat_q10": q10, "rr_stat_q25": q25,
+        "rr_stat_q75": q75, "rr_stat_q90": q90, "rr_stat_q95": q95,
+        "rr_stat_iqr": q75 - q25,
         "rr_stat_skew": skew,
         "rr_stat_kurt": kurt,
         "rr_stat_mad": float(np.median(np.abs(x - np.median(x)))),
