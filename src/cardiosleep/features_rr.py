@@ -171,9 +171,9 @@ def sample_entropy(values: np.ndarray, m: int = 2, r_frac: float = 0.2) -> float
     """Sample entropy with template length m and tolerance r = r_frac * SD
     (Chebyshev distance), computed over all template pairs i != j.
 
-    Templates of length k start at every index, so there are N - m + 1 of
-    them at length m and N - m at length m + 1; Richman & Moorman (2000) use
-    the first N - m at both lengths.
+    Every start index gives a template, so there are N - m + 1 templates of
+    length m and N - m of length m + 1; Richman & Moorman (2000) use the
+    first N - m at both lengths.
     """
     x = np.asarray(values, dtype=float)
     n = len(x)
