@@ -147,25 +147,28 @@ class TestNonlinear:
         assert math.isnan(fr.sample_entropy(np.full(60, 1.0)))
 
     @pytest.mark.parametrize("m", [1, 2, 3])
-    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("seed", [0, 2, 5])
     def test_sampen_equals_oracle_on_quantised_rr(self, m, seed):
         # RR values on a 5 ms grid repeat, so many template distances tie
-        x = _quantised_rr(seed, 90)
-        assert _same(fr.sample_entropy(x, m),
-                     _sampen_oracle(x, m, 0.2 * np.std(x)))
+        x = _quantised_rr(seed, 160)
+        expected = _sampen_oracle(x, m, 0.2 * np.std(x))
+        assert math.isfinite(expected)
+        assert fr.sample_entropy(x, m) == expected
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_sampen_equals_oracle_at_tolerance_boundary(self, m):
         # choose r_frac near 0.2 so that r equals a pairwise distance that
         # occurs: pairs at exactly |x_i - x_j| == r must count as matches
-        x = _quantised_rr(3, 90)
+        x = _quantised_rr(3, 160)
         sd = np.std(x)
         dist = np.abs(x[:, None] - x[None, :])
         r_frac = min((d / sd for d in np.unique(dist[dist > 0])
                       if (d / sd) * sd == d), key=lambda f: abs(f - 0.2))
         r = r_frac * sd
         assert np.any(dist == r)
-        assert _same(fr.sample_entropy(x, m, r_frac), _sampen_oracle(x, m, r))
+        expected = _sampen_oracle(x, m, r)
+        assert math.isfinite(expected)
+        assert fr.sample_entropy(x, m, r_frac) == expected
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_sampen_nan_cases(self, m):
@@ -179,10 +182,6 @@ class TestNonlinear:
 
 def _quantised_rr(seed, n):
     return np.round(np.random.default_rng(seed).normal(0.9, 0.05, n) * 200) / 200
-
-
-def _same(a, b):
-    return (math.isnan(a) and math.isnan(b)) or a == b
 
 
 def _sampen_oracle(x, m, r):
