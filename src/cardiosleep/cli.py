@@ -166,10 +166,10 @@ def _load_processed(path: Path):
 
 
 def _extract_one(task) -> str:
-    path, out_dir, profile, epoch_len = task
+    path, out_dir, profile = task
     manifest = registry.build_manifest(profile)
     processed = _load_processed(path)
-    matrix = registry.assemble_feature_matrix(processed, manifest, epoch_len)
+    matrix = registry.assemble_feature_matrix(processed, manifest)
     signal_io.write_feature_matrix(matrix, out_dir / f"{processed.subject_id}.csv")
     return processed.subject_id
 
@@ -181,7 +181,7 @@ def cmd_extract(args, cfg: PipelineConfig) -> int:
     paths = sorted(pre_dir.glob("*.npz"))
     if not paths:
         raise CardiosleepError(f"no preprocessed subjects in {pre_dir}")
-    tasks = [(p, out_dir, cfg.profile, cfg.epoch_len_s) for p in paths]
+    tasks = [(p, out_dir, cfg.profile) for p in paths]
     done = _map(_extract_one, tasks, cfg.workers)
     _log_run(Path(args.out), "extract", paths, cfg)
     print(f"extract: {len(done)} subjects -> {out_dir}")
@@ -314,10 +314,8 @@ def cmd_evaluate(args, cfg: PipelineConfig) -> int:
     mats = _load_matrices(Path(args.features), split[args.subset], manifest)
     total_cm = evaluate.ConfusionMatrix(np.zeros((4, 4), dtype=int))
     per_subject = {}
-    for sid, X, y in _sequences(mats, stats, require_labels=True):
-        pred = blstm.predict(params, X)
-        truth = next(m.labels for m in mats if m.subject_id == sid)
-        cm = evaluate.confusion_matrix(pred, truth)
+    for m, (sid, X, _) in zip(mats, _sequences(mats, stats, require_labels=True)):
+        cm = evaluate.confusion_matrix(blstm.predict(params, X), m.labels)
         total_cm = total_cm + cm
         per_subject[sid] = evaluate.accuracy(cm)
 

@@ -65,8 +65,7 @@ def merge_stages(hypnogram: Hypnogram) -> Hypnogram:
     four-class input passes through unchanged."""
     if hypnogram.scheme == "four":
         return hypnogram
-    return Hypnogram(tuple(_MERGE[s] for s in hypnogram.labels), "four",
-                     hypnogram.epoch_len_s)
+    return Hypnogram(tuple(_MERGE[s] for s in hypnogram.labels), "four")
 
 
 def select_cohort(subjects: Iterable[SubjectRecord],

@@ -1,11 +1,11 @@
 """Pipeline configuration: a single key-value tree with validated defaults.
 
-Every default that the source publication fixes is kept here: 30 s epochs,
-5% deep / 15% REM regular-sleep thresholds, 70/30 subject split, and the
-2x16-unit bidirectional model with 4 output classes. The AHI < 5 cohort gate
-is fixed in ``cohort.classify_ahi``; the 119- and 9-epoch feature windows are
-fixed in the feature manifest (``registry.F1_WINDOW``,
-``registry.MULTI_WINDOW``).
+Every default that the source publication fixes is kept here: 5% deep /
+15% REM regular-sleep thresholds, 70/30 subject split, and the 2x16-unit
+bidirectional model with 4 output classes. The 30-s scoring epoch is fixed
+in ``epoching.EPOCH_S``, the AHI < 5 cohort gate in ``cohort.classify_ahi``,
+and the 119- and 9-epoch feature windows in the feature manifest
+(``registry.F1_WINDOW``, ``registry.MULTI_WINDOW``).
 """
 from __future__ import annotations
 
@@ -23,7 +23,6 @@ from .errors import ConfigError
 
 @dataclass
 class PipelineConfig:
-    epoch_len_s: float = 30.0
     profile: str = "single"          # "single" | "two-channel"
     deep_min_frac: float = 0.05
     rem_min_frac: float = 0.15
@@ -34,8 +33,6 @@ class PipelineConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
 
     def validate(self) -> "PipelineConfig":
-        if self.epoch_len_s <= 0:
-            raise ConfigError("epoch_len_s must be positive")
         if self.profile not in ("single", "two-channel"):
             raise ConfigError(f"unknown profile {self.profile!r}")
         if not 0 < self.split_ratio < 1:

@@ -13,15 +13,13 @@ import numpy as np
 from .errors import RecordingTooShort
 from .types import SignalTrace
 
+EPOCH_S = 30.0  # the scoring epoch (Rechtschaffen & Kales; AASM)
+
 
 @dataclass(frozen=True)
 class EpochGrid:
     epoch_len_s: float
     n_epochs: int
-
-    @property
-    def duration_s(self) -> float:
-        return self.n_epochs * self.epoch_len_s
 
     def epoch_span(self, epoch: int) -> tuple[float, float]:
         return epoch * self.epoch_len_s, (epoch + 1) * self.epoch_len_s
@@ -31,7 +29,6 @@ class EpochGrid:
 class WindowSpan:
     """Resolved (possibly shrunken) window around a center epoch."""
 
-    center_epoch: int
     first_epoch: int
     last_epoch: int  # inclusive
 
@@ -44,15 +41,12 @@ class WindowSpan:
                 (self.last_epoch + 1) * grid.epoch_len_s)
 
 
-def build_epoch_grid(duration_s: float, epoch_len_s: float = 30.0) -> EpochGrid:
+def build_epoch_grid(duration_s: float) -> EpochGrid:
     """Partition a recording into whole epochs, dropping the trailing remainder."""
-    if epoch_len_s <= 0:
-        raise ValueError("epoch_len_s must be positive")
-    if duration_s < epoch_len_s:
+    if duration_s < EPOCH_S:
         raise RecordingTooShort(
-            f"recording of {duration_s:.1f} s is shorter than one epoch ({epoch_len_s:.0f} s)")
-    return EpochGrid(epoch_len_s=float(epoch_len_s),
-                     n_epochs=int(np.floor(duration_s / epoch_len_s)))
+            f"recording of {duration_s:.1f} s is shorter than one epoch ({EPOCH_S:.0f} s)")
+    return EpochGrid(EPOCH_S, int(np.floor(duration_s / EPOCH_S)))
 
 
 def resolve_window(grid: EpochGrid, center: int, n: int) -> WindowSpan:
@@ -64,7 +58,7 @@ def resolve_window(grid: EpochGrid, center: int, n: int) -> WindowSpan:
     half = n // 2
     first = max(0, center - half)
     last = min(grid.n_epochs - 1, center + half)
-    return WindowSpan(center_epoch=center, first_epoch=first, last_epoch=last)
+    return WindowSpan(first_epoch=first, last_epoch=last)
 
 
 def window_trace_values(trace: SignalTrace, grid: EpochGrid, center: int, n: int

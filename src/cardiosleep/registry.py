@@ -31,6 +31,8 @@ N_FEATURES = 152
 F1_WINDOW = 119
 MULTI_WINDOW = 9
 
+MAX_MISSING_FRAC = 0.5  # a subject with more missing feature entries is unusable
+
 
 @dataclass(frozen=True)
 class ManifestEntry:
@@ -242,13 +244,12 @@ _FAMILIES = {
 
 
 def assemble_feature_matrix(subject: ProcessedSubject,
-                            manifest: Optional[FeatureManifest] = None,
-                            epoch_len_s: float = 30.0,
-                            max_missing_frac: float = 0.5) -> FeatureMatrix:
+                            manifest: Optional[FeatureManifest] = None) -> FeatureMatrix:
     """Evaluate every manifest feature for every epoch of one subject.
 
     Entries sharing a (source, window width) are computed by one evaluator
-    call per epoch over exactly that width.
+    call per epoch over exactly that width. A hypnogram shorter than the
+    epoch grid is a ``LengthMismatch``; a longer one is cut to the grid.
     """
     if manifest is None:
         manifest = build_manifest("single")
@@ -259,9 +260,17 @@ def assemble_feature_matrix(subject: ProcessedSubject,
             "required by the two-channel profile")
 
     duration = min(subject.rr.peak_times_s[-1], subject.breath_chest.duration_s)
-    grid = build_epoch_grid(duration, epoch_len_s)
-    night = _Night(subject, grid)
+    grid = build_epoch_grid(duration)
     n_ep = grid.n_epochs
+    labels = None
+    if subject.hypnogram is not None:
+        if len(subject.hypnogram) < n_ep:
+            raise LengthMismatch(
+                f"{subject.subject_id}: hypnogram has {len(subject.hypnogram)} "
+                f"epochs, fewer than the recording's {n_ep}")
+        labels = Hypnogram(merge_stages(subject.hypnogram).labels[:n_ep], "four")
+
+    night = _Night(subject, grid)
 
     groups: dict[tuple[str, int], list[int]] = {}
     for j, e in enumerate(manifest.entries):
@@ -279,15 +288,9 @@ def assemble_feature_matrix(subject: ProcessedSubject,
             mat[c, cols] = [feats[k] for k in keys]
 
     missing = ~np.isfinite(mat)
-    if missing.mean() > max_missing_frac:
+    if missing.mean() > MAX_MISSING_FRAC:
         raise SubjectUnusable(
             f"{subject.subject_id}: {missing.mean():.0%} of feature entries missing")
-
-    labels = None
-    if subject.hypnogram is not None:
-        hyp = merge_stages(subject.hypnogram)
-        if len(hyp) >= n_ep:
-            labels = Hypnogram(hyp.labels[:n_ep], "four", epoch_len_s)
     return FeatureMatrix(manifest=manifest, values=mat, missing_mask=missing,
                          labels=labels, subject_id=subject.subject_id)
 

@@ -187,9 +187,9 @@ def write_edf(traces: Sequence[SignalTrace], record_duration_s: float = 1.0) -> 
 
 # --- hypnogram text -------------------------------------------------------
 
-def read_hypnogram(text: str, epoch_len_s: float = 30.0) -> Hypnogram:
-    """One stage token per line; six-class {W,R,1,2,3,4} or four-class
-    {WAKE,LIGHT,DEEP,REM}, never mixed."""
+def read_hypnogram(text: str) -> Hypnogram:
+    """One stage token per line, one line per 30-s epoch; six-class
+    {W,R,1,2,3,4} or four-class {WAKE,LIGHT,DEEP,REM}, never mixed."""
     labels = []
     scheme = None
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -207,7 +207,7 @@ def read_hypnogram(text: str, epoch_len_s: float = 30.0) -> Hypnogram:
         elif scheme != tok_scheme:
             raise MixedScheme(f"line {lineno}: {tok!r} mixes schemes")
         labels.append(lab)
-    return Hypnogram(tuple(labels), scheme or "four", epoch_len_s)
+    return Hypnogram(tuple(labels), scheme or "four")
 
 
 def write_hypnogram(hyp: Hypnogram) -> str:

@@ -12,6 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .epoching import EPOCH_S
 from .errors import InvalidProfile
 from .types import (FOUR_STAGE_ORDER, FourStage, SignalTrace, SubjectRecord,
                     four_hypnogram_from_indices)
@@ -107,21 +108,19 @@ def _stage_sequence(rng: np.random.Generator, transition: np.ndarray,
     return seq
 
 
-def generate_subject(seed: int, profile: StageProfile, n_epochs: int,
-                     subject_id: str | None = None,
-                     epoch_len_s: float = 30.0) -> SubjectRecord:
+def generate_subject(seed: int, profile: StageProfile, n_epochs: int) -> SubjectRecord:
     """One subject-night with ground-truth four-class stages."""
     if n_epochs < 20:
         raise InvalidProfile(f"need >= 20 epochs, got {n_epochs}")
     rng = np.random.default_rng(seed)
     dyn = profile.scaled()
     stages = _stage_sequence(rng, profile.transition, n_epochs)
-    duration = n_epochs * epoch_len_s
+    duration = n_epochs * EPOCH_S
 
     # breathing phase/amplitude evolve continuously; stage params switch per epoch
     n_breath = int(round(duration * BREATH_RATE_HZ))
     t_breath = np.arange(n_breath) / BREATH_RATE_HZ
-    epoch_of = np.minimum((t_breath / epoch_len_s).astype(int), n_epochs - 1)
+    epoch_of = np.minimum((t_breath / EPOCH_S).astype(int), n_epochs - 1)
     freq = np.empty(n_breath)
     amp = np.empty(n_breath)
     for e in range(n_epochs):
@@ -149,7 +148,7 @@ def generate_subject(seed: int, profile: StageProfile, n_epochs: int,
     t = rng.uniform(0.2, 0.6)
     ar = 0.0
     while t < duration - 0.3:
-        e = min(int(t / epoch_len_s), n_epochs - 1)
+        e = min(int(t / EPOCH_S), n_epochs - 1)
         d = dyn[FOUR_STAGE_ORDER[stages[e]]]
         ar = 0.95 * ar + rng.normal(0.0, d.rr_ar_sd_s * np.sqrt(1 - 0.95 ** 2))
         k = min(int(t * BREATH_RATE_HZ), n_breath - 1)
@@ -165,14 +164,13 @@ def generate_subject(seed: int, profile: StageProfile, n_epochs: int,
     idx = idx[idx < n_ecg]
     ecg[idx] = 1.0
 
-    sid = subject_id if subject_id is not None else f"synth-{seed:05d}"
     return SubjectRecord(
-        subject_id=sid,
+        subject_id=f"synth-{seed:05d}",
         ecg=SignalTrace("ECG", ECG_RATE_HZ, ecg),
         breath_chest=SignalTrace("THOR RES", BREATH_RATE_HZ, breath),
         breath_abdomen=SignalTrace("ABDO RES", BREATH_RATE_HZ,
                                    breath + rng.normal(0.0, profile.breath_noise,
                                                        n_breath)),
-        hypnogram=four_hypnogram_from_indices(stages, epoch_len_s),
+        hypnogram=four_hypnogram_from_indices(stages),
         ahi=float(rng.uniform(0.0, 4.5)),
     )

@@ -44,7 +44,6 @@ class SignalTrace:
     channel_label: str
     sample_rate_hz: float
     samples: np.ndarray
-    start_time_s: float = 0.0
 
     def __post_init__(self):
         if self.sample_rate_hz <= 0:
@@ -57,7 +56,7 @@ class SignalTrace:
 
     def with_samples(self, samples: np.ndarray) -> "SignalTrace":
         return SignalTrace(self.channel_label, self.sample_rate_hz,
-                           np.asarray(samples, dtype=float), self.start_time_s)
+                           np.asarray(samples, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -66,11 +65,8 @@ class Hypnogram:
 
     labels: tuple
     scheme: str  # "six" | "four"
-    epoch_len_s: float = 30.0
 
     def __post_init__(self):
-        if self.epoch_len_s <= 0:
-            raise ValueError("epoch_len_s must be positive")
         cls = SixStage if self.scheme == "six" else FourStage
         if self.scheme not in ("six", "four"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
@@ -88,8 +84,8 @@ class Hypnogram:
         return np.array([lab.index for lab in self.labels], dtype=int)
 
 
-def four_hypnogram_from_indices(idx: Sequence[int], epoch_len_s: float = 30.0) -> Hypnogram:
-    return Hypnogram(tuple(four_stage_from_index(int(i)) for i in idx), "four", epoch_len_s)
+def four_hypnogram_from_indices(idx: Sequence[int]) -> Hypnogram:
+    return Hypnogram(tuple(four_stage_from_index(int(i)) for i in idx), "four")
 
 
 @dataclass(frozen=True)

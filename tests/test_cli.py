@@ -122,7 +122,7 @@ class TestExitCodes:
 
     def test_unknown_config_key_is_two(self, tmp_path):
         bad = tmp_path / "bad.yaml"
-        for text in ("not_a_key: 1\n", "ahi_max: 10\n"):
+        for text in ("not_a_key: 1\n", "ahi_max: 10\n", "epoch_len_s: 20\n"):
             bad.write_text(text)
             assert cli.main(["--config", str(bad), "synth",
                              "--out", str(tmp_path)]) == 2, text
@@ -146,6 +146,18 @@ class TestExitCodes:
         (tmp_path / "meta.jsonl").write_text(json.dumps(meta) + "\n")
         assert cli.main(["preprocess", "--meta", str(tmp_path / "meta.jsonl"),
                          "--out", str(tmp_path)]) == 3
+
+    def test_short_hypnogram_is_three(self, pipeline_dir, tmp_path):
+        src = sorted((pipeline_dir / "preprocessed").glob("*.npz"))[0]
+        with np.load(src, allow_pickle=False) as d:
+            payload = {k: d[k] for k in d.files}
+        payload["stages"] = payload["stages"][:5]
+        pre = tmp_path / "preprocessed"
+        pre.mkdir()
+        np.savez(pre / src.name, **payload)
+        assert cli.main(["extract", "--preprocessed", str(pre),
+                         "--out", str(tmp_path)]) == 3
+        assert not list((tmp_path / "features").glob("*.csv"))
 
     def test_evaluate_without_labels_is_three(self, pipeline_dir, tmp_path):
         out = pipeline_dir

@@ -10,16 +10,16 @@ from cardiosleep.types import SignalTrace
 
 class TestGrid:
     def test_floor_rule(self):
-        grid = epoching.build_epoch_grid(95.0, 30.0)
+        grid = epoching.build_epoch_grid(95.0)
         assert grid.n_epochs == 3
         assert grid.epoch_span(1) == (30.0, 60.0)
 
     def test_exact_multiple(self):
-        assert epoching.build_epoch_grid(90.0, 30.0).n_epochs == 3
+        assert epoching.build_epoch_grid(90.0).n_epochs == 3
 
     def test_too_short(self):
         with pytest.raises(RecordingTooShort):
-            epoching.build_epoch_grid(29.0, 30.0)
+            epoching.build_epoch_grid(29.0)
 
 
 class TestResolveWindow:

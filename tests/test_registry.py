@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from cardiosleep import features_rr, registry, synth
-from cardiosleep.errors import (EmptyTrainingSet, ManifestMismatch,
-                                SubjectUnusable)
+from cardiosleep.errors import (EmptyTrainingSet, LengthMismatch,
+                                ManifestMismatch, SubjectUnusable)
 from cardiosleep.pipeline import preprocess_subject
 from cardiosleep.registry import (FeatureMatrix, NormStats,
                                   apply_normalization, assemble_feature_matrix,
@@ -110,11 +110,21 @@ class TestAssembly:
         to_six = {FourStage.WAKE: SixStage.W, FourStage.LIGHT: SixStage.S2,
                   FourStage.DEEP: SixStage.S3, FourStage.REM: SixStage.REM}
         four = processed_subject.hypnogram
-        six = Hypnogram(tuple(to_six[s] for s in four.labels), "six",
-                        four.epoch_len_s)
+        six = Hypnogram(tuple(to_six[s] for s in four.labels), "six")
         subject = dataclasses.replace(processed_subject, hypnogram=six)
         matrix = assemble_feature_matrix(subject, single_manifest)
         assert matrix.labels == feature_matrix.labels
+
+    def test_short_hypnogram_is_length_mismatch(self, processed_subject,
+                                                single_manifest, monkeypatch):
+        def computed(*args, **kwargs):
+            raise AssertionError("features computed before the label check")
+        monkeypatch.setattr(features_rr, "hrv_time_features", computed)
+        hyp = processed_subject.hypnogram
+        short = dataclasses.replace(
+            processed_subject, hypnogram=Hypnogram(hyp.labels[:10], hyp.scheme))
+        with pytest.raises(LengthMismatch, match="hypnogram has 10 epochs"):
+            assemble_feature_matrix(short, single_manifest)
 
 
 class TestNormalization:
