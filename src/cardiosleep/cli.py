@@ -94,29 +94,6 @@ def cmd_synth(args, cfg: PipelineConfig) -> int:
     return EXIT_OK
 
 
-def cmd_ingest(args, cfg: PipelineConfig) -> int:
-    meta = Path(args.meta)
-    base = meta.parent
-    records = _load_metadata(meta)
-    validated = []
-    for rec in records:
-        subj = _load_subject(rec, base)
-        if subj.ecg is None or subj.breath_chest is None:
-            raise CardiosleepError(
-                f"{rec['subject_id']}: EDF lacks an ECG or THOR RES channel")
-        rec = dict(rec)
-        rec["n_channels"] = sum(x is not None
-                                for x in (subj.ecg, subj.breath_chest, subj.breath_abdomen))
-        rec["duration_s"] = subj.ecg.duration_s
-        validated.append(rec)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "ingested.jsonl").write_text(signal_io.write_subject_metadata(validated))
-    _log_run(out, "ingest", [meta], cfg)
-    print(f"ingest: validated {len(validated)} subjects")
-    return EXIT_OK
-
-
 def _preprocess_one(task) -> str:
     rec, base, out_dir = task
     subj = _load_subject(rec, base)
@@ -198,9 +175,7 @@ def cmd_cohort(args, cfg: PipelineConfig) -> int:
             hyp = signal_io.read_hypnogram((base / rec["hypnogram"]).read_text())
         subjects.append(SubjectRecord(subject_id=rec["subject_id"],
                                       hypnogram=hyp, ahi=rec.get("ahi")))
-    kept, log = cohort.select_cohort(subjects, cfg.deep_min_frac,
-                                     cfg.rem_min_frac,
-                                     cfg.regular_sleep_denominator)
+    kept, log = cohort.select_cohort(subjects)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "cohort.txt").write_text("subject\tdecision\treason\n"
@@ -391,11 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, default=120)
     p.add_argument("--profile-name", choices=["easy", "default"], default="easy")
     p.set_defaults(fn=cmd_synth)
-
-    p = sub.add_parser("ingest", help="validate raw recordings")
-    p.add_argument("--meta", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_ingest)
 
     p = sub.add_parser("preprocess", help="ECG to RR, breathing denoising")
     p.add_argument("--meta", required=True)

@@ -9,6 +9,10 @@ import numpy as np
 from .errors import EmptyHypnogram, EmptyList, NegativeAhi
 from .types import FourStage, Hypnogram, SixStage, SubjectRecord
 
+# regular sleep: minimum shares of all scored epochs
+DEEP_MIN_FRAC = 0.05  # S3 + S4
+REM_MIN_FRAC = 0.15
+
 
 class AhiLevel(IntEnum):
     NO_APNEA = 0
@@ -31,14 +35,9 @@ def classify_ahi(ahi: float) -> AhiLevel:
     return AhiLevel.SEVERE
 
 
-def is_regular_sleep(hypnogram: Hypnogram, deep_min_frac: float = 0.05,
-                     rem_min_frac: float = 0.15,
-                     denominator: str = "all") -> bool:
-    """True when deep sleep (S3+S4) is at least 5% and REM at least 15%.
-
-    ``denominator`` chooses the epoch base: "all" scored epochs (default) or
-    "sleep" (non-wake epochs only).
-    """
+def is_regular_sleep(hypnogram: Hypnogram) -> bool:
+    """True when deep sleep (S3+S4) is at least 5% and REM at least 15% of
+    all scored epochs."""
     if hypnogram.scheme != "six":
         raise ValueError("regular-sleep filter needs a six-class hypnogram")
     if len(hypnogram) == 0:
@@ -46,13 +45,8 @@ def is_regular_sleep(hypnogram: Hypnogram, deep_min_frac: float = 0.05,
     labels = hypnogram.labels
     deep = sum(1 for s in labels if s in (SixStage.S3, SixStage.S4))
     rem = sum(1 for s in labels if s is SixStage.REM)
-    if denominator == "sleep":
-        total = sum(1 for s in labels if s is not SixStage.W)
-        if total == 0:
-            return False
-    else:
-        total = len(labels)
-    return deep / total >= deep_min_frac and rem / total >= rem_min_frac
+    total = len(labels)
+    return deep / total >= DEEP_MIN_FRAC and rem / total >= REM_MIN_FRAC
 
 
 _MERGE = {SixStage.W: FourStage.WAKE, SixStage.REM: FourStage.REM,
@@ -68,9 +62,8 @@ def merge_stages(hypnogram: Hypnogram) -> Hypnogram:
     return Hypnogram(tuple(_MERGE[s] for s in hypnogram.labels), "four")
 
 
-def select_cohort(subjects: Iterable[SubjectRecord],
-                  deep_min_frac: float = 0.05, rem_min_frac: float = 0.15,
-                  denominator: str = "all") -> tuple[list[SubjectRecord], list[str]]:
+def select_cohort(subjects: Iterable[SubjectRecord]
+                  ) -> tuple[list[SubjectRecord], list[str]]:
     """Keep subjects with no apnea and regular sleep; merge their hypnograms
     to four-class. Returns (kept subjects, log lines for excluded/kept)."""
     kept, log = [], []
@@ -88,7 +81,7 @@ def select_cohort(subjects: Iterable[SubjectRecord],
             continue
         hyp = s.hypnogram
         if hyp.scheme == "six":
-            if not is_regular_sleep(hyp, deep_min_frac, rem_min_frac, denominator):
+            if not is_regular_sleep(hyp):
                 log.append(f"{s.subject_id}\texcluded\tirregular sleep")
                 continue
             hyp = merge_stages(hyp)

@@ -1,11 +1,12 @@
 """Pipeline configuration: a single key-value tree with validated defaults.
 
-Every default that the source publication fixes is kept here: 5% deep /
-15% REM regular-sleep thresholds, 70/30 subject split, and the 2x16-unit
-bidirectional model with 4 output classes. The 30-s scoring epoch is fixed
-in ``epoching.EPOCH_S``, the AHI < 5 cohort gate in ``cohort.classify_ahi``,
-and the 119- and 9-epoch feature windows in the feature manifest
-(``registry.F1_WINDOW``, ``registry.MULTI_WINDOW``).
+Every default that the source publication fixes and a run may change is kept
+here: the 70/30 subject split and the 2x16-unit bidirectional model with 4
+output classes. The 30-s scoring epoch is fixed in ``epoching.EPOCH_S``, the
+AHI < 5 cohort gate in ``cohort.classify_ahi``, the 5% deep / 15% REM
+regular-sleep thresholds in ``cohort.DEEP_MIN_FRAC`` and
+``cohort.REM_MIN_FRAC``, and the 119- and 9-epoch feature windows in the
+feature manifest (``registry.F1_WINDOW``, ``registry.MULTI_WINDOW``).
 """
 from __future__ import annotations
 
@@ -24,9 +25,6 @@ from .errors import ConfigError
 @dataclass
 class PipelineConfig:
     profile: str = "single"          # "single" | "two-channel"
-    deep_min_frac: float = 0.05
-    rem_min_frac: float = 0.15
-    regular_sleep_denominator: str = "all"   # "all" | "sleep"
     split_ratio: float = 0.7
     seed: int = 0
     workers: int = 1
@@ -37,8 +35,6 @@ class PipelineConfig:
             raise ConfigError(f"unknown profile {self.profile!r}")
         if not 0 < self.split_ratio < 1:
             raise ConfigError(f"split_ratio must be in (0,1), got {self.split_ratio}")
-        if self.regular_sleep_denominator not in ("all", "sleep"):
-            raise ConfigError("regular_sleep_denominator must be 'all' or 'sleep'")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
         return self
@@ -47,8 +43,12 @@ class PipelineConfig:
         return asdict(self)
 
     def config_hash(self) -> str:
+        """Hash of the settings that can change an output. ``workers`` sets
+        only the parallelism, so runs differing in it share one hash."""
+        settings = self.to_dict()
+        del settings["workers"]
         return hashlib.sha256(
-            json.dumps(self.to_dict(), sort_keys=True, default=str).encode()
+            json.dumps(settings, sort_keys=True, default=str).encode()
         ).hexdigest()
 
 

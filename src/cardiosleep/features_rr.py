@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .epoching import EpochGrid, resolve_window
+from .epoching import resolve_window
 from .errors import InsufficientData, MissingCenter, NoValidEpochs
 
 HRV_TIME_NAMES = [
@@ -115,7 +115,7 @@ def statistical_features(values: np.ndarray) -> dict:
 
     # least-squares trend against interval index
     t = np.arange(n, dtype=float)
-    slope, intercept = np.polyfit(t, x, 1) if n >= 2 else (np.nan, np.nan)
+    slope, intercept = np.polyfit(t, x, 1)
 
     runs = _longest_true_run(above)
     half = n // 2
@@ -229,13 +229,12 @@ def _window_weighted_mean(epoch_means, epoch_counts, first, last):
 
 
 def novel_f1(epoch_means: np.ndarray, epoch_counts: np.ndarray,
-             grid: EpochGrid, center: int, n: int = 119) -> float:
+             center: int, n: int = 119) -> float:
     """Mid-epoch mean RR minus the mean over the whole (shrunken) window."""
     if epoch_counts[center] == 0 or not np.isfinite(epoch_means[center]):
         raise MissingCenter(f"epoch {center} has no usable intervals")
-    span = resolve_window(grid, center, n)
-    w_mean = _window_weighted_mean(epoch_means, epoch_counts,
-                                   span.first_epoch, span.last_epoch)
+    first, last = resolve_window(len(epoch_means), center, n)
+    w_mean = _window_weighted_mean(epoch_means, epoch_counts, first, last)
     return float(epoch_means[center] - w_mean)
 
 
@@ -250,13 +249,12 @@ def novel_f2(epoch_means: np.ndarray, epoch_counts: np.ndarray,
 
 
 def novel_f3(epoch_means: np.ndarray, epoch_counts: np.ndarray,
-             grid: EpochGrid, center: int, n: int = 9) -> float:
+             center: int, n: int = 9) -> float:
     """Population SD of the per-epoch mean RRs around the all-window mean.
 
     Epochs without usable intervals are excluded and the effective n reduced.
     """
-    span = resolve_window(grid, center, n)
-    first, last = span.first_epoch, span.last_epoch
+    first, last = resolve_window(len(epoch_means), center, n)
     means = epoch_means[first:last + 1]
     counts = epoch_counts[first:last + 1]
     ok = (counts > 0) & np.isfinite(means)

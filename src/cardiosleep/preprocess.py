@@ -78,7 +78,7 @@ def detect_r_peaks(ecg: SignalTrace) -> np.ndarray:
 
     if not peaks:
         raise FlatSignal("adaptive threshold found no QRS complexes")
-    return np.array(sorted(set(peaks)), dtype=int)
+    return np.array(peaks, dtype=int)
 
 
 def rr_from_peaks(peaks: np.ndarray, sample_rate_hz: float) -> RrSeries:

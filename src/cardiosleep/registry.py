@@ -18,8 +18,7 @@ import numpy as np
 
 from . import features_resp, features_rr
 from .cohort import merge_stages
-from .epoching import (EpochGrid, build_epoch_grid, resolve_window,
-                       window_trace_values)
+from .epoching import EPOCH_S, count_epochs, resolve_window, window_trace_values
 from .errors import (EmptyTrainingSet, InsufficientData, LengthMismatch,
                      ManifestMismatch, MissingCenter, NoBreathsDetected,
                      NoValidEpochs, SubjectUnusable, ZeroTotal)
@@ -139,14 +138,14 @@ def manifest_hash(manifest: FeatureManifest) -> str:
 
 # --- assembly -------------------------------------------------------------
 
-def _rr_epoch_means(times: np.ndarray, values: np.ndarray, grid: EpochGrid
+def _rr_epoch_means(times: np.ndarray, values: np.ndarray, n_epochs: int
                     ) -> tuple[np.ndarray, np.ndarray]:
     """Per-epoch mean RR and interval counts over usable intervals."""
-    idx = np.floor(times / grid.epoch_len_s).astype(int)
-    ok = (idx >= 0) & (idx < grid.n_epochs)
-    sums = np.bincount(idx[ok], weights=values[ok], minlength=grid.n_epochs)
-    counts = np.bincount(idx[ok], minlength=grid.n_epochs)
-    means = np.full(grid.n_epochs, np.nan)
+    idx = np.floor(times / EPOCH_S).astype(int)
+    ok = (idx >= 0) & (idx < n_epochs)
+    sums = np.bincount(idx[ok], weights=values[ok], minlength=n_epochs)
+    counts = np.bincount(idx[ok], minlength=n_epochs)
+    means = np.full(n_epochs, np.nan)
     nz = counts > 0
     means[nz] = sums[nz] / counts[nz]
     return means, counts
@@ -155,16 +154,17 @@ def _rr_epoch_means(times: np.ndarray, values: np.ndarray, grid: EpochGrid
 class _Night:
     """One subject on its epoch grid: what the family evaluators read."""
 
-    def __init__(self, subject: ProcessedSubject, grid: EpochGrid):
+    def __init__(self, subject: ProcessedSubject, n_epochs: int):
         self.subject = subject
-        self.grid = grid
+        self.n_epochs = n_epochs
         self.times, self.values = usable_intervals(subject.rr)
         self.epoch_means, self.epoch_counts = _rr_epoch_means(
-            self.times, self.values, grid)
+            self.times, self.values, n_epochs)
 
     def rr_window(self, center: int, n: int):
         """Usable RR intervals starting inside the window: (times, values, t0, t1)."""
-        t0, t1 = resolve_window(self.grid, center, n).time_span(self.grid)
+        first, last = resolve_window(self.n_epochs, center, n)
+        t0, t1 = first * EPOCH_S, (last + 1) * EPOCH_S
         lo = np.searchsorted(self.times, t0, side="left")
         hi = np.searchsorted(self.times, t1, side="left")
         return self.times[lo:hi], self.values[lo:hi], t0, t1
@@ -199,17 +199,17 @@ def _novel_or_nan(fn, *args) -> float:
 
 def _rr_novel(night: _Night, center: int, n: int) -> dict:
     """The three sudden-variation features; each goes missing on its own."""
-    means, counts, grid = night.epoch_means, night.epoch_counts, night.grid
+    means, counts = night.epoch_means, night.epoch_counts
     return {
-        "rr_f1": _novel_or_nan(features_rr.novel_f1, means, counts, grid, center, n),
+        "rr_f1": _novel_or_nan(features_rr.novel_f1, means, counts, center, n),
         "rr_f2": _novel_or_nan(features_rr.novel_f2, means, counts,
                                night.rr_window(center, n)[1], center),
-        "rr_f3": _novel_or_nan(features_rr.novel_f3, means, counts, grid, center, n),
+        "rr_f3": _novel_or_nan(features_rr.novel_f3, means, counts, center, n),
     }
 
 
 def _breath(trace: SignalTrace, night: _Night, center: int, n: int) -> dict:
-    seg, _ = window_trace_values(trace, night.grid, center, n)
+    seg, _ = window_trace_values(trace, night.n_epochs, center, n)
     return features_resp.breath_features(seg, trace.sample_rate_hz)
 
 
@@ -224,7 +224,7 @@ def _breath_abdomen(night: _Night, center: int, n: int) -> dict:
 def _cpc(night: _Night, center: int, n: int) -> dict:
     times, values, t0, t1 = night.rr_window(center, n)
     chest = night.subject.breath_chest
-    seg, _ = window_trace_values(chest, night.grid, center, n)
+    seg, _ = window_trace_values(chest, night.n_epochs, center, n)
     spec = features_resp.cpc_spectrum(times, values, seg, chest.sample_rate_hz,
                                       t0, t1)
     return features_resp.cpc_band_features(spec)
@@ -260,8 +260,7 @@ def assemble_feature_matrix(subject: ProcessedSubject,
             "required by the two-channel profile")
 
     duration = min(subject.rr.peak_times_s[-1], subject.breath_chest.duration_s)
-    grid = build_epoch_grid(duration)
-    n_ep = grid.n_epochs
+    n_ep = count_epochs(duration)
     labels = None
     if subject.hypnogram is not None:
         if len(subject.hypnogram) < n_ep:
@@ -270,7 +269,7 @@ def assemble_feature_matrix(subject: ProcessedSubject,
                 f"epochs, fewer than the recording's {n_ep}")
         labels = Hypnogram(merge_stages(subject.hypnogram).labels[:n_ep], "four")
 
-    night = _Night(subject, grid)
+    night = _Night(subject, n_ep)
 
     groups: dict[tuple[str, int], list[int]] = {}
     for j, e in enumerate(manifest.entries):

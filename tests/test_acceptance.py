@@ -11,7 +11,7 @@ import pytest
 
 from cardiosleep import (blstm, cli, cohort, evaluate, features_rr, preprocess,
                          signal_io, wavelet)
-from cardiosleep.epoching import EpochGrid, resolve_window
+from cardiosleep.epoching import resolve_window
 from cardiosleep.errors import CardiosleepError
 from cardiosleep.types import SignalTrace, four_hypnogram_from_indices
 
@@ -48,7 +48,6 @@ def _raw_night(rng, n_epochs=150, epoch_len=30.0):
 
 def test_criterion_1_novel_feature_oracle():
     rng = np.random.default_rng(101)
-    grid = EpochGrid(30.0, 150)
     start = time.perf_counter()
     checked, worst = 0, 0.0
     for _night in range(10):
@@ -59,28 +58,28 @@ def test_criterion_1_novel_feature_oracle():
             buckets[int(t // 30.0)].append(v)
         for center in rng.integers(0, 150, 100):
             center = int(center)
-            f1 = features_rr.novel_f1(means, counts, grid, center, 119)
-            f3 = features_rr.novel_f3(means, counts, grid, center, 9)
-            span9 = resolve_window(grid, center, 9)
-            t0, t1 = span9.time_span(grid)
+            f1 = features_rr.novel_f1(means, counts, center, 119)
+            f3 = features_rr.novel_f3(means, counts, center, 9)
+            first9, last9 = resolve_window(150, center, 9)
+            t0, t1 = first9 * 30.0, (last9 + 1) * 30.0
             win_vals = values[(times >= t0) & (times < t1)]
             f2 = features_rr.novel_f2(means, counts, win_vals, center)
 
             # oracle: direct loops over the raw interval lists
             c_vals = buckets[center]
             c_mean = sum(c_vals) / len(c_vals)
-            span1 = resolve_window(grid, center, 119)
+            first1, last1 = resolve_window(150, center, 119)
             w_sum = w_cnt = 0.0
-            for e in range(span1.first_epoch, span1.last_epoch + 1):
+            for e in range(first1, last1 + 1):
                 w_sum += sum(buckets[e])
                 w_cnt += len(buckets[e])
             o1 = c_mean - w_sum / w_cnt
             w9 = []
-            for e in range(span9.first_epoch, span9.last_epoch + 1):
+            for e in range(first9, last9 + 1):
                 w9.extend(buckets[e])
             o2 = c_mean - statistics.median(w9)
             e_means = [sum(buckets[e]) / len(buckets[e])
-                       for e in range(span9.first_epoch, span9.last_epoch + 1)
+                       for e in range(first9, last9 + 1)
                        if buckets[e]]
             w9_mean = sum(w9) / len(w9)
             o3 = (sum((m - w9_mean) ** 2 for m in e_means) / len(e_means)) ** 0.5

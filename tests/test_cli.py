@@ -111,6 +111,30 @@ class TestPipelineStages:
         assert drops == sorted(drops, reverse=True)
 
 
+class TestWorkers:
+    def test_worker_count_changes_no_output_or_hash(self, tmp_path):
+        hashes, features = {}, {}
+        for workers in (1, 2):
+            out = tmp_path / f"w{workers}"
+            base = ["--workers", str(workers)]
+            for step in (
+                    ["synth", "--out", str(out), "--subjects", "2",
+                     "--epochs", "20"],
+                    ["preprocess", "--meta", str(out / "subjects.jsonl"),
+                     "--out", str(out)],
+                    ["extract", "--preprocessed", str(out / "preprocessed"),
+                     "--out", str(out)]):
+                assert cli.main(base + step) == 0
+            lines = (out / "run_manifest.jsonl").read_text().splitlines()
+            hashes[workers] = {json.loads(l)["config_hash"] for l in lines}
+            features[workers] = {p.name: p.read_bytes()
+                                 for p in (out / "features").glob("*.csv")}
+        assert len(hashes[1]) == 1
+        assert hashes[1] == hashes[2]
+        assert len(features[1]) == 2
+        assert features[1] == features[2]
+
+
 class TestExitCodes:
     def test_config_error_is_two(self, tmp_path):
         bad = tmp_path / "bad.yaml"
@@ -122,7 +146,8 @@ class TestExitCodes:
 
     def test_unknown_config_key_is_two(self, tmp_path):
         bad = tmp_path / "bad.yaml"
-        for text in ("not_a_key: 1\n", "ahi_max: 10\n", "epoch_len_s: 20\n"):
+        for text in ("not_a_key: 1\n", "ahi_max: 10\n", "epoch_len_s: 20\n",
+                     "deep_min_frac: 0.1\n", "regular_sleep_denominator: sleep\n"):
             bad.write_text(text)
             assert cli.main(["--config", str(bad), "synth",
                              "--out", str(tmp_path)]) == 2, text
@@ -137,7 +162,7 @@ class TestExitCodes:
         (tmp_path / "solo.edf").write_bytes(signal_io.write_edf([trace]))
         meta = {"subject_id": "solo", "ahi": 1.0, "edf": "solo.edf"}
         (tmp_path / "meta.jsonl").write_text(json.dumps(meta) + "\n")
-        assert cli.main(["ingest", "--meta", str(tmp_path / "meta.jsonl"),
+        assert cli.main(["preprocess", "--meta", str(tmp_path / "meta.jsonl"),
                          "--out", str(tmp_path)]) == 3
 
     def test_corrupt_edf_is_three(self, tmp_path):

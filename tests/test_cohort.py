@@ -58,12 +58,11 @@ class TestRegularSleep:
         hyp = _six("4" + "R" * 3 + "2" * 16)
         assert cohort.is_regular_sleep(hyp)
 
-    def test_sleep_denominator_excludes_wake(self):
-        # 1 deep + 3 REM + 16 light + 20 wake: fails on all epochs,
-        # passes on sleep epochs only
+    def test_wake_epochs_count_in_denominator(self):
+        # 1 deep + 3 REM + 16 light + 20 wake: 5% and 15% of the sleep
+        # epochs, but only 2.5% and 7.5% of all epochs
         hyp = _six("3" + "R" * 3 + "2" * 16 + "W" * 20)
-        assert not cohort.is_regular_sleep(hyp, denominator="all")
-        assert cohort.is_regular_sleep(hyp, denominator="sleep")
+        assert not cohort.is_regular_sleep(hyp)
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyHypnogram):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cardiosleep import features_rr as fr
-from cardiosleep.epoching import EpochGrid, resolve_window
+from cardiosleep.epoching import resolve_window
 from cardiosleep.errors import InsufficientData, MissingCenter, NoValidEpochs
 
 
@@ -212,11 +212,10 @@ class TestNovelFeatures:
         return means, counts.astype(int)
 
     def test_f1_hand_case(self):
-        grid = EpochGrid(30.0, 3)
         means = np.array([1.0, 1.3, 0.7])
         counts = np.array([2, 1, 1])
         # window mean = (2*1.0 + 1.3 + 0.7) / 4 = 1.0
-        assert fr.novel_f1(means, counts, grid, 1, 119) == pytest.approx(0.3)
+        assert fr.novel_f1(means, counts, 1, 119) == pytest.approx(0.3)
 
     def test_f2_hand_case(self):
         means = np.array([1.0, 1.2, 0.8])
@@ -225,77 +224,69 @@ class TestNovelFeatures:
         assert fr.novel_f2(means, counts, window_values, 1) == pytest.approx(0.2)
 
     def test_f3_hand_case(self):
-        grid = EpochGrid(30.0, 3)
         means = np.array([1.0, 1.2, 0.8])
         counts = np.array([1, 1, 1])
         # window mean 1.0; deviations 0, .2, -.2 -> population SD
         expected = np.sqrt(np.mean(np.array([0.0, 0.2, -0.2]) ** 2))
-        assert fr.novel_f3(means, counts, grid, 1, 9) == pytest.approx(expected)
+        assert fr.novel_f3(means, counts, 1, 9) == pytest.approx(expected)
 
     def test_f1_brute_force_random_windows(self):
         rng = np.random.default_rng(11)
-        grid = EpochGrid(30.0, 150)
         means, counts = self._epochs(rng, 150)
         for center in rng.integers(0, 150, 50):
-            got = fr.novel_f1(means, counts, grid, int(center), 119)
-            span = resolve_window(grid, int(center), 119)
+            got = fr.novel_f1(means, counts, int(center), 119)
+            first, last = resolve_window(150, int(center), 119)
             num = den = 0.0
-            for e in range(span.first_epoch, span.last_epoch + 1):
+            for e in range(first, last + 1):
                 num += means[e] * counts[e]
                 den += counts[e]
             assert got == pytest.approx(means[center] - num / den, abs=1e-12)
 
     def test_f3_brute_force_random_windows(self):
         rng = np.random.default_rng(12)
-        grid = EpochGrid(30.0, 60)
         means, counts = self._epochs(rng, 60)
         for center in range(60):
-            got = fr.novel_f3(means, counts, grid, center, 9)
-            span = resolve_window(grid, center, 9)
-            es = list(range(span.first_epoch, span.last_epoch + 1))
+            got = fr.novel_f3(means, counts, center, 9)
+            first, last = resolve_window(60, center, 9)
+            es = list(range(first, last + 1))
             w = sum(means[e] * counts[e] for e in es) / sum(counts[e] for e in es)
             sq = [(means[e] - w) ** 2 for e in es]
             assert got == pytest.approx(np.sqrt(np.mean(sq)), abs=1e-12)
 
     def test_empty_center_epoch_raises(self):
-        grid = EpochGrid(30.0, 3)
         means = np.array([1.0, np.nan, 0.8])
         counts = np.array([1, 0, 1])
         with pytest.raises(MissingCenter):
-            fr.novel_f1(means, counts, grid, 1, 9)
+            fr.novel_f1(means, counts, 1, 9)
         with pytest.raises(MissingCenter):
             fr.novel_f2(means, counts, np.array([1.0]), 1)
 
     def test_f3_skips_empty_epochs(self):
-        grid = EpochGrid(30.0, 3)
         means = np.array([1.0, np.nan, 0.8])
         counts = np.array([1, 0, 1])
         # window mean 0.9; deviations +-0.1 over the two usable epochs
-        assert fr.novel_f3(means, counts, grid, 0, 9) == pytest.approx(0.1)
+        assert fr.novel_f3(means, counts, 0, 9) == pytest.approx(0.1)
 
     def test_f3_all_empty_raises(self):
-        grid = EpochGrid(30.0, 2)
         with pytest.raises(NoValidEpochs):
-            fr.novel_f3(np.array([np.nan, np.nan]), np.array([0, 0]), grid, 0, 9)
+            fr.novel_f3(np.array([np.nan, np.nan]), np.array([0, 0]), 0, 9)
 
     @given(shift=st.floats(-0.5, 0.5), seed=st.integers(0, 100))
     @settings(max_examples=30, deadline=None)
     def test_f1_translation_invariant(self, shift, seed):
         rng = np.random.default_rng(seed)
-        grid = EpochGrid(30.0, 20)
         means, counts = self._epochs(rng, 20)
-        a = fr.novel_f1(means, counts, grid, 10, 9)
-        b = fr.novel_f1(means + shift, counts, grid, 10, 9)
+        a = fr.novel_f1(means, counts, 10, 9)
+        b = fr.novel_f1(means + shift, counts, 10, 9)
         assert b == pytest.approx(a, abs=1e-9)
 
     @given(scale=st.floats(0.1, 5.0), seed=st.integers(0, 100))
     @settings(max_examples=30, deadline=None)
     def test_f3_scales_homogeneously(self, scale, seed):
         rng = np.random.default_rng(seed)
-        grid = EpochGrid(30.0, 20)
         means, counts = self._epochs(rng, 20)
-        a = fr.novel_f3(means, counts, grid, 10, 9)
-        b = fr.novel_f3(means * scale, counts, grid, 10, 9)
+        a = fr.novel_f3(means, counts, 10, 9)
+        b = fr.novel_f3(means * scale, counts, 10, 9)
         assert b == pytest.approx(scale * a, rel=1e-9)
 
 
