@@ -11,6 +11,7 @@ reversed sequence. Work that does not depend on the previous hidden state
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -43,8 +44,14 @@ class BlstmParams:
     def directions(self) -> tuple:
         return ("f", "b") if self.bidirectional else ("f",)
 
-    def n_parameters(self) -> int:
-        return sum(v.size for v in self.weights.values())
+
+CLIP_NORM = 5.0  # global gradient-norm ceiling for each Adam step
+
+
+def require_int(name: str, value) -> None:
+    """Reject a non-integer (bools included) where a count or seed is due."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass
@@ -52,14 +59,14 @@ class TrainConfig:
     learning_rate: float = 1e-3
     max_epochs: int = 200
     batch_size: int = 4
-    clip_norm: float = 5.0
     patience: int = 10
     seed: int = 0
-    class_weights: Optional[Sequence[float]] = None
 
     def __post_init__(self):
+        for name in ("max_epochs", "batch_size", "patience", "seed"):
+            require_int(name, getattr(self, name))
         for name, low in (("learning_rate", 0), ("max_epochs", 1),
-                          ("batch_size", 1), ("clip_norm", 0), ("patience", 0)):
+                          ("batch_size", 1), ("patience", 0)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}")
 
@@ -261,10 +268,10 @@ def _global_norm(grads: dict) -> float:
     return float(np.sqrt(sum(float(np.sum(g * g)) for g in grads.values())))
 
 
-def _clip(grads: dict, max_norm: float) -> None:
+def _clip(grads: dict) -> None:
     norm = _global_norm(grads)
-    if max_norm > 0 and norm > max_norm:
-        scale = max_norm / norm
+    if norm > CLIP_NORM:
+        scale = CLIP_NORM / norm
         for g in grads.values():
             g *= scale
 
@@ -307,10 +314,7 @@ def train(config: TrainConfig, train_data: Sequence[tuple],
     input_dim = np.asarray(train_data[0][0]).shape[1]
     params = init_params(config.seed, input_dim=input_dim)
 
-    if config.class_weights is not None:
-        cw = np.asarray(config.class_weights, dtype=float)
-    else:
-        cw = default_class_weights([y for _, y in train_data], params.classes)
+    cw = default_class_weights([y for _, y in train_data], params.classes)
 
     rng = np.random.default_rng(config.seed)
     m = {k: np.zeros_like(v) for k, v in params.weights.items()}
@@ -330,7 +334,7 @@ def train(config: TrainConfig, train_data: Sequence[tuple],
             idx = order[start:start + config.batch_size]
             batch = [train_data[i] for i in idx]
             _, grads = loss_and_gradients(params, batch, cw)
-            _clip(grads, config.clip_norm)
+            _clip(grads)
             step += 1
             lr_t = config.learning_rate * (np.sqrt(1 - beta2 ** step)
                                            / (1 - beta1 ** step))

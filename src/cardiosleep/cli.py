@@ -189,7 +189,7 @@ def cmd_cohort(args, cfg: PipelineConfig) -> int:
 
 def cmd_split(args, cfg: PipelineConfig) -> int:
     ids = json.loads(Path(args.ids).read_text())
-    train_ids, val_ids = cohort.split_subjects(ids, cfg.split_ratio, cfg.seed)
+    train_ids, val_ids = cohort.split_subjects(ids, seed=cfg.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "split.json").write_text(json.dumps(

@@ -1,12 +1,14 @@
 """Pipeline configuration: a single key-value tree with validated defaults.
 
-Every default that the source publication fixes and a run may change is kept
-here: the 70/30 subject split and the 2x16-unit bidirectional model with 4
-output classes. The 30-s scoring epoch is fixed in ``epoching.EPOCH_S``, the
-AHI < 5 cohort gate in ``cohort.classify_ahi``, the 5% deep / 15% REM
-regular-sleep thresholds in ``cohort.DEEP_MIN_FRAC`` and
-``cohort.REM_MIN_FRAC``, and the 119- and 9-epoch feature windows in the
-feature manifest (``registry.F1_WINDOW``, ``registry.MULTI_WINDOW``).
+A run may set the breathing-channel profile, the seed, the worker count and
+the training settings in ``blstm.TrainConfig``; everything else the source
+publication fixes is a constant. The 70/30 subject split is
+``cohort.split_subjects``' default, the 2x16-unit bidirectional model with 4
+output classes is ``blstm.init_params``' defaults, the 30-s scoring epoch is
+``epoching.EPOCH_S``, the AHI < 5 cohort gate is ``cohort.classify_ahi``'s,
+the 5% deep / 15% REM regular-sleep thresholds are ``cohort.DEEP_MIN_FRAC``
+and ``cohort.REM_MIN_FRAC``, and the 119- and 9-epoch feature windows are in
+the feature manifest (``registry.F1_WINDOW``, ``registry.MULTI_WINDOW``).
 """
 from __future__ import annotations
 
@@ -18,23 +20,24 @@ from typing import Optional, Union
 
 import yaml
 
-from .blstm import TrainConfig
+from .blstm import TrainConfig, require_int
 from .errors import ConfigError
 
 
 @dataclass
 class PipelineConfig:
     profile: str = "single"          # "single" | "two-channel"
-    split_ratio: float = 0.7
     seed: int = 0
     workers: int = 1
     train: TrainConfig = field(default_factory=TrainConfig)
 
     def validate(self) -> "PipelineConfig":
+        """Check every value; ``load_config`` reports a failure as a
+        ``ConfigError``."""
         if self.profile not in ("single", "two-channel"):
             raise ConfigError(f"unknown profile {self.profile!r}")
-        if not 0 < self.split_ratio < 1:
-            raise ConfigError(f"split_ratio must be in (0,1), got {self.split_ratio}")
+        for name in ("seed", "workers"):
+            require_int(name, getattr(self, name))
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
         return self
@@ -67,7 +70,6 @@ def load_config(path: Optional[Union[str, Path]] = None, **overrides) -> Pipelin
     train_data = data.pop("train", {}) or {}
     try:
         train = TrainConfig(**train_data)
-        cfg = PipelineConfig(train=train, **data)
+        return PipelineConfig(train=train, **data).validate()
     except (TypeError, ValueError) as e:
         raise ConfigError(str(e)) from e
-    return cfg.validate()

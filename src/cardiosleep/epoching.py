@@ -11,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import RecordingTooShort
-from .types import SignalTrace
 
 EPOCH_S = 30.0  # the scoring epoch (Rechtschaffen & Kales; AASM)
 
@@ -33,12 +32,3 @@ def resolve_window(n_epochs: int, center: int, n: int) -> tuple[int, int]:
     half = n // 2
     return max(0, center - half), min(n_epochs - 1, center + half)
 
-
-def window_trace_values(trace: SignalTrace, n_epochs: int, center: int, n: int
-                        ) -> tuple[np.ndarray, tuple[int, int]]:
-    """Samples whose timestamps lie inside the window, and the window."""
-    first, last = resolve_window(n_epochs, center, n)
-    rate = trace.sample_rate_hz
-    lo = int(np.ceil(first * EPOCH_S * rate - 1e-9))
-    hi = min(int(np.ceil((last + 1) * EPOCH_S * rate - 1e-9)), len(trace.samples))
-    return trace.samples[lo:hi], (first, last)

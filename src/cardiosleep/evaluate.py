@@ -32,11 +32,6 @@ class ConfusionMatrix:
     def __add__(self, other: "ConfusionMatrix") -> "ConfusionMatrix":
         return ConfusionMatrix(self.counts + other.counts)
 
-    def row_normalized(self) -> np.ndarray:
-        sums = self.counts.sum(axis=1, keepdims=True).astype(float)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return np.where(sums > 0, self.counts / sums, np.nan)
-
 
 def confusion_matrix(pred: Hypnogram, truth: Hypnogram) -> ConfusionMatrix:
     if len(pred) != len(truth):
@@ -86,14 +81,9 @@ def rank_cases(per_subject: dict) -> tuple[str, str, str]:
         raise EmptyList("no subjects to rank")
     ranked = sorted(per_subject.items(), key=lambda kv: (kv[1], kv[0]))
     worst = ranked[0][0]
-    best = max(per_subject.items(), key=lambda kv: (kv[1], _neg_lex(kv[0])))[0]
+    best = min(per_subject.items(), key=lambda kv: (-kv[1], kv[0]))[0]
     median = ranked[(len(ranked) - 1) // 2][0]
     return best, median, worst
-
-
-def _neg_lex(s: str):
-    # invert lexical order so max() picks the lexically-smaller id on ties
-    return tuple(-ord(c) for c in s)
 
 
 def permutation_importance(params: blstm.BlstmParams,

@@ -7,7 +7,7 @@ import numpy as np
 from scipy import signal as sps
 
 from .errors import InsufficientData, LengthMismatch, NoBreathsDetected, ZeroTotal
-from .features_rr import _one_sided_power
+from .features_rr import RESAMPLE_HZ, _band_mask, _one_sided_power
 
 BREATH_NAMES = [
     # time domain (15)
@@ -30,7 +30,6 @@ CPC_HF = (0.1, 0.4)
 
 MIN_BREATH_SPACING_S = 1.5
 PROMINENCE_FRAC = 0.10
-CPC_RATE_HZ = 4.0
 CPC_SEGMENTS = 8
 
 
@@ -108,7 +107,7 @@ def breath_features(segment: np.ndarray, sample_rate_hz: float) -> dict:
         out["dom_freq"] = float(fq[k])
         out["dom_power"] = float(q[k])
         out["dom_total_ratio"] = float(q[k] / total)
-        out["band_01_04"] = float(np.sum(p[(freqs >= 0.1) & (freqs < 0.4)]))
+        out["band_01_04"] = float(np.sum(p[_band_mask(freqs, 0.1, 0.4)]))
         qq = q / np.sum(q)
         pos = qq > 0
         out["spec_entropy"] = float(-np.sum(qq[pos] * np.log(qq[pos]))
@@ -169,7 +168,7 @@ def cpc_spectrum(rr_times: np.ndarray, rr_values: np.ndarray,
     if len(rr_values) < 4:
         raise InsufficientData("too few RR intervals for coupling")
 
-    grid_t = np.arange(t0, t1, 1.0 / CPC_RATE_HZ)
+    grid_t = np.arange(t0, t1, 1.0 / RESAMPLE_HZ)
     x = np.interp(grid_t, rr_times, rr_values)
     bt = t0 + np.arange(len(breath_segment)) / breath_rate_hz
     y = np.interp(grid_t, bt, np.asarray(breath_segment, dtype=float))
@@ -184,7 +183,7 @@ def cpc_spectrum(rr_times: np.ndarray, rr_values: np.ndarray,
     x = (x - np.mean(x)) / np.std(x)
     y = (y - np.mean(y)) / np.std(y)
 
-    kw = dict(fs=CPC_RATE_HZ, nperseg=nperseg, noverlap=nperseg // 2,
+    kw = dict(fs=RESAMPLE_HZ, nperseg=nperseg, noverlap=nperseg // 2,
               window="hann", detrend="constant")
     f, pxy = sps.csd(x, y, **kw)
     _, pxx = sps.welch(x, **kw)
@@ -209,7 +208,7 @@ def cpc_band_features(spectrum: CpcSpectrum) -> dict:
     total = float(np.sum(c))
     sums = {}
     for name, (lo, hi) in (("vlf", CPC_VLF), ("lf", CPC_LF), ("hf", CPC_HF)):
-        sums[name] = float(np.sum(c[(f >= lo) & (f < hi)]))
+        sums[name] = float(np.sum(c[_band_mask(f, lo, hi)]))
     out = {f"cpc_sum_{k}": v for k, v in sums.items()}
     if total <= 0:
         raise ZeroTotal("all-zero coupling spectrum")

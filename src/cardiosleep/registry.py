@@ -18,7 +18,7 @@ import numpy as np
 
 from . import features_resp, features_rr
 from .cohort import merge_stages
-from .epoching import EPOCH_S, count_epochs, resolve_window, window_trace_values
+from .epoching import EPOCH_S, count_epochs, resolve_window
 from .errors import (EmptyTrainingSet, InsufficientData, LengthMismatch,
                      ManifestMismatch, MissingCenter, NoBreathsDetected,
                      NoValidEpochs, SubjectUnusable, ZeroTotal)
@@ -151,43 +151,51 @@ def _rr_epoch_means(times: np.ndarray, values: np.ndarray, n_epochs: int
     return means, counts
 
 
-class _Night:
-    """One subject on its epoch grid: what the family evaluators read."""
+@dataclass(frozen=True)
+class _Window:
+    """One centre epoch's feature window of one width, clipped to the night:
+    epochs ``first..last``, seconds ``[t0, t1)`` and the usable RR intervals
+    starting inside it."""
+    center: int
+    n: int
+    first: int
+    last: int
+    t0: float
+    t1: float
+    rr_times: np.ndarray
+    rr_values: np.ndarray
 
-    def __init__(self, subject: ProcessedSubject, n_epochs: int):
-        self.subject = subject
-        self.n_epochs = n_epochs
-        self.times, self.values = usable_intervals(subject.rr)
-        self.epoch_means, self.epoch_counts = _rr_epoch_means(
-            self.times, self.values, n_epochs)
+    def samples(self, trace: SignalTrace) -> np.ndarray:
+        """The trace's samples whose timestamps lie inside ``[t0, t1)``."""
+        rate = trace.sample_rate_hz
+        lo = int(np.ceil(self.t0 * rate - 1e-9))
+        hi = min(int(np.ceil(self.t1 * rate - 1e-9)), len(trace.samples))
+        return trace.samples[lo:hi]
 
-    def rr_window(self, center: int, n: int):
-        """Usable RR intervals starting inside the window: (times, values, t0, t1)."""
-        first, last = resolve_window(self.n_epochs, center, n)
+
+def _windows(n_epochs: int, times: np.ndarray, values: np.ndarray, n: int
+             ) -> list[_Window]:
+    """Every epoch's window of width n, indexed by centre epoch."""
+    out = []
+    for center in range(n_epochs):
+        first, last = resolve_window(n_epochs, center, n)
         t0, t1 = first * EPOCH_S, (last + 1) * EPOCH_S
-        lo = np.searchsorted(self.times, t0, side="left")
-        hi = np.searchsorted(self.times, t1, side="left")
-        return self.times[lo:hi], self.values[lo:hi], t0, t1
+        lo, hi = np.searchsorted(times, (t0, t1), side="left")
+        out.append(_Window(center, n, first, last, t0, t1,
+                           times[lo:hi], values[lo:hi]))
+    return out
 
 
-# Each evaluator returns its family's dict for one centre epoch and window
-# width.  Extractors are looked up on their modules at call time so that
-# wrappers installed on those attributes see every call.
+class _Night:
+    """One subject on its epoch grid, with its windows built once per width:
+    what the family evaluators read."""
 
-def _rr_time(night: _Night, center: int, n: int) -> dict:
-    return features_rr.hrv_time_features(night.rr_window(center, n)[1])
-
-
-def _rr_stat(night: _Night, center: int, n: int) -> dict:
-    return features_rr.statistical_features(night.rr_window(center, n)[1])
-
-
-def _rr_nonlinear(night: _Night, center: int, n: int) -> dict:
-    return features_rr.nonlinear_features(night.rr_window(center, n)[1])
-
-
-def _rr_freq(night: _Night, center: int, n: int) -> dict:
-    return features_rr.rr_freq_features(*night.rr_window(center, n))
+    def __init__(self, subject: ProcessedSubject, n_epochs: int, widths):
+        self.subject = subject
+        times, values = usable_intervals(subject.rr)
+        self.epoch_means, self.epoch_counts = _rr_epoch_means(
+            times, values, n_epochs)
+        self.windows = {n: _windows(n_epochs, times, values, n) for n in widths}
 
 
 def _novel_or_nan(fn, *args) -> float:
@@ -197,48 +205,45 @@ def _novel_or_nan(fn, *args) -> float:
         return np.nan
 
 
-def _rr_novel(night: _Night, center: int, n: int) -> dict:
+def _rr_novel(night: _Night, w: _Window) -> dict:
     """The three sudden-variation features; each goes missing on its own."""
     means, counts = night.epoch_means, night.epoch_counts
     return {
-        "rr_f1": _novel_or_nan(features_rr.novel_f1, means, counts, center, n),
+        "rr_f1": _novel_or_nan(features_rr.novel_f1, means, counts, w.center, w.n),
         "rr_f2": _novel_or_nan(features_rr.novel_f2, means, counts,
-                               night.rr_window(center, n)[1], center),
-        "rr_f3": _novel_or_nan(features_rr.novel_f3, means, counts, center, n),
+                               w.rr_values, w.center),
+        "rr_f3": _novel_or_nan(features_rr.novel_f3, means, counts, w.center, w.n),
     }
 
 
-def _breath(trace: SignalTrace, night: _Night, center: int, n: int) -> dict:
-    seg, _ = window_trace_values(trace, night.n_epochs, center, n)
-    return features_resp.breath_features(seg, trace.sample_rate_hz)
+def _breath(trace: SignalTrace, w: _Window) -> dict:
+    return features_resp.breath_features(w.samples(trace), trace.sample_rate_hz)
 
 
-def _breath_chest(night: _Night, center: int, n: int) -> dict:
-    return _breath(night.subject.breath_chest, night, center, n)
-
-
-def _breath_abdomen(night: _Night, center: int, n: int) -> dict:
-    return _breath(night.subject.breath_abdomen, night, center, n)
-
-
-def _cpc(night: _Night, center: int, n: int) -> dict:
-    times, values, t0, t1 = night.rr_window(center, n)
+def _cpc(night: _Night, w: _Window) -> dict:
     chest = night.subject.breath_chest
-    seg, _ = window_trace_values(chest, night.n_epochs, center, n)
-    spec = features_resp.cpc_spectrum(times, values, seg, chest.sample_rate_hz,
-                                      t0, t1)
+    spec = features_resp.cpc_spectrum(w.rr_times, w.rr_values, w.samples(chest),
+                                      chest.sample_rate_hz, w.t0, w.t1)
     return features_resp.cpc_band_features(spec)
 
 
-# manifest source -> (evaluator, errors that leave the family's entries missing)
+# manifest source -> (its family's dict for one window, errors that leave the
+# family's entries missing).  Extractors are looked up on their modules at
+# call time so that wrappers installed on those attributes see every call.
 _FAMILIES = {
-    "rr_time": (_rr_time, InsufficientData),
-    "rr_stat": (_rr_stat, InsufficientData),
-    "rr_nonlinear": (_rr_nonlinear, InsufficientData),
-    "rr_freq": (_rr_freq, InsufficientData),
+    "rr_time": (lambda night, w: features_rr.hrv_time_features(w.rr_values),
+                InsufficientData),
+    "rr_stat": (lambda night, w: features_rr.statistical_features(w.rr_values),
+                InsufficientData),
+    "rr_nonlinear": (lambda night, w: features_rr.nonlinear_features(w.rr_values),
+                     InsufficientData),
+    "rr_freq": (lambda night, w: features_rr.rr_freq_features(
+        w.rr_times, w.rr_values, w.t0, w.t1), InsufficientData),
     "rr_novel": (_rr_novel, ()),  # each feature catches its own errors
-    "breath_chest": (_breath_chest, NoBreathsDetected),
-    "breath_abdomen": (_breath_abdomen, NoBreathsDetected),
+    "breath_chest": (lambda night, w: _breath(night.subject.breath_chest, w),
+                     NoBreathsDetected),
+    "breath_abdomen": (lambda night, w: _breath(night.subject.breath_abdomen, w),
+                       NoBreathsDetected),
     "cpc": (_cpc, (InsufficientData, ZeroTotal, LengthMismatch)),
 }
 
@@ -269,8 +274,10 @@ def assemble_feature_matrix(subject: ProcessedSubject,
                 f"epochs, fewer than the recording's {n_ep}")
         labels = Hypnogram(merge_stages(subject.hypnogram).labels[:n_ep], "four")
 
-    night = _Night(subject, n_ep)
+    night = _Night(subject, n_ep, {e.window_n for e in manifest.entries})
 
+    # family-major: each (source, width) group runs over every epoch before
+    # the next starts, which measured faster than every family per epoch
     groups: dict[tuple[str, int], list[int]] = {}
     for j, e in enumerate(manifest.entries):
         groups.setdefault((e.source, e.window_n), []).append(j)
@@ -279,12 +286,12 @@ def assemble_feature_matrix(subject: ProcessedSubject,
     for (source, n), cols in groups.items():
         evaluate, errors = _FAMILIES[source]
         keys = [manifest.entries[j].key for j in cols]
-        for c in range(n_ep):
+        for w in night.windows[n]:
             try:
-                feats = evaluate(night, c, n)
+                feats = evaluate(night, w)
             except errors:
                 continue
-            mat[c, cols] = [feats[k] for k in keys]
+            mat[w.center, cols] = [feats[k] for k in keys]
 
     missing = ~np.isfinite(mat)
     if missing.mean() > MAX_MISSING_FRAC:

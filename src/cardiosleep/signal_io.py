@@ -122,16 +122,17 @@ def _fit8(value) -> bytes:
     return s.ljust(8).encode("ascii")
 
 
-def write_edf(traces: Sequence[SignalTrace], record_duration_s: float = 1.0) -> bytes:
-    """Serialize traces as plain EDF; rates must be integer multiples of the
-    record duration. Samples are quantized to the full 16-bit range."""
+def write_edf(traces: Sequence[SignalTrace]) -> bytes:
+    """Serialize traces as plain EDF with 1-s data records; rates must be
+    whole numbers of samples per second. Samples are quantized to the full
+    16-bit range."""
     ns = len(traces)
     spr = []
     for t in traces:
-        s = t.sample_rate_hz * record_duration_s
-        if abs(s - round(s)) > 1e-9:
-            raise ValueError(f"rate {t.sample_rate_hz} does not fit {record_duration_s} s records")
-        spr.append(int(round(s)))
+        rate = t.sample_rate_hz
+        if abs(rate - round(rate)) > 1e-9:
+            raise ValueError(f"rate {rate} does not fit 1 s records")
+        spr.append(int(round(rate)))
     n_records = min(len(t.samples) // s for t, s in zip(traces, spr))
 
     head = b"0".ljust(8)
@@ -142,8 +143,7 @@ def write_edf(traces: Sequence[SignalTrace], record_duration_s: float = 1.0) -> 
     head += _fit8(256 * (ns + 1))
     head += b"".ljust(44)   # reserved
     head += _fit8(n_records)
-    head += _fit8(record_duration_s if record_duration_s != int(record_duration_s)
-                  else int(record_duration_s))
+    head += _fit8(1)        # record duration, s
     head += str(ns).ljust(4).encode("ascii")
 
     pmins, pmaxs = [], []

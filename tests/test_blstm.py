@@ -21,7 +21,7 @@ class TestInit:
         expected = (2 * (4 * h * d0 + 4 * h * h + 4 * h)       # layer 0, both dirs
                     + 2 * (4 * h * d1 + 4 * h * h + 4 * h)     # layer 1
                     + c * 2 * h + c)                           # output head
-        assert p.n_parameters() == expected
+        assert sum(w.size for w in p.weights.values()) == expected
 
     def test_deterministic_per_seed(self):
         a = blstm.init_params(7, input_dim=DIM)
@@ -398,4 +398,4 @@ class TestCheckpoint:
         path = tmp_path / "model.npz"
         blstm.save_checkpoint(p, path, "hash123")
         q, _ = blstm.load_checkpoint(path)
-        assert q.n_parameters() == p.n_parameters()
+        assert all(np.array_equal(q.weights[k], p.weights[k]) for k in p.weights)

@@ -138,7 +138,9 @@ class TestWorkers:
 class TestExitCodes:
     def test_config_error_is_two(self, tmp_path):
         bad = tmp_path / "bad.yaml"
-        for text in ("split_ratio: 1.5\n", "train:\n  max_epochs: 0\n"):
+        for text in ("workers: 0\n", "train:\n  max_epochs: 0\n",
+                     "workers: two\n", "seed: abc\n",
+                     "train:\n  max_epochs: 2.5\n"):
             bad.write_text(text)
             code = cli.main(["--config", str(bad), "synth",
                              "--out", str(tmp_path), "--subjects", "2"])
@@ -147,7 +149,9 @@ class TestExitCodes:
     def test_unknown_config_key_is_two(self, tmp_path):
         bad = tmp_path / "bad.yaml"
         for text in ("not_a_key: 1\n", "ahi_max: 10\n", "epoch_len_s: 20\n",
-                     "deep_min_frac: 0.1\n", "regular_sleep_denominator: sleep\n"):
+                     "deep_min_frac: 0.1\n", "regular_sleep_denominator: sleep\n",
+                     "split_ratio: 0.5\n", "train:\n  clip_norm: 1.0\n",
+                     "train:\n  class_weights: [1, 1, 1, 1]\n"):
             bad.write_text(text)
             assert cli.main(["--config", str(bad), "synth",
                              "--out", str(tmp_path)]) == 2, text

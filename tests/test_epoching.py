@@ -1,11 +1,9 @@
 """Epoch grid arithmetic and odd-width window resolution."""
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from cardiosleep import epoching
 from cardiosleep.errors import RecordingTooShort
-from cardiosleep.types import SignalTrace
 
 
 class TestGrid:
@@ -54,12 +52,3 @@ class TestResolveWindow:
         assert last - first + 1 <= width
         assert 0 <= first and last < n_epochs
 
-
-class TestValueSelection:
-    def test_window_trace_values_counts(self):
-        trace = SignalTrace("B", 25.0, np.arange(25 * 120, dtype=float))
-        seg, span = epoching.window_trace_values(trace, 4, 1, 1)
-        assert len(seg) == 750
-        assert seg[0] == 750  # first sample at t = 30 s
-        seg_all, _ = epoching.window_trace_values(trace, 4, 1, 9)
-        assert len(seg_all) == 25 * 120  # shrunk to the whole recording

@@ -1,8 +1,11 @@
 """Manifest accounting, matrix assembly, and Z-score normalization."""
 import dataclasses
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.signal import resample_poly
 
 from cardiosleep import features_rr, registry, synth
 from cardiosleep.errors import (EmptyTrainingSet, LengthMismatch,
@@ -12,7 +15,9 @@ from cardiosleep.registry import (FeatureMatrix, NormStats,
                                   apply_normalization, assemble_feature_matrix,
                                   build_manifest, fit_normalization, manifest_hash)
 from cardiosleep.types import (FourStage, Hypnogram, ProcessedSubject,
-                              SixStage)
+                              SignalTrace, SixStage)
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 class TestManifest:
@@ -55,6 +60,49 @@ class TestManifest:
     def test_bad_profile_rejected(self):
         with pytest.raises(ValueError):
             build_manifest("triple")
+
+    def test_manifest_hashes_pinned(self):
+        # the stored benchmark model is keyed by the single-profile hash
+        assert manifest_hash(build_manifest("single")) == (
+            "c387d0b9f84d3083566a28f11503deb1fdef5780bc41c0d3aedc6a96a3d086d9")
+        assert manifest_hash(build_manifest("two-channel")) == (
+            "b92f1d5eebe79e07287ba788dc56c75a08932b52ba14dca4d7e10ea6ccac82c3")
+
+    def test_export_reproduces_checked_in_manifest(self, tmp_path):
+        spec = importlib.util.spec_from_file_location(
+            "export_manifest", REPO / "scripts" / "export_manifest.py")
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        out = tmp_path / "manifest.tsv"
+        assert script.main(["--out", str(out)]) == 0
+        assert out.read_bytes() == (REPO / "docs" / "feature_manifest.tsv").read_bytes()
+
+
+class TestWindows:
+    def test_trace_samples_follow_window_bounds(self):
+        trace = SignalTrace("B", 25.0, np.arange(25 * 120, dtype=float))
+        empty = np.array([])
+        seg = registry._windows(4, empty, empty, 1)[1].samples(trace)
+        assert len(seg) == 750
+        assert seg[0] == 750  # first sample at t = 30 s
+        seg_all = registry._windows(4, empty, empty, 9)[1].samples(trace)
+        assert len(seg_all) == 25 * 120  # shrunk to the whole recording
+
+    def test_one_window_per_epoch_and_width(self, processed_subject,
+                                            single_manifest, feature_matrix,
+                                            monkeypatch):
+        calls = []
+        resolve = registry.resolve_window
+
+        def counted(*args):
+            calls.append(args)
+            return resolve(*args)
+        monkeypatch.setattr(registry, "resolve_window", counted)
+        again = assemble_feature_matrix(processed_subject, single_manifest)
+        widths = {e.window_n for e in single_manifest.entries}
+        assert widths == {1, 9, 119}
+        assert len(calls) == len(set(calls)) == len(widths) * again.n_epochs
+        assert np.array_equal(again.values, feature_matrix.values, equal_nan=True)
 
 
 class TestAssembly:
@@ -125,6 +173,25 @@ class TestAssembly:
             processed_subject, hypnogram=Hypnogram(hyp.labels[:10], hyp.scheme))
         with pytest.raises(LengthMismatch, match="hypnogram has 10 epochs"):
             assemble_feature_matrix(short, single_manifest)
+
+
+    @pytest.mark.parametrize("ecg_hz", [125, 250])
+    def test_typical_psg_sample_rates(self, ecg_hz):
+        """An easy night resampled to common PSG rates (10 Hz belts) loses
+        no RR interval and no feature entry."""
+        def resampled(trace, rate):
+            up = resample_poly(trace.samples, rate, int(trace.sample_rate_hz))
+            return SignalTrace(trace.channel_label, float(rate), up)
+        rec = synth.generate_subject(5, synth.easy_profile(), 120)
+        rec = dataclasses.replace(
+            rec, ecg=resampled(rec.ecg, ecg_hz),
+            breath_chest=resampled(rec.breath_chest, 10),
+            breath_abdomen=resampled(rec.breath_abdomen, 10))
+        subject = preprocess_subject(rec)
+        assert subject.rr.valid_mask.all()
+        matrix = assemble_feature_matrix(subject)
+        assert matrix.n_epochs == 119
+        assert not matrix.missing_mask.any()
 
 
 class TestNormalization:
