@@ -66,7 +66,7 @@ class TrainConfig:
         for name in ("max_epochs", "batch_size", "patience", "seed"):
             require_int(name, getattr(self, name))
         for name, low in (("learning_rate", 0), ("max_epochs", 1),
-                          ("batch_size", 1), ("patience", 0)):
+                          ("batch_size", 1), ("patience", 0), ("seed", 0)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}")
 

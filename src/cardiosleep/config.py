@@ -1,8 +1,9 @@
 """Pipeline configuration: a single key-value tree with validated defaults.
 
-A run may set the breathing-channel profile, the seed, the worker count and
-the training settings in ``blstm.TrainConfig``; everything else the source
-publication fixes is a constant. The 70/30 subject split is
+A run may set the breathing-channel profile, the seed (one seed drives every
+stage, training included), the worker count and the training settings in
+``blstm.TrainConfig`` but its seed; everything else the source publication
+fixes is a constant. The 70/30 subject split is
 ``cohort.split_subjects``' default, the 2x16-unit bidirectional model with 4
 output classes is ``blstm.init_params``' defaults, the 30-s scoring epoch is
 ``epoching.EPOCH_S``, the AHI < 5 cohort gate is ``cohort.classify_ahi``'s,
@@ -38,6 +39,8 @@ class PipelineConfig:
             raise ConfigError(f"unknown profile {self.profile!r}")
         for name in ("seed", "workers"):
             require_int(name, getattr(self, name))
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
         return self
@@ -69,7 +72,10 @@ def load_config(path: Optional[Union[str, Path]] = None, **overrides) -> Pipelin
     data.update(overrides)
     train_data = data.pop("train", {}) or {}
     try:
-        train = TrainConfig(**train_data)
+        if isinstance(train_data, dict) and "seed" in train_data:
+            raise ConfigError("train.seed is not a setting; set the top-level seed")
+        train = TrainConfig(seed=data.get("seed", PipelineConfig.seed),
+                            **train_data)
         return PipelineConfig(train=train, **data).validate()
     except (TypeError, ValueError) as e:
         raise ConfigError(str(e)) from e

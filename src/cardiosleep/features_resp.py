@@ -7,7 +7,8 @@ import numpy as np
 from scipy import signal as sps
 
 from .errors import InsufficientData, LengthMismatch, NoBreathsDetected, ZeroTotal
-from .features_rr import RESAMPLE_HZ, _band_mask, _one_sided_power
+from .features_rr import (RESAMPLE_HZ, _band_mask, _hann_spectrum,
+                          _spectral_shape, _zero_crossings)
 
 BREATH_NAMES = [
     # time domain (15)
@@ -63,10 +64,7 @@ def breath_features(segment: np.ndarray, sample_rate_hz: float) -> dict:
         m2 = sd * sd
         out["sig_kurt"] = float(np.mean(centered ** 4) / m2 ** 2 - 3.0)
         out["sig_skew"] = float(np.mean(centered ** 3) / sd ** 3)
-        signs = np.sign(centered)
-        nz = signs != 0
-        zc = int(np.sum(np.diff(signs[nz]) != 0)) if np.sum(nz) >= 2 else 0
-        out["sig_zcr"] = zc / (len(x) / fs)
+        out["sig_zcr"] = _zero_crossings(centered) / (len(x) / fs)
 
     peaks, troughs = _detect_breaths(x, fs)
     out["peak_count"] = float(len(peaks))
@@ -95,9 +93,7 @@ def breath_features(segment: np.ndarray, sample_rate_hz: float) -> dict:
             out["ie_ratio_mean"] = float(np.mean(ratios))
 
     # spectral block
-    y = centered * np.hanning(len(x))
-    p = _one_sided_power(y)
-    freqs = np.fft.rfftfreq(len(y), d=1.0 / fs)
+    freqs, p = _hann_spectrum(x, fs)
     total = float(np.sum(p))
     out["total_energy"] = total
     if total > 1e-15 and len(p) > 2:
@@ -108,11 +104,7 @@ def breath_features(segment: np.ndarray, sample_rate_hz: float) -> dict:
         out["dom_power"] = float(q[k])
         out["dom_total_ratio"] = float(q[k] / total)
         out["band_01_04"] = float(np.sum(p[_band_mask(freqs, 0.1, 0.4)]))
-        qq = q / np.sum(q)
-        pos = qq > 0
-        out["spec_entropy"] = float(-np.sum(qq[pos] * np.log(qq[pos]))
-                                    / np.log(len(qq)))
-        out["spec_centroid"] = float(np.sum(fq * qq))
+        _, out["spec_entropy"], out["spec_centroid"] = _spectral_shape(freqs, p)
         out["dom_bandwidth"] = _half_power_bandwidth(fq, q, k)
         f2, p2 = _second_peak(fq, q, k)
         out["peak2_freq"] = f2

@@ -194,15 +194,18 @@ def sample_entropy(values: np.ndarray, m: int = 2, r_frac: float = 0.2) -> float
     return float(-np.log(a / b))
 
 
+def _zero_crossings(centered: np.ndarray) -> int:
+    """Sign changes of a mean-removed signal, ignoring exact zeros."""
+    signs = np.sign(centered)
+    return int(np.count_nonzero(np.diff(signs[signs != 0])))
+
+
 def nonlinear_features(values: np.ndarray) -> dict:
     x = np.asarray(values, dtype=float)
     n = len(x)
     if n < 2:
         raise InsufficientData(f"need >= 2 intervals, got {n}")
-    centered = x - np.mean(x)
-    signs = np.sign(centered)
-    nz = signs != 0
-    zc = int(np.sum(np.diff(signs[nz]) != 0)) if np.sum(nz) >= 2 else 0
+    zc = _zero_crossings(x - np.mean(x))
     d = np.diff(x)
     s = x[:-1] + x[1:]
     sd1 = float(np.std(d) / np.sqrt(2))
@@ -219,49 +222,52 @@ def nonlinear_features(values: np.ndarray) -> dict:
 
 # --- sudden-variation features -------------------------------------------
 
-def _window_weighted_mean(epoch_means, epoch_counts, first, last):
-    means = epoch_means[first:last + 1]
-    counts = epoch_counts[first:last + 1]
-    ok = (counts > 0) & np.isfinite(means)
-    if not np.any(ok):
-        return np.nan
-    return float(np.sum(means[ok] * counts[ok]) / np.sum(counts[ok]))
-
-
-def novel_f1(epoch_means: np.ndarray, epoch_counts: np.ndarray,
-             center: int, n: int = 119) -> float:
-    """Mid-epoch mean RR minus the mean over the whole (shrunken) window."""
+def _center_mean(epoch_means: np.ndarray, epoch_counts: np.ndarray,
+                 center: int) -> float:
     if epoch_counts[center] == 0 or not np.isfinite(epoch_means[center]):
         raise MissingCenter(f"epoch {center} has no usable intervals")
-    first, last = resolve_window(len(epoch_means), center, n)
-    w_mean = _window_weighted_mean(epoch_means, epoch_counts, first, last)
-    return float(epoch_means[center] - w_mean)
+    return epoch_means[center]
 
 
-def novel_f2(epoch_means: np.ndarray, epoch_counts: np.ndarray,
-             window_values: np.ndarray, center: int) -> float:
-    """Mid-epoch mean RR minus the median of all raw RR values in the window."""
-    if epoch_counts[center] == 0 or not np.isfinite(epoch_means[center]):
-        raise MissingCenter(f"epoch {center} has no usable intervals")
-    if len(window_values) == 0:
-        raise MissingCenter("empty window")
-    return float(epoch_means[center] - np.median(window_values))
-
-
-def novel_f3(epoch_means: np.ndarray, epoch_counts: np.ndarray,
-             center: int, n: int = 9) -> float:
-    """Population SD of the per-epoch mean RRs around the all-window mean.
-
-    Epochs without usable intervals are excluded and the effective n reduced.
-    """
+def _usable_window(epoch_means: np.ndarray, epoch_counts: np.ndarray,
+                   center: int, n: int) -> tuple[np.ndarray, float]:
+    """Mean RRs of the window's epochs with usable intervals and their
+    interval-weighted mean."""
     first, last = resolve_window(len(epoch_means), center, n)
     means = epoch_means[first:last + 1]
     counts = epoch_counts[first:last + 1]
     ok = (counts > 0) & np.isfinite(means)
     if not np.any(ok):
         raise NoValidEpochs(f"no epoch in window around {center} has intervals")
-    w_mean = _window_weighted_mean(epoch_means, epoch_counts, first, last)
-    dev = means[ok] - w_mean
+    means, counts = means[ok], counts[ok]
+    return means, float(np.sum(means * counts) / np.sum(counts))
+
+
+def novel_f1(epoch_means: np.ndarray, epoch_counts: np.ndarray,
+             center: int, n: int) -> float:
+    """Mid-epoch mean RR minus the mean over the whole (shrunken) window."""
+    mid = _center_mean(epoch_means, epoch_counts, center)
+    _, w_mean = _usable_window(epoch_means, epoch_counts, center, n)
+    return float(mid - w_mean)
+
+
+def novel_f2(epoch_means: np.ndarray, epoch_counts: np.ndarray,
+             window_values: np.ndarray, center: int) -> float:
+    """Mid-epoch mean RR minus the median of all raw RR values in the window."""
+    mid = _center_mean(epoch_means, epoch_counts, center)
+    if len(window_values) == 0:
+        raise MissingCenter("empty window")
+    return float(mid - np.median(window_values))
+
+
+def novel_f3(epoch_means: np.ndarray, epoch_counts: np.ndarray,
+             center: int, n: int) -> float:
+    """Population SD of the per-epoch mean RRs around the all-window mean.
+
+    Epochs without usable intervals are excluded and the effective n reduced.
+    """
+    means, w_mean = _usable_window(epoch_means, epoch_counts, center, n)
+    dev = means - w_mean
     return float(np.sqrt(np.mean(dev * dev)))
 
 
@@ -276,6 +282,22 @@ def _one_sided_power(y: np.ndarray) -> np.ndarray:
     if n % 2 == 0:
         p[-1] /= 2.0
     return p
+
+
+def _hann_spectrum(x: np.ndarray, fs: float) -> tuple[np.ndarray, np.ndarray]:
+    """Frequencies and one-sided power of x, mean-removed and Hann-windowed."""
+    y = (x - np.mean(x)) * np.hanning(len(x))
+    return np.fft.rfftfreq(len(y), d=1.0 / fs), _one_sided_power(y)
+
+
+def _spectral_shape(freqs: np.ndarray, p: np.ndarray
+                    ) -> tuple[np.ndarray, float, float]:
+    """The non-DC bins of a power spectrum as a distribution, its Shannon
+    entropy normalised by the log of the bin count, and its centroid."""
+    q = p[1:] / np.sum(p[1:])
+    pos = q > 0
+    entropy = float(-np.sum(q[pos] * np.log(q[pos])) / np.log(len(q)))
+    return q, entropy, float(np.sum(freqs[1:] * q))
 
 
 def _band_mask(freqs: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -295,10 +317,7 @@ def rr_freq_features(times: np.ndarray, values: np.ndarray,
     if win < 30.0 - 1e-9 or (times[-1] - times[0]) < 0.75 * win:
         raise InsufficientData("need >= 30 s of RR coverage in the window")
     grid_t = np.arange(t0, t1, 1.0 / RESAMPLE_HZ)
-    x = np.interp(grid_t, times, values)
-    y = (x - np.mean(x)) * np.hanning(len(x))
-    p = _one_sided_power(y)
-    freqs = np.fft.rfftfreq(len(y), d=1.0 / RESAMPLE_HZ)
+    freqs, p = _hann_spectrum(np.interp(grid_t, times, values), RESAMPLE_HZ)
     total = float(np.sum(p))
 
     out = dict.fromkeys(FREQ_NAMES, np.nan)
@@ -324,12 +343,8 @@ def rr_freq_features(times: np.ndarray, values: np.ndarray,
             out["rrf_hf_norm"] = hf / denom
         out["rrf_hf_total_ratio"] = hf / total
         out["rrf_lf_total_ratio"] = lf / total
-        q = p[1:] / np.sum(p[1:])  # exclude DC
-        fq = freqs[1:]
-        pos = q > 0
-        out["rrf_spec_entropy"] = float(-np.sum(q[pos] * np.log(q[pos]))
-                                        / np.log(len(q)))
-        out["rrf_spec_centroid"] = float(np.sum(fq * q))
+        q, out["rrf_spec_entropy"], out["rrf_spec_centroid"] = _spectral_shape(
+            freqs, p)
         cum = np.cumsum(p) / total
         out["rrf_sef95"] = float(freqs[np.searchsorted(cum, 0.95)])
         out["rrf_median_freq"] = float(freqs[np.searchsorted(cum, 0.5)])

@@ -198,24 +198,6 @@ class _Night:
         self.windows = {n: _windows(n_epochs, times, values, n) for n in widths}
 
 
-def _novel_or_nan(fn, *args) -> float:
-    try:
-        return fn(*args)
-    except (MissingCenter, NoValidEpochs):
-        return np.nan
-
-
-def _rr_novel(night: _Night, w: _Window) -> dict:
-    """The three sudden-variation features; each goes missing on its own."""
-    means, counts = night.epoch_means, night.epoch_counts
-    return {
-        "rr_f1": _novel_or_nan(features_rr.novel_f1, means, counts, w.center, w.n),
-        "rr_f2": _novel_or_nan(features_rr.novel_f2, means, counts,
-                               w.rr_values, w.center),
-        "rr_f3": _novel_or_nan(features_rr.novel_f3, means, counts, w.center, w.n),
-    }
-
-
 def _breath(trace: SignalTrace, w: _Window) -> dict:
     return features_resp.breath_features(w.samples(trace), trace.sample_rate_hz)
 
@@ -227,9 +209,10 @@ def _cpc(night: _Night, w: _Window) -> dict:
     return features_resp.cpc_band_features(spec)
 
 
-# manifest source -> (its family's dict for one window, errors that leave the
-# family's entries missing).  Extractors are looked up on their modules at
-# call time so that wrappers installed on those attributes see every call.
+# manifest key or, failing that, source -> (the family's dict for one window,
+# errors that leave the family's entries missing).  Extractors are looked up
+# on their modules at call time so that wrappers installed on those
+# attributes see every call.
 _FAMILIES = {
     "rr_time": (lambda night, w: features_rr.hrv_time_features(w.rr_values),
                 InsufficientData),
@@ -239,7 +222,14 @@ _FAMILIES = {
                      InsufficientData),
     "rr_freq": (lambda night, w: features_rr.rr_freq_features(
         w.rr_times, w.rr_values, w.t0, w.t1), InsufficientData),
-    "rr_novel": (_rr_novel, ()),  # each feature catches its own errors
+    # the sudden-variation features (source rr_novel) differ in width and error
+    "rr_f1": (lambda night, w: {"rr_f1": features_rr.novel_f1(
+        night.epoch_means, night.epoch_counts, w.center, w.n)}, MissingCenter),
+    "rr_f2": (lambda night, w: {"rr_f2": features_rr.novel_f2(
+        night.epoch_means, night.epoch_counts, w.rr_values, w.center)},
+              MissingCenter),
+    "rr_f3": (lambda night, w: {"rr_f3": features_rr.novel_f3(
+        night.epoch_means, night.epoch_counts, w.center, w.n)}, NoValidEpochs),
     "breath_chest": (lambda night, w: _breath(night.subject.breath_chest, w),
                      NoBreathsDetected),
     "breath_abdomen": (lambda night, w: _breath(night.subject.breath_abdomen, w),
@@ -252,9 +242,11 @@ def assemble_feature_matrix(subject: ProcessedSubject,
                             manifest: Optional[FeatureManifest] = None) -> FeatureMatrix:
     """Evaluate every manifest feature for every epoch of one subject.
 
-    Entries sharing a (source, window width) are computed by one evaluator
-    call per epoch over exactly that width. A hypnogram shorter than the
-    epoch grid is a ``LengthMismatch``; a longer one is cut to the grid.
+    Entries sharing a family (their key's own ``_FAMILIES`` row if it has
+    one, else their source's) and a window width are computed by one
+    evaluator call per epoch over exactly that width. A hypnogram shorter
+    than the epoch grid is a ``LengthMismatch``; a longer one is cut to the
+    grid.
     """
     if manifest is None:
         manifest = build_manifest("single")
@@ -276,15 +268,16 @@ def assemble_feature_matrix(subject: ProcessedSubject,
 
     night = _Night(subject, n_ep, {e.window_n for e in manifest.entries})
 
-    # family-major: each (source, width) group runs over every epoch before
+    # family-major: each (family, width) group runs over every epoch before
     # the next starts, which measured faster than every family per epoch
     groups: dict[tuple[str, int], list[int]] = {}
     for j, e in enumerate(manifest.entries):
-        groups.setdefault((e.source, e.window_n), []).append(j)
+        family = e.key if e.key in _FAMILIES else e.source
+        groups.setdefault((family, e.window_n), []).append(j)
 
     mat = np.full((n_ep, len(manifest)), np.nan)
-    for (source, n), cols in groups.items():
-        evaluate, errors = _FAMILIES[source]
+    for (family, n), cols in groups.items():
+        evaluate, errors = _FAMILIES[family]
         keys = [manifest.entries[j].key for j in cols]
         for w in night.windows[n]:
             try:

@@ -21,8 +21,7 @@ from .types import FourStage, Hypnogram, SignalTrace, SixStage
 MAX_SIGNALS = 512
 MAX_SAMPLES_PER_RECORD = 100_000
 
-_SIX_TOKENS = {"W": SixStage.W, "R": SixStage.REM, "1": SixStage.S1,
-               "2": SixStage.S2, "3": SixStage.S3, "4": SixStage.S4}
+_SIX_TOKENS = {s.value: s for s in SixStage}
 _FOUR_TOKENS = {s.value: s for s in FourStage}
 
 

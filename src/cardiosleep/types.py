@@ -25,16 +25,10 @@ class FourStage(Enum):
 
     @property
     def index(self) -> int:
-        return _FOUR_ORDER.index(self)
+        return FOUR_STAGE_ORDER.index(self)
 
 
-_FOUR_ORDER = [FourStage.WAKE, FourStage.LIGHT, FourStage.DEEP, FourStage.REM]
-
-FOUR_STAGE_ORDER = tuple(_FOUR_ORDER)
-
-
-def four_stage_from_index(i: int) -> FourStage:
-    return _FOUR_ORDER[i]
+FOUR_STAGE_ORDER = tuple(FourStage)
 
 
 @dataclass(frozen=True)
@@ -85,7 +79,7 @@ class Hypnogram:
 
 
 def four_hypnogram_from_indices(idx: Sequence[int]) -> Hypnogram:
-    return Hypnogram(tuple(four_stage_from_index(int(i)) for i in idx), "four")
+    return Hypnogram(tuple(FOUR_STAGE_ORDER[int(i)] for i in idx), "four")
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cardiosleep import cli, signal_io
+from cardiosleep import blstm, cli, signal_io
 from cardiosleep.types import SignalTrace
 
 CONFIG = """
@@ -110,6 +110,22 @@ class TestPipelineStages:
         drops = [float(l.split(",")[1]) for l in lines[1:]]
         assert drops == sorted(drops, reverse=True)
 
+    def test_seed_flag_seeds_training(self, pipeline_dir, tmp_path,
+                                      monkeypatch):
+        out = pipeline_dir
+        seeds = []
+        train = blstm.train
+
+        def recorded(config, *args, **kwargs):
+            seeds.append(config.seed)
+            return train(config, *args, **kwargs)
+        monkeypatch.setattr(blstm, "train", recorded)
+        assert cli.main(["--config", str(out / "config.yaml"), "--seed", "5",
+                         "train", "--features", str(out / "features"),
+                         "--split", str(out / "split.json"),
+                         "--out", str(tmp_path)]) == 0
+        assert seeds == [5]
+
 
 class TestWorkers:
     def test_worker_count_changes_no_output_or_hash(self, tmp_path):
@@ -140,7 +156,7 @@ class TestExitCodes:
         bad = tmp_path / "bad.yaml"
         for text in ("workers: 0\n", "train:\n  max_epochs: 0\n",
                      "workers: two\n", "seed: abc\n",
-                     "train:\n  max_epochs: 2.5\n"):
+                     "train:\n  max_epochs: 2.5\n", "seed: -1\n"):
             bad.write_text(text)
             code = cli.main(["--config", str(bad), "synth",
                              "--out", str(tmp_path), "--subjects", "2"])
@@ -151,7 +167,8 @@ class TestExitCodes:
         for text in ("not_a_key: 1\n", "ahi_max: 10\n", "epoch_len_s: 20\n",
                      "deep_min_frac: 0.1\n", "regular_sleep_denominator: sleep\n",
                      "split_ratio: 0.5\n", "train:\n  clip_norm: 1.0\n",
-                     "train:\n  class_weights: [1, 1, 1, 1]\n"):
+                     "train:\n  class_weights: [1, 1, 1, 1]\n",
+                     "train:\n  seed: 3\n"):
             bad.write_text(text)
             assert cli.main(["--config", str(bad), "synth",
                              "--out", str(tmp_path)]) == 2, text

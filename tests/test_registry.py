@@ -174,6 +174,41 @@ class TestAssembly:
         with pytest.raises(LengthMismatch, match="hypnogram has 10 epochs"):
             assemble_feature_matrix(short, single_manifest)
 
+    def test_each_novel_feature_runs_once_per_epoch(
+            self, processed_subject, single_manifest, feature_matrix,
+            monkeypatch):
+        calls = {}
+        for name in ("novel_f1", "novel_f2", "novel_f3"):
+            def counted(*args, _fn=getattr(features_rr, name), _name=name):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _fn(*args)
+            monkeypatch.setattr(features_rr, name, counted)
+        again = assemble_feature_matrix(processed_subject, single_manifest)
+        n = again.n_epochs
+        assert calls == {"novel_f1": n, "novel_f2": n, "novel_f3": n}
+        assert np.array_equal(again.values, feature_matrix.values)
+
+    def test_empty_interior_epoch_misses_only_center_features(
+            self, processed_subject, single_manifest):
+        """An epoch without usable RR intervals has no centre mean, so rr_f1
+        and rr_f2 go missing there; rr_f3 averages the window's other
+        epochs and stays finite."""
+        from cardiosleep.types import RrSeries
+        rr = processed_subject.rr
+        first_peaks = rr.peak_times_s[:-1]
+        gone = (first_peaks >= 20 * 30.0) & (first_peaks < 21 * 30.0)
+        assert gone.any()
+        # out-of-range and rejected, so not even interpolated values are kept
+        intervals = np.where(gone, 5.0, rr.intervals_s)
+        holed = dataclasses.replace(processed_subject, rr=RrSeries(
+            rr.peak_times_s, intervals, rr.valid_mask & ~gone))
+        matrix = assemble_feature_matrix(holed, single_manifest)
+        col = {name: single_manifest.names.index(name)
+               for name in ("rr_f1", "rr_f2", "rr_f3")}
+        assert matrix.missing_mask[20, col["rr_f1"]]
+        assert matrix.missing_mask[20, col["rr_f2"]]
+        assert np.isfinite(matrix.values[20, col["rr_f3"]])
+        assert not matrix.missing_mask[[19, 21]][:, list(col.values())].any()
 
     @pytest.mark.parametrize("ecg_hz", [125, 250])
     def test_typical_psg_sample_rates(self, ecg_hz):
