@@ -3,10 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy import signal as sps
 
 from cardiosleep import features_resp as resp
 from cardiosleep.errors import (InsufficientData, LengthMismatch,
                                 NoBreathsDetected, ZeroTotal)
+from cardiosleep.features_rr import RESAMPLE_HZ
 
 FS = 25.0
 
@@ -122,6 +124,102 @@ class TestCpcSpectrum:
         with pytest.raises(InsufficientData):
             resp.cpc_spectrum(np.array([1.0, 2.0]), np.array([0.9, 0.9]),
                               np.zeros(int(270 * FS)), FS, 0.0, 270.0)
+
+
+def _scipy_cpc_spectrum(rr_times, rr_values, breath_segment, breath_rate_hz,
+                        t0, t1):
+    """Reference: the coupling spectrum from scipy's ``csd`` and two ``welch``
+    calls, the estimator ``cpc_spectrum`` must reproduce."""
+    if t1 <= t0:
+        raise LengthMismatch("empty window")
+    n_breath_expected = (t1 - t0) * breath_rate_hz
+    if abs(len(breath_segment) - n_breath_expected) > breath_rate_hz:
+        raise LengthMismatch("segment does not cover the window")
+    if len(rr_values) < 4:
+        raise InsufficientData("too few RR intervals for coupling")
+
+    grid_t = np.arange(t0, t1, 1.0 / RESAMPLE_HZ)
+    x = np.interp(grid_t, rr_times, rr_values)
+    bt = t0 + np.arange(len(breath_segment)) / breath_rate_hz
+    y = np.interp(grid_t, bt, np.asarray(breath_segment, dtype=float))
+
+    n = len(grid_t)
+    nperseg = int(n / (resp.CPC_SEGMENTS / 2 + 0.5))
+    if nperseg < 8:
+        raise InsufficientData("window too short")
+    for s in (x, y):
+        if np.std(s) == 0:
+            raise InsufficientData("constant signal")
+    x = (x - np.mean(x)) / np.std(x)
+    y = (y - np.mean(y)) / np.std(y)
+
+    kw = dict(fs=RESAMPLE_HZ, nperseg=nperseg, noverlap=nperseg // 2,
+              window="hann", detrend="constant")
+    f, pxy = sps.csd(x, y, **kw)
+    _, pxx = sps.welch(x, **kw)
+    _, pyy = sps.welch(y, **kw)
+
+    cross_power = np.abs(pxy) ** 2
+    denom = pxx * pyy
+    coh2 = np.zeros_like(cross_power)
+    nz = denom > 0
+    coh2[nz] = np.clip(cross_power[nz] / denom[nz], 0.0, 1.0)
+    cpc = cross_power * coh2
+
+    keep = f <= 0.5
+    return resp.CpcSpectrum(freqs_hz=f[keep], cpc_index=cpc[keep],
+                            coherence_sq=coh2[keep])
+
+
+class TestCpcMatchesScipyReference:
+    """``cpc_spectrum`` against the scipy ``csd``/``welch`` estimator, over the
+    whole 9-epoch window (270 s, ``nperseg`` 240) and the clipped edge windows
+    of 7 and 5 epochs (210 s and 150 s, ``nperseg`` 186 and 133)."""
+
+    RTOL = 1e-12
+
+    def _inputs(self, seconds, seed, t0=100.0):
+        rng = np.random.default_rng(seed)
+        t = t0 + np.cumsum(rng.uniform(0.7, 1.1, int(seconds / 0.7) + 2))
+        t = t[t < t0 + seconds]
+        v = (0.9 + 0.04 * np.sin(2 * np.pi * 0.25 * t)
+             + rng.normal(0, 0.02, len(t)))
+        bt = t0 + np.arange(int(seconds * FS)) / FS
+        breath = (np.sin(2 * np.pi * 0.25 * bt + rng.uniform(0, 2 * np.pi))
+                  + rng.normal(0, 0.3, len(bt)))
+        return t, v, breath, FS, t0, t0 + seconds
+
+    @pytest.mark.parametrize("seconds", [150.0, 210.0, 270.0])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_spectra_match(self, seconds, seed):
+        args = self._inputs(seconds, seed)
+        got = resp.cpc_spectrum(*args)
+        ref = _scipy_cpc_spectrum(*args)
+        np.testing.assert_array_equal(got.freqs_hz, ref.freqs_hz)
+        for name in ("cpc_index", "coherence_sq"):
+            g, r = getattr(got, name), getattr(ref, name)
+            np.testing.assert_allclose(g, r, rtol=self.RTOL,
+                                       atol=self.RTOL * np.max(np.abs(r)),
+                                       err_msg=name)
+
+    @pytest.mark.parametrize("case, error", [
+        ("short_segment", LengthMismatch),
+        ("constant_breathing", InsufficientData),
+        ("too_few_rr", InsufficientData),
+    ])
+    def test_rejections_match(self, case, error):
+        t, v, breath, fs, t0, t1 = self._inputs(270.0, 0)
+        if case == "short_segment":
+            breath = breath[:100]
+        elif case == "constant_breathing":
+            breath = np.ones_like(breath)
+        else:
+            t, v = t[:3], v[:3]
+        args = (t, v, breath, fs, t0, t1)
+        for fn in (_scipy_cpc_spectrum, resp.cpc_spectrum):
+            with pytest.raises(Exception) as raised:
+                fn(*args)
+            assert type(raised.value) is error, fn.__name__
 
 
 class TestCpcBandFeatures:
