@@ -148,7 +148,16 @@ def cpc_spectrum(rr_times: np.ndarray, rr_values: np.ndarray,
     and the breathing signal over a shared window.
 
     Both signals are brought to a common 4 Hz grid and normalized to unit
-    variance, then Welch-estimated over 8 half-overlapping sub-segments.
+    variance, then Welch-estimated (Welch 1967) over 8 half-overlapping
+    sub-segments of ``nperseg = int(n / 4.5)`` samples: segment ``k`` starts
+    at ``k * step`` with ``step = nperseg - nperseg // 2``, and there are
+    ``(n - nperseg // 2) // step`` of them. Each segment has its own mean
+    removed and is multiplied by the periodic Hann window ``w``. One FFT per
+    segment and signal gives the cross-spectrum ``Pxy = mean(conj(X) Y)`` and
+    the auto-spectra ``Pxx``, ``Pyy``, each scaled as a density by
+    ``1 / (fs * sum(w**2))``, with every bin but DC (and Nyquist, for even
+    ``nperseg``) doubled for the one-sided spectrum. Bins above 0.5 Hz are
+    dropped.
     """
     if t1 <= t0:
         raise LengthMismatch("empty window")
@@ -169,17 +178,27 @@ def cpc_spectrum(rr_times: np.ndarray, rr_values: np.ndarray,
     nperseg = int(n / (CPC_SEGMENTS / 2 + 0.5))
     if nperseg < 8:
         raise InsufficientData("window too short for 8 Welch sub-segments")
+    scaled = []
     for name, s in (("rr", x), ("breathing", y)):
-        if np.std(s) == 0:
+        sd = np.std(s)
+        if sd == 0:
             raise InsufficientData(f"{name} signal is constant in the window")
-    x = (x - np.mean(x)) / np.std(x)
-    y = (y - np.mean(y)) / np.std(y)
+        scaled.append((s - np.mean(s)) / sd)
 
-    kw = dict(fs=RESAMPLE_HZ, nperseg=nperseg, noverlap=nperseg // 2,
-              window="hann", detrend="constant")
-    f, pxy = sps.csd(x, y, **kw)
-    _, pxx = sps.welch(x, **kw)
-    _, pyy = sps.welch(y, **kw)
+    step = nperseg - nperseg // 2
+    starts = step * np.arange((n - nperseg // 2) // step)
+    segments = np.stack(scaled)[:, starts[:, None] + np.arange(nperseg)]
+    segments -= segments.mean(axis=-1, keepdims=True)
+    window = sps.get_window("hann", nperseg)
+    fx, fy = np.fft.rfft(segments * window, axis=-1)
+    scale = 1.0 / (RESAMPLE_HZ * np.sum(window * window))
+    pxy = np.mean(np.conj(fx) * fy, axis=0) * scale
+    pxx = np.mean(np.abs(fx) ** 2, axis=0) * scale
+    pyy = np.mean(np.abs(fy) ** 2, axis=0) * scale
+    doubled = slice(1, -1) if nperseg % 2 == 0 else slice(1, None)
+    for p in (pxy, pxx, pyy):
+        p[doubled] *= 2
+    f = np.fft.rfftfreq(nperseg, 1.0 / RESAMPLE_HZ)
 
     cross_power = np.abs(pxy) ** 2
     denom = pxx * pyy
