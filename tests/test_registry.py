@@ -8,6 +8,7 @@ import pytest
 from scipy.signal import resample_poly
 
 from cardiosleep import features_rr, registry, synth
+from cardiosleep.epoching import EPOCH_S
 from cardiosleep.errors import (EmptyTrainingSet, LengthMismatch,
                                 ManifestMismatch, SubjectUnusable)
 from cardiosleep.pipeline import preprocess_subject
@@ -114,6 +115,15 @@ class TestAssembly:
     def test_labels_align_with_rows(self, feature_matrix):
         assert feature_matrix.labels is not None
         assert len(feature_matrix.labels) == feature_matrix.n_epochs
+
+    def test_grid_stops_at_last_whole_epoch_before_last_r_peak(
+            self, clean_subject, processed_subject, feature_matrix):
+        # the last R-peak falls inside the 40th epoch, so the grid has 39
+        # epochs and the 40-label hypnogram is cut to them
+        assert len(clean_subject.hypnogram) == 40
+        assert processed_subject.rr.peak_times_s[-1] < 40 * EPOCH_S
+        assert feature_matrix.n_epochs == 39
+        assert feature_matrix.labels.labels == clean_subject.hypnogram.labels[:39]
 
     def test_assembly_is_deterministic(self, processed_subject, single_manifest,
                                        feature_matrix):
