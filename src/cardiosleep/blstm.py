@@ -4,8 +4,17 @@ Two stacked bidirectional layers (hidden size 16 each direction) and a
 4-class softmax output layer. All math is double precision so finite
 difference gradient checks at 1e-5 are meaningful. Gate order inside the
 stacked weight matrices is input, forget, cell, output.
-The backward direction is the same forward-in-time recurrence run over the
-reversed sequence. Work that does not depend on the previous hidden state
+
+Every pass runs its sequences as one batch: a padded (T, B, ...) array, time
+first, then sequence, then features, with T the longest of the B lengths.
+Each sequence is padded at its end. The backward direction is the same
+forward-in-time recurrence run over each sequence reversed within its own
+length, so its padding stays at the end too. Both directions of a layer
+share one time loop, stacked on a leading axis, and each step does one
+batched product with the recurrent weights of both. Padded epochs have loss
+weight 0: padded states never reach a valid step and every gradient at a
+padded step is exactly 0, so neither recurrence needs a mask. One sequence
+is a batch of one. Work that does not depend on the previous hidden state
 (input projection, weight gradients) is done outside the time loop.
 """
 from __future__ import annotations
@@ -101,107 +110,197 @@ def init_params(seed: int, input_dim: int = 152, hidden: int = 16,
     return BlstmParams(input_dim, hidden, layers, classes, bidirectional, weights)
 
 
+# --- batches --------------------------------------------------------------
+# Per-direction arrays are (T, B, K, ...), the K directions on axis 2. The
+# time loops step through (K, B, ...) views of them.
+
+def _check(params: BlstmParams, sequences: Sequence[np.ndarray]):
+    """The (T_k, input_dim) sequences as float arrays, and their lengths."""
+    arrays = []
+    for X in sequences:
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[1] != params.input_dim:
+            raise ShapeMismatch(
+                f"expected (T, {params.input_dim}) input, got {X.shape}")
+        if X.shape[0] == 0:
+            raise ShapeMismatch("empty sequence")
+        if not np.all(np.isfinite(X)):
+            raise NonFiniteInput("input contains non-finite values")
+        arrays.append(X)
+    return arrays, np.array([len(X) for X in arrays], dtype=int)
+
+
+def _pad_labels(data: Sequence[tuple], lengths: np.ndarray,
+                class_weights: np.ndarray):
+    """Labels (T, B) padded like their sequences, and each epoch's loss
+    weight (T, B): its class weight, 0 on padding."""
+    Y = np.zeros((int(lengths.max(initial=0)), len(lengths)), dtype=int)
+    for k, (_, y) in enumerate(data):
+        y = np.asarray(y, dtype=int)
+        if len(y) != lengths[k]:
+            raise ShapeMismatch("label length differs from sequence length")
+        Y[:len(y), k] = y
+    valid = np.arange(len(Y))[:, None] < lengths
+    return Y, np.where(valid, class_weights[Y], 0.0)
+
+
+def _flip_backward(A: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Reverse the backward direction (index 1 of axis 2) of A (T, B, K, ...)
+    in place, each sequence within its own length: natural time to the
+    backward direction's own time, and back. Padding stays at the end."""
+    if A.shape[2] == 2:
+        for k, L in enumerate(lengths):
+            A[:L, k, 1] = A[L - 1::-1, k, 1]
+    return A
+
+
+def _stacked(params: BlstmParams, l: int):
+    """Layer l's weights, directions stacked: W (K*4H, din), U (K, 4H, H)
+    and b (K*4H,)."""
+    w = params.weights
+    ds = params.directions
+    return (np.concatenate([w[f"l{l}{d}_W"] for d in ds]),
+            np.stack([w[f"l{l}{d}_U"] for d in ds]),
+            np.concatenate([w[f"l{l}{d}_b"] for d in ds]))
+
+
 # --- forward --------------------------------------------------------------
 
-def _run_direction(W, U, b, X):
-    """One LSTM direction over X (T, din), forward in time. Returns hidden and
-    cell states (T+1, H), row 0 the zero initial state, and the gate
-    activations (T, 4H): tanh for the cell gate, sigmoid for the others."""
-    T = X.shape[0]
-    H = U.shape[1]
-    Z = X @ W.T + b
-    gates = np.empty((T, 4 * H))
-    hs = np.zeros((T + 1, H))
-    cs = np.zeros((T + 1, H))
+def _recurrence(Z: np.ndarray, U: np.ndarray, keep: bool):
+    """The LSTM cells of every direction and sequence, one time step per
+    iteration. Z (T, B, K, 4H) holds the input projections in each
+    direction's own time and is overwritten with the gate activations: tanh
+    for the cell gate, sigmoid for the others. Returns the hidden states
+    (T+1, B, K, H), row 0 the zero initial state, and with ``keep`` the cell
+    states of the same shape (otherwise None)."""
+    T, B, K, G = Z.shape
+    H = G // 4
+    hs = np.zeros((T + 1, B, K, H))
+    cs = np.zeros((T + 1, B, K, H)) if keep else None
+    c = np.zeros((K, B, H))
+    UT = np.ascontiguousarray(U.transpose(0, 2, 1))
+    # the loop's (K, B, ...) views
+    Z, h = Z.transpose(0, 2, 1, 3), hs.transpose(0, 2, 1, 3)
+    cv = cs.transpose(0, 2, 1, 3) if keep else None
+    i_f, g, o = Z[..., :2 * H], Z[..., 2 * H:3 * H], Z[..., 3 * H:]
+    i, f = Z[..., :H], Z[..., H:2 * H]
     for t in range(T):
-        z = Z[t] + U @ hs[t]
-        a = expit(z, out=gates[t])
-        a[2 * H:3 * H] = np.tanh(z[2 * H:3 * H])
-        i, f, g, o = a.reshape(4, H)
-        cs[t + 1] = f * cs[t] + i * g
-        hs[t + 1] = o * np.tanh(cs[t + 1])
-    return hs, cs, gates
+        Z[t] += np.matmul(h[t], UT)
+        expit(i_f[t], out=i_f[t])
+        np.tanh(g[t], out=g[t])
+        expit(o[t], out=o[t])
+        c = np.add(f[t] * c, i[t] * g[t], out=cv[t + 1] if keep else None)
+        np.multiply(o[t], np.tanh(c), out=h[t + 1])
+    return hs, cs
 
 
-def _forward_full(params: BlstmParams, X: np.ndarray):
-    """Probabilities plus the caches needed for backprop."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != params.input_dim:
-        raise ShapeMismatch(
-            f"expected (T, {params.input_dim}) input, got {X.shape}")
-    if X.shape[0] == 0:
-        raise ShapeMismatch("empty sequence")
-    if not np.all(np.isfinite(X)):
-        raise NonFiniteInput("input contains non-finite values")
+def _layer_forward(params: BlstmParams, l: int, inputs: list,
+                   lengths: np.ndarray, keep: bool):
+    """Layer l over the batch of (T_k, din) sequences ``inputs``: its output
+    (T, B, K*H) and, with ``keep``, its (inputs, gates, hidden states, cell
+    states) for backprop."""
+    T, B = int(lengths.max(initial=0)), len(lengths)
+    K, H = len(params.directions), params.hidden
+    W, U, b = _stacked(params, l)
+    Z = np.zeros((T, B, K * 4 * H))
+    for k, x in enumerate(inputs):
+        np.matmul(x, W.T, out=Z[:len(x), k])
+    Z += b
+    Z = _flip_backward(Z.reshape(T, B, K, 4 * H), lengths)
+    hs, cs = _recurrence(Z, U, keep)
+    out = _flip_backward(hs[1:].copy() if keep else hs[1:], lengths)
+    out = out.reshape(T, B, K * H)
+    return out, ((inputs, Z, hs, cs) if keep else None)
 
-    layer_in = X
+
+def _forward_full(params: BlstmParams, inputs: list, lengths: np.ndarray,
+                  keep: bool = False):
+    """Probabilities (T, B, classes) of the batch of (T_k, input_dim)
+    sequences ``inputs``, the top layer's output (T, B, K*H) and each
+    layer's ``_layer_forward`` cache."""
     layer_caches = []
     for l in range(params.layers):
-        outs = []
-        caches = {}
-        for d in params.directions:
-            step = -1 if d == "b" else 1  # "b" runs over reversed time
-            hs, cs, gates = _run_direction(
-                params.weights[f"l{l}{d}_W"], params.weights[f"l{l}{d}_U"],
-                params.weights[f"l{l}{d}_b"], layer_in[::step])
-            caches[d] = (hs, cs, gates)
-            outs.append(hs[1:][::step])
-        layer_caches.append((layer_in, caches))
-        layer_in = np.concatenate(outs, axis=1)
+        out, cache = _layer_forward(params, l, inputs, lengths, keep)
+        layer_caches.append(cache)
+        inputs = [out[:L, k] for k, L in enumerate(lengths)]
 
-    logits = layer_in @ params.weights["out_W"].T + params.weights["out_b"]
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    logits = out @ params.weights["out_W"].T + params.weights["out_b"]
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     expz = np.exp(shifted)
-    probs = expz / expz.sum(axis=1, keepdims=True)
-    return probs, layer_in, layer_caches
+    probs = expz / expz.sum(axis=-1, keepdims=True)
+    return probs, out, layer_caches
+
+
+def forward_batch(params: BlstmParams, sequences: Sequence[np.ndarray]
+                  ) -> list[np.ndarray]:
+    """Per-epoch class probabilities of each (T_k, input_dim) sequence, shape
+    (T_k, classes), from one pass over the whole batch."""
+    inputs, lengths = _check(params, sequences)
+    probs, _, _ = _forward_full(params, inputs, lengths)
+    return [probs[:L, k] for k, L in enumerate(lengths)]
 
 
 def forward(params: BlstmParams, X: np.ndarray) -> np.ndarray:
     """Per-epoch class probabilities, shape (T, classes); rows sum to 1."""
-    probs, _, _ = _forward_full(params, X)
-    return probs
+    return forward_batch(params, [X])[0]
+
+
+def _stages(probs: np.ndarray) -> Hypnogram:
+    return four_hypnogram_from_indices(np.argmax(probs, axis=1))
 
 
 def predict(params: BlstmParams, X: np.ndarray) -> Hypnogram:
     """Argmax decision per epoch; ties resolve to the lower class index."""
-    probs = forward(params, X)
-    return four_hypnogram_from_indices(np.argmax(probs, axis=1))
+    return _stages(forward(params, X))
+
+
+def predict_batch(params: BlstmParams, sequences: Sequence[np.ndarray]
+                  ) -> list[Hypnogram]:
+    """``predict`` of each sequence, from one pass over the whole batch."""
+    return [_stages(p) for p in forward_batch(params, sequences)]
 
 
 # --- backward -------------------------------------------------------------
 
-def _backward_direction(W, U, X, dH, cache):
-    """dW, dU, db, dX of one direction that ``_run_direction`` ran over X,
-    given dH (T, H), the loss gradient of its hidden states."""
-    hs, cs, gates = cache
-    T, H = dH.shape
-    i, f, g, o = (gates[:, k * H:(k + 1) * H] for k in range(4))
+def _recurrence_backward(dH: np.ndarray, U: np.ndarray, Z: np.ndarray,
+                         cs: np.ndarray) -> np.ndarray:
+    """dZ (T, B, K, 4H), the loss gradient of the pre-activations of a run of
+    ``_recurrence`` that left gates Z and cell states cs, given dH
+    (T, B, K, H), that of its hidden states."""
+    T, B, K, H = dH.shape
+    i, f, g, o = (Z[..., k * H:(k + 1) * H] for k in range(4))
     tc = np.tanh(cs[1:])
     # derivative of each pre-activation with respect to dc (input, forget
     # and cell gates) or dh (output gate)
     dz_dc = np.stack([g * i * (1 - i), cs[:-1] * f * (1 - f),
-                      i * (1 - g * g)], axis=1)
+                      i * (1 - g * g)], axis=3)
     dz_dh = tc * o * (1 - o)
     dc_dh = o * (1 - tc * tc)
-    dZ = np.empty((T, 4 * H))
-    dZ_gates = dZ.reshape(T, 4, H)
-    dh = np.zeros(H)
-    dc = np.zeros(H)
+    dZ = np.empty((T, B, K, 4 * H))
+    # the loop's (K, B, ...) views
+    dH, dc_dh, f = (a.transpose(0, 2, 1, 3) for a in (dH, dc_dh, f))
+    dz_dc, dz_dh = dz_dc.transpose(0, 2, 1, 3, 4), dz_dh.transpose(0, 2, 1, 3)
+    dZ_kb = dZ.transpose(0, 2, 1, 3)
+    dZ_gates = dZ.reshape(T, B, K, 4, H).transpose(0, 2, 1, 3, 4)
+    dZ_c, dZ_h = dZ_gates[:, :, :, :3], dZ_gates[:, :, :, 3]
+    dh = np.zeros((K, B, H))
+    dc = np.zeros((K, B, H))
     for t in range(T - 1, -1, -1):
-        dh = dH[t] + dh
-        dc = dh * dc_dh[t] + dc
-        dZ_gates[t, :3] = dc * dz_dc[t]
-        dZ_gates[t, 3] = dh * dz_dh[t]
-        dc = dc * f[t]
-        dh = U.T @ dZ[t]
-    return dZ.T @ X, dZ.T @ hs[:-1], dZ.sum(axis=0), dZ @ W
+        dh += dH[t]
+        dc += dh * dc_dh[t]
+        np.multiply(dc[:, :, None], dz_dc[t], out=dZ_c[t])
+        np.multiply(dh, dz_dh[t], out=dZ_h[t])
+        dc *= f[t]
+        dh = np.matmul(dZ_kb[t], U)
+    return dZ
 
 
-def _weighted_nll(probs: np.ndarray, y: np.ndarray,
-                  class_weights: np.ndarray) -> tuple[float, float]:
-    """(class-weighted negative log-likelihood of labels y, sum of weights)."""
-    w = class_weights[y]
-    p = np.maximum(probs[np.arange(len(y)), y], 1e-300)
+def _weighted_nll(probs: np.ndarray, Y: np.ndarray,
+                  w: np.ndarray) -> tuple[float, float]:
+    """(weighted negative log-likelihood of labels Y (T, B) under probs
+    (T, B, classes) with epoch weights w (T, B), sum of the weights)."""
+    p = np.maximum(np.take_along_axis(probs, Y[..., None], axis=2)[..., 0],
+                   1e-300)
     return float(np.sum(-w * np.log(p))), float(np.sum(w))
 
 
@@ -211,55 +310,52 @@ def loss_and_gradients(params: BlstmParams, batch: Sequence[tuple],
     """Class-weighted mean cross-entropy over all epochs of the batch, with
     gradients from full backpropagation through time.
 
-    ``batch`` is a sequence of (features (T x input_dim), labels (T,)) pairs.
+    ``batch`` is a sequence of (features (T x input_dim), labels (T,)) pairs,
+    run as one padded batch.
     """
     if not batch:
         raise EmptyDataset("empty batch")
     if class_weights is None:
         class_weights = np.ones(params.classes)
     class_weights = np.asarray(class_weights, dtype=float)
-
-    grads = {k: np.zeros_like(v) for k, v in params.weights.items()}
-    total_loss = 0.0
-    total_weight = 0.0
-    per_seq = []
-    for X, y in batch:
-        probs, hcat, layer_caches = _forward_full(params, X)
-        y = np.asarray(y, dtype=int)
-        if len(y) != len(probs):
-            raise ShapeMismatch("label length differs from sequence length")
-        seq_loss, seq_weight = _weighted_nll(probs, y, class_weights)
-        total_loss += seq_loss
-        total_weight += seq_weight
-        per_seq.append((probs, y, class_weights[y], hcat, layer_caches))
-
+    inputs, lengths = _check(params, [X for X, _ in batch])
+    Y, w = _pad_labels(batch, lengths, class_weights)
+    probs, hcat, layer_caches = _forward_full(params, inputs, lengths, keep=True)
+    total_loss, total_weight = _weighted_nll(probs, Y, w)
     if not np.isfinite(total_loss) or total_weight <= 0:
         raise NonFiniteLoss(f"loss={total_loss}, weight={total_weight}")
-    loss = total_loss / total_weight
 
+    # padding has weight 0, so its dlogits, and every gradient flowing back
+    # from it, are exactly 0
+    T, B, C = probs.shape
     H = params.hidden
-    for probs, y, w, hcat, layer_caches in per_seq:
-        dlogits = probs.copy()
-        dlogits[np.arange(len(y)), y] -= 1.0
-        dlogits *= (w / total_weight)[:, None]
-        grads["out_W"] += dlogits.T @ hcat
-        grads["out_b"] += dlogits.sum(axis=0)
-        dlayer = dlogits @ params.weights["out_W"]
-        for l in range(params.layers - 1, -1, -1):
-            layer_in, caches = layer_caches[l]
-            dX_total = np.zeros_like(layer_in)
-            for k, d in enumerate(params.directions):
-                step = -1 if d == "b" else 1
-                dW, dU, db, dX = _backward_direction(
-                    params.weights[f"l{l}{d}_W"], params.weights[f"l{l}{d}_U"],
-                    layer_in[::step], dlayer[::step, k * H:(k + 1) * H],
-                    caches[d])
-                grads[f"l{l}{d}_W"] += dW
-                grads[f"l{l}{d}_U"] += dU
-                grads[f"l{l}{d}_b"] += db
-                dX_total += dX[::step]
-            dlayer = dX_total
-    return loss, grads
+    K = len(params.directions)
+    grads = {}
+    dlogits = probs - np.eye(C)[Y]
+    dlogits *= (w / total_weight)[..., None]
+    grads["out_W"] = dlogits.reshape(T * B, C).T @ hcat.reshape(T * B, K * H)
+    grads["out_b"] = dlogits.sum(axis=(0, 1))
+    dlayer = dlogits @ params.weights["out_W"]
+    for l in range(params.layers - 1, -1, -1):
+        inputs, Z, hs, cs = layer_caches.pop()
+        W, U, _ = _stacked(params, l)
+        dH = _flip_backward(dlayer.reshape(T, B, K, H), lengths)
+        dZ = _recurrence_backward(dH, U, Z, cs)
+        h_prev = hs[:-1].reshape(T * B, K, H)
+        dU = [dZ[:, :, k].reshape(T * B, 4 * H).T @ h_prev[:, k]
+              for k in range(K)]
+        dZ = _flip_backward(dZ, lengths).reshape(T, B, K * 4 * H)
+        dW = sum(dZ[:len(x), k].T @ x for k, x in enumerate(inputs))
+        db = dZ.sum(axis=(0, 1))
+        for k, d in enumerate(params.directions):
+            rows = slice(4 * H * k, 4 * H * (k + 1))
+            grads[f"l{l}{d}_W"] = dW[rows]
+            grads[f"l{l}{d}_U"] = dU[k]
+            grads[f"l{l}{d}_b"] = db[rows]
+        if l:
+            dlayer = dZ @ W
+    # in the weights' order, which is the summation order of the clip norm
+    return total_loss / total_weight, {k: grads[k] for k in params.weights}
 
 
 # --- training -------------------------------------------------------------
@@ -290,18 +386,16 @@ def default_class_weights(labels: Sequence[np.ndarray], classes: int = 4,
 
 def evaluate_loss(params: BlstmParams, data: Sequence[tuple],
                   class_weights: np.ndarray) -> tuple[float, float]:
-    """(weighted mean loss, plain accuracy) over a dataset."""
-    total_loss = total_weight = 0.0
-    correct = total = 0
-    for X, y in data:
-        probs = forward(params, X)
-        y = np.asarray(y, dtype=int)
-        seq_loss, seq_weight = _weighted_nll(probs, y, class_weights)
-        total_loss += seq_loss
-        total_weight += seq_weight
-        correct += int(np.sum(np.argmax(probs, axis=1) == y))
-        total += len(y)
-    return total_loss / max(total_weight, 1e-300), correct / max(total, 1)
+    """(weighted mean loss, plain accuracy) over a dataset, from one forward
+    pass over all of its sequences."""
+    inputs, lengths = _check(params, [X for X, _ in data])
+    Y, w = _pad_labels(data, lengths, np.asarray(class_weights, dtype=float))
+    probs, _, _ = _forward_full(params, inputs, lengths)
+    total_loss, total_weight = _weighted_nll(probs, Y, w)
+    valid = np.arange(len(Y))[:, None] < lengths
+    correct = int(np.sum((np.argmax(probs, axis=2) == Y) & valid))
+    return (total_loss / max(total_weight, 1e-300),
+            correct / max(int(lengths.sum()), 1))
 
 
 def train(config: TrainConfig, train_data: Sequence[tuple],

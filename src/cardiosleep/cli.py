@@ -275,8 +275,9 @@ def cmd_predict(args, cfg: PipelineConfig) -> int:
     mats = _load_matrices(feat_dir, ids, manifest)
     out_dir = Path(args.out) / "predictions"
     out_dir.mkdir(parents=True, exist_ok=True)
-    for sid, X, _ in _sequences(mats, stats, require_labels=False):
-        hyp = blstm.predict(params, X)
+    seqs = _sequences(mats, stats, require_labels=False)
+    hyps = blstm.predict_batch(params, [X for _, X, _ in seqs])
+    for (sid, _, _), hyp in zip(seqs, hyps):
         (out_dir / f"{sid}.hyp").write_text(signal_io.write_hypnogram(hyp))
     _log_run(Path(args.out), "predict", [Path(args.model)], cfg)
     print(f"predict: {len(mats)} subjects -> {out_dir}")
@@ -289,8 +290,10 @@ def cmd_evaluate(args, cfg: PipelineConfig) -> int:
     mats = _load_matrices(Path(args.features), split[args.subset], manifest)
     total_cm = evaluate.ConfusionMatrix(np.zeros((4, 4), dtype=int))
     per_subject = {}
-    for m, (sid, X, _) in zip(mats, _sequences(mats, stats, require_labels=True)):
-        cm = evaluate.confusion_matrix(blstm.predict(params, X), m.labels)
+    seqs = _sequences(mats, stats, require_labels=True)
+    hyps = blstm.predict_batch(params, [X for _, X, _ in seqs])
+    for m, (sid, _, _), hyp in zip(mats, seqs, hyps):
+        cm = evaluate.confusion_matrix(hyp, m.labels)
         total_cm = total_cm + cm
         per_subject[sid] = evaluate.accuracy(cm)
 

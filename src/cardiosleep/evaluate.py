@@ -101,12 +101,7 @@ def permutation_importance(params: blstm.BlstmParams,
         raise ValueError("feature_names length must match model input dim")
 
     def dataset_accuracy(seqs) -> float:
-        correct = total = 0
-        for X, y in seqs:
-            probs = blstm.forward(params, X)
-            correct += int(np.sum(np.argmax(probs, axis=1) == np.asarray(y)))
-            total += len(y)
-        return correct / max(total, 1)
+        return blstm.evaluate_loss(params, seqs, np.ones(params.classes))[1]
 
     base = dataset_accuracy(sequences)
     results = []

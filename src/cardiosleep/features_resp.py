@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy import signal as sps
@@ -141,6 +142,18 @@ class CpcSpectrum:
     coherence_sq: np.ndarray
 
 
+@lru_cache(maxsize=64)
+def _welch_setup(nperseg: int):
+    """The periodic Hann window of ``cpc_spectrum``'s segments, its density
+    scale and the segment spectrum's frequencies at or below 0.5 Hz; all
+    read-only, shared by every call with this ``nperseg``."""
+    window = sps.get_window("hann", nperseg)
+    f = np.fft.rfftfreq(nperseg, 1.0 / RESAMPLE_HZ)
+    f = f[f <= 0.5]
+    window.flags.writeable = f.flags.writeable = False
+    return window, 1.0 / (RESAMPLE_HZ * np.sum(window * window)), f
+
+
 def cpc_spectrum(rr_times: np.ndarray, rr_values: np.ndarray,
                  breath_segment: np.ndarray, breath_rate_hz: float,
                  t0: float, t1: float) -> CpcSpectrum:
@@ -155,9 +168,9 @@ def cpc_spectrum(rr_times: np.ndarray, rr_values: np.ndarray,
     removed and is multiplied by the periodic Hann window ``w``. One FFT per
     segment and signal gives the cross-spectrum ``Pxy = mean(conj(X) Y)`` and
     the auto-spectra ``Pxx``, ``Pyy``, each scaled as a density by
-    ``1 / (fs * sum(w**2))``, with every bin but DC (and Nyquist, for even
-    ``nperseg``) doubled for the one-sided spectrum. Bins above 0.5 Hz are
-    dropped.
+    ``1 / (fs * sum(w**2))``, with every bin but DC doubled for the one-sided
+    spectrum. Only the bins at or below 0.5 Hz are formed; the 2-Hz Nyquist
+    bin is never among them.
     """
     if t1 <= t0:
         raise LengthMismatch("empty window")
@@ -189,16 +202,13 @@ def cpc_spectrum(rr_times: np.ndarray, rr_values: np.ndarray,
     starts = step * np.arange((n - nperseg // 2) // step)
     segments = np.stack(scaled)[:, starts[:, None] + np.arange(nperseg)]
     segments -= segments.mean(axis=-1, keepdims=True)
-    window = sps.get_window("hann", nperseg)
-    fx, fy = np.fft.rfft(segments * window, axis=-1)
-    scale = 1.0 / (RESAMPLE_HZ * np.sum(window * window))
+    window, scale, f = _welch_setup(nperseg)
+    fx, fy = np.fft.rfft(segments * window, axis=-1)[..., :len(f)]
     pxy = np.mean(np.conj(fx) * fy, axis=0) * scale
     pxx = np.mean(np.abs(fx) ** 2, axis=0) * scale
     pyy = np.mean(np.abs(fy) ** 2, axis=0) * scale
-    doubled = slice(1, -1) if nperseg % 2 == 0 else slice(1, None)
     for p in (pxy, pxx, pyy):
-        p[doubled] *= 2
-    f = np.fft.rfftfreq(nperseg, 1.0 / RESAMPLE_HZ)
+        p[1:] *= 2
 
     cross_power = np.abs(pxy) ** 2
     denom = pxx * pyy
@@ -206,10 +216,7 @@ def cpc_spectrum(rr_times: np.ndarray, rr_values: np.ndarray,
     nz = denom > 0
     coh2[nz] = np.clip(cross_power[nz] / denom[nz], 0.0, 1.0)
     cpc = cross_power * coh2
-
-    keep = f <= 0.5
-    return CpcSpectrum(freqs_hz=f[keep], cpc_index=cpc[keep],
-                       coherence_sq=coh2[keep])
+    return CpcSpectrum(freqs_hz=f, cpc_index=cpc, coherence_sq=coh2)
 
 
 def cpc_band_features(spectrum: CpcSpectrum) -> dict:

@@ -271,6 +271,19 @@ def _assert_round_off_close(actual, expected):
                                atol=1e-12 * scale)
 
 
+def _perturbed_params(rng, bidirectional):
+    p = blstm.init_params(2, input_dim=DIM, layers=2,
+                          bidirectional=bidirectional)
+    for k in p.weights:  # non-zero biases exercise every term
+        p.weights[k] += rng.normal(0, 0.3, p.weights[k].shape)
+    return p
+
+
+def _ragged(rng, lengths):
+    return [(rng.normal(0, 2.0, (t, DIM)), rng.integers(0, 4, t))
+            for t in lengths]
+
+
 class TestMatchesPerTimestepReference:
     @pytest.mark.parametrize("bidirectional", [True, False],
                              ids=["bidirectional", "unidirectional"])
@@ -292,6 +305,71 @@ class TestMatchesPerTimestepReference:
         assert grads.keys() == ref_grads.keys()
         for k in grads:
             _assert_round_off_close(grads[k], ref_grads[k])
+
+    @pytest.mark.parametrize("bidirectional", [True, False],
+                             ids=["bidirectional", "unidirectional"])
+    def test_ragged_batch(self, bidirectional):
+        # one padded batch: the shorter sequences end long before the longest
+        rng = np.random.default_rng(12)
+        p = _perturbed_params(rng, bidirectional)
+        batch = _ragged(rng, (1, 120, 37))
+        cw = np.array([1.0, 2.0, 0.5, 1.5])
+        loss, grads = blstm.loss_and_gradients(p, batch, cw)
+        ref_loss, ref_grads = _ref_loss_and_gradients(p, batch, cw)
+        assert loss == pytest.approx(ref_loss, rel=1e-12)
+        for k in ref_grads:
+            _assert_round_off_close(grads[k], ref_grads[k])
+
+
+class TestPaddingIsolation:
+    def test_batched_evaluation_matches_each_sequence_alone(self):
+        rng = np.random.default_rng(13)
+        p = _perturbed_params(rng, True)
+        data = _ragged(rng, (1, 120, 37, 5))
+        cw = np.array([1.0, 2.0, 0.5, 1.5])
+        loss = weight = 0.0
+        correct = 0
+        for X, y in data:
+            probs = _ref_forward(p, X)[0]
+            loss -= float(np.sum(cw[y] * np.log(probs[np.arange(len(y)), y])))
+            weight += float(np.sum(cw[y]))
+            correct += int(np.sum(np.argmax(probs, axis=1) == y))
+        got_loss, got_acc = blstm.evaluate_loss(p, data, cw)
+        assert got_loss == pytest.approx(loss / weight, rel=1e-12)
+        assert got_acc == correct / sum(len(y) for _, y in data)
+        for probs, (X, _) in zip(blstm.forward_batch(p, [X for X, _ in data]),
+                                 data):
+            _assert_round_off_close(probs, _ref_forward(p, X)[0])
+
+    @pytest.mark.parametrize("bad, error", [
+        (np.zeros((0, DIM)), ShapeMismatch),
+        (np.zeros((6, DIM + 1)), ShapeMismatch),
+        (np.full((6, DIM), np.nan), NonFiniteInput),
+    ], ids=["empty", "wrong-width", "non-finite"])
+    def test_one_bad_sequence_fails_the_batch_as_it_fails_alone(self, bad,
+                                                                error):
+        rng = np.random.default_rng(14)
+        p = blstm.init_params(0, input_dim=DIM)
+        good = _ragged(rng, (8, 3))
+        with pytest.raises(error):
+            blstm.forward(p, bad)
+        with pytest.raises(error):
+            blstm.forward_batch(p, [good[0][0], bad, good[1][0]])
+        labeled = [good[0], (bad, np.zeros(len(bad), dtype=int)), good[1]]
+        with pytest.raises(error):
+            blstm.evaluate_loss(p, labeled, np.ones(4))
+        with pytest.raises(error):
+            blstm.loss_and_gradients(p, labeled)
+
+    def test_label_length_mismatch_rejected(self):
+        rng = np.random.default_rng(15)
+        p = blstm.init_params(0, input_dim=DIM)
+        X, y = _ragged(rng, (8,))[0]
+        for batch in ([(X, y[:-1])], _ragged(rng, (3,)) + [(X, y[:-1])]):
+            with pytest.raises(ShapeMismatch):
+                blstm.loss_and_gradients(p, batch)
+            with pytest.raises(ShapeMismatch):
+                blstm.evaluate_loss(p, batch, np.ones(4))
 
 
 class TestTraining:
