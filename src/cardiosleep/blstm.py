@@ -318,9 +318,15 @@ def loss_and_gradients(params: BlstmParams, batch: Sequence[tuple],
     if class_weights is None:
         class_weights = np.ones(params.classes)
     class_weights = np.asarray(class_weights, dtype=float)
+    # allocated before the batch's caches and temporaries, so that the
+    # gradients, which outlive this call, do not split the heap space those
+    # leave free; over many minibatches that would raise the process's peak
+    # RSS by several MB
+    grads = {k: np.empty_like(v) for k, v in params.weights.items()}
     inputs, lengths = _check(params, [X for X, _ in batch])
     Y, w = _pad_labels(batch, lengths, class_weights)
-    probs, hcat, layer_caches = _forward_full(params, inputs, lengths, keep=True)
+    probs, hcat, layer_caches = _forward_full(params, inputs, lengths,
+                                              keep=True)
     total_loss, total_weight = _weighted_nll(probs, Y, w)
     if not np.isfinite(total_loss) or total_weight <= 0:
         raise NonFiniteLoss(f"loss={total_loss}, weight={total_weight}")
@@ -330,11 +336,11 @@ def loss_and_gradients(params: BlstmParams, batch: Sequence[tuple],
     T, B, C = probs.shape
     H = params.hidden
     K = len(params.directions)
-    grads = {}
     dlogits = probs - np.eye(C)[Y]
     dlogits *= (w / total_weight)[..., None]
-    grads["out_W"] = dlogits.reshape(T * B, C).T @ hcat.reshape(T * B, K * H)
-    grads["out_b"] = dlogits.sum(axis=(0, 1))
+    grads["out_W"][...] = (dlogits.reshape(T * B, C).T
+                           @ hcat.reshape(T * B, K * H))
+    grads["out_b"][...] = dlogits.sum(axis=(0, 1))
     dlayer = dlogits @ params.weights["out_W"]
     for l in range(params.layers - 1, -1, -1):
         inputs, Z, hs, cs = layer_caches.pop()
@@ -349,13 +355,12 @@ def loss_and_gradients(params: BlstmParams, batch: Sequence[tuple],
         db = dZ.sum(axis=(0, 1))
         for k, d in enumerate(params.directions):
             rows = slice(4 * H * k, 4 * H * (k + 1))
-            grads[f"l{l}{d}_W"] = dW[rows]
-            grads[f"l{l}{d}_U"] = dU[k]
-            grads[f"l{l}{d}_b"] = db[rows]
+            grads[f"l{l}{d}_W"][...] = dW[rows]
+            grads[f"l{l}{d}_U"][...] = dU[k]
+            grads[f"l{l}{d}_b"][...] = db[rows]
         if l:
             dlayer = dZ @ W
-    # in the weights' order, which is the summation order of the clip norm
-    return total_loss / total_weight, {k: grads[k] for k in params.weights}
+    return total_loss / total_weight, grads
 
 
 # --- training -------------------------------------------------------------
@@ -433,8 +438,12 @@ def train(config: TrainConfig, train_data: Sequence[tuple],
             lr_t = config.learning_rate * (np.sqrt(1 - beta2 ** step)
                                            / (1 - beta1 ** step))
             for k in params.weights:
-                m[k] = beta1 * m[k] + (1 - beta1) * grads[k]
-                v[k] = beta2 * v[k] + (1 - beta2) * grads[k] ** 2
+                # in place: moments reallocated every step fragment the heap
+                # as the gradients would (see ``loss_and_gradients``)
+                m[k] *= beta1
+                m[k] += (1 - beta1) * grads[k]
+                v[k] *= beta2
+                v[k] += (1 - beta2) * grads[k] ** 2
                 params.weights[k] -= lr_t * m[k] / (np.sqrt(v[k]) + eps)
 
         tr_loss, tr_acc = evaluate_loss(params, train_data, cw)
