@@ -365,12 +365,8 @@ def loss_and_gradients(params: BlstmParams, batch: Sequence[tuple],
 
 # --- training -------------------------------------------------------------
 
-def _global_norm(grads: dict) -> float:
-    return float(np.sqrt(sum(float(np.sum(g * g)) for g in grads.values())))
-
-
 def _clip(grads: dict) -> None:
-    norm = _global_norm(grads)
+    norm = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads.values())))
     if norm > CLIP_NORM:
         scale = CLIP_NORM / norm
         for g in grads.values():

@@ -18,7 +18,7 @@ from . import blstm, cohort, evaluate, pipeline, registry, signal_io, synth
 from .config import PipelineConfig, load_config
 from .errors import (CardiosleepError, ConfigError, NonFiniteInput,
                      NonFiniteLoss)
-from .types import RrSeries, SignalTrace, SubjectRecord
+from .types import ProcessedSubject, RrSeries, SignalTrace, SubjectRecord
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -51,10 +51,6 @@ def _map(fn, items, workers: int):
         return [fn(it) for it in items]
     with ProcessPoolExecutor(max_workers=workers) as ex:
         return list(ex.map(fn, items))
-
-
-def _load_metadata(meta_path: Path) -> list:
-    return signal_io.read_subject_metadata(meta_path.read_text())
 
 
 def _load_subject(rec: dict, base: Path) -> SubjectRecord:
@@ -120,7 +116,7 @@ def cmd_preprocess(args, cfg: PipelineConfig) -> int:
     base = meta.parent
     out_dir = Path(args.out) / "preprocessed"
     out_dir.mkdir(parents=True, exist_ok=True)
-    records = _load_metadata(meta)
+    records = signal_io.read_subject_metadata(meta.read_text())
     tasks = [(rec, base, out_dir) for rec in records]
     done = _map(_preprocess_one, tasks, cfg.workers)
     _log_run(Path(args.out), "preprocess", [meta], cfg)
@@ -128,8 +124,7 @@ def cmd_preprocess(args, cfg: PipelineConfig) -> int:
     return EXIT_OK
 
 
-def _load_processed(path: Path):
-    from .types import ProcessedSubject
+def _load_processed(path: Path) -> ProcessedSubject:
     with np.load(path, allow_pickle=False) as d:
         rr = RrSeries(d["rr_peak_times"], d["rr_intervals"], d["rr_valid"])
         chest = SignalTrace("THOR RES", float(d["chest_rate"]), d["chest"])
@@ -169,7 +164,7 @@ def cmd_cohort(args, cfg: PipelineConfig) -> int:
     meta = Path(args.meta)
     base = meta.parent
     subjects = []
-    for rec in _load_metadata(meta):
+    for rec in signal_io.read_subject_metadata(meta.read_text()):
         hyp = None
         if rec.get("hypnogram"):
             hyp = signal_io.read_hypnogram((base / rec["hypnogram"]).read_text())
@@ -209,10 +204,6 @@ def _load_matrices(feat_dir: Path, ids, manifest):
     return mats
 
 
-def _norm_path(out: Path) -> Path:
-    return out / "norm.npz"
-
-
 def _save_norm(stats: registry.NormStats, path: Path) -> None:
     np.savez(path, mean=stats.mean, sd=stats.sd, constant=stats.constant,
              manifest_hash=registry.manifest_hash(stats.manifest))
@@ -249,7 +240,7 @@ def cmd_train(args, cfg: PipelineConfig) -> int:
     params, history = blstm.train(cfg.train, train_seqs, val_seqs)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _save_norm(stats, _norm_path(out))
+    _save_norm(stats, out / "norm.npz")
     blstm.save_checkpoint(params, out / "model.npz",
                           registry.manifest_hash(manifest), cfg.to_dict())
     (out / "history.json").write_text(json.dumps(history, indent=2))

@@ -81,17 +81,15 @@ def breath_features(segment: np.ndarray, sample_rate_hz: float) -> dict:
         out["trough_mean"] = float(np.mean(x[troughs]))
         out["trough_sd"] = float(np.std(x[troughs])) if len(troughs) >= 2 else 0.0
     if len(peaks) >= 1 and len(troughs) >= 2:
-        ratios = []
-        for p in peaks:
-            prev = troughs[troughs < p]
-            nxt = troughs[troughs > p]
-            if len(prev) and len(nxt):
-                inhale = (p - prev[-1]) / fs
-                exhale = (nxt[0] - p) / fs
-                if exhale > 0:
-                    ratios.append(inhale / exhale)
-        if ratios:
-            out["ie_ratio_mean"] = float(np.mean(ratios))
+        # each peak between two troughs, with the nearest trough on each side
+        before = np.searchsorted(troughs, peaks, side="left")
+        after = np.searchsorted(troughs, peaks, side="right")
+        paired = (before > 0) & (after < len(troughs))
+        if np.any(paired):
+            mid = peaks[paired]
+            inhale = (mid - troughs[before[paired] - 1]) / fs
+            exhale = (troughs[after[paired]] - mid) / fs
+            out["ie_ratio_mean"] = float(np.mean(inhale / exhale))
 
     # spectral block
     freqs, p = _hann_spectrum(x, fs)
@@ -114,14 +112,11 @@ def breath_features(segment: np.ndarray, sample_rate_hz: float) -> dict:
 
 
 def _half_power_bandwidth(freqs: np.ndarray, p: np.ndarray, k: int) -> float:
-    half = p[k] / 2.0
-    lo = k
-    while lo > 0 and p[lo - 1] >= half:
-        lo -= 1
-    hi = k
-    while hi < len(p) - 1 and p[hi + 1] >= half:
-        hi += 1
-    return float(freqs[hi] - freqs[lo])
+    """Width of the run of bins around peak bin k with at least half its
+    power; p is a power spectrum, so bin k itself is never below half."""
+    edges = np.concatenate(([-1], np.flatnonzero(p < p[k] / 2.0), [len(p)]))
+    j = np.searchsorted(edges, k)
+    return float(freqs[edges[j] - 1] - freqs[edges[j - 1] + 1])
 
 
 def _second_peak(freqs: np.ndarray, p: np.ndarray, dom: int) -> tuple[float, float]:

@@ -86,14 +86,18 @@ def statistical_features(values: np.ndarray) -> dict:
     n = len(x)
     if n < 2:
         raise InsufficientData(f"need >= 2 intervals, got {n}")
+    s = np.sort(x)
     mean = float(np.mean(x))
     sd = float(np.std(x))
     var = sd * sd
+    median = float(np.median(s))
     q05, q10, q25, q75, q90, q95 = (
-        float(v) for v in np.quantile(x, [0.05, 0.10, 0.25, 0.75, 0.90, 0.95]))
+        float(v) for v in np.quantile(s, [0.05, 0.10, 0.25, 0.75, 0.90, 0.95]))
     d = np.diff(x)
     centered = x - mean
     above = x > mean
+    # starts and ends of the runs above the mean alternate among the edges
+    edges = np.flatnonzero(np.diff(above, prepend=False, append=False))
     # roundoff in the mean of a constant window can leave var a hair above
     # zero; treat such windows as degenerate
     degenerate = sd <= 1e-12 * max(1.0, abs(mean))
@@ -117,25 +121,26 @@ def statistical_features(values: np.ndarray) -> dict:
     t = np.arange(n, dtype=float)
     slope, intercept = np.polyfit(t, x, 1)
 
-    runs = _longest_true_run(above)
     half = n // 2
     return {
         "rr_stat_mean": mean,
         "rr_stat_sd": sd,
         "rr_stat_var": var,
-        "rr_stat_min": float(np.min(x)),
-        "rr_stat_max": float(np.max(x)),
-        "rr_stat_range": float(np.ptp(x)),
-        "rr_stat_median": float(np.median(x)),
+        "rr_stat_min": float(s[0]),
+        "rr_stat_max": float(s[-1]),
+        "rr_stat_range": float(s[-1] - s[0]),
+        "rr_stat_median": median,
         "rr_stat_q05": q05, "rr_stat_q10": q10, "rr_stat_q25": q25,
         "rr_stat_q75": q75, "rr_stat_q90": q90, "rr_stat_q95": q95,
         "rr_stat_iqr": q75 - q25,
         "rr_stat_skew": skew,
         "rr_stat_kurt": kurt,
-        "rr_stat_mad": float(np.median(np.abs(x - np.median(x)))),
+        "rr_stat_mad": float(np.median(np.abs(s - median))),
         "rr_stat_cv": sd / mean if mean != 0 else np.nan,
-        "rr_stat_trim10": _trimmed_mean(x, 0.10),
-        "rr_stat_trim25": _trimmed_mean(x, 0.25),
+        # k = n // 10 and n // 4 are floor(0.10 n) and floor(0.25 n), and
+        # 2k < n always
+        "rr_stat_trim10": float(np.mean(s[n // 10:n - n // 10])),
+        "rr_stat_trim25": float(np.mean(s[n // 4:n - n // 4])),
         "rr_stat_halves_diff": float(np.mean(x[half:]) - np.mean(x[:half])),
         "rr_stat_acf1": acf(1), "rr_stat_acf2": acf(2), "rr_stat_acf3": acf(3),
         "rr_stat_acf4": acf(4), "rr_stat_acf5": acf(5),
@@ -143,26 +148,12 @@ def statistical_features(values: np.ndarray) -> dict:
         "rr_stat_succ_sd": float(np.std(d)),
         "rr_stat_succ_max": float(np.max(np.abs(d))),
         "rr_stat_count_above_mean": float(np.sum(above)),
-        "rr_stat_longest_run_above": float(runs),
+        "rr_stat_longest_run_above": float(np.max(edges[1::2] - edges[::2],
+                                                  initial=0)),
         "rr_stat_trend_slope": float(slope),
         "rr_stat_trend_intercept": float(intercept),
         "rr_stat_energy": float(np.sum(x * x)),
     }
-
-
-def _trimmed_mean(x: np.ndarray, frac: float) -> float:
-    k = int(np.floor(frac * len(x)))
-    s = np.sort(x)
-    trimmed = s[k:len(s) - k] if len(s) > 2 * k else s
-    return float(np.mean(trimmed))
-
-
-def _longest_true_run(mask: np.ndarray) -> int:
-    best = cur = 0
-    for b in mask:
-        cur = cur + 1 if b else 0
-        best = max(best, cur)
-    return best
 
 
 # --- nonlinear ------------------------------------------------------------

@@ -6,7 +6,7 @@ from scipy import signal as sps
 
 from . import wavelet
 from .errors import (CutoffAboveNyquist, FlatSignal, SignalTooShort,
-                     TooFewPeaks)
+                     SubjectUnusable, TooFewPeaks)
 from .types import RrSeries, SignalTrace
 
 RR_MIN_S = 0.3
@@ -31,7 +31,7 @@ def detect_r_peaks(ecg: SignalTrace) -> np.ndarray:
     """
     fs = ecg.sample_rate_hz
     if fs < 100:
-        raise ValueError(f"sample rate {fs} Hz too low for QRS detection")
+        raise SubjectUnusable(f"sample rate {fs} Hz too low for QRS detection")
     x = ecg.samples
     if len(x) / fs < 10.0:
         raise SignalTooShort(f"need >= 10 s of ECG, got {len(x) / fs:.1f} s")
@@ -61,20 +61,20 @@ def detect_r_peaks(ecg: SignalTrace) -> np.ndarray:
     refine = max(1, int(round(0.050 * fs)))
     refr = int(round(REFRACTORY_S * fs))
 
+    # refine every candidate to the first maximum of the band-passed signal
+    # within +/-refine samples; clipping repeats only the edge samples, so
+    # the first maximum is the one the unclipped window would give
+    near = np.clip(cand[:, None] + np.arange(-refine, refine + 1), 0, len(bp) - 1)
+    refined = near[np.arange(len(cand)), np.argmax(bp[near], axis=1)]
+
     peaks: list[int] = []
-    for c in cand:
-        thr = npki + 0.25 * (spki - npki)
-        if integ[c] >= thr:
-            lo = max(0, c - refine)
-            hi = min(len(bp), c + refine + 1)
-            r = lo + int(np.argmax(bp[lo:hi]))
-            if not peaks or r - peaks[-1] >= refr:
-                peaks.append(r)
-                spki = 0.125 * integ[c] + 0.875 * spki
-            else:
-                npki = 0.125 * integ[c] + 0.875 * npki
+    for level, r in zip(integ[cand].tolist(), refined.tolist()):
+        if level >= npki + 0.25 * (spki - npki) and (
+                not peaks or r - peaks[-1] >= refr):
+            peaks.append(r)
+            spki = 0.125 * level + 0.875 * spki
         else:
-            npki = 0.125 * integ[c] + 0.875 * npki
+            npki = 0.125 * level + 0.875 * npki
 
     if not peaks:
         raise FlatSignal("adaptive threshold found no QRS complexes")
@@ -95,22 +95,14 @@ def rr_from_peaks(peaks: np.ndarray, sample_rate_hz: float) -> RrSeries:
     intervals = np.diff(times)
     valid = (intervals >= RR_MIN_S) & (intervals <= RR_MAX_S)
 
+    # starts and ends of the invalid runs alternate among the mask's edges
+    starts, ends = np.flatnonzero(
+        np.diff(~valid, prepend=False, append=False)).reshape(-1, 2).T
+    fill = (starts > 0) & (ends < len(valid)) & (ends - starts <= MAX_INTERP_RUN)
     values = intervals.copy()
-    i = 0
-    n = len(values)
-    while i < n:
-        if valid[i]:
-            i += 1
-            continue
-        j = i
-        while j < n and not valid[j]:
-            j += 1
-        run = j - i
-        if run <= MAX_INTERP_RUN and i > 0 and j < n:
-            left, right = values[i - 1], values[j]
-            for k in range(run):
-                values[i + k] = left + (right - left) * (k + 1) / (run + 1)
-        i = j
+    for i, j in zip(starts[fill].tolist(), ends[fill].tolist()):
+        left, right, run = values[i - 1], values[j], j - i
+        values[i:j] = left + (right - left) * np.arange(1, run + 1) / (run + 1)
     return RrSeries(peak_times_s=times, intervals_s=values, valid_mask=valid)
 
 

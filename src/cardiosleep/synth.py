@@ -121,12 +121,12 @@ def generate_subject(seed: int, profile: StageProfile, n_epochs: int) -> Subject
     n_breath = int(round(duration * BREATH_RATE_HZ))
     t_breath = np.arange(n_breath) / BREATH_RATE_HZ
     epoch_of = np.minimum((t_breath / EPOCH_S).astype(int), n_epochs - 1)
+    bounds = np.searchsorted(epoch_of, np.arange(n_epochs + 1))
     freq = np.empty(n_breath)
     amp = np.empty(n_breath)
     for e in range(n_epochs):
         d = dyn[FOUR_STAGE_ORDER[stages[e]]]
-        sl = epoch_of == e
-        n_sl = int(np.count_nonzero(sl))
+        sl = slice(bounds[e], bounds[e + 1])
         # slowly varying per-epoch modulation
         f_jit = rng.normal(0.0, d.breath_rate_jitter)
         a_jit = rng.normal(0.0, d.breath_amp_jitter)

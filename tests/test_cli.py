@@ -186,6 +186,16 @@ class TestExitCodes:
         assert cli.main(["preprocess", "--meta", str(tmp_path / "meta.jsonl"),
                          "--out", str(tmp_path)]) == 3
 
+    def test_low_rate_ecg_is_three(self, tmp_path):
+        t = np.arange(50 * 60) / 50.0
+        ecg = SignalTrace("ECG", 50.0, (np.sin(2 * np.pi * t) > 0.99) * 1.0)
+        chest = SignalTrace("THOR RES", 25.0, np.sin(2 * np.pi * 0.25 * t[::2]))
+        (tmp_path / "slow.edf").write_bytes(signal_io.write_edf([ecg, chest]))
+        meta = {"subject_id": "slow", "ahi": 1.0, "edf": "slow.edf"}
+        (tmp_path / "meta.jsonl").write_text(json.dumps(meta) + "\n")
+        assert cli.main(["preprocess", "--meta", str(tmp_path / "meta.jsonl"),
+                         "--out", str(tmp_path)]) == 3
+
     def test_corrupt_edf_is_three(self, tmp_path):
         (tmp_path / "bad.edf").write_bytes(b"garbage")
         meta = {"subject_id": "bad", "ahi": 1.0, "edf": "bad.edf"}

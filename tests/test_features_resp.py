@@ -62,6 +62,77 @@ class TestBreathFeatures:
         assert out["total_energy"] == pytest.approx(np.mean(y ** 2), rel=1e-6)
 
 
+# --- the loop-based breath pairing and bandwidth as exact oracles ----------
+
+def _loop_ie_ratio_mean(peaks, troughs, fs):
+    """The per-peak trough search of ``breath_features``, kept verbatim as
+    the oracle of its inhale/exhale ratio."""
+    ratios = []
+    for p in peaks:
+        prev = troughs[troughs < p]
+        nxt = troughs[troughs > p]
+        if len(prev) and len(nxt):
+            inhale = (p - prev[-1]) / fs
+            exhale = (nxt[0] - p) / fs
+            if exhale > 0:
+                ratios.append(inhale / exhale)
+    return float(np.mean(ratios)) if ratios else math.nan
+
+
+def _loop_half_power_bandwidth(freqs: np.ndarray, p: np.ndarray, k: int) -> float:
+    """The two-walk version of ``_half_power_bandwidth``, kept verbatim as
+    its oracle."""
+    half = p[k] / 2.0
+    lo = k
+    while lo > 0 and p[lo - 1] >= half:
+        lo -= 1
+    hi = k
+    while hi < len(p) - 1 and p[hi + 1] >= half:
+        hi += 1
+    return float(freqs[hi] - freqs[lo])
+
+
+class TestMatchesLoopCode:
+    def test_breath_pairing_on_random_windows(self):
+        rng = np.random.default_rng(21)
+        first_peak = last_peak = 0
+        for _ in range(300):
+            seconds = rng.uniform(8.0, 150.0)
+            x = (_breathing(rng.uniform(0.1, 0.5), seconds, phase=rng.uniform(0, 7))
+                 + rng.normal(0, rng.uniform(0.01, 0.4), int(seconds * FS)))
+            peaks, troughs = resp._detect_breaths(x, FS)
+            want = (_loop_ie_ratio_mean(peaks, troughs, FS)
+                    if len(peaks) >= 1 and len(troughs) >= 2 else math.nan)
+            got = resp.breath_features(x, FS)["ie_ratio_mean"]
+            np.testing.assert_array_equal(got, want)
+            if len(peaks) and len(troughs):
+                first_peak += peaks[0] < troughs[0]
+                last_peak += peaks[-1] > troughs[-1]
+        # windows with a peak before the first trough and after the last
+        assert first_peak and last_peak
+
+    def test_breath_pairing_with_no_peak_between_troughs(self):
+        # peaks at 1 s and 7 s, troughs at 3 s and 5 s with a shallow bump
+        # between them: two troughs, but no peak has one on both sides
+        t = np.arange(200) / FS
+        x = np.interp(t, [0, 1, 3, 4, 5, 7, 8], [0, 1, -1, -0.85, -1, 1, 0])
+        peaks, troughs = resp._detect_breaths(x, FS)
+        assert list(peaks) == [25, 175] and list(troughs) == [75, 125]
+        assert math.isnan(_loop_ie_ratio_mean(peaks, troughs, FS))
+        assert math.isnan(resp.breath_features(x, FS)["ie_ratio_mean"])
+
+    def test_half_power_bandwidth_on_random_spectra(self):
+        rng = np.random.default_rng(22)
+        for n in range(1, 60):
+            freqs = np.arange(n) * 0.05
+            for p in (rng.exponential(size=n), np.round(rng.random(n) * 4),
+                      np.zeros(n)):
+                # every bin as the peak: bin 0, the last bin and ties
+                for k in range(n):
+                    assert (resp._half_power_bandwidth(freqs, p, k)
+                            == _loop_half_power_bandwidth(freqs, p, k))
+
+
 class TestCpcSpectrum:
     def _rr(self, seconds, freq=0.0, depth=0.0, noise=0.0, seed=0):
         rng = np.random.default_rng(seed)

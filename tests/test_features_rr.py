@@ -104,6 +104,126 @@ class TestStatistical:
         assert out["rr_stat_sd"] == 0.0
 
 
+# --- the loop-based statistics as an exact oracle --------------------------
+
+def _loop_statistical_features(values: np.ndarray) -> dict:
+    """The sort-per-statistic, Python-loop version of
+    ``statistical_features``, kept verbatim as its oracle."""
+    x = np.asarray(values, dtype=float)
+    n = len(x)
+    if n < 2:
+        raise InsufficientData(f"need >= 2 intervals, got {n}")
+    mean = float(np.mean(x))
+    sd = float(np.std(x))
+    var = sd * sd
+    q05, q10, q25, q75, q90, q95 = (
+        float(v) for v in np.quantile(x, [0.05, 0.10, 0.25, 0.75, 0.90, 0.95]))
+    d = np.diff(x)
+    centered = x - mean
+    above = x > mean
+    # roundoff in the mean of a constant window can leave var a hair above
+    # zero; treat such windows as degenerate
+    degenerate = sd <= 1e-12 * max(1.0, abs(mean))
+    if degenerate:
+        sd = var = 0.0
+
+    if n >= 4 and not degenerate:
+        m3 = float(np.mean(centered ** 3))
+        m4 = float(np.mean(centered ** 4))
+        skew = m3 / sd ** 3
+        kurt = m4 / var ** 2 - 3.0  # excess
+    else:
+        skew = kurt = np.nan
+
+    def acf(k: int) -> float:
+        if n <= k or degenerate:
+            return np.nan
+        return float(np.sum(centered[:-k] * centered[k:]) / np.sum(centered ** 2))
+
+    # least-squares trend against interval index
+    t = np.arange(n, dtype=float)
+    slope, intercept = np.polyfit(t, x, 1)
+
+    runs = _longest_true_run(above)
+    half = n // 2
+    return {
+        "rr_stat_mean": mean,
+        "rr_stat_sd": sd,
+        "rr_stat_var": var,
+        "rr_stat_min": float(np.min(x)),
+        "rr_stat_max": float(np.max(x)),
+        "rr_stat_range": float(np.ptp(x)),
+        "rr_stat_median": float(np.median(x)),
+        "rr_stat_q05": q05, "rr_stat_q10": q10, "rr_stat_q25": q25,
+        "rr_stat_q75": q75, "rr_stat_q90": q90, "rr_stat_q95": q95,
+        "rr_stat_iqr": q75 - q25,
+        "rr_stat_skew": skew,
+        "rr_stat_kurt": kurt,
+        "rr_stat_mad": float(np.median(np.abs(x - np.median(x)))),
+        "rr_stat_cv": sd / mean if mean != 0 else np.nan,
+        "rr_stat_trim10": _trimmed_mean(x, 0.10),
+        "rr_stat_trim25": _trimmed_mean(x, 0.25),
+        "rr_stat_halves_diff": float(np.mean(x[half:]) - np.mean(x[:half])),
+        "rr_stat_acf1": acf(1), "rr_stat_acf2": acf(2), "rr_stat_acf3": acf(3),
+        "rr_stat_acf4": acf(4), "rr_stat_acf5": acf(5),
+        "rr_stat_succ_mean_abs": float(np.mean(np.abs(d))),
+        "rr_stat_succ_sd": float(np.std(d)),
+        "rr_stat_succ_max": float(np.max(np.abs(d))),
+        "rr_stat_count_above_mean": float(np.sum(above)),
+        "rr_stat_longest_run_above": float(runs),
+        "rr_stat_trend_slope": float(slope),
+        "rr_stat_trend_intercept": float(intercept),
+        "rr_stat_energy": float(np.sum(x * x)),
+    }
+
+
+def _trimmed_mean(x: np.ndarray, frac: float) -> float:
+    k = int(np.floor(frac * len(x)))
+    s = np.sort(x)
+    trimmed = s[k:len(s) - k] if len(s) > 2 * k else s
+    return float(np.mean(trimmed))
+
+
+def _longest_true_run(mask: np.ndarray) -> int:
+    best = cur = 0
+    for b in mask:
+        cur = cur + 1 if b else 0
+        best = max(best, cur)
+    return best
+
+
+class TestStatisticalMatchesLoopCode:
+    @staticmethod
+    def _assert_same(x):
+        got, want = fr.statistical_features(x), _loop_statistical_features(x)
+        assert list(got) == list(want)
+        # bit-identical, NaN matching NaN
+        np.testing.assert_array_equal(np.array(list(got.values())),
+                                      np.array(list(want.values())))
+
+    def test_random_windows_every_length(self):
+        rng = np.random.default_rng(12)
+        for n in range(2, 120):
+            self._assert_same(rng.normal(0.9, 0.08, n))
+
+    def test_long_and_tied_windows(self):
+        rng = np.random.default_rng(13)
+        for n in (150, 299, 300, 301, 1000):
+            self._assert_same(rng.normal(0.9, 0.08, n))
+            # quantised values: ties in the sort and in the median
+            self._assert_same(np.round(rng.normal(0.9, 0.05, n) * 50) / 50)
+
+    def test_runs_at_the_window_edges(self):
+        for x in ([1.2, 1.1, 0.8, 0.8], [0.8, 0.8, 1.1, 1.2], [1.5, 0.5],
+                  [0.5, 1.5], [1.0] * 7 + [2.0], [2.0] + [1.0] * 7,
+                  [1.0, 2.0, 1.0, 2.0, 2.0, 1.0, 2.0]):
+            self._assert_same(np.array(x))
+
+    def test_degenerate_windows(self):
+        for x in (np.full(2, 0.9), np.full(37, 0.9), np.full(10, 0.1 + 0.2)):
+            self._assert_same(x)
+
+
 class TestNonlinear:
     def test_sd1_sd2_closed_form(self):
         x = np.array([0.8, 1.0, 0.9, 1.1, 1.0])

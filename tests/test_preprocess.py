@@ -5,7 +5,7 @@ import pytest
 from cardiosleep import preprocess, wavelet
 from cardiosleep.errors import (CutoffAboveNyquist, FlatSignal, SignalTooShort,
                                 TooFewPeaks)
-from cardiosleep.types import SignalTrace
+from cardiosleep.types import RrSeries, SignalTrace
 
 
 def _impulse_ecg(rr_s, fs=200.0, pad_s=1.0):
@@ -117,6 +117,177 @@ class TestRrFromPeaks:
         times, values = preprocess.usable_intervals(rr)
         assert np.allclose(values, [1.0, 1.0])
         assert np.allclose(times, [0.1, 1.1])
+
+
+# --- the loop-based detection and gap filling as exact oracles ------------
+
+def _loop_detect_r_peaks(ecg: SignalTrace) -> np.ndarray:
+    """The per-candidate refinement loop of ``detect_r_peaks``, kept verbatim
+    as its oracle.
+
+    Band-pass -> derivative -> squaring -> 150 ms moving-window integration ->
+    adaptive dual threshold with a 300 ms refractory period; each detection is
+    refined to the local maximum of the band-passed signal within +/-50 ms.
+    """
+    fs = ecg.sample_rate_hz
+    if fs < 100:
+        raise ValueError(f"sample rate {fs} Hz too low for QRS detection")
+    x = ecg.samples
+    if len(x) / fs < 10.0:
+        raise SignalTooShort(f"need >= 10 s of ECG, got {len(x) / fs:.1f} s")
+    if np.std(x) < 1e-8 * (1.0 + np.abs(np.mean(x))):
+        raise FlatSignal("ECG variance below detection threshold")
+
+    bp = preprocess._bandpass_qrs(x, fs)
+    # squared np.gradient(bp), built in one array to bound peak memory
+    sq = np.empty_like(bp)
+    np.subtract(bp[2:], bp[:-2], out=sq[1:-1])
+    sq[1:-1] /= 2.0
+    sq[0] = bp[1] - bp[0]
+    sq[-1] = bp[-1] - bp[-2]
+    sq *= sq
+    win = max(1, int(round(0.150 * fs)))
+    integ = np.convolve(sq, np.ones(win) / win, mode="same")
+    del sq
+
+    # candidate local maxima of the integrated signal
+    cand, _ = preprocess.sps.find_peaks(
+        integ, distance=max(1, int(round(preprocess.REFRACTORY_S * fs))))
+    if len(cand) == 0:
+        raise FlatSignal("no candidate peaks in integrated signal")
+
+    lead = integ[: int(2 * fs)] if len(integ) >= int(2 * fs) else integ
+    spki = float(np.max(lead))
+    npki = float(np.mean(lead))
+    refine = max(1, int(round(0.050 * fs)))
+    refr = int(round(preprocess.REFRACTORY_S * fs))
+
+    peaks: list[int] = []
+    for c in cand:
+        thr = npki + 0.25 * (spki - npki)
+        if integ[c] >= thr:
+            lo = max(0, c - refine)
+            hi = min(len(bp), c + refine + 1)
+            r = lo + int(np.argmax(bp[lo:hi]))
+            if not peaks or r - peaks[-1] >= refr:
+                peaks.append(r)
+                spki = 0.125 * integ[c] + 0.875 * spki
+            else:
+                npki = 0.125 * integ[c] + 0.875 * npki
+        else:
+            npki = 0.125 * integ[c] + 0.875 * npki
+
+    if not peaks:
+        raise FlatSignal("adaptive threshold found no QRS complexes")
+    return np.array(peaks, dtype=int)
+
+
+def _loop_rr_from_peaks(peaks: np.ndarray, sample_rate_hz: float) -> RrSeries:
+    """The per-interval gap-filling loop of ``rr_from_peaks``, kept verbatim
+    as its oracle.
+
+    Intervals outside [0.3 s, 2.0 s] are masked invalid; interior runs of at
+    most three invalid intervals are replaced by linear interpolation between
+    the neighboring valid values (mask stays False).
+    """
+    peaks = np.asarray(peaks)
+    if len(peaks) < 2:
+        raise TooFewPeaks(f"need >= 2 peaks, got {len(peaks)}")
+    times = peaks.astype(float) / sample_rate_hz
+    intervals = np.diff(times)
+    valid = (intervals >= preprocess.RR_MIN_S) & (intervals <= preprocess.RR_MAX_S)
+
+    values = intervals.copy()
+    i = 0
+    n = len(values)
+    while i < n:
+        if valid[i]:
+            i += 1
+            continue
+        j = i
+        while j < n and not valid[j]:
+            j += 1
+        run = j - i
+        if run <= preprocess.MAX_INTERP_RUN and i > 0 and j < n:
+            left, right = values[i - 1], values[j]
+            for k in range(run):
+                values[i + k] = left + (right - left) * (k + 1) / (run + 1)
+        i = j
+    return RrSeries(peak_times_s=times, intervals_s=values, valid_mask=valid)
+
+
+def _noisy_impulses(rng, fs=200.0, seconds=60.0):
+    """Unit impulses in low noise, one a sample from each end."""
+    n = int(seconds * fs)
+    idx = np.round(np.cumsum(rng.uniform(0.6, 1.2, int(seconds))) * fs)
+    idx = np.concatenate([[1], idx[idx < n - 0.6 * fs], [n - 2]]).astype(int)
+    x = rng.normal(0, 0.02, n)
+    x[idx] += 1.0
+    return SignalTrace("ECG", fs, x)
+
+
+class TestMatchesLoopCode:
+    def test_detection_on_noisy_trains(self):
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            rr = np.clip(rng.normal(0.9, 0.15, 150), 0.35, 1.8)
+            ecg, _ = _qrs_ecg(rr)
+            noisy = ecg.with_samples(
+                ecg.samples + rng.normal(0, 0.05 + 0.1 * seed, len(ecg.samples)))
+            np.testing.assert_array_equal(preprocess.detect_r_peaks(noisy),
+                                          _loop_detect_r_peaks(noisy))
+
+    def test_refinement_at_both_signal_edges(self, monkeypatch):
+        # the integrator keeps natural candidates away from the ends, so add
+        # candidates whose +/-50 ms refinement window runs past either end
+        find_peaks = preprocess.sps.find_peaks
+
+        def with_edge_candidates(x, **kwargs):
+            cand, props = find_peaks(x, **kwargs)
+            inner = cand[(cand >= 30) & (cand < len(x) - 30)]
+            return np.union1d(inner, [0, 2, len(x) - 3, len(x) - 1]), props
+
+        monkeypatch.setattr(preprocess.sps, "find_peaks", with_edge_candidates)
+        for seed in range(4):
+            ecg = _noisy_impulses(np.random.default_rng(seed))
+            peaks = preprocess.detect_r_peaks(ecg)
+            np.testing.assert_array_equal(peaks, _loop_detect_r_peaks(ecg))
+            refine = round(0.050 * ecg.sample_rate_hz)
+            assert peaks[0] < refine and peaks[-1] >= len(ecg.samples) - refine
+
+    def test_refinement_with_tied_maxima(self, monkeypatch):
+        # coarse levels make the band-passed maximum tie within the window
+        bandpass = preprocess._bandpass_qrs
+
+        def coarse(x, fs):
+            bp = bandpass(x, fs)
+            return np.round(bp * 8 / np.max(bp))
+
+        monkeypatch.setattr(preprocess, "_bandpass_qrs", coarse)
+        ties = 0
+        for seed in range(4):
+            ecg = _noisy_impulses(np.random.default_rng(seed))
+            peaks = preprocess.detect_r_peaks(ecg)
+            np.testing.assert_array_equal(peaks, _loop_detect_r_peaks(ecg))
+            bp = preprocess._bandpass_qrs(ecg.samples, ecg.sample_rate_hz)
+            ties += sum(np.count_nonzero(bp[max(0, r - 10):r + 11] == bp[r]) > 1
+                        for r in peaks)
+        assert ties > 0
+
+    def test_gap_filling_on_random_masks(self):
+        rng = np.random.default_rng(5)
+        for n in list(range(2, 40)) * 20 + [500] * 10:
+            # out-of-range intervals at a random rate, so invalid runs of
+            # every length occur, at both ends of the mask too
+            bad = rng.random(n - 1) < rng.uniform(0.1, 0.8)
+            iv = np.where(bad, rng.choice([0.1, 2.5], n - 1),
+                          rng.uniform(0.4, 1.6, n - 1))
+            peaks = np.round(np.concatenate([[0.0], np.cumsum(iv)]) * 256)
+            got = preprocess.rr_from_peaks(peaks, 256.0)
+            want = _loop_rr_from_peaks(peaks, 256.0)
+            for field in ("peak_times_s", "intervals_s", "valid_mask"):
+                np.testing.assert_array_equal(getattr(got, field),
+                                              getattr(want, field))
 
 
 class TestButterworth:
