@@ -290,6 +290,78 @@ class TestMatchesLoopCode:
                                               getattr(want, field))
 
 
+# --- the a-trous cascade of the wavelet baseline as its oracle -----------
+
+_DB4_G = wavelet._DB4_G
+
+
+def _cascade_smooth_level(x: np.ndarray, dilation: int) -> np.ndarray:
+    """One a-trous smoothing pass with the dilated zero-phase kernel."""
+    taps = len(_DB4_G)
+    center = (taps // 2) * dilation
+    pad = center
+    ext = np.pad(x, pad, mode="symmetric")
+    out = np.zeros_like(x)
+    for k, g in enumerate(_DB4_G):
+        shift = k * dilation - center
+        start = pad + shift
+        out += g * ext[start:start + len(x)]
+    return out
+
+
+def _cascade_approximation(x: np.ndarray, depth: int) -> np.ndarray:
+    """The level-by-level a-trous cascade of ``wavelet.approximation``, kept
+    verbatim as its oracle: each level smooths the previous one with the
+    kernel dilated by 2**j and extended symmetrically on its own."""
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    a = np.asarray(x, dtype=float)
+    for j in range(depth):
+        a = _cascade_smooth_level(a, 2 ** j)
+    return a
+
+
+def _belt(rng, fs: float, seconds: float) -> np.ndarray:
+    """Breathing at ~0.25 Hz on a wandering offset, plus noise."""
+    t = np.arange(int(round(fs * seconds))) / fs
+    return (np.sin(2 * np.pi * 0.25 * t + rng.uniform(0, 2 * np.pi))
+            + 1.5 * np.sin(2 * np.pi * 0.003 * t + rng.uniform(0, 2 * np.pi))
+            + rng.uniform(-2, 2) + 0.1 * rng.normal(size=len(t)))
+
+
+class TestApproximationMatchesCascade:
+    """``approximation`` against the cascade, within 1e-14 of the trace's
+    peak, edges included."""
+
+    @staticmethod
+    def _check(x: np.ndarray, depth: int) -> None:
+        got = wavelet.approximation(x, depth)
+        want = _cascade_approximation(x, depth)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(x))
+
+    # at 60 s every rate from 25 Hz up gives a trace shorter than the
+    # kernel's half-length, so the boundary extension reflects more than once
+    @pytest.mark.parametrize("seconds", [60.0, 600.0])
+    @pytest.mark.parametrize("fs", [10.0, 25.0, 32.0, 100.0, 128.0, 200.0, 256.0])
+    def test_breathing_traces(self, fs, seconds):
+        x = _belt(np.random.default_rng(int(fs + seconds)), fs, seconds)
+        self._check(x, wavelet.baseline_depth(fs))
+
+    def test_night_belt(self):
+        fs = 25.0
+        x = _belt(np.random.default_rng(960), fs, 960 * 30.0)
+        self._check(x, wavelet.baseline_depth(fs))
+
+    @pytest.mark.parametrize("depth", [1, 2, 5])
+    def test_shallow_depths(self, depth):
+        self._check(_belt(np.random.default_rng(depth), 25.0, 60.0), depth)
+
+    def test_depth_below_one_rejected(self):
+        with pytest.raises(ValueError):
+            wavelet.approximation(np.zeros(100), 0)
+
+
 class TestButterworth:
     def _gain(self, freq, fs=25.0, cutoff=1.0, seconds=120.0):
         t = np.arange(int(fs * seconds)) / fs
