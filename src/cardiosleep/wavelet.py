@@ -11,10 +11,21 @@ time-reversed pass, giving an exactly zero-phase smoother whose frequency
 response is |H|^2 in [0, 1]; with the raw asymmetric filter, accumulated
 phase rotation across levels makes the residual x - baseline overshoot in
 the transition band.
+
+Every level is linear and its kernel is symmetric, so the cascade of depth d
+is one FIR filter: the 15-tap kernel with its taps 2^j apart, convolved over
+j < d, which has 14 * (2^d - 1) + 1 taps (3,571 at depth 8, the 25 Hz
+depth). It is applied once to a signal extended once. That equals extending
+and smoothing level by level because a symmetric kernel commutes with
+half-sample symmetric extension: smoothing the symmetric extension of x
+gives the symmetric extension of the smoothed x. A trace shorter than the
+kernel's half-length is reflected more than once, as the deep levels of the
+cascade reflect it.
 """
 from __future__ import annotations
 
 import numpy as np
+from scipy import signal as sps
 
 # Daubechies-4 scaling coefficients h0..h7, normalized to unit DC gain so a
 # constant signal is reproduced exactly at every level.
@@ -28,28 +39,17 @@ _DB4_H = _DB4_H / _DB4_H.sum()
 _DB4_G = np.convolve(_DB4_H, _DB4_H[::-1])
 
 
-def _smooth_level(x: np.ndarray, dilation: int) -> np.ndarray:
-    """One a-trous smoothing pass with the dilated zero-phase kernel."""
-    taps = len(_DB4_G)
-    center = (taps // 2) * dilation
-    pad = center
-    ext = np.pad(x, pad, mode="symmetric")
-    out = np.zeros_like(x)
-    for k, g in enumerate(_DB4_G):
-        shift = k * dilation - center
-        start = pad + shift
-        out += g * ext[start:start + len(x)]
-    return out
-
-
 def approximation(x: np.ndarray, depth: int) -> np.ndarray:
     """Deepest-level approximation (baseline) of a 1-D signal."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    a = np.asarray(x, dtype=float)
-    for j in range(depth):
-        a = _smooth_level(a, 2 ** j)
-    return a
+    g = _DB4_G
+    for j in range(1, depth):
+        dilated = np.zeros((len(_DB4_G) - 1) * 2 ** j + 1)
+        dilated[:: 2 ** j] = _DB4_G
+        g = sps.convolve(g, dilated)
+    ext = np.pad(np.asarray(x, dtype=float), len(g) // 2, mode="symmetric")
+    return sps.oaconvolve(ext, g, mode="valid")
 
 
 def baseline_depth(sample_rate_hz: float, corner_hz: float = 0.1) -> int:
