@@ -50,6 +50,22 @@ class TestDetectRPeaks:
         hits = sum(np.min(np.abs(peaks - t)) <= 0.040 for t in truth)
         assert hits / len(truth) >= 0.99
 
+    @pytest.mark.parametrize("fs", [200.0, 250.0])
+    @pytest.mark.parametrize("at_end", [False, True], ids=["start", "end"])
+    @pytest.mark.parametrize("offset", range(13))
+    def test_beat_at_either_end_kept_within_20_ms(self, offset, at_end, fs):
+        # beats every 0.8 s, and one `offset` samples from the first or the
+        # last sample with no other beat within 0.4 s of it
+        n = int(60 * fs)
+        edge = n - 1 - offset if at_end else offset
+        beats = np.arange(int(0.5 * fs), n - int(0.5 * fs), int(0.8 * fs))
+        beats = np.sort(np.append(beats[np.abs(beats - edge) > 0.4 * fs], edge))
+        x = np.zeros(n)
+        x[beats] = 1.0
+        peaks = preprocess.detect_r_peaks(SignalTrace("ECG", fs, x))
+        assert len(peaks) == len(beats)
+        assert np.max(np.abs(peaks - beats)) <= 0.020 * fs
+
     def test_flat_signal_rejected(self):
         with pytest.raises(FlatSignal):
             preprocess.detect_r_peaks(SignalTrace("ECG", 200.0, np.ones(4000)))
@@ -122,12 +138,14 @@ class TestRrFromPeaks:
 # --- the loop-based detection and gap filling as exact oracles ------------
 
 def _loop_detect_r_peaks(ecg: SignalTrace) -> np.ndarray:
-    """The per-candidate refinement loop of ``detect_r_peaks``, kept verbatim
-    as its oracle.
+    """The per-candidate refinement loop of ``detect_r_peaks``, kept as its
+    oracle.
 
     Band-pass -> derivative -> squaring -> 150 ms moving-window integration ->
     adaptive dual threshold with a 300 ms refractory period; each detection is
-    refined to the local maximum of the band-passed signal within +/-50 ms.
+    refined to the local maximum of the band-passed signal within +/-50 ms,
+    a window that runs on to the end of the record when it comes within half
+    the integration window of it.
     """
     fs = ecg.sample_rate_hz
     if fs < 100:
@@ -160,14 +178,15 @@ def _loop_detect_r_peaks(ecg: SignalTrace) -> np.ndarray:
     spki = float(np.max(lead))
     npki = float(np.mean(lead))
     refine = max(1, int(round(0.050 * fs)))
+    reach = refine + win // 2
     refr = int(round(preprocess.REFRACTORY_S * fs))
 
     peaks: list[int] = []
     for c in cand:
         thr = npki + 0.25 * (spki - npki)
         if integ[c] >= thr:
-            lo = max(0, c - refine)
-            hi = min(len(bp), c + refine + 1)
+            lo = 0 if c < reach else c - refine
+            hi = len(bp) if c >= len(bp) - reach else c + refine + 1
             r = lo + int(np.argmax(bp[lo:hi]))
             if not peaks or r - peaks[-1] >= refr:
                 peaks.append(r)
