@@ -9,6 +9,7 @@ import argparse
 import hashlib
 import json
 import sys
+import zipfile
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -16,8 +17,8 @@ import numpy as np
 
 from . import blstm, cohort, evaluate, pipeline, registry, signal_io, synth
 from .config import PipelineConfig, load_config
-from .errors import (CardiosleepError, ConfigError, NonFiniteInput,
-                     NonFiniteLoss)
+from .errors import (CardiosleepError, ConfigError, MalformedHeader,
+                     NonFiniteInput, NonFiniteLoss)
 from .types import ProcessedSubject, RrSeries, SignalTrace, SubjectRecord
 
 EXIT_OK = 0
@@ -125,14 +126,18 @@ def cmd_preprocess(args, cfg: PipelineConfig) -> int:
 
 
 def _load_processed(path: Path) -> ProcessedSubject:
-    with np.load(path, allow_pickle=False) as d:
-        rr = RrSeries(d["rr_peak_times"], d["rr_intervals"], d["rr_valid"])
-        chest = SignalTrace("THOR RES", float(d["chest_rate"]), d["chest"])
-        abd = (SignalTrace("ABDO RES", float(d["abd_rate"]), d["abd"])
-               if "abd" in d.files else None)
-        hyp = None
-        if "stages" in d.files:
-            hyp = signal_io.read_hypnogram("\n".join(str(s) for s in d["stages"]))
+    try:
+        with np.load(path, allow_pickle=False) as d:
+            rr = RrSeries(d["rr_peak_times"], d["rr_intervals"], d["rr_valid"])
+            chest = SignalTrace("THOR RES", float(d["chest_rate"]), d["chest"])
+            abd = (SignalTrace("ABDO RES", float(d["abd_rate"]), d["abd"])
+                   if "abd" in d.files else None)
+            hyp = None
+            if "stages" in d.files:
+                hyp = signal_io.read_hypnogram(
+                    "\n".join(str(s) for s in d["stages"]))
+    except (ValueError, EOFError, zipfile.BadZipFile) as e:
+        raise MalformedHeader(f"{path}: not a readable npz archive ({e})") from e
     return ProcessedSubject(subject_id=path.stem, rr=rr, breath_chest=chest,
                             breath_abdomen=abd, hypnogram=hyp)
 

@@ -239,11 +239,14 @@ def read_feature_matrix(source: Union[str, Path],
         if header[:-1] != manifest.names or header[-1] != "stage":
             raise ManifestMismatch(f"{path}: column names differ from the manifest")
         values, stages = [], []
-        for line in f:
+        for lineno, line in enumerate(f, start=2):
             parts = line.rstrip("\n").split(",")
             if len(parts) != len(header):
                 raise ManifestMismatch(f"{path}: row has {len(parts)} fields")
-            values.append([float(v) for v in parts[:-1]])
+            try:
+                values.append([float(v) for v in parts[:-1]])
+            except ValueError as e:
+                raise UnknownToken(f"{path}: line {lineno}: {e}") from e
             stages.append(parts[-1])
     vals = (np.array(values, dtype=float) if values
             else np.empty((0, len(manifest))))

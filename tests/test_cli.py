@@ -203,6 +203,32 @@ class TestExitCodes:
         assert cli.main(["preprocess", "--meta", str(tmp_path / "meta.jsonl"),
                          "--out", str(tmp_path)]) == 3
 
+    def test_corrupt_preprocessed_file_is_three(self, tmp_path, capsys):
+        pre = tmp_path / "preprocessed"
+        pre.mkdir()
+        (pre / "bad.npz").write_bytes(b"garbage")
+        assert cli.main(["extract", "--preprocessed", str(pre),
+                         "--out", str(tmp_path)]) == 3
+        assert "bad.npz" in capsys.readouterr().err
+
+    def test_non_numeric_feature_cell_is_three(self, pipeline_dir, tmp_path,
+                                               capsys):
+        out = pipeline_dir
+        features = tmp_path / "features"
+        features.mkdir()
+        for src in (out / "features").glob("*.csv"):
+            (features / src.name).write_text(src.read_text())
+        sid = json.loads((out / "split.json").read_text())["train"][0]
+        lines = (features / f"{sid}.csv").read_text().splitlines()
+        lines[3] = ",".join(["abc"] + lines[3].split(",")[1:])
+        (features / f"{sid}.csv").write_text("\n".join(lines) + "\n")
+        code = cli.main(["--config", str(out / "config.yaml"), "train",
+                         "--features", str(features),
+                         "--split", str(out / "split.json"),
+                         "--out", str(tmp_path)])
+        assert code == 3
+        assert f"{sid}.csv" in capsys.readouterr().err
+
     def test_short_hypnogram_is_three(self, pipeline_dir, tmp_path):
         src = sorted((pipeline_dir / "preprocessed").glob("*.npz"))[0]
         with np.load(src, allow_pickle=False) as d:
