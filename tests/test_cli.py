@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cardiosleep import blstm, cli, signal_io
+from cardiosleep import blstm, cli, registry, signal_io
 from cardiosleep.types import SignalTrace
 
 CONFIG = """
@@ -149,6 +149,36 @@ class TestWorkers:
         assert hashes[1] == hashes[2]
         assert len(features[1]) == 2
         assert features[1] == features[2]
+
+
+class TestTwoChannelProfile:
+    def test_abdomen_belt_runs_through_every_stage(self, tmp_path):
+        out = tmp_path
+        cfg = out / "config.yaml"
+        cfg.write_text("train:\n  max_epochs: 2\n")
+        base = ["--config", str(cfg), "--profile", "two-channel"]
+        features, split = str(out / "features"), str(out / "split.json")
+        for step in (
+                ["synth", "--out", str(out), "--subjects", "4", "--epochs", "40"],
+                ["preprocess", "--meta", str(out / "subjects.jsonl"),
+                 "--out", str(out)],
+                ["extract", "--preprocessed", str(out / "preprocessed"),
+                 "--out", str(out)],
+                ["cohort", "--meta", str(out / "subjects.jsonl"), "--out", str(out)],
+                ["split", "--ids", str(out / "cohort_ids.json"), "--out", str(out)],
+                ["train", "--features", features, "--split", split,
+                 "--out", str(out)],
+                ["evaluate", "--features", features, "--split", split,
+                 "--model", str(out / "model.npz"), "--norm", str(out / "norm.npz"),
+                 "--out", str(out)]):
+            assert cli.main(base + step) == 0, step[0]
+        names = registry.build_manifest("two-channel").names
+        csvs = sorted((out / "features").glob("*.csv"))
+        assert len(csvs) == 4
+        for path in csvs:
+            header = path.read_text().splitlines()[0].split(",")
+            assert header == names + ["stage"]
+            assert sum(n.startswith("br_abd_") for n in header) == 25
 
 
 class TestExitCodes:
