@@ -16,16 +16,14 @@ MAX_INTERP_RUN = 3
 
 
 def _bandpass_qrs(x: np.ndarray, fs: float) -> np.ndarray:
-    """Zero-phase 5-15 Hz band-pass emphasizing the QRS complex.
-
-    Each end is extended by the median of its last 150 ms, the level the ECG
-    rests at between beats. A mirror image would put a copy of a beat within
-    a few samples of an end next to the beat, where it adds to or cancels it.
-    """
+    """Zero-phase 5-15 Hz band-pass emphasizing the QRS complex. Each end is
+    extended by 150 ms at the median of its last 150 ms, the ECG's level
+    between beats: a mirror image would double or cancel a beat a few samples
+    from the end, and a shorter extension leaves the filter ringing there."""
     hi = min(15.0, 0.45 * fs)
     sos = sps.butter(2, [5.0, hi], btype="bandpass", fs=fs, output="sos")
-    pad = 3 * (2 * len(sos) + 1)  # sosfiltfilt's default extension
-    ext = np.pad(x, pad, mode="median", stat_length=max(1, int(round(0.150 * fs))))
+    pad = int(round(0.150 * fs))
+    ext = np.pad(x, pad, mode="median", stat_length=pad)
     return sps.sosfiltfilt(sos, ext, padtype=None)[pad:-pad]
 
 
@@ -34,9 +32,8 @@ def detect_r_peaks(ecg: SignalTrace) -> np.ndarray:
 
     Band-pass -> derivative -> squaring -> 150 ms moving-window integration ->
     adaptive dual threshold with a 300 ms refractory period; each detection is
-    refined to the local maximum of the band-passed signal within +/-50 ms,
-    a window that runs on to the end of the record when it comes within half
-    the integration window of it.
+    refined to the local maximum of the band-passed signal within +/-50 ms, or
+    on to the record's end from within half an integration window of it.
     """
     fs = ecg.sample_rate_hz
     if fs < 100:
@@ -75,9 +72,8 @@ def detect_r_peaks(ecg: SignalTrace) -> np.ndarray:
     # the first maximum is the one the unclipped window would give
     near = np.clip(cand[:, None] + np.arange(-refine, refine + 1), 0, len(bp) - 1)
     refined = near[np.arange(len(cand)), np.argmax(bp[near], axis=1)]
-    # the integrator sees only zeros past either end, which pulls the
-    # candidate of a beat there up to half its window inward, so a window
-    # that comes that close to an end runs on to the end
+    # zeros past either end pull an end beat's integrator candidate up to
+    # half the window inward, so a window that close runs on to the end
     reach = refine + win // 2
     for i in np.flatnonzero((cand < reach) | (cand >= len(bp) - reach)).tolist():
         lo = 0 if cand[i] < reach else cand[i] - refine
