@@ -134,8 +134,7 @@ def _load_processed(path: Path) -> ProcessedSubject:
                    if "abd" in d.files else None)
             hyp = None
             if "stages" in d.files:
-                hyp = signal_io.read_hypnogram(
-                    "\n".join(str(s) for s in d["stages"]))
+                hyp = signal_io.read_hypnogram("\n".join(str(s) for s in d["stages"]))
     except (ValueError, EOFError, zipfile.BadZipFile) as e:
         raise MalformedHeader(f"{path}: not a readable npz archive ({e})") from e
     return ProcessedSubject(subject_id=path.stem, rr=rr, breath_chest=chest,

@@ -1,9 +1,8 @@
 """Minimal Daubechies-4 multilevel baseline estimation.
 
-Uses the shift-invariant (a trous / stationary) form of the decomposition:
-the level-j approximation is obtained by convolving with the scaling filter
-dilated by 2^j, with symmetric boundary extension. Only the approximation
-branch is needed here, so detail coefficients are never materialized.
+The baseline is the approximation branch of the shift-invariant (a trous)
+decomposition: level j convolves with the scaling filter dilated by 2^j under
+symmetric boundary extension, and detail coefficients are never materialized.
 
 Each level applies the autocorrelation of the scaling filter rather than the
 filter itself. That is equivalent to a forward pass followed by a
@@ -12,15 +11,12 @@ response is |H|^2 in [0, 1]; with the raw asymmetric filter, accumulated
 phase rotation across levels makes the residual x - baseline overshoot in
 the transition band.
 
-Every level is linear and its kernel is symmetric, so the cascade of depth d
-is one FIR filter: the 15-tap kernel with its taps 2^j apart, convolved over
-j < d, which has 14 * (2^d - 1) + 1 taps (3,571 at depth 8, the 25 Hz
-depth). It is applied once to a signal extended once. That equals extending
-and smoothing level by level because a symmetric kernel commutes with
-half-sample symmetric extension: smoothing the symmetric extension of x
-gives the symmetric extension of the smoothed x. A trace shorter than the
-kernel's half-length is reflected more than once, as the deep levels of the
-cascade reflect it.
+The levels are linear and their kernels symmetric, so depth d is one FIR
+filter, the dilated kernels convolved over j < d: 14 * (2^d - 1) + 1 taps
+(3,571 at depth 8, for 25 Hz), applied once to the signal extended once. That
+equals the level-by-level cascade because a symmetric kernel commutes with
+half-sample symmetric extension. A trace shorter than the kernel's half-length
+is reflected more than once.
 """
 from __future__ import annotations
 
