@@ -359,8 +359,8 @@ class TestApproximationMatchesCascade:
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(x))
 
-    # at 60 s every rate from 25 Hz up gives a trace shorter than the
-    # kernel's half-length, so the boundary extension reflects more than once
+    # at 60 s every trace is shorter than the kernel's half-length, so the
+    # boundary extension reflects more than once
     @pytest.mark.parametrize("seconds", [60.0, 600.0])
     @pytest.mark.parametrize("fs", [10.0, 25.0, 32.0, 100.0, 128.0, 200.0, 256.0])
     def test_breathing_traces(self, fs, seconds):
