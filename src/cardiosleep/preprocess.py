@@ -13,6 +13,7 @@ RR_MIN_S = 0.3
 RR_MAX_S = 2.0
 REFRACTORY_S = 0.3
 MAX_INTERP_RUN = 3
+_BLOCK = 1 << 16  # samples per block of the QRS integrator
 
 
 def _bandpass_qrs(x: np.ndarray, fs: float) -> np.ndarray:
@@ -24,7 +25,13 @@ def _bandpass_qrs(x: np.ndarray, fs: float) -> np.ndarray:
     sos = sps.butter(2, [5.0, hi], btype="bandpass", fs=fs, output="sos")
     pad = int(round(0.150 * fs))
     ext = np.pad(x, pad, mode="median", stat_length=pad)
-    return sps.sosfiltfilt(sos, ext, padtype=None)[pad:-pad]
+    # sosfiltfilt(padtype=None) with the extension freed before the backward
+    # pass, which then holds two record-length arrays rather than three
+    zi = sps.sosfilt_zi(sos)
+    y = sps.sosfilt(sos, ext, zi=zi * ext[0])[0]
+    del ext
+    y = sps.sosfilt(sos, y[::-1], zi=zi * y[-1])[0]
+    return y[::-1][pad:-pad]
 
 
 def detect_r_peaks(ecg: SignalTrace) -> np.ndarray:
@@ -45,16 +52,15 @@ def detect_r_peaks(ecg: SignalTrace) -> np.ndarray:
         raise FlatSignal("ECG variance below detection threshold")
 
     bp = _bandpass_qrs(x, fs)
-    # squared np.gradient(bp), built in one array to bound peak memory
-    sq = np.empty_like(bp)
-    np.subtract(bp[2:], bp[:-2], out=sq[1:-1])
-    sq[1:-1] /= 2.0
-    sq[0] = bp[1] - bp[0]
-    sq[-1] = bp[-1] - bp[-2]
-    sq *= sq
+    # moving-window integral of the squared np.gradient(bp), taken in blocks
+    # with a window of margin, so no record-length square is ever held
     win = max(1, int(round(0.150 * fs)))
-    integ = np.convolve(sq, np.ones(win) / win, mode="same")
-    del sq
+    box = np.ones(win) / win
+    integ = np.empty_like(bp)
+    for a in range(0, len(bp), _BLOCK):
+        lo = max(0, a - win)
+        sq = np.gradient(bp[lo:a + _BLOCK + win]) ** 2
+        integ[a:a + _BLOCK] = np.convolve(sq, box, mode="same")[a - lo:a - lo + _BLOCK]
 
     # candidate local maxima of the integrated signal
     cand, _ = sps.find_peaks(integ, distance=max(1, int(round(REFRACTORY_S * fs))))
