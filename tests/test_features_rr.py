@@ -6,14 +6,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cardiosleep import features_rr as fr
-from cardiosleep.epoching import resolve_window
+from cardiosleep import pipeline, synth
+from cardiosleep.epoching import EPOCH_S, resolve_window
 from cardiosleep.errors import InsufficientData, MissingCenter, NoValidEpochs
+from cardiosleep.preprocess import usable_intervals
+
+
+def _one(fn, x) -> dict:
+    """A whole-night family's entries for the single window x."""
+    return fn(np.asarray(x, dtype=float))
 
 
 class TestHrvTime:
     def test_closed_form_small_series(self):
         x = np.array([0.8, 1.0, 0.9, 1.1])
-        out = fr.hrv_time_features(x)
+        out = _one(fr.hrv_time_features, x)
         d = np.array([0.2, -0.1, 0.2])
         assert out["rr_mean_nn"] == pytest.approx(0.95)
         assert out["rr_sdnn"] == pytest.approx(np.std(x))
@@ -27,7 +34,7 @@ class TestHrvTime:
         assert out["hr_sd"] == pytest.approx(np.std(60.0 / x))
 
     def test_constant_series(self):
-        out = fr.hrv_time_features(np.full(10, 1.0))
+        out = _one(fr.hrv_time_features, np.full(10, 1.0))
         assert out["rr_sdnn"] == 0.0
         assert out["rr_rmssd"] == 0.0
         assert out["rr_pnn50"] == 0.0
@@ -39,7 +46,7 @@ class TestHrvTime:
 
     def test_pnn_threshold_strictly_greater(self):
         # a 40 ms difference counts for pNN20 but not pNN50
-        out = fr.hrv_time_features(np.array([1.0, 1.04]))
+        out = _one(fr.hrv_time_features, np.array([1.0, 1.04]))
         assert out["rr_pnn50"] == 0.0
         assert out["rr_pnn20"] == 1.0
 
@@ -47,11 +54,11 @@ class TestHrvTime:
 class TestStatistical:
     def test_names_count(self):
         assert len(fr.STAT_NAMES) == 34
-        out = fr.statistical_features(np.array([0.8, 0.9, 1.0, 1.1]))
+        out = _one(fr.statistical_features, np.array([0.8, 0.9, 1.0, 1.1]))
         assert set(out) == set(fr.STAT_NAMES)
 
     def test_quantile_linear_interpolation(self):
-        out = fr.statistical_features(np.array([0.6, 0.8, 1.0]))
+        out = _one(fr.statistical_features, np.array([0.6, 0.8, 1.0]))
         assert out["rr_stat_q25"] == pytest.approx(0.7)
         assert out["rr_stat_q75"] == pytest.approx(0.9)
         assert out["rr_stat_iqr"] == pytest.approx(0.2)
@@ -59,7 +66,7 @@ class TestStatistical:
 
     def test_moments_population_convention(self):
         x = np.array([1.0, 2.0, 3.0, 4.0])
-        out = fr.statistical_features(x)
+        out = _one(fr.statistical_features, x)
         assert out["rr_stat_var"] == pytest.approx(1.25)
         assert out["rr_stat_sd"] == pytest.approx(np.sqrt(1.25))
         assert out["rr_stat_skew"] == pytest.approx(0.0, abs=1e-12)
@@ -69,20 +76,20 @@ class TestStatistical:
 
     def test_ramp_trend(self):
         x = 0.5 + 0.2 * np.arange(100) / 99
-        out = fr.statistical_features(x)
+        out = _one(fr.statistical_features, x)
         assert out["rr_stat_trend_slope"] == pytest.approx(0.2 / 99)
         assert out["rr_stat_trend_intercept"] == pytest.approx(0.5)
         assert out["rr_stat_halves_diff"] == pytest.approx(0.1 * 100 / 99)
 
     def test_acf_of_alternating_sequence(self):
         x = np.array([1.0, -1.0] * 20)
-        out = fr.statistical_features(x)
+        out = _one(fr.statistical_features, x)
         assert out["rr_stat_acf1"] == pytest.approx(-39 / 40)
         assert out["rr_stat_acf2"] == pytest.approx(38 / 40)
 
     def test_successive_and_runs(self):
         x = np.array([1.0, 1.2, 1.1, 1.5, 1.4])
-        out = fr.statistical_features(x)
+        out = _one(fr.statistical_features, x)
         d = np.diff(x)
         assert out["rr_stat_succ_mean_abs"] == pytest.approx(np.mean(np.abs(d)))
         assert out["rr_stat_succ_max"] == pytest.approx(0.4)
@@ -91,17 +98,218 @@ class TestStatistical:
 
     def test_trimmed_means(self):
         x = np.concatenate([[0.0, 100.0], np.full(18, 1.0)])
-        out = fr.statistical_features(x)
+        out = _one(fr.statistical_features, x)
         # 10% trim drops two from each tail: both outliers go
         assert out["rr_stat_trim10"] == pytest.approx(1.0)
         assert out["rr_stat_mad"] == pytest.approx(0.0)
 
     def test_constant_window_degenerate_entries_nan(self):
-        out = fr.statistical_features(np.full(20, 0.9))
+        out = _one(fr.statistical_features, np.full(20, 0.9))
         assert math.isnan(out["rr_stat_skew"])
         assert math.isnan(out["rr_stat_kurt"])
         assert math.isnan(out["rr_stat_acf1"])
         assert out["rr_stat_sd"] == 0.0
+
+
+# --- the per-window families as oracles of the whole-night ones ----------
+
+def _window_hrv_time_features(values: np.ndarray) -> dict:
+    """The 10 standard time-domain HRV measures, RR values in seconds."""
+    x = np.asarray(values, dtype=float)
+    if len(x) < 2:
+        raise InsufficientData(f"need >= 2 intervals, got {len(x)}")
+    d = np.diff(x)
+    ad = np.abs(d)
+    hr = 60.0 / x
+    nn50 = int(np.sum(ad > 0.050))
+    return {
+        "rr_mean_nn": float(np.mean(x)),
+        "rr_sdnn": float(np.std(x)),
+        "rr_rmssd": float(np.sqrt(np.mean(d * d))),
+        "rr_sdsd": float(np.std(d)),
+        "rr_pnn50": nn50 / len(d),
+        "rr_pnn20": float(np.sum(ad > 0.020)) / len(d),
+        "rr_nn50_count": float(nn50),
+        "rr_median_nn": float(np.median(x)),
+        "hr_mean": float(np.mean(hr)),
+        "hr_sd": float(np.std(hr)),
+    }
+
+
+def _window_statistical_features(values: np.ndarray) -> dict:
+    """The 34 conventional statistics of an RR window."""
+    x = np.asarray(values, dtype=float)
+    n = len(x)
+    if n < 2:
+        raise InsufficientData(f"need >= 2 intervals, got {n}")
+    s = np.sort(x)
+    mean = float(np.mean(x))
+    sd = float(np.std(x))
+    var = sd * sd
+    median = float(np.median(s))
+    q05, q10, q25, q75, q90, q95 = (
+        float(v) for v in np.quantile(s, [0.05, 0.10, 0.25, 0.75, 0.90, 0.95]))
+    d = np.diff(x)
+    centered = x - mean
+    above = x > mean
+    # starts and ends of the runs above the mean alternate among the edges
+    edges = np.flatnonzero(np.diff(above, prepend=False, append=False))
+    # roundoff in the mean of a constant window can leave var a hair above
+    # zero; treat such windows as degenerate
+    degenerate = sd <= 1e-12 * max(1.0, abs(mean))
+    if degenerate:
+        sd = var = 0.0
+
+    if n >= 4 and not degenerate:
+        m3 = float(np.mean(centered ** 3))
+        m4 = float(np.mean(centered ** 4))
+        skew = m3 / sd ** 3
+        kurt = m4 / var ** 2 - 3.0  # excess
+    else:
+        skew = kurt = np.nan
+
+    def acf(k: int) -> float:
+        if n <= k or degenerate:
+            return np.nan
+        return float(np.sum(centered[:-k] * centered[k:]) / np.sum(centered ** 2))
+
+    # least-squares trend against interval index
+    t = np.arange(n, dtype=float)
+    slope, intercept = np.polyfit(t, x, 1)
+
+    half = n // 2
+    return {
+        "rr_stat_mean": mean,
+        "rr_stat_sd": sd,
+        "rr_stat_var": var,
+        "rr_stat_min": float(s[0]),
+        "rr_stat_max": float(s[-1]),
+        "rr_stat_range": float(s[-1] - s[0]),
+        "rr_stat_median": median,
+        "rr_stat_q05": q05, "rr_stat_q10": q10, "rr_stat_q25": q25,
+        "rr_stat_q75": q75, "rr_stat_q90": q90, "rr_stat_q95": q95,
+        "rr_stat_iqr": q75 - q25,
+        "rr_stat_skew": skew,
+        "rr_stat_kurt": kurt,
+        "rr_stat_mad": float(np.median(np.abs(s - median))),
+        "rr_stat_cv": sd / mean if mean != 0 else np.nan,
+        # k = n // 10 and n // 4 are floor(0.10 n) and floor(0.25 n), and
+        # 2k < n always
+        "rr_stat_trim10": float(np.mean(s[n // 10:n - n // 10])),
+        "rr_stat_trim25": float(np.mean(s[n // 4:n - n // 4])),
+        "rr_stat_halves_diff": float(np.mean(x[half:]) - np.mean(x[:half])),
+        "rr_stat_acf1": acf(1), "rr_stat_acf2": acf(2), "rr_stat_acf3": acf(3),
+        "rr_stat_acf4": acf(4), "rr_stat_acf5": acf(5),
+        "rr_stat_succ_mean_abs": float(np.mean(np.abs(d))),
+        "rr_stat_succ_sd": float(np.std(d)),
+        "rr_stat_succ_max": float(np.max(np.abs(d))),
+        "rr_stat_count_above_mean": float(np.sum(above)),
+        "rr_stat_longest_run_above": float(np.max(edges[1::2] - edges[::2],
+                                                  initial=0)),
+        "rr_stat_trend_slope": float(slope),
+        "rr_stat_trend_intercept": float(intercept),
+        "rr_stat_energy": float(np.sum(x * x)),
+    }
+
+
+def _window_columns(fn, values, lo, hi) -> dict:
+    """A per-window family's columns over windows values[lo:hi], one row per
+    window, NaN where the window has too few intervals."""
+    rows = []
+    for a, b in zip(lo, hi):
+        try:
+            rows.append(fn(values[a:b]))
+        except InsufficientData:
+            rows.append(None)
+    keys = next(r for r in rows if r is not None)
+    return {k: np.array([np.nan if r is None else r[k] for r in rows])
+            for k in keys}
+
+
+def _night_columns(fn, values, lo, hi) -> dict:
+    """A whole-night family's columns over the windows values[lo:hi]."""
+    return _window_columns(fn, values, lo, hi)
+
+
+def _concat(windows):
+    """One series holding the windows back to back, and their bounds."""
+    lengths = np.array([len(x) for x in windows], dtype=int)
+    hi = np.cumsum(lengths)
+    return (np.concatenate([np.asarray(x, dtype=float) for x in windows]),
+            hi - lengths, hi)
+
+
+def _assert_matches(fn, oracle, values, lo, hi):
+    """``fn`` over the windows equals ``oracle`` window by window: rtol 1e-12
+    plus atol 1e-12 times the column's largest magnitude, NaN where the
+    oracle has NaN."""
+    got = _night_columns(fn, values, lo, hi)
+    want = _window_columns(oracle, values, lo, hi)
+    assert list(got) == list(want)
+    for k, w in want.items():
+        g = np.asarray(got[k])
+        assert g.shape == w.shape, k
+        nan = np.isnan(w)
+        assert np.array_equal(np.isnan(g), nan), k
+        scale = np.max(np.abs(w[~nan]), initial=0.0)
+        np.testing.assert_allclose(g[~nan], w[~nan], rtol=1e-12,
+                                   atol=1e-12 * scale, err_msg=k)
+
+
+LENGTHS = [*range(121), 150, 299, 300, 301, 1000]
+
+FAMILIES = [(fr.hrv_time_features, _window_hrv_time_features),
+            (fr.statistical_features, _window_statistical_features)]
+
+
+@pytest.fixture(scope="module")
+def night_960():
+    """The usable RR intervals of a preprocessed 960-epoch synthetic night."""
+    record = synth.generate_subject(seed=1000, profile=synth.easy_profile(),
+                                    n_epochs=960)
+    return usable_intervals(pipeline.preprocess_subject(record).rr)
+
+
+@pytest.mark.parametrize("fn, oracle", FAMILIES,
+                         ids=["hrv_time", "statistical"])
+class TestWholeNightMatchesWindowOracle:
+    def test_random_windows_every_length(self, fn, oracle):
+        rng = np.random.default_rng(12)
+        _assert_matches(fn, oracle, *_concat(
+            [rng.normal(0.9, 0.08, n) for n in LENGTHS]))
+
+    def test_tied_and_quantised_windows(self, fn, oracle):
+        rng = np.random.default_rng(13)
+        windows = [np.round(rng.normal(0.9, 0.05, n) * 50) / 50 for n in LENGTHS]
+        windows += [np.repeat([0.8, 0.9, 1.0], k) for k in (1, 2, 5, 40)]
+        _assert_matches(fn, oracle, *_concat(windows))
+
+    def test_degenerate_empty_and_one_interval_rows(self, fn, oracle):
+        rng = np.random.default_rng(14)
+        windows = [np.full(10, 0.1 + 0.2), rng.normal(0.9, 0.08, 30), [],
+                   np.full(2, 0.9), [0.9], np.full(37, 0.9),
+                   rng.normal(0.9, 0.08, 5), [], [1.1]]
+        values, lo, hi = _concat(windows)
+        _assert_matches(fn, oracle, values, lo, hi)
+        got = _night_columns(fn, values, lo, hi)
+        short = hi - lo < 2
+        assert all(np.isnan(col[short]).all() for col in got.values())
+
+    def test_overlapping_random_bounds(self, fn, oracle):
+        rng = np.random.default_rng(15)
+        values = rng.normal(0.9, 0.08, 2000)
+        lo = rng.integers(0, 2000, 300)
+        hi = np.minimum(lo + rng.integers(0, 400, 300), 2000)
+        _assert_matches(fn, oracle, values, lo, hi)
+
+    @pytest.mark.parametrize("width", [1, 9])
+    def test_windows_of_a_960_epoch_night(self, fn, oracle, width, night_960):
+        times, values = night_960
+        spans = np.array([resolve_window(960, c, width) for c in range(960)])
+        lo, hi = np.searchsorted(times, (spans[:, 0] * EPOCH_S,
+                                         (spans[:, 1] + 1) * EPOCH_S))
+        assert width == 1 or np.all(lo[1:] < hi[:-1])  # the windows overlap
+        _assert_matches(fn, oracle, values, lo, hi)
 
 
 # --- the loop-based statistics as an exact oracle --------------------------
