@@ -5,6 +5,17 @@ Four families: 10 time-domain HRV measures, 34 conventional statistics,
 middle epoch of a multi-epoch window against the whole window. Plus 21
 frequency-domain features on the 4 Hz resampled RR series.
 
+The HRV time-domain and statistics families evaluate a whole night at once.
+``hrv_time_features(values, lo, hi)`` and ``statistical_features(values, lo,
+hi)`` take the night's usable RR values and the index bounds ``[lo, hi)`` of
+each window (windows may overlap), and return key -> column, one row per
+window. A window of fewer than 2 intervals gets a NaN row. The windows are
+padded to the longest one and processed in row blocks of at most
+``BLOCK_VALUES`` values. Against the window-by-window definitions, kept as
+oracles in the tests, every entry agrees within rtol 1e-12 plus 1e-12 times
+its column's largest magnitude, with the same NaN entries; the counts and
+runs above the mean agree exactly. The other families take one window.
+
 Entries that are undefined on a given window (zero-variance moments, too few
 beats) come back as NaN and are masked as missing downstream.
 """
@@ -53,107 +64,203 @@ HF_BAND = (0.15, 0.4)
 RESAMPLE_HZ = 4.0
 
 
+# --- whole-night evaluation ----------------------------------------------
+
+# A row block of the whole-night evaluators holds at most this many padded
+# values, so its temporaries stay a few MB however many windows a night has.
+BLOCK_VALUES = 65_536
+
+_EPS = np.finfo(float).eps
+
+
+def _whole_night(kernel, names: list, values, lo, hi) -> dict:
+    """``kernel``'s columns over the windows ``values[lo:hi]``, one row per
+    window; NaN rows for windows of fewer than 2 intervals.
+
+    The kernel sees row blocks of the windows with at least 2 intervals,
+    each with as many rows as fit ``BLOCK_VALUES`` at the night's longest
+    window.
+    """
+    values = np.asarray(values, dtype=float)
+    lo, hi = np.asarray(lo, dtype=int), np.asarray(hi, dtype=int)
+    n = hi - lo
+    out = {k: np.full(len(n), np.nan) for k in names}
+    rows = np.flatnonzero(n >= 2)
+    step = max(1, BLOCK_VALUES // max(int(n.max(initial=0)), 1))
+    # padded cells and degenerate rows may divide by zero before being masked
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for start in range(0, len(rows), step):
+            r = rows[start:start + step]
+            for k, col in kernel(values, lo[r], n[r]).items():
+                out[k][r] = col
+    return out
+
+
+def _padded(values: np.ndarray, lo: np.ndarray, n: np.ndarray):
+    """The windows ``values[lo:lo + n]`` as the rows of a zero-padded block,
+    the mask of the cells that hold values, and the column index."""
+    j = np.arange(n.max())
+    mask = j < n[:, None]
+    X = np.where(mask, values[np.where(mask, lo[:, None] + j, 0)], 0.0)
+    return X, mask, j
+
+
+def _moments(X: np.ndarray, mask: np.ndarray, count: np.ndarray):
+    """Each row's mean and population SD over the masked cells, and the
+    deviations from the mean, zero outside the mask."""
+    mean = np.sum(np.where(mask, X, 0.0), axis=1) / count
+    C = np.where(mask, X - mean[:, None], 0.0)
+    return mean, np.sqrt(np.sum(C * C, axis=1) / count), C
+
+
+def _diffs(X: np.ndarray, mask: np.ndarray):
+    """Successive differences of each row and the mask of the real ones."""
+    return X[:, 1:] - X[:, :-1], mask[:, 1:]
+
+
+def _at(S: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """Each row's entry at its own position."""
+    return S[np.arange(len(S)), pos]
+
+
+def _median(S: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """The median of each row's first n entries, rows sorted."""
+    return (_at(S, (n - 1) // 2) + _at(S, n // 2)) / 2
+
+
+def _quantile(S: np.ndarray, n: np.ndarray, q: float) -> np.ndarray:
+    """NumPy's default quantile (Hyndman & Fan type 7) of each row's first n
+    entries, rows sorted, with NumPy's interpolation."""
+    virtual = (n - 1) * q
+    below = np.floor(virtual).astype(int)
+    a, b = _at(S, below), _at(S, np.minimum(below + 1, n - 1))
+    g = virtual - below
+    return np.where(g >= 0.5, b - (b - a) * (1 - g), a + (b - a) * g)
+
+
+def _sorted_rows(X: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Each row sorted, its padding (+inf) last."""
+    return np.sort(np.where(mask, X, np.inf), axis=1)
+
+
 # --- time-domain HRV ------------------------------------------------------
 
-def hrv_time_features(values: np.ndarray) -> dict:
-    """The 10 standard time-domain HRV measures, RR values in seconds."""
-    x = np.asarray(values, dtype=float)
-    if len(x) < 2:
-        raise InsufficientData(f"need >= 2 intervals, got {len(x)}")
-    d = np.diff(x)
-    ad = np.abs(d)
-    hr = 60.0 / x
-    nn50 = int(np.sum(ad > 0.050))
+def _hrv_time_rows(values, lo, n) -> dict:
+    X, mask, _ = _padded(values, lo, n)
+    D, dmask = _diffs(X, mask)
+    AD = np.where(dmask, np.abs(D), 0.0)
+    m = n - 1
+    mean, sd, _ = _moments(X, mask, n)
+    _, sd_d, _ = _moments(D, dmask, m)
+    hr_mean, hr_sd, _ = _moments(60.0 / X, mask, n)
+    nn50 = np.count_nonzero(AD > 0.050, axis=1)
     return {
-        "rr_mean_nn": float(np.mean(x)),
-        "rr_sdnn": float(np.std(x)),
-        "rr_rmssd": float(np.sqrt(np.mean(d * d))),
-        "rr_sdsd": float(np.std(d)),
-        "rr_pnn50": nn50 / len(d),
-        "rr_pnn20": float(np.sum(ad > 0.020)) / len(d),
-        "rr_nn50_count": float(nn50),
-        "rr_median_nn": float(np.median(x)),
-        "hr_mean": float(np.mean(hr)),
-        "hr_sd": float(np.std(hr)),
+        "rr_mean_nn": mean,
+        "rr_sdnn": sd,
+        "rr_rmssd": np.sqrt(np.sum(AD * AD, axis=1) / m),
+        "rr_sdsd": sd_d,
+        "rr_pnn50": nn50 / m,
+        "rr_pnn20": np.count_nonzero(AD > 0.020, axis=1) / m,
+        "rr_nn50_count": nn50.astype(float),
+        "rr_median_nn": _median(_sorted_rows(X, mask), n),
+        "hr_mean": hr_mean,
+        "hr_sd": hr_sd,
     }
+
+
+def hrv_time_features(values: np.ndarray, lo, hi) -> dict:
+    """The 10 standard time-domain HRV measures of each window
+    ``values[lo:hi]``, RR values in seconds: key -> column."""
+    return _whole_night(_hrv_time_rows, HRV_TIME_NAMES, values, lo, hi)
 
 
 # --- conventional statistics ---------------------------------------------
 
-def statistical_features(values: np.ndarray) -> dict:
-    """The 34 conventional statistics of an RR window."""
-    x = np.asarray(values, dtype=float)
-    n = len(x)
-    if n < 2:
-        raise InsufficientData(f"need >= 2 intervals, got {n}")
-    s = np.sort(x)
-    mean = float(np.mean(x))
-    sd = float(np.std(x))
-    var = sd * sd
-    median = float(np.median(s))
-    q05, q10, q25, q75, q90, q95 = (
-        float(v) for v in np.quantile(s, [0.05, 0.10, 0.25, 0.75, 0.90, 0.95]))
-    d = np.diff(x)
-    centered = x - mean
-    above = x > mean
-    # starts and ends of the runs above the mean alternate among the edges
-    edges = np.flatnonzero(np.diff(above, prepend=False, append=False))
+def _statistical_rows(values, lo, n) -> dict:
+    X, mask, j = _padded(values, lo, n)
+    S = _sorted_rows(X, mask)
+    mean, sd, C = _moments(X, mask, n)
     # roundoff in the mean of a constant window can leave var a hair above
     # zero; treat such windows as degenerate
-    degenerate = sd <= 1e-12 * max(1.0, abs(mean))
-    if degenerate:
-        sd = var = 0.0
+    degenerate = sd <= 1e-12 * np.maximum(1.0, np.abs(mean))
+    sd[degenerate] = 0.0
+    var = sd * sd
+    C2 = C * C
+    moments = (n >= 4) & ~degenerate
+    skew = np.where(moments, np.sum(C2 * C, axis=1) / n / sd ** 3, np.nan)
+    kurt = np.where(moments, np.sum(C2 * C2, axis=1) / n / var ** 2 - 3.0,
+                    np.nan)  # excess
+    ss = np.sum(C2, axis=1)
 
-    if n >= 4 and not degenerate:
-        m3 = float(np.mean(centered ** 3))
-        m4 = float(np.mean(centered ** 4))
-        skew = m3 / sd ** 3
-        kurt = m4 / var ** 2 - 3.0  # excess
-    else:
-        skew = kurt = np.nan
+    def acf(k: int) -> np.ndarray:
+        lagged = np.sum(C[:, :-k] * C[:, k:], axis=1)
+        return np.where((n > k) & ~degenerate, lagged / ss, np.nan)
 
-    def acf(k: int) -> float:
-        if n <= k or degenerate:
-            return np.nan
-        return float(np.sum(centered[:-k] * centered[k:]) / np.sum(centered ** 2))
+    median = _median(S, n)
+    q05, q10, q25, q75, q90, q95 = (
+        _quantile(S, n, q) for q in (0.05, 0.10, 0.25, 0.75, 0.90, 0.95))
 
-    # least-squares trend against interval index
-    t = np.arange(n, dtype=float)
-    slope, intercept = np.polyfit(t, x, 1)
+    def trimmed_mean(k: np.ndarray) -> np.ndarray:
+        # k = floor(frac * n), and 2k < n always
+        kept = (j >= k[:, None]) & (j < (n - k)[:, None])
+        return np.sum(np.where(kept, S, 0.0), axis=1) / (n - 2 * k)
 
+    D, dmask = _diffs(X, mask)
+    AD = np.where(dmask, np.abs(D), 0.0)
+    _, sd_d, _ = _moments(D, dmask, n - 1)
     half = n // 2
+    first = np.sum(np.where(j < half[:, None], X, 0.0), axis=1)
+    # a value within roundoff of its window's mean lies above it or not as
+    # the mean's last bits fall, so those windows (constant ones among them)
+    # compare against the mean as np.mean rounds it
+    bar = mean.copy()
+    near = np.abs(X - mean[:, None]) <= 2 * _EPS * np.sum(np.abs(X), axis=1)[:, None]
+    for r in np.flatnonzero(np.any(mask & near, axis=1)):
+        bar[r] = np.mean(values[lo[r]:lo[r] + n[r]])
+    above = mask & (X > bar[:, None])
+    # a run above the mean ends at j, and started after its last cell not
+    # above the mean
+    last_not_above = np.maximum.accumulate(np.where(above, -1, j), axis=1)
+    # least-squares trend against interval index
+    t_mid = (n - 1) / 2
+    slope = (np.sum((j - t_mid[:, None]) * C, axis=1)
+             / (n * (n * n - 1) / 12))
     return {
         "rr_stat_mean": mean,
         "rr_stat_sd": sd,
         "rr_stat_var": var,
-        "rr_stat_min": float(s[0]),
-        "rr_stat_max": float(s[-1]),
-        "rr_stat_range": float(s[-1] - s[0]),
+        "rr_stat_min": S[:, 0],
+        "rr_stat_max": _at(S, n - 1),
+        "rr_stat_range": _at(S, n - 1) - S[:, 0],
         "rr_stat_median": median,
         "rr_stat_q05": q05, "rr_stat_q10": q10, "rr_stat_q25": q25,
         "rr_stat_q75": q75, "rr_stat_q90": q90, "rr_stat_q95": q95,
         "rr_stat_iqr": q75 - q25,
         "rr_stat_skew": skew,
         "rr_stat_kurt": kurt,
-        "rr_stat_mad": float(np.median(np.abs(s - median))),
-        "rr_stat_cv": sd / mean if mean != 0 else np.nan,
-        # k = n // 10 and n // 4 are floor(0.10 n) and floor(0.25 n), and
-        # 2k < n always
-        "rr_stat_trim10": float(np.mean(s[n // 10:n - n // 10])),
-        "rr_stat_trim25": float(np.mean(s[n // 4:n - n // 4])),
-        "rr_stat_halves_diff": float(np.mean(x[half:]) - np.mean(x[:half])),
+        "rr_stat_mad": _median(np.sort(np.abs(S - median[:, None]), axis=1), n),
+        "rr_stat_cv": np.where(mean != 0, sd / mean, np.nan),
+        "rr_stat_trim10": trimmed_mean(n // 10),
+        "rr_stat_trim25": trimmed_mean(n // 4),
+        "rr_stat_halves_diff": ((np.sum(X, axis=1) - first) / (n - half)
+                                - first / half),
         "rr_stat_acf1": acf(1), "rr_stat_acf2": acf(2), "rr_stat_acf3": acf(3),
         "rr_stat_acf4": acf(4), "rr_stat_acf5": acf(5),
-        "rr_stat_succ_mean_abs": float(np.mean(np.abs(d))),
-        "rr_stat_succ_sd": float(np.std(d)),
-        "rr_stat_succ_max": float(np.max(np.abs(d))),
-        "rr_stat_count_above_mean": float(np.sum(above)),
-        "rr_stat_longest_run_above": float(np.max(edges[1::2] - edges[::2],
-                                                  initial=0)),
-        "rr_stat_trend_slope": float(slope),
-        "rr_stat_trend_intercept": float(intercept),
-        "rr_stat_energy": float(np.sum(x * x)),
+        "rr_stat_succ_mean_abs": np.sum(AD, axis=1) / (n - 1),
+        "rr_stat_succ_sd": sd_d,
+        "rr_stat_succ_max": np.max(AD, axis=1),
+        "rr_stat_count_above_mean": np.count_nonzero(above, axis=1).astype(float),
+        "rr_stat_longest_run_above": np.max(j - last_not_above, axis=1).astype(float),
+        "rr_stat_trend_slope": slope,
+        "rr_stat_trend_intercept": mean - slope * t_mid,
+        "rr_stat_energy": np.sum(X * X, axis=1),
     }
+
+
+def statistical_features(values: np.ndarray, lo, hi) -> dict:
+    """The 34 conventional statistics of each window ``values[lo:hi]``:
+    key -> column."""
+    return _whole_night(_statistical_rows, STAT_NAMES, values, lo, hi)
 
 
 # --- nonlinear ------------------------------------------------------------

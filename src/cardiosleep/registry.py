@@ -8,9 +8,17 @@ Feature accounting (single-breathing-channel profile, the default):
     = 152.
 The two-channel profile swaps 25 of those re-evaluations for the abdomen
 breathing set: 104 + 25 + 23 = 152.
+
+Assembly groups the manifest's entries by family and window width and makes
+one evaluator call per group. ``_FAMILIES[family](night, width)`` returns a
+column per key, one row per epoch, NaN where the entry is missing. The HRV
+time-domain and statistics families compute every window of a width in that
+call. The others run window by window through ``_per_window``: a window whose
+extractor raises one of the family's typed errors leaves its entries missing.
 """
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Optional
 
@@ -173,29 +181,60 @@ class _Window:
         return trace.samples[lo:hi]
 
 
-def _windows(n_epochs: int, times: np.ndarray, values: np.ndarray, n: int
-             ) -> list[_Window]:
-    """Every epoch's window of width n, indexed by centre epoch."""
-    out = []
-    for center in range(n_epochs):
-        first, last = resolve_window(n_epochs, center, n)
-        t0, t1 = first * EPOCH_S, (last + 1) * EPOCH_S
-        lo, hi = np.searchsorted(times, (t0, t1), side="left")
-        out.append(_Window(center, n, first, last, t0, t1,
-                           times[lo:hi], values[lo:hi]))
-    return out
+def _spans(n_epochs: int, times: np.ndarray, n: int
+           ) -> tuple[np.ndarray, np.ndarray]:
+    """Every centre epoch's window of width n: its epochs ``(first, last)``
+    and the index bounds ``[lo, hi)`` of the RR intervals starting inside
+    it, one row per centre."""
+    spans = np.array([resolve_window(n_epochs, c, n) for c in range(n_epochs)],
+                     dtype=int).reshape(n_epochs, 2)
+    edges = np.column_stack([spans[:, 0], spans[:, 1] + 1]) * EPOCH_S
+    return spans, np.searchsorted(times, edges, side="left")
+
+
+def _windows(n: int, spans: np.ndarray, bounds: np.ndarray, times: np.ndarray,
+             values: np.ndarray) -> list[_Window]:
+    """The window records of width n from ``_spans``, indexed by centre."""
+    return [_Window(c, n, first, last, first * EPOCH_S, (last + 1) * EPOCH_S,
+                    times[lo:hi], values[lo:hi])
+            for c, ((first, last), (lo, hi))
+            in enumerate(zip(spans.tolist(), bounds.tolist()))]
 
 
 class _Night:
     """One subject on its epoch grid, with its windows built once per width:
-    what the family evaluators read."""
+    what the family evaluators read. ``rr_bounds[n]`` holds the RR index
+    bounds ``(lo, hi)`` of every width-n window, ``windows[n]`` their
+    records."""
 
     def __init__(self, subject: ProcessedSubject, n_epochs: int, widths):
         self.subject = subject
-        times, values = usable_intervals(subject.rr)
+        self.n_epochs = n_epochs
+        times, self.rr_values = usable_intervals(subject.rr)
         self.epoch_means, self.epoch_counts = _rr_epoch_means(
-            times, values, n_epochs)
-        self.windows = {n: _windows(n_epochs, times, values, n) for n in widths}
+            times, self.rr_values, n_epochs)
+        self.rr_bounds, self.windows = {}, {}
+        for n in widths:
+            spans, bounds = _spans(n_epochs, times, n)
+            self.rr_bounds[n] = tuple(bounds.T)
+            self.windows[n] = _windows(n, spans, bounds, times, self.rr_values)
+
+
+def _per_window(extract, errors):
+    """A whole-night evaluator from a family evaluated window by window:
+    ``extract(night, window)`` returns the window's key -> value dict or
+    raises one of ``errors``, which leaves the window's entries missing."""
+    def evaluate(night: _Night, n: int) -> dict:
+        cols = defaultdict(lambda: np.full(night.n_epochs, np.nan))
+        for w in night.windows[n]:
+            try:
+                feats = extract(night, w)
+            except errors:
+                continue
+            for k, v in feats.items():
+                cols[k][w.center] = v
+        return cols
+    return evaluate
 
 
 def _breath(trace: SignalTrace, w: _Window) -> dict:
@@ -209,32 +248,35 @@ def _cpc(night: _Night, w: _Window) -> dict:
     return features_resp.cpc_band_features(spec)
 
 
-# manifest key or, failing that, source -> (the family's dict for one window,
-# errors that leave the family's entries missing).  Extractors are looked up
-# on their modules at call time so that wrappers installed on those
-# attributes see every call.
+# manifest key or, failing that, source -> evaluator(night, width): a
+# column per key, one row per epoch, NaN where the entry is missing.
+# Extractors are looked up on their modules at call time so that wrappers
+# installed on those attributes see every call.
 _FAMILIES = {
-    "rr_time": (lambda night, w: features_rr.hrv_time_features(w.rr_values),
-                InsufficientData),
-    "rr_stat": (lambda night, w: features_rr.statistical_features(w.rr_values),
-                InsufficientData),
-    "rr_nonlinear": (lambda night, w: features_rr.nonlinear_features(w.rr_values),
-                     InsufficientData),
-    "rr_freq": (lambda night, w: features_rr.rr_freq_features(
+    "rr_time": lambda night, n: features_rr.hrv_time_features(
+        night.rr_values, *night.rr_bounds[n]),
+    "rr_stat": lambda night, n: features_rr.statistical_features(
+        night.rr_values, *night.rr_bounds[n]),
+    "rr_nonlinear": _per_window(
+        lambda night, w: features_rr.nonlinear_features(w.rr_values),
+        InsufficientData),
+    "rr_freq": _per_window(lambda night, w: features_rr.rr_freq_features(
         w.rr_times, w.rr_values, w.t0, w.t1), InsufficientData),
     # the sudden-variation features (source rr_novel) differ in width and error
-    "rr_f1": (lambda night, w: {"rr_f1": features_rr.novel_f1(
+    "rr_f1": _per_window(lambda night, w: {"rr_f1": features_rr.novel_f1(
         night.epoch_means, night.epoch_counts, w.center, w.n)}, MissingCenter),
-    "rr_f2": (lambda night, w: {"rr_f2": features_rr.novel_f2(
+    "rr_f2": _per_window(lambda night, w: {"rr_f2": features_rr.novel_f2(
         night.epoch_means, night.epoch_counts, w.rr_values, w.center)},
-              MissingCenter),
-    "rr_f3": (lambda night, w: {"rr_f3": features_rr.novel_f3(
+                         MissingCenter),
+    "rr_f3": _per_window(lambda night, w: {"rr_f3": features_rr.novel_f3(
         night.epoch_means, night.epoch_counts, w.center, w.n)}, NoValidEpochs),
-    "breath_chest": (lambda night, w: _breath(night.subject.breath_chest, w),
-                     NoBreathsDetected),
-    "breath_abdomen": (lambda night, w: _breath(night.subject.breath_abdomen, w),
-                       NoBreathsDetected),
-    "cpc": (_cpc, (InsufficientData, ZeroTotal, LengthMismatch)),
+    "breath_chest": _per_window(
+        lambda night, w: _breath(night.subject.breath_chest, w),
+        NoBreathsDetected),
+    "breath_abdomen": _per_window(
+        lambda night, w: _breath(night.subject.breath_abdomen, w),
+        NoBreathsDetected),
+    "cpc": _per_window(_cpc, (InsufficientData, ZeroTotal, LengthMismatch)),
 }
 
 
@@ -244,9 +286,9 @@ def assemble_feature_matrix(subject: ProcessedSubject,
 
     Entries sharing a family (their key's own ``_FAMILIES`` row if it has
     one, else their source's) and a window width are computed by one
-    evaluator call per epoch over exactly that width. A hypnogram shorter
-    than the epoch grid is a ``LengthMismatch``; a longer one is cut to the
-    grid.
+    evaluator call over every epoch's window of exactly that width. A
+    hypnogram shorter than the epoch grid is a ``LengthMismatch``; a longer
+    one is cut to the grid.
     """
     if manifest is None:
         manifest = build_manifest("single")
@@ -277,14 +319,9 @@ def assemble_feature_matrix(subject: ProcessedSubject,
 
     mat = np.full((n_ep, len(manifest)), np.nan)
     for (family, n), cols in groups.items():
-        evaluate, errors = _FAMILIES[family]
-        keys = [manifest.entries[j].key for j in cols]
-        for w in night.windows[n]:
-            try:
-                feats = evaluate(night, w)
-            except errors:
-                continue
-            mat[w.center, cols] = [feats[k] for k in keys]
+        feats = _FAMILIES[family](night, n)
+        for j in cols:
+            mat[:, j] = feats[manifest.entries[j].key]
 
     missing = ~np.isfinite(mat)
     if missing.mean() > MAX_MISSING_FRAC:

@@ -15,8 +15,11 @@ from cardiosleep.pipeline import preprocess_subject
 from cardiosleep.registry import (FeatureMatrix, NormStats,
                                   apply_normalization, assemble_feature_matrix,
                                   build_manifest, fit_normalization, manifest_hash)
+from cardiosleep.preprocess import usable_intervals
 from cardiosleep.types import (FourStage, Hypnogram, ProcessedSubject,
-                              SignalTrace, SixStage)
+                              RrSeries, SignalTrace, SixStage)
+from test_features_rr import (_window_columns, _window_hrv_time_features,
+                              _window_statistical_features)
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -83,10 +86,14 @@ class TestWindows:
     def test_trace_samples_follow_window_bounds(self):
         trace = SignalTrace("B", 25.0, np.arange(25 * 120, dtype=float))
         empty = np.array([])
-        seg = registry._windows(4, empty, empty, 1)[1].samples(trace)
+
+        def window(n):
+            spans, bounds = registry._spans(4, empty, n)
+            return registry._windows(n, spans, bounds, empty, empty)[1]
+        seg = window(1).samples(trace)
         assert len(seg) == 750
         assert seg[0] == 750  # first sample at t = 30 s
-        seg_all = registry._windows(4, empty, empty, 9)[1].samples(trace)
+        seg_all = window(9).samples(trace)
         assert len(seg_all) == 25 * 120  # shrunk to the whole recording
 
     def test_one_window_per_epoch_and_width(self, processed_subject,
@@ -197,6 +204,57 @@ class TestAssembly:
         n = again.n_epochs
         assert calls == {"novel_f1": n, "novel_f2": n, "novel_f3": n}
         assert np.array_equal(again.values, feature_matrix.values)
+
+    def test_each_whole_night_family_runs_once_per_width(
+            self, processed_subject, single_manifest, feature_matrix,
+            monkeypatch):
+        calls = {}
+        for name in ("hrv_time_features", "statistical_features"):
+            def counted(values, lo, hi, _fn=getattr(features_rr, name),
+                        _name=name):
+                calls.setdefault(_name, []).append(len(lo))
+                return _fn(values, lo, hi)
+            monkeypatch.setattr(features_rr, name, counted)
+        again = assemble_feature_matrix(processed_subject, single_manifest)
+        widths = {e.window_n for e in single_manifest.entries
+                  if e.source == "rr_stat"}
+        assert widths == {1, 9}
+        n = again.n_epochs
+        assert calls == {"hrv_time_features": [n] * len(widths),
+                         "statistical_features": [n] * len(widths)}
+        assert np.array_equal(again.values, feature_matrix.values)
+
+    def test_short_windows_miss_the_oracle_cells(self, processed_subject,
+                                                 single_manifest):
+        """Epochs 10-20 lose every usable interval, so their width-1 windows
+        and the width-9 window around epoch 15 are empty; epochs 25 and 27
+        keep one and three intervals. The statistics and HRV time columns
+        are missing exactly where the per-window oracles give NaN."""
+        rr = processed_subject.rr
+        starts = rr.peak_times_s[:-1]
+        epoch = np.floor(starts / EPOCH_S).astype(int)
+        gone = (epoch >= 10) & (epoch <= 20)
+        for e, keep in ((25, 1), (27, 3)):
+            gone |= (epoch == e) & (np.cumsum(epoch == e) > keep)
+        # out of range and rejected, so not even interpolated values are kept
+        holed = dataclasses.replace(processed_subject, rr=RrSeries(
+            rr.peak_times_s, np.where(gone, 5.0, rr.intervals_s),
+            rr.valid_mask & ~gone))
+        matrix = assemble_feature_matrix(holed, single_manifest)
+        times, values = usable_intervals(holed.rr)
+        for n in (1, 9):
+            _, bounds = registry._spans(matrix.n_epochs, times, n)
+            lo, hi = bounds.T
+            assert hi[15] == lo[15]
+            if n == 1:
+                assert (hi - lo)[[25, 27]].tolist() == [1, 3]
+            for oracle, source in ((_window_hrv_time_features, "rr_time"),
+                                   (_window_statistical_features, "rr_stat")):
+                want = _window_columns(oracle, values, lo, hi)
+                for j, e in enumerate(single_manifest.entries):
+                    if e.source == source and e.window_n == n:
+                        assert np.array_equal(matrix.missing_mask[:, j],
+                                              np.isnan(want[e.key])), e.name
 
     def test_empty_interior_epoch_misses_only_center_features(
             self, processed_subject, single_manifest):
