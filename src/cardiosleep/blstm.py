@@ -28,6 +28,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.special import expit
 
+from . import signal_io
 from .errors import (EmptyDataset, ManifestMismatch, NonFiniteInput,
                      NonFiniteLoss, ShapeMismatch)
 from .types import Hypnogram, four_hypnogram_from_indices
@@ -483,7 +484,7 @@ def save_checkpoint(params: BlstmParams, path, manifest_hash: str,
 
 def load_checkpoint(path, expected_manifest_hash: Optional[str] = None
                     ) -> tuple[BlstmParams, dict]:
-    with np.load(Path(path), allow_pickle=False) as data:
+    with signal_io.open_npz(path) as data:
         meta = json.loads(str(data["__meta"]))
         if meta.get("version") != CHECKPOINT_VERSION:
             raise ManifestMismatch(f"unsupported checkpoint version {meta.get('version')}")

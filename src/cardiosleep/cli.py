@@ -9,7 +9,6 @@ import argparse
 import hashlib
 import json
 import sys
-import zipfile
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -17,8 +16,8 @@ import numpy as np
 
 from . import blstm, cohort, evaluate, pipeline, registry, signal_io, synth
 from .config import PipelineConfig, load_config
-from .errors import (CardiosleepError, ConfigError, MalformedHeader,
-                     NonFiniteInput, NonFiniteLoss)
+from .errors import (CardiosleepError, ConfigError, NonFiniteInput,
+                     NonFiniteLoss)
 from .types import ProcessedSubject, RrSeries, SignalTrace, SubjectRecord
 
 EXIT_OK = 0
@@ -126,17 +125,14 @@ def cmd_preprocess(args, cfg: PipelineConfig) -> int:
 
 
 def _load_processed(path: Path) -> ProcessedSubject:
-    try:
-        with np.load(path, allow_pickle=False) as d:
-            rr = RrSeries(d["rr_peak_times"], d["rr_intervals"], d["rr_valid"])
-            chest = SignalTrace("THOR RES", float(d["chest_rate"]), d["chest"])
-            abd = (SignalTrace("ABDO RES", float(d["abd_rate"]), d["abd"])
-                   if "abd" in d.files else None)
-            hyp = None
-            if "stages" in d.files:
-                hyp = signal_io.read_hypnogram("\n".join(str(s) for s in d["stages"]))
-    except (ValueError, EOFError, zipfile.BadZipFile) as e:
-        raise MalformedHeader(f"{path}: not a readable npz archive ({e})") from e
+    with signal_io.open_npz(path) as d:
+        rr = RrSeries(d["rr_peak_times"], d["rr_intervals"], d["rr_valid"])
+        chest = SignalTrace("THOR RES", float(d["chest_rate"]), d["chest"])
+        abd = (SignalTrace("ABDO RES", float(d["abd_rate"]), d["abd"])
+               if "abd" in d.files else None)
+        hyp = None
+        if "stages" in d.files:
+            hyp = signal_io.read_hypnogram("\n".join(str(s) for s in d["stages"]))
     return ProcessedSubject(subject_id=path.stem, rr=rr, breath_chest=chest,
                             breath_abdomen=abd, hypnogram=hyp)
 
@@ -214,7 +210,7 @@ def _save_norm(stats: registry.NormStats, path: Path) -> None:
 
 
 def _load_norm(path: Path, manifest) -> registry.NormStats:
-    with np.load(path, allow_pickle=False) as d:
+    with signal_io.open_npz(path) as d:
         if str(d["manifest_hash"]) != registry.manifest_hash(manifest):
             raise CardiosleepError("normalization stats built for a different manifest")
         return registry.NormStats(manifest=manifest, mean=d["mean"], sd=d["sd"],

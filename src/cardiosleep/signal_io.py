@@ -1,4 +1,5 @@
-"""File formats: minimal EDF, hypnogram text, feature-matrix CSV, metadata lines.
+"""File formats: minimal EDF, hypnogram text, feature-matrix CSV, metadata
+lines, and the npz archives the pipeline stages write.
 
 EDF support covers the plain 1992 layout only (no EDF+ annotations): a
 256-byte fixed-width ASCII header, 256 header bytes per signal, then data
@@ -7,6 +8,8 @@ records of 16-bit little-endian samples.
 from __future__ import annotations
 
 import json
+import zipfile
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -278,3 +281,17 @@ def read_subject_metadata(text: str) -> list[dict]:
 
 def write_subject_metadata(records: Sequence[dict]) -> str:
     return "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
+
+
+# --- npz archives ---------------------------------------------------------
+
+@contextmanager
+def open_npz(path: Union[str, Path]):
+    """The npz archive at ``path``, open for reading without pickles. A file
+    that is not one, or whose members cannot be read, raises
+    ``MalformedHeader`` naming the file."""
+    try:
+        with np.load(Path(path), allow_pickle=False) as archive:
+            yield archive
+    except (ValueError, EOFError, zipfile.BadZipFile) as e:
+        raise MalformedHeader(f"{path}: not a readable npz archive ({e})") from e

@@ -241,6 +241,21 @@ class TestExitCodes:
                          "--out", str(tmp_path)]) == 3
         assert "bad.npz" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("corrupt", ["model.npz", "norm.npz"])
+    def test_corrupt_model_or_norm_is_three(self, pipeline_dir, tmp_path,
+                                            capsys, corrupt):
+        out = pipeline_dir
+        files = {name: out / name for name in ("model.npz", "norm.npz")}
+        files[corrupt] = tmp_path / corrupt
+        files[corrupt].write_bytes(b"garbage")  # 7 bytes, not a zip archive
+        code = cli.main(["--config", str(out / "config.yaml"), "predict",
+                         "--features", str(out / "features"),
+                         "--model", str(files["model.npz"]),
+                         "--norm", str(files["norm.npz"]),
+                         "--out", str(tmp_path)])
+        assert code == 3
+        assert str(files[corrupt]) in capsys.readouterr().err
+
     def test_non_numeric_feature_cell_is_three(self, pipeline_dir, tmp_path,
                                                capsys):
         out = pipeline_dir
