@@ -16,6 +16,9 @@ weight 0: padded states never reach a valid step and every gradient at a
 padded step is exactly 0, so neither recurrence needs a mask. One sequence
 is a batch of one. Work that does not depend on the previous hidden state
 (input projection, weight gradients) is done outside the time loop.
+Prediction (``forward_batch``) runs consecutive sequences in batches of at
+most ``BATCH_STEPS`` padded steps, so its memory does not grow with the
+number of nights.
 """
 from __future__ import annotations
 
@@ -34,6 +37,11 @@ from .errors import (EmptyDataset, ManifestMismatch, NonFiniteInput,
 from .types import Hypnogram, four_hypnogram_from_indices
 
 CHECKPOINT_VERSION = 1
+
+# A prediction pass holds its gate and hidden-state arrays, about 1.3 KB per
+# padded time step and sequence for each layer, so forward_batch runs
+# consecutive sequences in groups whose padded T_max * B stays within this.
+BATCH_STEPS = 8192
 
 
 @dataclass
@@ -232,13 +240,31 @@ def _forward_full(params: BlstmParams, inputs: list, lengths: np.ndarray,
     return probs, out, layer_caches
 
 
+def _groups(lengths: np.ndarray):
+    """Consecutive index ranges ``[a, b)`` of the sequences whose padded
+    size, longest length times count, stays within ``BATCH_STEPS``; a longer
+    sequence is a group alone."""
+    start = longest = 0
+    for k, L in enumerate(lengths.tolist()):
+        longest = max(longest, L)
+        if k > start and longest * (k + 1 - start) > BATCH_STEPS:
+            yield start, k
+            start, longest = k, L
+    if len(lengths):
+        yield start, len(lengths)
+
+
 def forward_batch(params: BlstmParams, sequences: Sequence[np.ndarray]
                   ) -> list[np.ndarray]:
     """Per-epoch class probabilities of each (T_k, input_dim) sequence, shape
-    (T_k, classes), from one pass over the whole batch."""
+    (T_k, classes), from one pass per group of consecutive sequences (see
+    ``BATCH_STEPS``)."""
     inputs, lengths = _check(params, sequences)
-    probs, _, _ = _forward_full(params, inputs, lengths)
-    return [probs[:L, k] for k, L in enumerate(lengths)]
+    out = []
+    for a, b in _groups(lengths):
+        probs, _, _ = _forward_full(params, inputs[a:b], lengths[a:b])
+        out += [probs[:L, k] for k, L in enumerate(lengths[a:b])]
+    return out
 
 
 def forward(params: BlstmParams, X: np.ndarray) -> np.ndarray:

@@ -1,4 +1,6 @@
 """The from-scratch bidirectional LSTM: shapes, gradients, training behavior."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -340,6 +342,46 @@ class TestPaddingIsolation:
         for probs, (X, _) in zip(blstm.forward_batch(p, [X for X, _ in data]),
                                  data):
             _assert_round_off_close(probs, _ref_forward(p, X)[0])
+
+    def test_grouped_prediction_matches_each_sequence_alone(self,
+                                                            monkeypatch):
+        rng = np.random.default_rng(16)
+        p = _perturbed_params(rng, True)
+        lengths = (120, 37, 5, 200, 1, 400, 90, 60)
+        seqs = [X for X, _ in _ragged(rng, lengths)]
+        monkeypatch.setattr(blstm, "BATCH_STEPS", 300)
+        groups = list(blstm._groups(np.array(lengths)))
+        # consecutive, covering, within the bound or one sequence alone
+        assert [a for a, _ in groups] == [0] + [b for _, b in groups[:-1]]
+        assert groups[-1][1] == len(lengths)
+        assert len(groups) > 2
+        for a, b in groups:
+            assert b - a == 1 or max(lengths[a:b]) * (b - a) <= 300
+        got = blstm.forward_batch(p, seqs)
+        assert len(got) == len(seqs)
+        for probs, X in zip(got, seqs):
+            assert probs.shape == (len(X), 4)
+            _assert_round_off_close(probs, blstm.forward(p, X))
+
+    def test_short_cohort_is_one_group(self):
+        assert list(blstm._groups(np.full(10, 120))) == [(0, 10)]
+
+    def test_grouping_bounds_the_peak_of_long_nights(self):
+        rng = np.random.default_rng(17)
+        p = blstm.init_params(0, input_dim=DIM)
+        seqs = [rng.normal(size=(int(t), DIM)) for t in rng.integers(900, 1000, 30)]
+        inputs, lengths = blstm._check(p, seqs)
+
+        def traced_peak(fn):
+            tracemalloc.start()
+            try:
+                fn()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        whole = traced_peak(lambda: blstm._forward_full(p, inputs, lengths))
+        grouped = traced_peak(lambda: blstm.forward_batch(p, seqs))
+        assert grouped < whole / 2
 
     @pytest.mark.parametrize("bad, error", [
         (np.zeros((0, DIM)), ShapeMismatch),
