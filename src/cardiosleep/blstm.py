@@ -38,9 +38,9 @@ from .types import Hypnogram, four_hypnogram_from_indices
 
 CHECKPOINT_VERSION = 1
 
-# A prediction pass holds its gate and hidden-state arrays, about 1.3 KB per
-# padded time step and sequence for each layer, so forward_batch runs
-# consecutive sequences in groups whose padded T_max * B stays within this.
+# A prediction pass holds about 1.5 KB of gate and hidden-state arrays per
+# padded time step and sequence, so forward_batch runs consecutive sequences
+# in groups whose padded T_max * B stays within this.
 BATCH_STEPS = 8192
 
 

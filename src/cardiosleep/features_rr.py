@@ -70,8 +70,6 @@ RESAMPLE_HZ = 4.0
 # values, so its temporaries stay a few MB however many windows a night has.
 BLOCK_VALUES = 65_536
 
-_EPS = np.finfo(float).eps
-
 
 def _whole_night(kernel, names: list, values, lo, hi) -> dict:
     """``kernel``'s columns over the windows ``values[lo:hi]``, one row per
@@ -214,13 +212,15 @@ def _statistical_rows(values, lo, n) -> dict:
     # the mean's last bits fall, so those windows (constant ones among them)
     # compare against the mean as np.mean rounds it
     bar = mean.copy()
-    near = np.abs(X - mean[:, None]) <= 2 * _EPS * np.sum(np.abs(X), axis=1)[:, None]
-    for r in np.flatnonzero(np.any(mask & near, axis=1)):
+    roundoff = 2 * np.finfo(float).eps * np.sum(np.abs(X), axis=1)
+    near = mask & (np.abs(X - mean[:, None]) <= roundoff[:, None])
+    for r in np.flatnonzero(np.any(near, axis=1)):
         bar[r] = np.mean(values[lo[r]:lo[r] + n[r]])
     above = mask & (X > bar[:, None])
     # a run above the mean ends at j, and started after its last cell not
     # above the mean
     last_not_above = np.maximum.accumulate(np.where(above, -1, j), axis=1)
+    longest_run = np.max(j - last_not_above, axis=1)
     # least-squares trend against interval index
     t_mid = (n - 1) / 2
     slope = (np.sum((j - t_mid[:, None]) * C, axis=1)
@@ -238,7 +238,8 @@ def _statistical_rows(values, lo, n) -> dict:
         "rr_stat_iqr": q75 - q25,
         "rr_stat_skew": skew,
         "rr_stat_kurt": kurt,
-        "rr_stat_mad": _median(np.sort(np.abs(S - median[:, None]), axis=1), n),
+        "rr_stat_mad": _median(_sorted_rows(np.abs(S - median[:, None]), mask),
+                               n),
         "rr_stat_cv": np.where(mean != 0, sd / mean, np.nan),
         "rr_stat_trim10": trimmed_mean(n // 10),
         "rr_stat_trim25": trimmed_mean(n // 4),
@@ -249,8 +250,8 @@ def _statistical_rows(values, lo, n) -> dict:
         "rr_stat_succ_mean_abs": np.sum(AD, axis=1) / (n - 1),
         "rr_stat_succ_sd": sd_d,
         "rr_stat_succ_max": np.max(AD, axis=1),
-        "rr_stat_count_above_mean": np.count_nonzero(above, axis=1).astype(float),
-        "rr_stat_longest_run_above": np.max(j - last_not_above, axis=1).astype(float),
+        "rr_stat_count_above_mean": 1.0 * np.count_nonzero(above, axis=1),
+        "rr_stat_longest_run_above": 1.0 * longest_run,
         "rr_stat_trend_slope": slope,
         "rr_stat_trend_intercept": mean - slope * t_mid,
         "rr_stat_energy": np.sum(X * X, axis=1),

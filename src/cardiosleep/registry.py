@@ -162,12 +162,9 @@ def _rr_epoch_means(times: np.ndarray, values: np.ndarray, n_epochs: int
 @dataclass(frozen=True)
 class _Window:
     """One centre epoch's feature window of one width, clipped to the night:
-    epochs ``first..last``, seconds ``[t0, t1)`` and the usable RR intervals
-    starting inside it."""
+    seconds ``[t0, t1)`` and the usable RR intervals starting inside it."""
     center: int
     n: int
-    first: int
-    last: int
     t0: float
     t1: float
     rr_times: np.ndarray
@@ -183,22 +180,21 @@ class _Window:
 
 def _spans(n_epochs: int, times: np.ndarray, n: int
            ) -> tuple[np.ndarray, np.ndarray]:
-    """Every centre epoch's window of width n: its epochs ``(first, last)``
-    and the index bounds ``[lo, hi)`` of the RR intervals starting inside
-    it, one row per centre."""
+    """Every centre epoch's window of width n: its edges ``[t0, t1)`` in
+    seconds and the index bounds ``[lo, hi)`` of the RR intervals starting
+    inside it, one row per centre."""
     spans = np.array([resolve_window(n_epochs, c, n) for c in range(n_epochs)],
                      dtype=int).reshape(n_epochs, 2)
     edges = np.column_stack([spans[:, 0], spans[:, 1] + 1]) * EPOCH_S
-    return spans, np.searchsorted(times, edges, side="left")
+    return edges, np.searchsorted(times, edges, side="left")
 
 
-def _windows(n: int, spans: np.ndarray, bounds: np.ndarray, times: np.ndarray,
+def _windows(n: int, edges: np.ndarray, bounds: np.ndarray, times: np.ndarray,
              values: np.ndarray) -> list[_Window]:
     """The window records of width n from ``_spans``, indexed by centre."""
-    return [_Window(c, n, first, last, first * EPOCH_S, (last + 1) * EPOCH_S,
-                    times[lo:hi], values[lo:hi])
-            for c, ((first, last), (lo, hi))
-            in enumerate(zip(spans.tolist(), bounds.tolist()))]
+    return [_Window(c, n, t0, t1, times[lo:hi], values[lo:hi])
+            for c, ((t0, t1), (lo, hi))
+            in enumerate(zip(edges.tolist(), bounds.tolist()))]
 
 
 class _Night:
@@ -215,15 +211,16 @@ class _Night:
             times, self.rr_values, n_epochs)
         self.rr_bounds, self.windows = {}, {}
         for n in widths:
-            spans, bounds = _spans(n_epochs, times, n)
+            edges, bounds = _spans(n_epochs, times, n)
             self.rr_bounds[n] = tuple(bounds.T)
-            self.windows[n] = _windows(n, spans, bounds, times, self.rr_values)
+            self.windows[n] = _windows(n, edges, bounds, times, self.rr_values)
 
 
 def _per_window(extract, errors):
     """A whole-night evaluator from a family evaluated window by window:
     ``extract(night, window)`` returns the window's key -> value dict or
-    raises one of ``errors``, which leaves the window's entries missing."""
+    raises one of ``errors``, which leaves the window's entries missing. A
+    key no window returned reads as a column of NaN."""
     def evaluate(night: _Night, n: int) -> dict:
         cols = defaultdict(lambda: np.full(night.n_epochs, np.nan))
         for w in night.windows[n]:

@@ -88,8 +88,8 @@ class TestWindows:
         empty = np.array([])
 
         def window(n):
-            spans, bounds = registry._spans(4, empty, n)
-            return registry._windows(n, spans, bounds, empty, empty)[1]
+            edges, bounds = registry._spans(4, empty, n)
+            return registry._windows(n, edges, bounds, empty, empty)[1]
         seg = window(1).samples(trace)
         assert len(seg) == 750
         assert seg[0] == 750  # first sample at t = 30 s
