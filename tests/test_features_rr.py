@@ -1,5 +1,6 @@
 """RR feature families against closed forms and brute-force oracles."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -263,6 +264,14 @@ FAMILIES = [(fr.hrv_time_features, _window_hrv_time_features),
             (fr.statistical_features, _window_statistical_features)]
 
 
+def _night_bounds(times, width, n_epochs=960):
+    """The RR index bounds of every centre epoch's window of one width."""
+    spans = np.array([resolve_window(n_epochs, c, width)
+                      for c in range(n_epochs)])
+    return np.searchsorted(times, (spans[:, 0] * EPOCH_S,
+                                   (spans[:, 1] + 1) * EPOCH_S))
+
+
 @pytest.fixture(scope="module")
 def night_960():
     """The usable RR intervals of a preprocessed 960-epoch synthetic night."""
@@ -314,11 +323,22 @@ class TestWholeNightMatchesWindowOracle:
     @pytest.mark.parametrize("width", [1, 9])
     def test_windows_of_a_960_epoch_night(self, fn, oracle, width, night_960):
         times, values = night_960
-        spans = np.array([resolve_window(960, c, width) for c in range(960)])
-        lo, hi = np.searchsorted(times, (spans[:, 0] * EPOCH_S,
-                                         (spans[:, 1] + 1) * EPOCH_S))
+        lo, hi = _night_bounds(times, width)
         assert width == 1 or np.all(lo[1:] < hi[:-1])  # the windows overlap
         _assert_matches(fn, oracle, values, lo, hi)
+
+    def test_row_blocks_bound_the_traced_peak(self, fn, oracle, night_960):
+        times, values = night_960
+        lo, hi = _night_bounds(times, 9)
+
+        def peak(copies):
+            tracemalloc.start()
+            try:
+                fn(values, np.tile(lo, copies), np.tile(hi, copies))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak(8) < 2 * peak(1)
 
 
 # --- the loop-based statistics as an exact oracle --------------------------
