@@ -18,6 +18,14 @@ def processed_subject(clean_subject):
 
 
 @pytest.fixture(scope="session")
+def night_960_subject():
+    """A preprocessed 960-epoch synthetic night (seed 1000, 25 Hz belts)."""
+    record = synth.generate_subject(seed=1000, profile=synth.easy_profile(),
+                                    n_epochs=960)
+    return pipeline.preprocess_subject(record)
+
+
+@pytest.fixture(scope="session")
 def single_manifest():
     return registry.build_manifest("single")
 

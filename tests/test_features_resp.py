@@ -9,6 +9,9 @@ from cardiosleep import features_resp as resp
 from cardiosleep.errors import (InsufficientData, LengthMismatch,
                                 NoBreathsDetected, ZeroTotal)
 from cardiosleep.features_rr import RESAMPLE_HZ
+from test_features_rr import (_window_band_mask, _window_hann_spectrum,
+                              _window_spectral_shape, _window_zero_crossings,
+                              assert_columns_match, night_edges)
 
 FS = 25.0
 
@@ -131,6 +134,168 @@ class TestMatchesLoopCode:
                 for k in range(n):
                     assert (resp._half_power_bandwidth(freqs, p, k)
                             == _loop_half_power_bandwidth(freqs, p, k))
+
+
+# --- the per-window breath features as the oracle of the night's ----------
+
+def _window_detect_breaths(x: np.ndarray, fs: float
+                           ) -> tuple[np.ndarray, np.ndarray]:
+    """Peak and trough sample indices of a breathing segment."""
+    ptp = np.ptp(x)
+    if ptp <= 0:
+        return np.array([], dtype=int), np.array([], dtype=int)
+    dist = max(1, int(round(resp.MIN_BREATH_SPACING_S * fs)))
+    prom = resp.PROMINENCE_FRAC * ptp
+    peaks, _ = sps.find_peaks(x, distance=dist, prominence=prom)
+    troughs, _ = sps.find_peaks(-x, distance=dist, prominence=prom)
+    return peaks, troughs
+
+
+def _window_breath_features(segment: np.ndarray, sample_rate_hz: float) -> dict:
+    """25 statistics of one breathing window (15 time-domain, 10 spectral)."""
+    x = np.asarray(segment, dtype=float)
+    fs = sample_rate_hz
+    if len(x) < 2:
+        raise NoBreathsDetected("segment too short")
+    out = dict.fromkeys(resp.BREATH_NAMES, np.nan)
+
+    mean = float(np.mean(x))
+    sd = float(np.std(x))
+    out["sig_mean"] = mean
+    out["sig_sd"] = sd
+    out["sig_range"] = float(np.ptp(x))
+    centered = x - mean
+    if sd > 0:
+        m2 = sd * sd
+        out["sig_kurt"] = float(np.mean(centered ** 4) / m2 ** 2 - 3.0)
+        out["sig_skew"] = float(np.mean(centered ** 3) / sd ** 3)
+        out["sig_zcr"] = _window_zero_crossings(centered) / (len(x) / fs)
+
+    peaks, troughs = _window_detect_breaths(x, fs)
+    out["peak_count"] = float(len(peaks))
+    if len(peaks) >= 2:
+        bb = np.diff(peaks) / fs
+        out["bb_mean"] = float(np.mean(bb))
+        out["bb_sd"] = float(np.std(bb))
+        out["amp_mean"] = float(np.mean(x[peaks]))
+        out["amp_sd"] = float(np.std(x[peaks]))
+        if len(bb) >= 2:
+            out["bb_succ_sd"] = float(np.std(np.diff(bb)))
+    if len(troughs) >= 1:
+        out["trough_mean"] = float(np.mean(x[troughs]))
+        out["trough_sd"] = float(np.std(x[troughs])) if len(troughs) >= 2 else 0.0
+    if len(peaks) >= 1 and len(troughs) >= 2:
+        # each peak between two troughs, with the nearest trough on each side
+        before = np.searchsorted(troughs, peaks, side="left")
+        after = np.searchsorted(troughs, peaks, side="right")
+        paired = (before > 0) & (after < len(troughs))
+        if np.any(paired):
+            mid = peaks[paired]
+            inhale = (mid - troughs[before[paired] - 1]) / fs
+            exhale = (troughs[after[paired]] - mid) / fs
+            out["ie_ratio_mean"] = float(np.mean(inhale / exhale))
+
+    # spectral block
+    freqs, p = _window_hann_spectrum(x, fs)
+    total = float(np.sum(p))
+    out["total_energy"] = total
+    if total > 1e-15 and len(p) > 2:
+        q = p[1:]
+        fq = freqs[1:]
+        k = int(np.argmax(q))
+        out["dom_freq"] = float(fq[k])
+        out["dom_power"] = float(q[k])
+        out["dom_total_ratio"] = float(q[k] / total)
+        out["band_01_04"] = float(np.sum(p[_window_band_mask(freqs, 0.1, 0.4)]))
+        _, out["spec_entropy"], out["spec_centroid"] = _window_spectral_shape(
+            freqs, p)
+        out["dom_bandwidth"] = _window_half_power_bandwidth(fq, q, k)
+        f2, p2 = _window_second_peak(fq, q, k)
+        out["peak2_freq"] = f2
+        out["peak2_power"] = p2
+    return out
+
+
+def _window_half_power_bandwidth(freqs: np.ndarray, p: np.ndarray,
+                                 k: int) -> float:
+    """Width of the run of bins around peak bin k with at least half its
+    power; p is a power spectrum, so bin k itself is never below half."""
+    edges = np.concatenate(([-1], np.flatnonzero(p < p[k] / 2.0), [len(p)]))
+    j = np.searchsorted(edges, k)
+    return float(freqs[edges[j] - 1] - freqs[edges[j - 1] + 1])
+
+
+def _window_second_peak(freqs: np.ndarray, p: np.ndarray,
+                        dom: int) -> tuple[float, float]:
+    locs, _ = sps.find_peaks(p)
+    locs = locs[np.abs(locs - dom) > 1]
+    if len(locs) == 0:
+        return np.nan, np.nan
+    k = locs[np.argmax(p[locs])]
+    return float(freqs[k]), float(p[k])
+
+
+def _breath_window_columns(fn, samples, fs, lo, hi) -> dict:
+    """A per-window breath extractor's columns over the windows
+    samples[lo:hi], NaN rows where it raises ``NoBreathsDetected``."""
+    rows = []
+    for a, b in zip(lo, hi):
+        try:
+            rows.append(fn(samples[a:b], fs))
+        except NoBreathsDetected:
+            rows.append(dict.fromkeys(resp.BREATH_NAMES, np.nan))
+    return {k: np.array([r[k] for r in rows]) for k in resp.BREATH_NAMES}
+
+
+def _breath_columns(samples, fs, lo, hi) -> dict:
+    """``breath_features``' columns over the windows samples[lo:hi]."""
+    return _breath_window_columns(resp.breath_features, samples, fs, lo, hi)
+
+
+def _assert_breath_matches(samples, fs, lo, hi):
+    samples = np.asarray(samples, dtype=float)
+    assert_columns_match(
+        _breath_columns(samples, fs, lo, hi),
+        _breath_window_columns(_window_breath_features, samples, fs, lo, hi))
+
+
+def _trace_bounds(n_samples, fs, t0, t1):
+    """Index bounds of the samples whose timestamps lie in [t0, t1)."""
+    lo = np.ceil(t0 * fs - 1e-9).astype(int)
+    hi = np.minimum(np.ceil(t1 * fs - 1e-9).astype(int), n_samples)
+    return lo, hi
+
+
+class TestBreathMatchesWindowOracle:
+    @pytest.mark.parametrize("channel", ["breath_chest", "breath_abdomen"])
+    @pytest.mark.parametrize("width", [1, 9])
+    def test_windows_of_a_960_epoch_night(self, channel, width,
+                                          night_960_subject):
+        trace = getattr(night_960_subject, channel)
+        fs = trace.sample_rate_hz
+        _assert_breath_matches(trace.samples, fs, *_trace_bounds(
+            len(trace.samples), fs, *night_edges(width)))
+
+    def test_ten_hertz_belt(self, night_960_subject):
+        x = sps.resample_poly(night_960_subject.breath_chest.samples, 2, 5)
+        _assert_breath_matches(x, 10.0, *_trace_bounds(
+            len(x), 10.0, *night_edges(1)))
+
+    def test_constant_flat_short_and_breathless_windows(self):
+        rng = np.random.default_rng(41)
+        windows = [np.zeros(750), np.full(750, 2.5), np.full(751, -1.0),
+                   np.linspace(-1, 1, 750),            # no peak, no trough
+                   _breathing(0.05, 8.0),              # half a breath
+                   [], [1.0], [1.0, 2.0], [2.0, 1.0, 2.0], np.zeros(3),
+                   rng.normal(size=4), rng.normal(size=5)]
+        windows += [_breathing(rng.uniform(0.1, 0.5), 30.0,
+                               phase=rng.uniform(0, 7))
+                    + rng.normal(0, rng.uniform(0.01, 0.5), 750)
+                    for _ in range(40)]
+        windows += [rng.normal(size=int(n)) for n in rng.integers(6, 2000, 40)]
+        lengths = np.array([len(w) for w in windows], dtype=int)
+        hi = np.cumsum(lengths)
+        _assert_breath_matches(np.concatenate(windows), FS, hi - lengths, hi)
 
 
 class TestCpcSpectrum:

@@ -214,6 +214,125 @@ def _window_statistical_features(values: np.ndarray) -> dict:
     }
 
 
+def _window_zero_crossings(centered: np.ndarray) -> int:
+    """Sign changes of a mean-removed signal, ignoring exact zeros."""
+    signs = np.sign(centered)
+    return int(np.count_nonzero(np.diff(signs[signs != 0])))
+
+
+def _window_nonlinear_features(values: np.ndarray) -> dict:
+    x = np.asarray(values, dtype=float)
+    n = len(x)
+    if n < 2:
+        raise InsufficientData(f"need >= 2 intervals, got {n}")
+    zc = _window_zero_crossings(x - np.mean(x))
+    d = np.diff(x)
+    s = x[:-1] + x[1:]
+    sd1 = float(np.std(d) / np.sqrt(2))
+    sd2 = float(np.std(s) / np.sqrt(2))
+    sampen = fr.sample_entropy(x) if n >= 50 else np.nan
+    return {
+        "rr_sampen": sampen,
+        "rr_zero_cross_count": float(zc),
+        "rr_zero_cross_rate": zc / n,
+        "rr_sd1": sd1,
+        "rr_sd2": sd2,
+    }
+
+
+def _window_nonlinear_without_sampen(values: np.ndarray) -> dict:
+    """The nonlinear oracle's entries but sample entropy, which the registry
+    evaluates window by window."""
+    out = _window_nonlinear_features(values)
+    del out["rr_sampen"]
+    return out
+
+
+def _window_one_sided_power(y: np.ndarray) -> np.ndarray:
+    """One-sided power spectrum normalized so the bins sum to mean(y^2)."""
+    n = len(y)
+    spec = np.fft.rfft(y)
+    p = np.abs(spec) ** 2 / n ** 2
+    p[1:] *= 2.0
+    if n % 2 == 0:
+        p[-1] /= 2.0
+    return p
+
+
+def _window_hann_spectrum(x: np.ndarray, fs: float
+                          ) -> tuple[np.ndarray, np.ndarray]:
+    """Frequencies and one-sided power of x, mean-removed and Hann-windowed."""
+    y = (x - np.mean(x)) * np.hanning(len(x))
+    return np.fft.rfftfreq(len(y), d=1.0 / fs), _window_one_sided_power(y)
+
+
+def _window_spectral_shape(freqs: np.ndarray, p: np.ndarray
+                           ) -> tuple[np.ndarray, float, float]:
+    """The non-DC bins of a power spectrum as a distribution, its Shannon
+    entropy normalised by the log of the bin count, and its centroid."""
+    q = p[1:] / np.sum(p[1:])
+    pos = q > 0
+    entropy = float(-np.sum(q[pos] * np.log(q[pos])) / np.log(len(q)))
+    return q, entropy, float(np.sum(freqs[1:] * q))
+
+
+def _window_band_mask(freqs: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    # boundary bins belong to the higher band
+    return (freqs >= lo) & (freqs < hi)
+
+
+def _window_rr_freq_features(times: np.ndarray, values: np.ndarray,
+                             t0: float, t1: float) -> dict:
+    """21 spectral features of the RR series resampled to a uniform 4 Hz grid,
+    mean-removed and Hann-windowed."""
+    times = np.asarray(times, dtype=float)
+    values = np.asarray(values, dtype=float)
+    win = t1 - t0
+    if len(values) < 4:
+        raise InsufficientData(f"need >= 4 intervals, got {len(values)}")
+    if win < 30.0 - 1e-9 or (times[-1] - times[0]) < 0.75 * win:
+        raise InsufficientData("need >= 30 s of RR coverage in the window")
+    grid_t = np.arange(t0, t1, 1.0 / fr.RESAMPLE_HZ)
+    freqs, p = _window_hann_spectrum(np.interp(grid_t, times, values),
+                                     fr.RESAMPLE_HZ)
+    total = float(np.sum(p))
+
+    out = dict.fromkeys(fr.FREQ_NAMES, np.nan)
+    out["rrf_total_power"] = total
+    bands = {"vlf": fr.VLF_BAND, "lf": fr.LF_BAND, "hf": fr.HF_BAND}
+    power = {}
+    for name, (lo, hi) in bands.items():
+        mask = _window_band_mask(freqs, lo, hi)
+        power[name] = float(np.sum(p[mask]))
+        out[f"rrf_{name}_power"] = power[name]
+        if total > 1e-12 and np.any(mask):
+            k = np.flatnonzero(mask)[np.argmax(p[mask])]
+            out[f"rrf_{name}_peak_freq"] = float(freqs[k])
+            out[f"rrf_{name}_peak_power"] = float(p[k])
+    out["rrf_band_power_04_10"] = float(
+        np.sum(p[_window_band_mask(freqs, 0.4, 1.0)]))
+
+    if total > 1e-12:
+        lf, hf = power["lf"], power["hf"]
+        out["rrf_lf_hf_ratio"] = lf / hf if hf > 0 else np.nan
+        denom = lf + hf
+        if denom > 0:
+            out["rrf_lf_norm"] = lf / denom
+            out["rrf_hf_norm"] = hf / denom
+        out["rrf_hf_total_ratio"] = hf / total
+        out["rrf_lf_total_ratio"] = lf / total
+        q, out["rrf_spec_entropy"], out["rrf_spec_centroid"] = (
+            _window_spectral_shape(freqs, p))
+        cum = np.cumsum(p) / total
+        out["rrf_sef95"] = float(freqs[np.searchsorted(cum, 0.95)])
+        out["rrf_median_freq"] = float(freqs[np.searchsorted(cum, 0.5)])
+        if np.all(q > 0):
+            out["rrf_spec_flatness"] = float(np.exp(np.mean(np.log(q))) / np.mean(q))
+        else:
+            out["rrf_spec_flatness"] = 0.0
+    return out
+
+
 def _window_columns(fn, values, lo, hi) -> dict:
     """A per-window family's columns over windows values[lo:hi], one row per
     window, NaN where the window has too few intervals."""
@@ -241,47 +360,77 @@ def _concat(windows):
             hi - lengths, hi)
 
 
-def _assert_matches(fn, oracle, values, lo, hi):
-    """``fn`` over the windows equals ``oracle`` window by window: rtol 1e-12
-    plus atol 1e-12 times the column's largest magnitude, NaN where the
-    oracle has NaN."""
-    got = _night_columns(fn, values, lo, hi)
-    want = _window_columns(oracle, values, lo, hi)
+# outputs that count, index or pick: they must equal the oracle's exactly
+DISCRETE = {
+    "rr_nn50_count", "rr_stat_count_above_mean", "rr_stat_longest_run_above",
+    "rr_zero_cross_count", "rr_zero_cross_rate", "rrf_vlf_peak_freq",
+    "rrf_lf_peak_freq", "rrf_hf_peak_freq", "rrf_sef95", "rrf_median_freq",
+    "peak_count", "sig_zcr", "dom_freq", "dom_bandwidth", "peak2_freq",
+}
+
+
+def assert_columns_match(got: dict, want: dict):
+    """Columns equal the oracle's: rtol 1e-12 plus atol 1e-12 times the
+    column's largest magnitude, NaN where the oracle has NaN, and exactly
+    for the ``DISCRETE`` outputs."""
     assert list(got) == list(want)
     for k, w in want.items():
         g = np.asarray(got[k])
         assert g.shape == w.shape, k
         nan = np.isnan(w)
         assert np.array_equal(np.isnan(g), nan), k
+        if k in DISCRETE:
+            np.testing.assert_array_equal(g, w, err_msg=k)
         scale = np.max(np.abs(w[~nan]), initial=0.0)
         np.testing.assert_allclose(g[~nan], w[~nan], rtol=1e-12,
                                    atol=1e-12 * scale, err_msg=k)
 
 
+def _assert_matches(fn, oracle, values, lo, hi):
+    """``fn`` over the windows equals ``oracle`` window by window."""
+    assert_columns_match(_night_columns(fn, values, lo, hi),
+                         _window_columns(oracle, values, lo, hi))
+
+
 LENGTHS = [*range(121), 150, 299, 300, 301, 1000]
 
+
+def _nonlinear_features(values, lo, hi) -> dict:
+    """The nonlinear family's columns but sample entropy over the windows
+    values[lo:hi]."""
+    def entries(x):
+        out = fr.nonlinear_features(x)
+        del out["rr_sampen"]
+        return out
+    return _window_columns(entries, values, lo, hi)
+
+
 FAMILIES = [(fr.hrv_time_features, _window_hrv_time_features),
-            (fr.statistical_features, _window_statistical_features)]
+            (fr.statistical_features, _window_statistical_features),
+            (_nonlinear_features, _window_nonlinear_without_sampen)]
+
+
+def night_edges(width, n_epochs=960):
+    """The edges [t0, t1) in seconds of every centre epoch's window of one
+    width."""
+    spans = np.array([resolve_window(n_epochs, c, width)
+                      for c in range(n_epochs)])
+    return spans[:, 0] * EPOCH_S, (spans[:, 1] + 1) * EPOCH_S
 
 
 def _night_bounds(times, width, n_epochs=960):
     """The RR index bounds of every centre epoch's window of one width."""
-    spans = np.array([resolve_window(n_epochs, c, width)
-                      for c in range(n_epochs)])
-    return np.searchsorted(times, (spans[:, 0] * EPOCH_S,
-                                   (spans[:, 1] + 1) * EPOCH_S))
+    return np.searchsorted(times, night_edges(width, n_epochs))
 
 
 @pytest.fixture(scope="module")
-def night_960():
+def night_960(night_960_subject):
     """The usable RR intervals of a preprocessed 960-epoch synthetic night."""
-    record = synth.generate_subject(seed=1000, profile=synth.easy_profile(),
-                                    n_epochs=960)
-    return usable_intervals(pipeline.preprocess_subject(record).rr)
+    return usable_intervals(night_960_subject.rr)
 
 
 @pytest.mark.parametrize("fn, oracle", FAMILIES,
-                         ids=["hrv_time", "statistical"])
+                         ids=["hrv_time", "statistical", "nonlinear"])
 class TestWholeNightMatchesWindowOracle:
     def test_random_windows_every_length(self, fn, oracle):
         rng = np.random.default_rng(12)
@@ -339,6 +488,91 @@ class TestWholeNightMatchesWindowOracle:
             finally:
                 tracemalloc.stop()
         assert peak(8) < 2 * peak(1)
+
+
+# --- the RR spectrum over a night's windows --------------------------------
+
+def _freq_window_columns(fn, times, values, t0, t1) -> dict:
+    """A per-window RR spectrum's columns over the windows [t0, t1) of one
+    night's RR series, NaN rows where it raises ``InsufficientData``."""
+    lo, hi = np.searchsorted(times, t0), np.searchsorted(times, t1)
+    rows = []
+    for a, b, s, e in zip(lo, hi, t0, t1):
+        try:
+            rows.append(fn(times[a:b], values[a:b], s, e))
+        except InsufficientData:
+            rows.append(dict.fromkeys(fr.FREQ_NAMES, np.nan))
+    return {k: np.array([r[k] for r in rows]) for k in fr.FREQ_NAMES}
+
+
+def _freq_columns(times, values, t0, t1) -> dict:
+    """``rr_freq_features``' columns over the windows [t0, t1)."""
+    return _freq_window_columns(fr.rr_freq_features, times, values, t0, t1)
+
+
+def _rr_series(rng, seconds, mean=0.9):
+    """Start times and values of a random RR series covering ``seconds``."""
+    values = np.clip(rng.normal(mean, 0.05, int(seconds / mean) + 10), 0.4, 1.8)
+    times = 0.3 + np.cumsum(values) - values[0]
+    keep = times < seconds
+    return times[keep], values[keep]
+
+
+@pytest.fixture(scope="module")
+def night_120():
+    """The usable RR intervals of a preprocessed 120-epoch synthetic night,
+    whose last R peak falls in its 120th epoch."""
+    record = synth.generate_subject(seed=7, profile=synth.easy_profile(),
+                                    n_epochs=120)
+    return usable_intervals(pipeline.preprocess_subject(record).rr)
+
+
+class TestRrFreqMatchesWindowOracle:
+    @staticmethod
+    def _assert_same(times, values, t0, t1):
+        t0, t1 = np.asarray(t0, dtype=float), np.asarray(t1, dtype=float)
+        assert_columns_match(
+            _freq_columns(times, values, t0, t1),
+            _freq_window_columns(_window_rr_freq_features, times, values, t0, t1))
+
+    @pytest.mark.parametrize("width", [1, 9])
+    def test_windows_of_a_960_epoch_night(self, width, night_960):
+        self._assert_same(*night_960, *night_edges(width))
+
+    @pytest.mark.parametrize("width", [1, 9])
+    def test_windows_of_a_120_epoch_night(self, width, night_120):
+        # the width-9 windows of the first and last four epochs are clipped
+        self._assert_same(*night_120, *night_edges(width, 119))
+
+    def test_random_windows_on_the_grid(self):
+        # quarter-second edges: odd and even sample counts, windows shorter
+        # than 30 s and windows running past the last interval
+        rng = np.random.default_rng(31)
+        times, values = _rr_series(rng, 3000.0)
+        t0 = rng.integers(0, 4 * 3000, 400) / 4
+        t1 = t0 + rng.integers(100, 1300, 400) / 4
+        self._assert_same(times, values, t0, t1)
+
+    def test_gaps_sparse_and_constant_windows(self):
+        rng = np.random.default_rng(32)
+        times, values = _rr_series(rng, 2400.0)
+        # no intervals in [600, 900); 0.9 s exactly in [1200, 1500), so the
+        # windows inside it have no power; a lone interval every 25 s in
+        # [1800, 2100)
+        values[(times >= 1200) & (times < 1500)] = 0.9
+        lone = (times >= 1800) & (times < 2100)
+        keep = ((times < 600) | (times >= 900)) & (~lone | (times % 25 < 0.9))
+        times, values = times[keep], values[keep]
+        t0 = np.arange(0.0, 2400.0, 30.0)
+        for width in (1, 3, 9):
+            self._assert_same(times, values, t0, t0 + 30.0 * width)
+
+    def test_windows_of_few_intervals(self):
+        times = np.array([1.0, 2.0, 3.0, 4.0, 28.0, 29.0, 40.0, 70.0, 71.0])
+        values = np.array([0.8, 0.9, 1.0, 0.9, 0.7, 0.8, 0.9, 1.0, 1.1])
+        t0 = np.array([0.0, 0.0, 0.0, 30.0, 60.0, 90.0, 0.0])
+        t1 = np.array([30.0, 60.0, 90.0, 60.0, 90.0, 120.0, 120.0])
+        self._assert_same(times, values, t0, t1)
 
 
 # --- the loop-based statistics as an exact oracle --------------------------

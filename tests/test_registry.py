@@ -18,7 +18,10 @@ from cardiosleep.registry import (FeatureMatrix, NormStats,
 from cardiosleep.preprocess import usable_intervals
 from cardiosleep.types import (FourStage, Hypnogram, ProcessedSubject,
                               RrSeries, SignalTrace, SixStage)
-from test_features_rr import (_window_columns, _window_hrv_time_features,
+from test_features_rr import (_freq_window_columns, _window_columns,
+                              _window_hrv_time_features,
+                              _window_nonlinear_features,
+                              _window_rr_freq_features,
                               _window_statistical_features)
 
 REPO = Path(__file__).resolve().parents[1]
@@ -227,14 +230,15 @@ class TestAssembly:
     def test_short_windows_miss_the_oracle_cells(self, processed_subject,
                                                  single_manifest):
         """Epochs 10-20 lose every usable interval, so their width-1 windows
-        and the width-9 window around epoch 15 are empty; epochs 25 and 27
-        keep one and three intervals. The statistics and HRV time columns
-        are missing exactly where the per-window oracles give NaN."""
+        and the width-9 window around epoch 15 are empty; epochs 25, 27 and
+        30 keep one, three and five intervals, the five spanning under 75%
+        of the epoch. The statistics, HRV time, nonlinear and RR spectrum
+        columns are missing exactly where the per-window oracles give NaN."""
         rr = processed_subject.rr
         starts = rr.peak_times_s[:-1]
         epoch = np.floor(starts / EPOCH_S).astype(int)
         gone = (epoch >= 10) & (epoch <= 20)
-        for e, keep in ((25, 1), (27, 3)):
+        for e, keep in ((25, 1), (27, 3), (30, 5)):
             gone |= (epoch == e) & (np.cumsum(epoch == e) > keep)
         # out of range and rejected, so not even interpolated values are kept
         holed = dataclasses.replace(processed_subject, rr=RrSeries(
@@ -242,19 +246,34 @@ class TestAssembly:
             rr.valid_mask & ~gone))
         matrix = assemble_feature_matrix(holed, single_manifest)
         times, values = usable_intervals(holed.rr)
+        checked = set()
         for n in (1, 9):
-            _, bounds = registry._spans(matrix.n_epochs, times, n)
+            edges, bounds = registry._spans(matrix.n_epochs, times, n)
             lo, hi = bounds.T
             assert hi[15] == lo[15]
+            oracles = {
+                "rr_time": _window_columns(_window_hrv_time_features,
+                                           values, lo, hi),
+                "rr_stat": _window_columns(_window_statistical_features,
+                                           values, lo, hi),
+                "rr_nonlinear": _window_columns(_window_nonlinear_features,
+                                                values, lo, hi),
+                "rr_freq": _freq_window_columns(_window_rr_freq_features,
+                                                times, values, *edges.T),
+            }
             if n == 1:
-                assert (hi - lo)[[25, 27]].tolist() == [1, 3]
-            for oracle, source in ((_window_hrv_time_features, "rr_time"),
-                                   (_window_statistical_features, "rr_stat")):
-                want = _window_columns(oracle, values, lo, hi)
-                for j, e in enumerate(single_manifest.entries):
-                    if e.source == source and e.window_n == n:
-                        assert np.array_equal(matrix.missing_mask[:, j],
-                                              np.isnan(want[e.key])), e.name
+                assert (hi - lo)[[25, 27, 30]].tolist() == [1, 3, 5]
+                assert np.isnan(oracles["rr_freq"]["rrf_total_power"][30])
+            for j, e in enumerate(single_manifest.entries):
+                if e.source in oracles and e.window_n == n:
+                    want = oracles[e.source][e.key]
+                    assert np.isnan(want[15]), e.name
+                    assert np.array_equal(matrix.missing_mask[:, j],
+                                          np.isnan(want)), e.name
+                    checked.add((e.source, n))
+        assert checked == {("rr_time", 1), ("rr_stat", 1), ("rr_time", 9),
+                           ("rr_stat", 9), ("rr_nonlinear", 9),
+                           ("rr_freq", 1), ("rr_freq", 9)}
 
     def test_empty_interior_epoch_misses_only_center_features(
             self, processed_subject, single_manifest):
