@@ -71,10 +71,6 @@ class NoValidEpochs(CardiosleepError):
     pass
 
 
-class NoBreathsDetected(CardiosleepError):
-    pass
-
-
 class LengthMismatch(CardiosleepError):
     pass
 

@@ -1,4 +1,13 @@
-"""Breathing-signal statistics and cardiopulmonary-coupling band features."""
+"""Breathing-signal statistics and cardiopulmonary-coupling band features.
+
+``breath_features(samples, sample_rate_hz, lo, hi)`` evaluates every
+breathing window ``samples[lo:hi]`` of a night at once: windows of one length
+are the rows of a block, and only the breath detection (two ``find_peaks``
+calls) runs row by row. Against the window-by-window definition, kept as the
+oracle in the tests, every entry is bit for bit the same but the skewness and
+kurtosis, which take cubes and fourth powers by multiplication and agree
+within rtol 1e-12. The coupling spectrum takes one window.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -7,9 +16,10 @@ from functools import lru_cache
 import numpy as np
 from scipy import signal as sps
 
-from .errors import InsufficientData, LengthMismatch, NoBreathsDetected, ZeroTotal
-from .features_rr import (RESAMPLE_HZ, _band_mask, _hann_spectrum,
-                          _spectral_shape, _zero_crossings)
+from .errors import InsufficientData, LengthMismatch, ZeroTotal
+from .features_rr import (RESAMPLE_HZ, _band, _diffs, _hann_spectrum,
+                          _in_blocks, _row_moments, _spectral_shape,
+                          _zero_crossings)
 
 BREATH_NAMES = [
     # time domain (15)
@@ -47,85 +57,143 @@ def _detect_breaths(x: np.ndarray, fs: float) -> tuple[np.ndarray, np.ndarray]:
     return peaks, troughs
 
 
-def breath_features(segment: np.ndarray, sample_rate_hz: float) -> dict:
-    """25 statistics of one breathing window (15 time-domain, 10 spectral)."""
-    x = np.asarray(segment, dtype=float)
-    fs = sample_rate_hz
-    if len(x) < 2:
-        raise NoBreathsDetected("segment too short")
-    out = dict.fromkeys(BREATH_NAMES, np.nan)
+def _breath_cycles(X: np.ndarray, fs: float) -> dict:
+    """The breath-by-breath entries of each row: peak count, breath-to-breath
+    intervals, peak and trough levels, and the inhale/exhale ratio of the
+    peaks with a trough on each side."""
+    found = [_detect_breaths(x, fs) for x in X]
+    rows = np.arange(len(X))[:, None]
 
-    mean = float(np.mean(x))
-    sd = float(np.std(x))
-    out["sig_mean"] = mean
-    out["sig_sd"] = sd
-    out["sig_range"] = float(np.ptp(x))
-    centered = x - mean
-    if sd > 0:
-        m2 = sd * sd
-        out["sig_kurt"] = float(np.mean(centered ** 4) / m2 ** 2 - 3.0)
-        out["sig_skew"] = float(np.mean(centered ** 3) / sd ** 3)
-        out["sig_zcr"] = _zero_crossings(centered) / (len(x) / fs)
+    def stacked(k):
+        """The rows' k-th index arrays as a zero-padded block, the mask of
+        the cells that hold an index, and each row's count."""
+        count = np.array([len(f[k]) for f in found], dtype=int)
+        mask = np.arange(max(count.max(initial=0), 1)) < count[:, None]
+        idx = np.zeros(mask.shape, dtype=int)
+        idx[mask] = np.concatenate([f[k] for f in found])
+        return idx, mask, count
 
-    peaks, troughs = _detect_breaths(x, fs)
-    out["peak_count"] = float(len(peaks))
-    if len(peaks) >= 2:
-        bb = np.diff(peaks) / fs
-        out["bb_mean"] = float(np.mean(bb))
-        out["bb_sd"] = float(np.std(bb))
-        out["amp_mean"] = float(np.mean(x[peaks]))
-        out["amp_sd"] = float(np.std(x[peaks]))
-        if len(bb) >= 2:
-            out["bb_succ_sd"] = float(np.std(np.diff(bb)))
-    if len(troughs) >= 1:
-        out["trough_mean"] = float(np.mean(x[troughs]))
-        out["trough_sd"] = float(np.std(x[troughs])) if len(troughs) >= 2 else 0.0
-    if len(peaks) >= 1 and len(troughs) >= 2:
-        # each peak between two troughs, with the nearest trough on each side
-        before = np.searchsorted(troughs, peaks, side="left")
-        after = np.searchsorted(troughs, peaks, side="right")
-        paired = (before > 0) & (after < len(troughs))
-        if np.any(paired):
-            mid = peaks[paired]
-            inhale = (mid - troughs[before[paired] - 1]) / fs
-            exhale = (troughs[after[paired]] - mid) / fs
-            out["ie_ratio_mean"] = float(np.mean(inhale / exhale))
+    peaks, pmask, npk = stacked(0)
+    troughs, tmask, ntr = stacked(1)
+    steps, bmask = _diffs(peaks, pmask)
+    bb = steps / fs
+    bb_mean, bb_sd = _row_moments(bb, bmask)
+    amp_mean, amp_sd = _row_moments(X[rows, peaks], pmask)
+    trough_mean, trough_sd = _row_moments(X[rows, troughs], tmask)
+    # each peak between two troughs, with the nearest trough on each side
+    t, p = troughs[:, None, :], peaks[:, :, None]
+    before = np.count_nonzero(tmask[:, None, :] & (t < p), axis=2)
+    after = np.count_nonzero(tmask[:, None, :] & (t <= p), axis=2)
+    paired = pmask & (before > 0) & (after < ntr[:, None])
+    inhale = (peaks - np.take_along_axis(troughs, np.maximum(before - 1, 0), 1)
+              ) / fs
+    exhale = (np.take_along_axis(troughs, np.minimum(after, troughs.shape[1] - 1),
+                                 1) - peaks) / fs
+    two = npk >= 2
+    return {
+        "peak_count": 1.0 * npk,
+        "bb_mean": bb_mean,
+        "bb_sd": bb_sd,
+        "amp_mean": np.where(two, amp_mean, np.nan),
+        "amp_sd": np.where(two, amp_sd, np.nan),
+        "bb_succ_sd": _row_moments(*_diffs(bb, bmask))[1],
+        "trough_mean": trough_mean,
+        "trough_sd": trough_sd,
+        "ie_ratio_mean": _row_moments(inhale / exhale, paired)[0],
+    }
+
+
+def _half_power_bandwidth(freqs: np.ndarray, P: np.ndarray,
+                          k: np.ndarray) -> np.ndarray:
+    """Width of the run of bins around each row's peak bin k with at least
+    half its power; P holds power spectra, so bin k itself is never below
+    half."""
+    j = np.arange(P.shape[1])
+    below = P < P[np.arange(len(P)), k][:, None] / 2.0
+    left = np.max(np.where(below & (j < k[:, None]), j, -1), axis=1)
+    right = np.min(np.where(below & (j > k[:, None]), j, P.shape[1]), axis=1)
+    return freqs[right - 1] - freqs[left + 1]
+
+
+def _second_peak(freqs: np.ndarray, P: np.ndarray, dom: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Frequency and power of each row's highest local maximum more than one
+    bin from its dominant bin ``dom``; NaN where there is none."""
+    peak = np.zeros(P.shape, dtype=bool)
+    peak[:, 1:-1] = (P[:, :-2] < P[:, 1:-1]) & (P[:, 1:-1] > P[:, 2:])
+    # find_peaks takes the middle of a flat top, so rows with equal
+    # neighbouring bins take its own search
+    for r in np.flatnonzero(np.any(P[:, 1:] == P[:, :-1], axis=1)):
+        peak[r] = False
+        peak[r, sps.find_peaks(P[r])[0]] = True
+    peak &= np.abs(np.arange(P.shape[1]) - dom[:, None]) > 1
+    k = np.argmax(np.where(peak, P, -np.inf), axis=1)
+    found = np.any(peak, axis=1)
+    return (np.where(found, freqs[k], np.nan),
+            np.where(found, P[np.arange(len(P)), k], np.nan))
+
+
+def _breath_rows(X: np.ndarray, fs: float) -> dict:
+    """The 25 breath features of each row of a block of equal-length
+    windows."""
+    n = X.shape[1]
+    mean = np.mean(X, axis=1)
+    sd = np.std(X, axis=1)
+    C = X - mean[:, None]
+    C2 = C * C
+    moments = sd > 0
+    out = {
+        "sig_mean": mean,
+        "sig_sd": sd,
+        "sig_range": np.ptp(X, axis=1),
+        "sig_kurt": np.where(moments,
+                             np.mean(C2 * C2, axis=1) / (sd * sd) ** 2 - 3.0,
+                             np.nan),
+        "sig_skew": np.where(moments, np.mean(C2 * C, axis=1) / sd ** 3, np.nan),
+        "sig_zcr": np.where(moments, _zero_crossings(C) / (n / fs), np.nan),
+    }
+    out.update(_breath_cycles(X, fs))
 
     # spectral block
-    freqs, p = _hann_spectrum(x, fs)
-    total = float(np.sum(p))
+    freqs, P = _hann_spectrum(X, fs)
+    total = np.sum(P, axis=1)
     out["total_energy"] = total
-    if total > 1e-15 and len(p) > 2:
-        q = p[1:]
-        fq = freqs[1:]
-        k = int(np.argmax(q))
-        out["dom_freq"] = float(fq[k])
-        out["dom_power"] = float(q[k])
-        out["dom_total_ratio"] = float(q[k] / total)
-        out["band_01_04"] = float(np.sum(p[_band_mask(freqs, 0.1, 0.4)]))
-        _, out["spec_entropy"], out["spec_centroid"] = _spectral_shape(freqs, p)
-        out["dom_bandwidth"] = _half_power_bandwidth(fq, q, k)
-        f2, p2 = _second_peak(fq, q, k)
-        out["peak2_freq"] = f2
-        out["peak2_power"] = p2
+    if len(freqs) > 2:
+        fq, Q = freqs[1:], P[:, 1:]
+        k = np.argmax(Q, axis=1)
+        dom = Q[np.arange(len(Q)), k]
+        _, entropy, centroid = _spectral_shape(freqs, P)
+        peak2_freq, peak2_power = _second_peak(fq, Q, k)
+        spectral = {
+            "dom_freq": fq[k],
+            "dom_power": dom,
+            "dom_total_ratio": dom / total,
+            "band_01_04": np.sum(P[:, _band(freqs, 0.1, 0.4)], axis=1),
+            "spec_entropy": entropy,
+            "spec_centroid": centroid,
+            "dom_bandwidth": _half_power_bandwidth(fq, Q, k),
+            "peak2_freq": peak2_freq,
+            "peak2_power": peak2_power,
+        }
+        live = total > 1e-15
+        out.update((key, np.where(live, v, np.nan))
+                   for key, v in spectral.items())
     return out
 
 
-def _half_power_bandwidth(freqs: np.ndarray, p: np.ndarray, k: int) -> float:
-    """Width of the run of bins around peak bin k with at least half its
-    power; p is a power spectrum, so bin k itself is never below half."""
-    edges = np.concatenate(([-1], np.flatnonzero(p < p[k] / 2.0), [len(p)]))
-    j = np.searchsorted(edges, k)
-    return float(freqs[edges[j] - 1] - freqs[edges[j - 1] + 1])
-
-
-def _second_peak(freqs: np.ndarray, p: np.ndarray, dom: int) -> tuple[float, float]:
-    locs, _ = sps.find_peaks(p)
-    locs = locs[np.abs(locs - dom) > 1]
-    if len(locs) == 0:
-        return np.nan, np.nan
-    k = locs[np.argmax(p[locs])]
-    return float(freqs[k]), float(p[k])
+def breath_features(samples: np.ndarray, sample_rate_hz: float, lo, hi) -> dict:
+    """25 statistics (15 time-domain, 10 spectral) of each breathing window
+    ``samples[lo:hi]``: key -> column, one row per window; NaN rows for
+    windows of fewer than 2 samples. Windows of one length are the rows of
+    one block, taken in blocks of at most ``BLOCK_VALUES`` samples."""
+    x = np.asarray(samples, dtype=float)
+    lo, hi = np.asarray(lo, dtype=int), np.asarray(hi, dtype=int)
+    n = hi - lo
+    out = {k: np.full(len(n), np.nan) for k in BREATH_NAMES}
+    for m in np.unique(n[n >= 2]):
+        _in_blocks(out, np.flatnonzero(n == m), m, lambda r: _breath_rows(
+            x[lo[r, None] + np.arange(m)], sample_rate_hz))
+    return out
 
 
 # --- cardiopulmonary coupling --------------------------------------------
@@ -221,7 +289,7 @@ def cpc_band_features(spectrum: CpcSpectrum) -> dict:
     total = float(np.sum(c))
     sums = {}
     for name, (lo, hi) in (("vlf", CPC_VLF), ("lf", CPC_LF), ("hf", CPC_HF)):
-        sums[name] = float(np.sum(c[_band_mask(f, lo, hi)]))
+        sums[name] = float(np.sum(c[_band(f, lo, hi)]))
     out = {f"cpc_sum_{k}": v for k, v in sums.items()}
     if total <= 0:
         raise ZeroTotal("all-zero coupling spectrum")

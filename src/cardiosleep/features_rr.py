@@ -5,16 +5,24 @@ Four families: 10 time-domain HRV measures, 34 conventional statistics,
 middle epoch of a multi-epoch window against the whole window. Plus 21
 frequency-domain features on the 4 Hz resampled RR series.
 
-The HRV time-domain and statistics families evaluate a whole night at once.
-``hrv_time_features(values, lo, hi)`` and ``statistical_features(values, lo,
-hi)`` take the night's usable RR values and the index bounds ``[lo, hi)`` of
-each window (windows may overlap), and return key -> column, one row per
+The HRV time-domain, statistics and nonlinear families evaluate a whole
+night at once. ``hrv_time_features(values, lo, hi)``,
+``statistical_features(values, lo, hi)`` and ``nonlinear_features(values,
+lo, hi)`` take the night's usable RR values and the index bounds ``[lo, hi)``
+of each window (windows may overlap), and return key -> column, one row per
 window. A window of fewer than 2 intervals gets a NaN row. The windows are
 padded to the longest one and processed in row blocks of at most
 ``BLOCK_VALUES`` values. Against the window-by-window definitions, kept as
 oracles in the tests, every entry agrees within rtol 1e-12 plus 1e-12 times
-its column's largest magnitude, with the same NaN entries; the counts and
-runs above the mean agree exactly. The other families take one window.
+its column's largest magnitude, with the same NaN entries; the counts, runs
+above the mean and zero crossings agree exactly. Sample entropy, the
+nonlinear family's fifth entry, and the sudden-variation features take one
+window.
+
+``rr_freq_features(times, values, t0, t1)`` evaluates the spectra of every
+window ``[t0, t1)`` of a night: one interpolation onto the 4 Hz grid, then
+one batched FFT per window length. Its entries equal the window-by-window
+definition bit for bit.
 
 Entries that are undefined on a given window (zero-variance moments, too few
 beats) come back as NaN and are masked as missing downstream.
@@ -71,6 +79,18 @@ RESAMPLE_HZ = 4.0
 BLOCK_VALUES = 65_536
 
 
+def _in_blocks(out: dict, rows: np.ndarray, width: int, kernel) -> None:
+    """Fill ``out``'s columns at ``rows`` from ``kernel(block)``, where each
+    block of rows holds at most ``BLOCK_VALUES`` values of ``width`` each."""
+    step = max(1, BLOCK_VALUES // max(width, 1))
+    # padded cells and degenerate rows may divide by zero before being masked
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for start in range(0, len(rows), step):
+            r = rows[start:start + step]
+            for k, col in kernel(r).items():
+                out[k][r] = col
+
+
 def _whole_night(kernel, names: list, values, lo, hi) -> dict:
     """``kernel``'s columns over the windows ``values[lo:hi]``, one row per
     window; NaN rows for windows of fewer than 2 intervals.
@@ -83,14 +103,8 @@ def _whole_night(kernel, names: list, values, lo, hi) -> dict:
     lo, hi = np.asarray(lo, dtype=int), np.asarray(hi, dtype=int)
     n = hi - lo
     out = {k: np.full(len(n), np.nan) for k in names}
-    rows = np.flatnonzero(n >= 2)
-    step = max(1, BLOCK_VALUES // max(int(n.max(initial=0)), 1))
-    # padded cells and degenerate rows may divide by zero before being masked
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for start in range(0, len(rows), step):
-            r = rows[start:start + step]
-            for k, col in kernel(values, lo[r], n[r]).items():
-                out[k][r] = col
+    _in_blocks(out, np.flatnonzero(n >= 2), int(n.max(initial=0)),
+               lambda r: kernel(values, lo[r], n[r]))
     return out
 
 
@@ -139,6 +153,48 @@ def _quantile(S: np.ndarray, n: np.ndarray, q: float) -> np.ndarray:
 def _sorted_rows(X: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Each row sorted, its padding (+inf) last."""
     return np.sort(np.where(mask, X, np.inf), axis=1)
+
+
+def _exact_means(values, lo, n, X, mask, mean) -> np.ndarray:
+    """``mean``, except in windows holding a value within roundoff of it
+    (2·eps·Σ|x|), constant ones among them: such a value lies above the
+    mean or not as the mean's last bits fall, so those windows take the
+    mean as ``np.mean`` rounds it."""
+    bar = mean.copy()
+    roundoff = 2 * np.finfo(float).eps * np.sum(np.abs(X), axis=1)
+    near = mask & (np.abs(X - mean[:, None]) <= roundoff[:, None])
+    for r in np.flatnonzero(np.any(near, axis=1)):
+        bar[r] = np.mean(values[lo[r]:lo[r] + n[r]])
+    return bar
+
+
+def _row_moments(V: np.ndarray, mask: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's ``np.mean`` and ``np.std`` over its masked cells, bit for
+    bit, NaN for rows with none. Rows with the same cell count are reduced
+    together, their cells moved to the front in order."""
+    count = np.count_nonzero(mask, axis=1)
+    V = np.take_along_axis(V, np.argsort(~mask, axis=1, kind="stable"), 1)
+    mean, sd = np.full(len(V), np.nan), np.full(len(V), np.nan)
+    for c in np.unique(count[count > 0]):
+        r = np.flatnonzero(count == c)
+        W = V[r, :c]
+        # np.mean and np.std's own steps, without their wrappers
+        m = np.sum(W, axis=1, keepdims=True) / c
+        D = W - m
+        mean[r], sd[r] = m[:, 0], np.sqrt(np.sum(D * D, axis=1) / c)
+    return mean, sd
+
+
+def _zero_crossings(C: np.ndarray) -> np.ndarray:
+    """Sign changes along each row of a mean-removed block, ignoring exact
+    zeros (padding included)."""
+    signs = np.sign(C)
+    j = np.arange(C.shape[1])
+    # the sign of the last non-zero cell at or before each cell
+    last = np.maximum.accumulate(np.where(signs != 0, j, 0), axis=1)
+    held = np.take_along_axis(signs, last, axis=1)
+    return np.count_nonzero(signs[:, 1:] * held[:, :-1] < 0, axis=1)
 
 
 # --- time-domain HRV ------------------------------------------------------
@@ -208,15 +264,7 @@ def _statistical_rows(values, lo, n) -> dict:
     _, sd_d, _ = _moments(D, dmask, n - 1)
     half = n // 2
     first = np.sum(np.where(j < half[:, None], X, 0.0), axis=1)
-    # a value within roundoff of its window's mean lies above it or not as
-    # the mean's last bits fall, so those windows (constant ones among them)
-    # compare against the mean as np.mean rounds it
-    bar = mean.copy()
-    roundoff = 2 * np.finfo(float).eps * np.sum(np.abs(X), axis=1)
-    near = mask & (np.abs(X - mean[:, None]) <= roundoff[:, None])
-    for r in np.flatnonzero(np.any(near, axis=1)):
-        bar[r] = np.mean(values[lo[r]:lo[r] + n[r]])
-    above = mask & (X > bar[:, None])
+    above = mask & (X > _exact_means(values, lo, n, X, mask, mean)[:, None])
     # a run above the mean ends at j, and started after its last cell not
     # above the mean
     last_not_above = np.maximum.accumulate(np.where(above, -1, j), axis=1)
@@ -293,30 +341,33 @@ def sample_entropy(values: np.ndarray, m: int = 2, r_frac: float = 0.2) -> float
     return float(-np.log(a / b))
 
 
-def _zero_crossings(centered: np.ndarray) -> int:
-    """Sign changes of a mean-removed signal, ignoring exact zeros."""
-    signs = np.sign(centered)
-    return int(np.count_nonzero(np.diff(signs[signs != 0])))
+def _sampen_entry(values: np.ndarray) -> dict:
+    """The nonlinear family's sample entropy of one window, NaN below 50
+    intervals."""
+    return {"rr_sampen": sample_entropy(values) if len(values) >= 50 else np.nan}
 
 
-def nonlinear_features(values: np.ndarray) -> dict:
-    x = np.asarray(values, dtype=float)
-    n = len(x)
-    if n < 2:
-        raise InsufficientData(f"need >= 2 intervals, got {n}")
-    zc = _zero_crossings(x - np.mean(x))
-    d = np.diff(x)
-    s = x[:-1] + x[1:]
-    sd1 = float(np.std(d) / np.sqrt(2))
-    sd2 = float(np.std(s) / np.sqrt(2))
-    sampen = sample_entropy(x) if n >= 50 else np.nan
+def _nonlinear_rows(values, lo, n) -> dict:
+    X, mask, _ = _padded(values, lo, n)
+    mean, _, _ = _moments(X, mask, n)
+    zc = _zero_crossings(np.where(
+        mask, X - _exact_means(values, lo, n, X, mask, mean)[:, None], 0.0))
+    D, dmask = _diffs(X, mask)
+    _, sd_d, _ = _moments(D, dmask, n - 1)
+    _, sd_s, _ = _moments(X[:, :-1] + X[:, 1:], dmask, n - 1)
     return {
-        "rr_sampen": sampen,
-        "rr_zero_cross_count": float(zc),
+        "rr_zero_cross_count": 1.0 * zc,
         "rr_zero_cross_rate": zc / n,
-        "rr_sd1": sd1,
-        "rr_sd2": sd2,
+        "rr_sd1": sd_d / np.sqrt(2),
+        "rr_sd2": sd_s / np.sqrt(2),
     }
+
+
+def nonlinear_features(values: np.ndarray, lo, hi) -> dict:
+    """The zero crossings of the mean and the Poincaré SD1 and SD2 of each
+    window ``values[lo:hi]``: key -> column. Sample entropy, the family's
+    fifth entry, is ``_sampen_entry`` of each window."""
+    return _whole_night(_nonlinear_rows, NONLINEAR_NAMES[1:], values, lo, hi)
 
 
 # --- sudden-variation features -------------------------------------------
@@ -373,82 +424,126 @@ def novel_f3(epoch_means: np.ndarray, epoch_counts: np.ndarray,
 # --- frequency domain -----------------------------------------------------
 
 def _one_sided_power(y: np.ndarray) -> np.ndarray:
-    """One-sided power spectrum normalized so the bins sum to mean(y^2)."""
-    n = len(y)
-    spec = np.fft.rfft(y)
+    """One-sided power spectrum along the last axis, normalized so the bins
+    sum to mean(y^2)."""
+    n = y.shape[-1]
+    spec = np.fft.rfft(y, axis=-1)
     p = np.abs(spec) ** 2 / n ** 2
-    p[1:] *= 2.0
+    p[..., 1:] *= 2.0
     if n % 2 == 0:
-        p[-1] /= 2.0
+        p[..., -1] /= 2.0
     return p
 
 
-def _hann_spectrum(x: np.ndarray, fs: float) -> tuple[np.ndarray, np.ndarray]:
-    """Frequencies and one-sided power of x, mean-removed and Hann-windowed."""
-    y = (x - np.mean(x)) * np.hanning(len(x))
-    return np.fft.rfftfreq(len(y), d=1.0 / fs), _one_sided_power(y)
+def _hann_spectrum(X: np.ndarray, fs: float) -> tuple[np.ndarray, np.ndarray]:
+    """Frequencies and one-sided power of each row of X, mean-removed and
+    Hann-windowed."""
+    n = X.shape[-1]
+    Y = (X - np.mean(X, axis=-1, keepdims=True)) * np.hanning(n)
+    return np.fft.rfftfreq(n, d=1.0 / fs), _one_sided_power(Y)
 
 
-def _spectral_shape(freqs: np.ndarray, p: np.ndarray
-                    ) -> tuple[np.ndarray, float, float]:
-    """The non-DC bins of a power spectrum as a distribution, its Shannon
-    entropy normalised by the log of the bin count, and its centroid."""
-    q = p[1:] / np.sum(p[1:])
-    pos = q > 0
-    entropy = float(-np.sum(q[pos] * np.log(q[pos])) / np.log(len(q)))
-    return q, entropy, float(np.sum(freqs[1:] * q))
+def _spectral_shape(freqs: np.ndarray, P: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The non-DC bins of each row's power spectrum as a distribution, its
+    Shannon entropy normalised by the log of the bin count, and its
+    centroid."""
+    Q = P[:, 1:] / np.sum(P[:, 1:], axis=1, keepdims=True)
+    plogp = np.where(Q > 0, Q * np.log(Q), 0.0)
+    entropy = -np.sum(plogp, axis=1) / np.log(Q.shape[1])
+    return Q, entropy, np.sum(freqs[1:] * Q, axis=1)
 
 
-def _band_mask(freqs: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    # boundary bins belong to the higher band
-    return (freqs >= lo) & (freqs < hi)
+def _band(freqs: np.ndarray, lo: float, hi: float) -> slice:
+    """The bins of ascending ``freqs`` in ``[lo, hi)``: a boundary bin
+    belongs to the higher band."""
+    return slice(*np.searchsorted(freqs, (lo, hi)))
 
 
-def rr_freq_features(times: np.ndarray, values: np.ndarray,
-                     t0: float, t1: float) -> dict:
-    """21 spectral features of the RR series resampled to a uniform 4 Hz grid,
-    mean-removed and Hann-windowed."""
+def _freq_rows(X: np.ndarray) -> dict:
+    """The 21 spectral features of each row of resampled RR values."""
+    freqs, P = _hann_spectrum(X, RESAMPLE_HZ)
+    rows = np.arange(len(P))
+    total = np.sum(P, axis=1)
+    live = total > 1e-12
+    out = {"rrf_total_power": total}
+    power = {}
+    for name, (lo, hi) in (("vlf", VLF_BAND), ("lf", LF_BAND), ("hf", HF_BAND)):
+        band = _band(freqs, lo, hi)
+        power[name] = np.sum(P[:, band], axis=1)
+        out[f"rrf_{name}_power"] = power[name]
+        if band.stop > band.start:
+            k = band.start + np.argmax(P[:, band], axis=1)
+            out[f"rrf_{name}_peak_freq"] = np.where(live, freqs[k], np.nan)
+            out[f"rrf_{name}_peak_power"] = np.where(live, P[rows, k], np.nan)
+    out["rrf_band_power_04_10"] = np.sum(P[:, _band(freqs, 0.4, 1.0)], axis=1)
+
+    lf, hf = power["lf"], power["hf"]
+    denom = lf + hf
+    Q, entropy, centroid = _spectral_shape(freqs, P)
+    # the first bin where the cumulative share reaches q
+    cum = np.cumsum(P, axis=1) / total[:, None]
+    edge = {q: freqs[np.count_nonzero(cum < q, axis=1)] for q in (0.95, 0.5)}
+    flatness = np.where(np.all(Q > 0, axis=1),
+                        np.exp(np.mean(np.log(Q), axis=1)) / np.mean(Q, axis=1),
+                        0.0)
+    shape = {
+        "rrf_lf_hf_ratio": np.where(hf > 0, lf / hf, np.nan),
+        "rrf_lf_norm": np.where(denom > 0, lf / denom, np.nan),
+        "rrf_hf_norm": np.where(denom > 0, hf / denom, np.nan),
+        "rrf_hf_total_ratio": hf / total,
+        "rrf_lf_total_ratio": lf / total,
+        "rrf_spec_entropy": entropy,
+        "rrf_spec_centroid": centroid,
+        "rrf_sef95": edge[0.95],
+        "rrf_median_freq": edge[0.5],
+        "rrf_spec_flatness": flatness,
+    }
+    out.update((k, np.where(live, v, np.nan)) for k, v in shape.items())
+    return out
+
+
+def rr_freq_features(times: np.ndarray, values: np.ndarray, t0, t1) -> dict:
+    """21 spectral features of each window ``[t0, t1)`` of the RR series
+    resampled to a uniform 4 Hz grid, mean-removed and Hann-windowed:
+    key -> column, one row per window.
+
+    ``times`` and ``values`` are the night's usable intervals, start times
+    ascending; a window holds the intervals starting inside it. Window
+    edges lie on the grid ``k / 4`` s. The series is interpolated onto the
+    grid once; each window takes its grid points and holds its first and
+    last intervals' values before and after them, as ``np.interp`` of the
+    window's own intervals does. A window with fewer than 4 intervals,
+    shorter than 30 s, or whose intervals span less than 75% of it, gets a
+    NaN row. Windows of one sample count share one batched FFT.
+    """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
+    t0, t1 = np.asarray(t0, dtype=float), np.asarray(t1, dtype=float)
+    k0 = np.rint(t0 * RESAMPLE_HZ).astype(int)
+    k1 = np.rint(t1 * RESAMPLE_HZ).astype(int)
+    if not (np.array_equal(k0 / RESAMPLE_HZ, t0)
+            and np.array_equal(k1 / RESAMPLE_HZ, t1)):
+        raise ValueError("window edges must lie on the 4 Hz grid")
+    lo, hi = np.searchsorted(times, t0), np.searchsorted(times, t1)
     win = t1 - t0
-    if len(values) < 4:
-        raise InsufficientData(f"need >= 4 intervals, got {len(values)}")
-    if win < 30.0 - 1e-9 or (times[-1] - times[0]) < 0.75 * win:
-        raise InsufficientData("need >= 30 s of RR coverage in the window")
-    grid_t = np.arange(t0, t1, 1.0 / RESAMPLE_HZ)
-    freqs, p = _hann_spectrum(np.interp(grid_t, times, values), RESAMPLE_HZ)
-    total = float(np.sum(p))
+    out = {k: np.full(len(t0), np.nan) for k in FREQ_NAMES}
+    rows = np.flatnonzero(hi - lo >= 4)
+    rows = rows[(win[rows] >= 30.0 - 1e-9) & (
+        times[hi[rows] - 1] - times[lo[rows]] >= 0.75 * win[rows])]
+    if len(rows) == 0:
+        return out
+    start = k0[rows].min()
+    grid = np.arange(start, k1[rows].max()) / RESAMPLE_HZ
+    series = np.interp(grid, times, values)
 
-    out = dict.fromkeys(FREQ_NAMES, np.nan)
-    out["rrf_total_power"] = total
-    bands = {"vlf": VLF_BAND, "lf": LF_BAND, "hf": HF_BAND}
-    power = {}
-    for name, (lo, hi) in bands.items():
-        mask = _band_mask(freqs, lo, hi)
-        power[name] = float(np.sum(p[mask]))
-        out[f"rrf_{name}_power"] = power[name]
-        if total > 1e-12 and np.any(mask):
-            k = np.flatnonzero(mask)[np.argmax(p[mask])]
-            out[f"rrf_{name}_peak_freq"] = float(freqs[k])
-            out[f"rrf_{name}_peak_power"] = float(p[k])
-    out["rrf_band_power_04_10"] = float(np.sum(p[_band_mask(freqs, 0.4, 1.0)]))
+    def block(r, m):
+        idx = (k0[r] - start)[:, None] + np.arange(m)
+        first, last = lo[r, None], hi[r, None] - 1
+        X = np.where(grid[idx] < times[first], values[first], series[idx])
+        return _freq_rows(np.where(grid[idx] > times[last], values[last], X))
 
-    if total > 1e-12:
-        lf, hf = power["lf"], power["hf"]
-        out["rrf_lf_hf_ratio"] = lf / hf if hf > 0 else np.nan
-        denom = lf + hf
-        if denom > 0:
-            out["rrf_lf_norm"] = lf / denom
-            out["rrf_hf_norm"] = hf / denom
-        out["rrf_hf_total_ratio"] = hf / total
-        out["rrf_lf_total_ratio"] = lf / total
-        q, out["rrf_spec_entropy"], out["rrf_spec_centroid"] = _spectral_shape(
-            freqs, p)
-        cum = np.cumsum(p) / total
-        out["rrf_sef95"] = float(freqs[np.searchsorted(cum, 0.95)])
-        out["rrf_median_freq"] = float(freqs[np.searchsorted(cum, 0.5)])
-        if np.all(q > 0):
-            out["rrf_spec_flatness"] = float(np.exp(np.mean(np.log(q))) / np.mean(q))
-        else:
-            out["rrf_spec_flatness"] = 0.0
+    size = k1 - k0
+    for m in np.unique(size[rows]):
+        _in_blocks(out, rows[size[rows] == m], m, lambda r: block(r, m))
     return out

@@ -12,9 +12,11 @@ breathing set: 104 + 25 + 23 = 152.
 Assembly groups the manifest's entries by family and window width and makes
 one evaluator call per group. ``_FAMILIES[family](night, width)`` returns a
 column per key, one row per epoch, NaN where the entry is missing. The HRV
-time-domain and statistics families compute every window of a width in that
-call. The others run window by window through ``_per_window``: a window whose
-extractor raises one of the family's typed errors leaves its entries missing.
+time-domain, statistics, nonlinear, RR spectrum and breathing families
+compute every window of a width in that call. Sample entropy, the
+sudden-variation features and the coupling spectrum run window by window
+through ``_per_window``: a window whose extractor raises one of the family's
+typed errors leaves its entries missing.
 """
 from __future__ import annotations
 
@@ -28,8 +30,8 @@ from . import features_resp, features_rr
 from .cohort import merge_stages
 from .epoching import EPOCH_S, count_epochs, resolve_window
 from .errors import (EmptyTrainingSet, InsufficientData, LengthMismatch,
-                     ManifestMismatch, MissingCenter, NoBreathsDetected,
-                     NoValidEpochs, SubjectUnusable, ZeroTotal)
+                     ManifestMismatch, MissingCenter, NoValidEpochs,
+                     SubjectUnusable, ZeroTotal)
 from .preprocess import usable_intervals
 from .types import Hypnogram, ProcessedSubject, SignalTrace
 
@@ -172,10 +174,18 @@ class _Window:
 
     def samples(self, trace: SignalTrace) -> np.ndarray:
         """The trace's samples whose timestamps lie inside ``[t0, t1)``."""
-        rate = trace.sample_rate_hz
-        lo = int(np.ceil(self.t0 * rate - 1e-9))
-        hi = min(int(np.ceil(self.t1 * rate - 1e-9)), len(trace.samples))
+        lo, hi = _sample_bounds(trace, self.t0, self.t1)
         return trace.samples[lo:hi]
+
+
+def _sample_bounds(trace: SignalTrace, t0, t1) -> tuple:
+    """Index bounds ``[lo, hi)`` of the trace's samples whose timestamps lie
+    inside ``[t0, t1)``, for scalar or array edges."""
+    rate = trace.sample_rate_hz
+    lo = np.ceil(np.asarray(t0) * rate - 1e-9).astype(int)
+    hi = np.minimum(np.ceil(np.asarray(t1) * rate - 1e-9).astype(int),
+                    len(trace.samples))
+    return lo, hi
 
 
 def _spans(n_epochs: int, times: np.ndarray, n: int
@@ -199,21 +209,23 @@ def _windows(n: int, edges: np.ndarray, bounds: np.ndarray, times: np.ndarray,
 
 class _Night:
     """One subject on its epoch grid, with its windows built once per width:
-    what the family evaluators read. ``rr_bounds[n]`` holds the RR index
-    bounds ``(lo, hi)`` of every width-n window, ``windows[n]`` their
-    records."""
+    what the family evaluators read. ``edges[n]`` holds the edges
+    ``(t0, t1)`` in seconds of every width-n window, ``rr_bounds[n]`` their
+    RR index bounds ``(lo, hi)`` and ``windows[n]`` their records."""
 
     def __init__(self, subject: ProcessedSubject, n_epochs: int, widths):
         self.subject = subject
         self.n_epochs = n_epochs
-        times, self.rr_values = usable_intervals(subject.rr)
+        self.rr_times, self.rr_values = usable_intervals(subject.rr)
         self.epoch_means, self.epoch_counts = _rr_epoch_means(
-            times, self.rr_values, n_epochs)
-        self.rr_bounds, self.windows = {}, {}
+            self.rr_times, self.rr_values, n_epochs)
+        self.edges, self.rr_bounds, self.windows = {}, {}, {}
         for n in widths:
-            edges, bounds = _spans(n_epochs, times, n)
+            edges, bounds = _spans(n_epochs, self.rr_times, n)
+            self.edges[n] = tuple(edges.T)
             self.rr_bounds[n] = tuple(bounds.T)
-            self.windows[n] = _windows(n, edges, bounds, times, self.rr_values)
+            self.windows[n] = _windows(n, edges, bounds, self.rr_times,
+                                       self.rr_values)
 
 
 def _per_window(extract, errors):
@@ -234,8 +246,10 @@ def _per_window(extract, errors):
     return evaluate
 
 
-def _breath(trace: SignalTrace, w: _Window) -> dict:
-    return features_resp.breath_features(w.samples(trace), trace.sample_rate_hz)
+def _breath(trace: SignalTrace, night: _Night, n: int) -> dict:
+    return features_resp.breath_features(
+        trace.samples, trace.sample_rate_hz,
+        *_sample_bounds(trace, *night.edges[n]))
 
 
 def _cpc(night: _Night, w: _Window) -> dict:
@@ -246,7 +260,9 @@ def _cpc(night: _Night, w: _Window) -> dict:
 
 
 # manifest key or, failing that, source -> evaluator(night, width): a
-# column per key, one row per epoch, NaN where the entry is missing.
+# column per key, one row per epoch, NaN where the entry is missing. Most
+# families compute every window of a width in one call; sample entropy, the
+# sudden-variation features and the coupling spectrum run window by window.
 # Extractors are looked up on their modules at call time so that wrappers
 # installed on those attributes see every call.
 _FAMILIES = {
@@ -254,11 +270,12 @@ _FAMILIES = {
         night.rr_values, *night.rr_bounds[n]),
     "rr_stat": lambda night, n: features_rr.statistical_features(
         night.rr_values, *night.rr_bounds[n]),
-    "rr_nonlinear": _per_window(
-        lambda night, w: features_rr.nonlinear_features(w.rr_values),
-        InsufficientData),
-    "rr_freq": _per_window(lambda night, w: features_rr.rr_freq_features(
-        w.rr_times, w.rr_values, w.t0, w.t1), InsufficientData),
+    "rr_nonlinear": lambda night, n: features_rr.nonlinear_features(
+        night.rr_values, *night.rr_bounds[n]),
+    "rr_sampen": _per_window(
+        lambda night, w: features_rr._sampen_entry(w.rr_values), ()),
+    "rr_freq": lambda night, n: features_rr.rr_freq_features(
+        night.rr_times, night.rr_values, *night.edges[n]),
     # the sudden-variation features (source rr_novel) differ in width and error
     "rr_f1": _per_window(lambda night, w: {"rr_f1": features_rr.novel_f1(
         night.epoch_means, night.epoch_counts, w.center, w.n)}, MissingCenter),
@@ -267,12 +284,10 @@ _FAMILIES = {
                          MissingCenter),
     "rr_f3": _per_window(lambda night, w: {"rr_f3": features_rr.novel_f3(
         night.epoch_means, night.epoch_counts, w.center, w.n)}, NoValidEpochs),
-    "breath_chest": _per_window(
-        lambda night, w: _breath(night.subject.breath_chest, w),
-        NoBreathsDetected),
-    "breath_abdomen": _per_window(
-        lambda night, w: _breath(night.subject.breath_abdomen, w),
-        NoBreathsDetected),
+    "breath_chest": lambda night, n: _breath(
+        night.subject.breath_chest, night, n),
+    "breath_abdomen": lambda night, n: _breath(
+        night.subject.breath_abdomen, night, n),
     "cpc": _per_window(_cpc, (InsufficientData, ZeroTotal, LengthMismatch)),
 }
 

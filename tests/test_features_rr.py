@@ -369,17 +369,17 @@ DISCRETE = {
 }
 
 
-def assert_columns_match(got: dict, want: dict):
+def assert_columns_match(got: dict, want: dict, exact=()):
     """Columns equal the oracle's: rtol 1e-12 plus atol 1e-12 times the
     column's largest magnitude, NaN where the oracle has NaN, and exactly
-    for the ``DISCRETE`` outputs."""
+    for the ``DISCRETE`` outputs and the keys in ``exact``."""
     assert list(got) == list(want)
     for k, w in want.items():
         g = np.asarray(got[k])
         assert g.shape == w.shape, k
         nan = np.isnan(w)
         assert np.array_equal(np.isnan(g), nan), k
-        if k in DISCRETE:
+        if k in DISCRETE or k in exact:
             np.testing.assert_array_equal(g, w, err_msg=k)
         scale = np.max(np.abs(w[~nan]), initial=0.0)
         np.testing.assert_allclose(g[~nan], w[~nan], rtol=1e-12,
@@ -395,19 +395,9 @@ def _assert_matches(fn, oracle, values, lo, hi):
 LENGTHS = [*range(121), 150, 299, 300, 301, 1000]
 
 
-def _nonlinear_features(values, lo, hi) -> dict:
-    """The nonlinear family's columns but sample entropy over the windows
-    values[lo:hi]."""
-    def entries(x):
-        out = fr.nonlinear_features(x)
-        del out["rr_sampen"]
-        return out
-    return _window_columns(entries, values, lo, hi)
-
-
 FAMILIES = [(fr.hrv_time_features, _window_hrv_time_features),
             (fr.statistical_features, _window_statistical_features),
-            (_nonlinear_features, _window_nonlinear_without_sampen)]
+            (fr.nonlinear_features, _window_nonlinear_without_sampen)]
 
 
 def night_edges(width, n_epochs=960):
@@ -505,11 +495,6 @@ def _freq_window_columns(fn, times, values, t0, t1) -> dict:
     return {k: np.array([r[k] for r in rows]) for k in fr.FREQ_NAMES}
 
 
-def _freq_columns(times, values, t0, t1) -> dict:
-    """``rr_freq_features``' columns over the windows [t0, t1)."""
-    return _freq_window_columns(fr.rr_freq_features, times, values, t0, t1)
-
-
 def _rr_series(rng, seconds, mean=0.9):
     """Start times and values of a random RR series covering ``seconds``."""
     values = np.clip(rng.normal(mean, 0.05, int(seconds / mean) + 10), 0.4, 1.8)
@@ -532,8 +517,9 @@ class TestRrFreqMatchesWindowOracle:
     def _assert_same(times, values, t0, t1):
         t0, t1 = np.asarray(t0, dtype=float), np.asarray(t1, dtype=float)
         assert_columns_match(
-            _freq_columns(times, values, t0, t1),
-            _freq_window_columns(_window_rr_freq_features, times, values, t0, t1))
+            fr.rr_freq_features(times, values, t0, t1),
+            _freq_window_columns(_window_rr_freq_features, times, values, t0, t1),
+            exact=fr.FREQ_NAMES)
 
     @pytest.mark.parametrize("width", [1, 9])
     def test_windows_of_a_960_epoch_night(self, width, night_960):
@@ -699,7 +685,7 @@ class TestStatisticalMatchesLoopCode:
 class TestNonlinear:
     def test_sd1_sd2_closed_form(self):
         x = np.array([0.8, 1.0, 0.9, 1.1, 1.0])
-        out = fr.nonlinear_features(x)
+        out = _one(fr.nonlinear_features, x)
         d = np.diff(x)
         s = x[:-1] + x[1:]
         assert out["rr_sd1"] == pytest.approx(np.std(d) / np.sqrt(2))
@@ -707,13 +693,13 @@ class TestNonlinear:
         # SD1 equals RMSSD/sqrt(2) only up to the mean of the differences;
         # for zero-mean differences they coincide
         x2 = np.array([1.0, 1.1, 1.0, 1.1, 1.0])
-        out2 = fr.nonlinear_features(x2)
+        out2 = _one(fr.nonlinear_features, x2)
         rmssd = np.sqrt(np.mean(np.diff(x2) ** 2))
         assert out2["rr_sd1"] == pytest.approx(rmssd / np.sqrt(2), rel=1e-3)
 
     def test_zero_crossings(self):
         x = np.array([1.0, 2.0, 1.0, 2.0])  # mean 1.5, signs - + - +
-        out = fr.nonlinear_features(x)
+        out = _one(fr.nonlinear_features, x)
         assert out["rr_zero_cross_count"] == 3.0
         assert out["rr_zero_cross_rate"] == pytest.approx(3 / 4)
 
@@ -730,9 +716,9 @@ class TestNonlinear:
         assert fr.sample_entropy(regular) < fr.sample_entropy(random)
 
     def test_sampen_nan_below_fifty_intervals(self):
-        out = fr.nonlinear_features(np.random.default_rng(2).normal(0.9, 0.05, 49))
+        out = fr._sampen_entry(np.random.default_rng(2).normal(0.9, 0.05, 49))
         assert math.isnan(out["rr_sampen"])
-        out = fr.nonlinear_features(np.random.default_rng(2).normal(0.9, 0.05, 50))
+        out = fr._sampen_entry(np.random.default_rng(2).normal(0.9, 0.05, 50))
         assert math.isfinite(out["rr_sampen"])
 
     def test_sampen_constant_is_nan(self):
@@ -882,6 +868,12 @@ class TestNovelFeatures:
         assert b == pytest.approx(scale * a, rel=1e-9)
 
 
+def _one_freq(times, values, t0, t1) -> dict:
+    """The RR spectrum's entries for the single window [t0, t1)."""
+    return {k: col[0] for k, col in fr.rr_freq_features(
+        times, values, [t0], [t1]).items()}
+
+
 class TestFrequency:
     def _series(self, rng, seconds=270.0, mean=0.9):
         n = int(seconds / mean)
@@ -895,17 +887,19 @@ class TestFrequency:
     def test_parseval_total_power(self):
         rng = np.random.default_rng(3)
         times, values = self._series(rng)
-        out = fr.rr_freq_features(times, values, 0.0, 270.0)
-        # reproduce the windowed series the feature works on
+        out = _one_freq(times, values, 0.0, 270.0)
+        # reproduce the windowed series the feature works on, from the
+        # intervals starting inside the window
         grid_t = np.arange(0.0, 270.0, 0.25)
-        y = np.interp(grid_t, times, values)
+        inside = times < 270.0
+        y = np.interp(grid_t, times[inside], values[inside])
         y = (y - np.mean(y)) * np.hanning(len(y))
         assert out["rrf_total_power"] == pytest.approx(np.mean(y ** 2), rel=1e-6)
 
     def test_planted_lf_oscillation_dominates(self):
         t = np.arange(0.5, 270.0, 0.9)
         values = 0.9 + 0.05 * np.sin(2 * np.pi * 0.1 * t)
-        out = fr.rr_freq_features(t, values, 0.0, 270.0)
+        out = _one_freq(t, values, 0.0, 270.0)
         assert out["rrf_lf_peak_freq"] == pytest.approx(0.1, abs=1.0 / 270.0)
         assert out["rrf_lf_power"] > out["rrf_hf_power"]
         assert out["rrf_lf_norm"] > 0.9
@@ -914,7 +908,7 @@ class TestFrequency:
     def test_planted_hf_oscillation(self):
         t = np.arange(0.5, 270.0, 0.9)
         values = 0.9 + 0.05 * np.sin(2 * np.pi * 0.25 * t)
-        out = fr.rr_freq_features(t, values, 0.0, 270.0)
+        out = _one_freq(t, values, 0.0, 270.0)
         assert out["rrf_hf_peak_freq"] == pytest.approx(0.25, abs=1.0 / 270.0)
         assert out["rrf_hf_total_ratio"] > 0.8
         assert out["rrf_lf_hf_ratio"] < 0.2
@@ -922,7 +916,7 @@ class TestFrequency:
     def test_band_sums_are_consistent(self):
         rng = np.random.default_rng(4)
         times, values = self._series(rng)
-        out = fr.rr_freq_features(times, values, 0.0, 270.0)
+        out = _one_freq(times, values, 0.0, 270.0)
         assert out["rrf_hf_total_ratio"] == pytest.approx(
             out["rrf_hf_power"] / out["rrf_total_power"])
         assert out["rrf_lf_total_ratio"] == pytest.approx(
@@ -932,17 +926,21 @@ class TestFrequency:
         assert out["rrf_sef95"] >= out["rrf_median_freq"]
 
     def test_too_few_values_rejected(self):
-        with pytest.raises(InsufficientData):
-            fr.rr_freq_features(np.array([1.0, 2.0]), np.array([1.0, 1.0]),
-                                0.0, 60.0)
+        out = _one_freq(np.array([1.0, 2.0]), np.array([1.0, 1.0]), 0.0, 60.0)
+        assert all(math.isnan(v) for v in out.values())
 
     def test_sparse_coverage_rejected(self):
         # all intervals bunched into the first quarter of the window
         t = np.arange(0.5, 20.0, 0.9)
-        with pytest.raises(InsufficientData):
-            fr.rr_freq_features(t, np.full(len(t), 0.9), 0.0, 270.0)
+        out = _one_freq(t, np.full(len(t), 0.9), 0.0, 270.0)
+        assert all(math.isnan(v) for v in out.values())
 
     def test_short_window_rejected(self):
         t = np.arange(0.5, 25.0, 0.9)
-        with pytest.raises(InsufficientData):
-            fr.rr_freq_features(t, np.full(len(t), 0.9), 0.0, 25.0)
+        out = _one_freq(t, np.full(len(t), 0.9), 0.0, 25.0)
+        assert all(math.isnan(v) for v in out.values())
+
+    def test_edges_off_the_grid_rejected(self):
+        t = np.arange(0.5, 270.0, 0.9)
+        with pytest.raises(ValueError, match="4 Hz grid"):
+            _one_freq(t, np.full(len(t), 0.9), 0.1, 270.0)

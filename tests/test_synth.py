@@ -93,10 +93,12 @@ class TestGenerateSubject:
         for e, stage in enumerate(stages):
             if stage not in (FourStage.LIGHT, FourStage.DEEP):
                 continue  # wake/REM rates jitter too much for a tight check
-            seg = s.breath_chest.samples[int(e * 30 * fs):int((e + 1) * 30 * fs)]
-            out = features_resp.breath_features(seg, fs)
-            if np.isfinite(out["dom_freq"]):
-                assert out["dom_freq"] == pytest.approx(
+            lo = int(e * 30 * fs)
+            dom_freq = features_resp.breath_features(
+                s.breath_chest.samples, fs, [lo], [int((e + 1) * 30 * fs)]
+            )["dom_freq"][0]
+            if np.isfinite(dom_freq):
+                assert dom_freq == pytest.approx(
                     dyn[stage].breath_rate_hz, abs=0.06)
                 checked += 1
         assert checked >= 5
