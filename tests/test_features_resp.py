@@ -1,5 +1,6 @@
 """Breathing-window statistics and cardiopulmonary coupling."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -128,6 +129,19 @@ class TestMatchesLoopCode:
         assert list(peaks) == [25, 175] and list(troughs) == [75, 125]
         assert math.isnan(_loop_ie_ratio_mean(peaks, troughs, FS))
         assert math.isnan(_one_breath(x, FS)["ie_ratio_mean"])
+
+    def test_second_peak_on_random_spectra(self):
+        # quantised spectra have flat tops, which find_peaks centres
+        rng = np.random.default_rng(23)
+        for n in range(2, 60):
+            freqs = np.arange(n) * 0.05
+            P = np.vstack([rng.exponential(size=(20, n)),
+                           np.round(rng.random((20, n)) * 3), np.zeros((1, n))])
+            dom = np.argmax(P, axis=1)
+            f2, p2 = resp._second_peak(freqs, P, dom)
+            for r, p in enumerate(P):
+                want = _window_second_peak(freqs, p, dom[r])
+                np.testing.assert_array_equal((f2[r], p2[r]), want)
 
     def test_half_power_bandwidth_on_random_spectra(self):
         rng = np.random.default_rng(22)
@@ -284,6 +298,21 @@ class TestBreathMatchesWindowOracle:
         x = sps.resample_poly(night_960_subject.breath_chest.samples, 2, 5)
         _assert_breath_matches(x, 10.0, *_trace_bounds(
             len(x), 10.0, *night_edges(1)))
+
+    def test_row_blocks_bound_the_traced_peak(self, night_960_subject):
+        trace = night_960_subject.breath_chest
+        fs = trace.sample_rate_hz
+        lo, hi = _trace_bounds(len(trace.samples), fs, *night_edges(1))
+
+        def peak(copies):
+            tracemalloc.start()
+            try:
+                resp.breath_features(trace.samples, fs, np.tile(lo, copies),
+                                     np.tile(hi, copies))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak(8) < 2 * peak(1)
 
     def test_constant_flat_short_and_breathless_windows(self):
         rng = np.random.default_rng(41)

@@ -553,6 +553,20 @@ class TestRrFreqMatchesWindowOracle:
         for width in (1, 3, 9):
             self._assert_same(times, values, t0, t0 + 30.0 * width)
 
+    def test_row_blocks_bound_the_traced_peak(self, night_960):
+        times, values = night_960
+        t0, t1 = night_edges(9)
+
+        def peak(copies):
+            tracemalloc.start()
+            try:
+                fr.rr_freq_features(times, values, np.tile(t0, copies),
+                                    np.tile(t1, copies))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak(8) < 2 * peak(1)
+
     def test_windows_of_few_intervals(self):
         times = np.array([1.0, 2.0, 3.0, 4.0, 28.0, 29.0, 40.0, 70.0, 71.0])
         values = np.array([0.8, 0.9, 1.0, 0.9, 0.7, 0.8, 0.9, 1.0, 1.1])

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.signal import resample_poly
 
-from cardiosleep import features_rr, registry, synth
+from cardiosleep import features_resp, features_rr, registry, synth
 from cardiosleep.epoching import EPOCH_S
 from cardiosleep.errors import (EmptyTrainingSet, LengthMismatch,
                                 ManifestMismatch, SubjectUnusable)
@@ -208,24 +208,50 @@ class TestAssembly:
         assert calls == {"novel_f1": n, "novel_f2": n, "novel_f3": n}
         assert np.array_equal(again.values, feature_matrix.values)
 
+    @staticmethod
+    def _count_whole_night_calls(monkeypatch):
+        """Wrap every whole-night family; each call records its first
+        argument and its window count."""
+        calls = {}
+        for module, name in ((features_rr, "hrv_time_features"),
+                             (features_rr, "statistical_features"),
+                             (features_rr, "nonlinear_features"),
+                             (features_rr, "rr_freq_features"),
+                             (features_resp, "breath_features")):
+            def counted(*args, _fn=getattr(module, name), _name=name):
+                calls.setdefault(_name, []).append((args[0], len(args[-1])))
+                return _fn(*args)
+            monkeypatch.setattr(module, name, counted)
+        return calls
+
     def test_each_whole_night_family_runs_once_per_width(
             self, processed_subject, single_manifest, feature_matrix,
             monkeypatch):
-        calls = {}
-        for name in ("hrv_time_features", "statistical_features"):
-            def counted(values, lo, hi, _fn=getattr(features_rr, name),
-                        _name=name):
-                calls.setdefault(_name, []).append(len(lo))
-                return _fn(values, lo, hi)
-            monkeypatch.setattr(features_rr, name, counted)
+        calls = self._count_whole_night_calls(monkeypatch)
         again = assemble_feature_matrix(processed_subject, single_manifest)
-        widths = {e.window_n for e in single_manifest.entries
-                  if e.source == "rr_stat"}
-        assert widths == {1, 9}
+        widths = {(e.source, e.window_n) for e in single_manifest.entries}
+        assert {n for s, n in widths if s in ("rr_stat", "rr_freq")} == {1, 9}
         n = again.n_epochs
-        assert calls == {"hrv_time_features": [n] * len(widths),
-                         "statistical_features": [n] * len(widths)}
+        assert {k: [count for _, count in v] for k, v in calls.items()} == {
+            "hrv_time_features": [n, n], "statistical_features": [n, n],
+            "nonlinear_features": [n], "rr_freq_features": [n, n],
+            "breath_features": [n]}
+        assert calls["breath_features"][0][0] is (
+            processed_subject.breath_chest.samples)
         assert np.array_equal(again.values, feature_matrix.values)
+
+    def test_two_channel_breath_runs_once_per_belt(self, processed_subject,
+                                                   monkeypatch):
+        manifest = build_manifest("two-channel")
+        expected = assemble_feature_matrix(processed_subject, manifest)
+        calls = self._count_whole_night_calls(monkeypatch)
+        again = assemble_feature_matrix(processed_subject, manifest)
+        n = again.n_epochs
+        assert [(x is processed_subject.breath_chest.samples,
+                 x is processed_subject.breath_abdomen.samples, count)
+                for x, count in calls["breath_features"]] == [
+            (True, False, n), (False, True, n)]
+        assert np.array_equal(again.values, expected.values)
 
     def test_short_windows_miss_the_oracle_cells(self, processed_subject,
                                                  single_manifest):
