@@ -18,8 +18,7 @@ from scipy import signal as sps
 
 from .errors import InsufficientData, LengthMismatch, ZeroTotal
 from .features_rr import (RESAMPLE_HZ, _band, _diffs, _hann_spectrum,
-                          _in_blocks, _row_moments, _spectral_shape,
-                          _zero_crossings)
+                          _in_blocks, _spectral_shape, _zero_crossings)
 
 BREATH_NAMES = [
     # time domain (15)
@@ -55,6 +54,24 @@ def _detect_breaths(x: np.ndarray, fs: float) -> tuple[np.ndarray, np.ndarray]:
     peaks, _ = sps.find_peaks(x, distance=dist, prominence=prom)
     troughs, _ = sps.find_peaks(-x, distance=dist, prominence=prom)
     return peaks, troughs
+
+
+def _row_moments(V: np.ndarray, mask: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's ``np.mean`` and ``np.std`` over its masked cells, bit for
+    bit, NaN for rows with none. Rows with the same cell count are reduced
+    together, their cells moved to the front in order."""
+    count = np.count_nonzero(mask, axis=1)
+    V = np.take_along_axis(V, np.argsort(~mask, axis=1, kind="stable"), 1)
+    mean, sd = np.full(len(V), np.nan), np.full(len(V), np.nan)
+    for c in np.unique(count[count > 0]):
+        r = np.flatnonzero(count == c)
+        W = V[r, :c]
+        # np.mean and np.std's own steps, without their wrappers
+        m = np.sum(W, axis=1, keepdims=True) / c
+        D = W - m
+        mean[r], sd[r] = m[:, 0], np.sqrt(np.sum(D * D, axis=1) / c)
+    return mean, sd
 
 
 def _breath_cycles(X: np.ndarray, fs: float) -> dict:

@@ -168,24 +168,6 @@ def _exact_means(values, lo, n, X, mask, mean) -> np.ndarray:
     return bar
 
 
-def _row_moments(V: np.ndarray, mask: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's ``np.mean`` and ``np.std`` over its masked cells, bit for
-    bit, NaN for rows with none. Rows with the same cell count are reduced
-    together, their cells moved to the front in order."""
-    count = np.count_nonzero(mask, axis=1)
-    V = np.take_along_axis(V, np.argsort(~mask, axis=1, kind="stable"), 1)
-    mean, sd = np.full(len(V), np.nan), np.full(len(V), np.nan)
-    for c in np.unique(count[count > 0]):
-        r = np.flatnonzero(count == c)
-        W = V[r, :c]
-        # np.mean and np.std's own steps, without their wrappers
-        m = np.sum(W, axis=1, keepdims=True) / c
-        D = W - m
-        mean[r], sd[r] = m[:, 0], np.sqrt(np.sum(D * D, axis=1) / c)
-    return mean, sd
-
-
 def _zero_crossings(C: np.ndarray) -> np.ndarray:
     """Sign changes along each row of a mean-removed block, ignoring exact
     zeros (padding included)."""
