@@ -32,7 +32,7 @@ from __future__ import annotations
 import numpy as np
 
 from .epoching import resolve_window
-from .errors import InsufficientData, MissingCenter, NoValidEpochs
+from .errors import MissingCenter, NoValidEpochs
 
 HRV_TIME_NAMES = [
     "rr_mean_nn", "rr_sdnn", "rr_rmssd", "rr_sdsd", "rr_pnn50", "rr_pnn20",
