@@ -1,6 +1,7 @@
 """Breathing-window statistics and cardiopulmonary coupling."""
 import math
 import tracemalloc
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -395,6 +396,101 @@ class TestCpcSpectrum:
                               np.zeros(int(270 * FS)), FS, 0.0, 270.0)
 
 
+# --- the per-window coupling spectrum as the oracle of the night's --------
+
+CpcSpectrum = namedtuple("CpcSpectrum", "freqs_hz cpc_index coherence_sq")
+
+
+def _window_cpc_spectrum(rr_times: np.ndarray, rr_values: np.ndarray,
+                         breath_segment: np.ndarray, breath_rate_hz: float,
+                         t0: float, t1: float) -> CpcSpectrum:
+    """Cross-spectral-power x squared-coherence index between the RR series
+    and the breathing signal over a shared window, each brought to the 4 Hz
+    grid ``t0 + k / 4`` and normalized to unit variance, then Welch-estimated
+    over 8 half-overlapping periodic-Hann segments."""
+    if t1 <= t0:
+        raise LengthMismatch("empty window")
+    n_breath_expected = (t1 - t0) * breath_rate_hz
+    if abs(len(breath_segment) - n_breath_expected) > breath_rate_hz:
+        raise LengthMismatch(
+            f"breathing segment covers {len(breath_segment) / breath_rate_hz:.1f} s, "
+            f"window is {t1 - t0:.1f} s")
+    if len(rr_values) < 4:
+        raise InsufficientData("too few RR intervals for coupling")
+
+    grid_t = np.arange(t0, t1, 1.0 / RESAMPLE_HZ)
+    x = np.interp(grid_t, rr_times, rr_values)
+    bt = t0 + np.arange(len(breath_segment)) / breath_rate_hz
+    y = np.interp(grid_t, bt, np.asarray(breath_segment, dtype=float))
+
+    n = len(grid_t)
+    nperseg = int(n / (resp.CPC_SEGMENTS / 2 + 0.5))
+    if nperseg < 8:
+        raise InsufficientData("window too short for 8 Welch sub-segments")
+    scaled = []
+    for name, s in (("rr", x), ("breathing", y)):
+        sd = np.std(s)
+        if sd == 0:
+            raise InsufficientData(f"{name} signal is constant in the window")
+        scaled.append((s - np.mean(s)) / sd)
+
+    step = nperseg - nperseg // 2
+    starts = step * np.arange((n - nperseg // 2) // step)
+    segments = np.stack(scaled)[:, starts[:, None] + np.arange(nperseg)]
+    segments -= segments.mean(axis=-1, keepdims=True)
+    window = sps.get_window("hann", nperseg)
+    scale = 1.0 / (RESAMPLE_HZ * np.sum(window * window))
+    f = np.fft.rfftfreq(nperseg, 1.0 / RESAMPLE_HZ)
+    f = f[f <= 0.5]
+    fx, fy = np.fft.rfft(segments * window, axis=-1)[..., :len(f)]
+    pxy = np.mean(np.conj(fx) * fy, axis=0) * scale
+    pxx = np.mean(np.abs(fx) ** 2, axis=0) * scale
+    pyy = np.mean(np.abs(fy) ** 2, axis=0) * scale
+    for p in (pxy, pxx, pyy):
+        p[1:] *= 2
+
+    cross_power = np.abs(pxy) ** 2
+    denom = pxx * pyy
+    coh2 = np.zeros_like(cross_power)
+    nz = denom > 0
+    coh2[nz] = np.clip(cross_power[nz] / denom[nz], 0.0, 1.0)
+    cpc = cross_power * coh2
+    return CpcSpectrum(freqs_hz=f, cpc_index=cpc, coherence_sq=coh2)
+
+
+def _window_cpc_band_features(spectrum: CpcSpectrum) -> dict:
+    """Band sums of the coupling index and their ratios to the total."""
+    f = spectrum.freqs_hz
+    c = spectrum.cpc_index
+    total = float(np.sum(c))
+    sums = {}
+    for name, (lo, hi) in (("vlf", resp.CPC_VLF), ("lf", resp.CPC_LF),
+                           ("hf", resp.CPC_HF)):
+        sums[name] = float(np.sum(c[_window_band_mask(f, lo, hi)]))
+    out = {f"cpc_sum_{k}": v for k, v in sums.items()}
+    if total <= 0:
+        raise ZeroTotal("all-zero coupling spectrum")
+    for k, v in sums.items():
+        out[f"cpc_ratio_{k}"] = v / total
+    return out
+
+
+def _cpc_window_columns(times, values, samples, fs, t0, t1) -> dict:
+    """The per-window coupling features over the windows [t0, t1) of a
+    night: the RR intervals starting inside each and the belt samples inside
+    it; NaN rows where the oracle raises."""
+    lo, hi = np.searchsorted(times, t0), np.searchsorted(times, t1)
+    blo, bhi = _trace_bounds(len(samples), fs, t0, t1)
+    rows = []
+    for a, b, c, d, s, e in zip(lo, hi, blo, bhi, t0, t1):
+        try:
+            rows.append(_window_cpc_band_features(_window_cpc_spectrum(
+                times[a:b], values[a:b], samples[c:d], fs, s, e)))
+        except (InsufficientData, ZeroTotal, LengthMismatch):
+            rows.append(dict.fromkeys(resp.CPC_NAMES, np.nan))
+    return {k: np.array([r[k] for r in rows]) for k in resp.CPC_NAMES}
+
+
 def _scipy_cpc_spectrum(rr_times, rr_values, breath_segment, breath_rate_hz,
                         t0, t1):
     """Reference: the coupling spectrum from scipy's ``csd`` and two ``welch``
@@ -436,12 +532,13 @@ def _scipy_cpc_spectrum(rr_times, rr_values, breath_segment, breath_rate_hz,
     cpc = cross_power * coh2
 
     keep = f <= 0.5
-    return resp.CpcSpectrum(freqs_hz=f[keep], cpc_index=cpc[keep],
-                            coherence_sq=coh2[keep])
+    return CpcSpectrum(freqs_hz=f[keep], cpc_index=cpc[keep],
+                       coherence_sq=coh2[keep])
 
 
 class TestCpcMatchesScipyReference:
-    """``cpc_spectrum`` against the scipy ``csd``/``welch`` estimator, over the
+    """The per-window coupling spectrum, the oracle of ``cpc_spectrum``,
+    against the scipy ``csd``/``welch`` estimator, over the
     whole 9-epoch window (270 s, ``nperseg`` 240) and the clipped edge windows
     of 7 and 5 epochs (210 s and 150 s, ``nperseg`` 186 and 133)."""
 
@@ -462,7 +559,7 @@ class TestCpcMatchesScipyReference:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_spectra_match(self, seconds, seed):
         args = self._inputs(seconds, seed)
-        got = resp.cpc_spectrum(*args)
+        got = _window_cpc_spectrum(*args)
         ref = _scipy_cpc_spectrum(*args)
         np.testing.assert_array_equal(got.freqs_hz, ref.freqs_hz)
         for name in ("cpc_index", "coherence_sq"):
@@ -485,7 +582,7 @@ class TestCpcMatchesScipyReference:
         else:
             t, v = t[:3], v[:3]
         args = (t, v, breath, fs, t0, t1)
-        for fn in (_scipy_cpc_spectrum, resp.cpc_spectrum):
+        for fn in (_scipy_cpc_spectrum, _window_cpc_spectrum):
             with pytest.raises(Exception) as raised:
                 fn(*args)
             assert type(raised.value) is error, fn.__name__

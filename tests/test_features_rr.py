@@ -797,6 +797,87 @@ def _sampen_oracle(x, m, r):
     return -np.log(a / b)
 
 
+# --- the per-window sudden-variation features and sample entropy ---------
+
+def _window_center_mean(epoch_means: np.ndarray, epoch_counts: np.ndarray,
+                        center: int) -> float:
+    if epoch_counts[center] == 0 or not np.isfinite(epoch_means[center]):
+        raise MissingCenter(f"epoch {center} has no usable intervals")
+    return epoch_means[center]
+
+
+def _window_usable(epoch_means: np.ndarray, epoch_counts: np.ndarray,
+                   center: int, n: int) -> tuple[np.ndarray, float]:
+    """Mean RRs of the window's epochs with usable intervals and their
+    interval-weighted mean."""
+    first, last = resolve_window(len(epoch_means), center, n)
+    means = epoch_means[first:last + 1]
+    counts = epoch_counts[first:last + 1]
+    ok = (counts > 0) & np.isfinite(means)
+    if not np.any(ok):
+        raise NoValidEpochs(f"no epoch in window around {center} has intervals")
+    means, counts = means[ok], counts[ok]
+    return means, float(np.sum(means * counts) / np.sum(counts))
+
+
+def _window_novel_f1(epoch_means: np.ndarray, epoch_counts: np.ndarray,
+                     center: int, n: int) -> float:
+    """Mid-epoch mean RR minus the mean over the whole (shrunken) window."""
+    mid = _window_center_mean(epoch_means, epoch_counts, center)
+    _, w_mean = _window_usable(epoch_means, epoch_counts, center, n)
+    return float(mid - w_mean)
+
+
+def _window_novel_f2(epoch_means: np.ndarray, epoch_counts: np.ndarray,
+                     window_values: np.ndarray, center: int) -> float:
+    """Mid-epoch mean RR minus the median of all raw RR values in the window."""
+    mid = _window_center_mean(epoch_means, epoch_counts, center)
+    if len(window_values) == 0:
+        raise MissingCenter("empty window")
+    return float(mid - np.median(window_values))
+
+
+def _window_novel_f3(epoch_means: np.ndarray, epoch_counts: np.ndarray,
+                     center: int, n: int) -> float:
+    """Population SD of the per-epoch mean RRs around the all-window mean.
+
+    Epochs without usable intervals are excluded and the effective n reduced.
+    """
+    means, w_mean = _window_usable(epoch_means, epoch_counts, center, n)
+    dev = means - w_mean
+    return float(np.sqrt(np.mean(dev * dev)))
+
+
+def _novel_window_columns(epoch_means, epoch_counts, values, lo, hi,
+                          n) -> dict:
+    """The per-window sudden-variation features of every centre epoch:
+    ``rr_f1`` and ``rr_f3`` over its window of n epochs, ``rr_f2`` over the
+    RR values ``values[lo:hi]``; NaN where the oracle raises."""
+    def column(fn):
+        out = []
+        for c in range(len(epoch_means)):
+            try:
+                out.append(fn(c))
+            except (MissingCenter, NoValidEpochs):
+                out.append(np.nan)
+        return np.array(out)
+    return {
+        "rr_f1": column(lambda c: _window_novel_f1(epoch_means, epoch_counts,
+                                                   c, n)),
+        "rr_f2": column(lambda c: _window_novel_f2(
+            epoch_means, epoch_counts, values[lo[c]:hi[c]], c)),
+        "rr_f3": column(lambda c: _window_novel_f3(epoch_means, epoch_counts,
+                                                   c, n)),
+    }
+
+
+def _window_sampen_entry(values: np.ndarray) -> dict:
+    """The nonlinear family's sample entropy of one window, NaN below 50
+    intervals."""
+    return {"rr_sampen": fr.sample_entropy(values) if len(values) >= 50
+            else np.nan}
+
+
 class TestNovelFeatures:
     def _epochs(self, rng, n_epochs, per_epoch=5):
         means = rng.normal(0.9, 0.08, n_epochs)
