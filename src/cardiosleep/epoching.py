@@ -23,12 +23,13 @@ def count_epochs(duration_s: float) -> int:
     return int(np.floor(duration_s / EPOCH_S))
 
 
-def resolve_window(n_epochs: int, center: int, n: int) -> tuple[int, int]:
-    """Clip a centered odd-width window to the epoch grid: (first, last)."""
+def resolve_window(n_epochs: int, center, n: int):
+    """Clip a centered odd-width window to the epoch grid: (first, last),
+    for one centre or an array of them."""
     if n < 1 or n % 2 == 0:
         raise ValueError("window width must be a positive odd number")
-    if not 0 <= center < n_epochs:
-        raise ValueError(f"center epoch {center} outside grid of {n_epochs} epochs")
+    center = np.asarray(center)
+    if np.any((center < 0) | (center >= n_epochs)):
+        raise ValueError(f"center epoch outside grid of {n_epochs} epochs")
     half = n // 2
-    return max(0, center - half), min(n_epochs - 1, center + half)
-
+    return np.maximum(0, center - half), np.minimum(n_epochs - 1, center + half)

@@ -59,23 +59,7 @@ class RecordingTooShort(CardiosleepError):
 
 # --- feature extraction ---------------------------------------------------
 
-class InsufficientData(CardiosleepError):
-    pass
-
-
-class MissingCenter(CardiosleepError):
-    pass
-
-
-class NoValidEpochs(CardiosleepError):
-    pass
-
-
 class LengthMismatch(CardiosleepError):
-    pass
-
-
-class ZeroTotal(CardiosleepError):
     pass
 
 

@@ -6,19 +6,20 @@ are the rows of a block, and only the breath detection (two ``find_peaks``
 calls) runs row by row. Against the window-by-window definition, kept as the
 oracle in the tests, every entry is bit for bit the same but the skewness and
 kurtosis, which take cubes and fourth powers by multiplication and agree
-within rtol 1e-12. The coupling spectrum takes one window.
+within rtol 1e-12.
+
+``cpc_spectrum`` evaluates the coupling bands of every window of a night
+the same way, one batched Welch estimate per window length, and agrees with
+its window-by-window definition within the RR families' tolerance.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy import signal as sps
 
-from .errors import InsufficientData, LengthMismatch, ZeroTotal
-from .features_rr import (RESAMPLE_HZ, _band, _diffs, _hann_spectrum,
-                          _in_blocks, _spectral_shape, _zero_crossings)
+from .features_rr import (RESAMPLE_HZ, _band, _by_length, _diffs, _grid_index,
+                          _grid_gather, _hann_spectrum, _spectral_shape,
+                          _zero_crossings)
 
 BREATH_NAMES = [
     # time domain (15)
@@ -207,109 +208,92 @@ def breath_features(samples: np.ndarray, sample_rate_hz: float, lo, hi) -> dict:
     lo, hi = np.asarray(lo, dtype=int), np.asarray(hi, dtype=int)
     n = hi - lo
     out = {k: np.full(len(n), np.nan) for k in BREATH_NAMES}
-    for m in np.unique(n[n >= 2]):
-        _in_blocks(out, np.flatnonzero(n == m), m, lambda r: _breath_rows(
-            x[lo[r, None] + np.arange(m)], sample_rate_hz))
+    _by_length(out, np.flatnonzero(n >= 2), n, lambda r, m: _breath_rows(
+        x[lo[r, None] + np.arange(m)], sample_rate_hz))
     return out
+
+
+def sample_bounds(n_samples: int, sample_rate_hz: float, t0, t1) -> tuple:
+    """Index bounds ``[lo, hi)`` of a trace's samples whose timestamps lie
+    inside each window ``[t0, t1)``."""
+    lo, hi = (np.ceil(np.asarray(t) * sample_rate_hz - 1e-9).astype(int)
+              for t in (t0, t1))
+    return lo, np.minimum(hi, n_samples)
 
 
 # --- cardiopulmonary coupling --------------------------------------------
 
-@dataclass(frozen=True)
-class CpcSpectrum:
-    freqs_hz: np.ndarray
-    cpc_index: np.ndarray
-    coherence_sq: np.ndarray
-
-
-@lru_cache(maxsize=64)
-def _welch_setup(nperseg: int):
-    """The periodic Hann window of ``cpc_spectrum``'s segments, its density
-    scale and the segment spectrum's frequencies at or below 0.5 Hz; all
-    read-only, shared by every call with this ``nperseg``."""
+def _cpc_rows(X: np.ndarray, Y: np.ndarray) -> dict:
+    """The coupling-band features of each pair of rows of resampled RR and
+    breathing windows of one length."""
+    n = X.shape[1]
+    nperseg = int(n / (CPC_SEGMENTS / 2 + 0.5))
+    step = nperseg - nperseg // 2
+    segment = (step * np.arange((n - nperseg // 2) // step)[:, None]
+               + np.arange(nperseg))
     window = sps.get_window("hann", nperseg)
+    scale = 1.0 / (RESAMPLE_HZ * np.sum(window * window))
     f = np.fft.rfftfreq(nperseg, 1.0 / RESAMPLE_HZ)
     f = f[f <= 0.5]
-    window.flags.writeable = f.flags.writeable = False
-    return window, 1.0 / (RESAMPLE_HZ * np.sum(window * window)), f
-
-
-def cpc_spectrum(rr_times: np.ndarray, rr_values: np.ndarray,
-                 breath_segment: np.ndarray, breath_rate_hz: float,
-                 t0: float, t1: float) -> CpcSpectrum:
-    """Cross-spectral-power x squared-coherence index between the RR series
-    and the breathing signal over a shared window.
-
-    Both signals are brought to a common 4 Hz grid and normalized to unit
-    variance, then Welch-estimated (Welch 1967) over 8 half-overlapping
-    sub-segments of ``nperseg = int(n / 4.5)`` samples: segment ``k`` starts
-    at ``k * step`` with ``step = nperseg - nperseg // 2``, and there are
-    ``(n - nperseg // 2) // step`` of them. Each segment has its own mean
-    removed and is multiplied by the periodic Hann window ``w``. One FFT per
-    segment and signal gives the cross-spectrum ``Pxy = mean(conj(X) Y)`` and
-    the auto-spectra ``Pxx``, ``Pyy``, each scaled as a density by
-    ``1 / (fs * sum(w**2))``, with every bin but DC doubled for the one-sided
-    spectrum. Only the bins at or below 0.5 Hz are formed; the 2-Hz Nyquist
-    bin is never among them.
-    """
-    if t1 <= t0:
-        raise LengthMismatch("empty window")
-    n_breath_expected = (t1 - t0) * breath_rate_hz
-    if abs(len(breath_segment) - n_breath_expected) > breath_rate_hz:
-        raise LengthMismatch(
-            f"breathing segment covers {len(breath_segment) / breath_rate_hz:.1f} s, "
-            f"window is {t1 - t0:.1f} s")
-    if len(rr_values) < 4:
-        raise InsufficientData("too few RR intervals for coupling")
-
-    grid_t = np.arange(t0, t1, 1.0 / RESAMPLE_HZ)
-    x = np.interp(grid_t, rr_times, rr_values)
-    bt = t0 + np.arange(len(breath_segment)) / breath_rate_hz
-    y = np.interp(grid_t, bt, np.asarray(breath_segment, dtype=float))
-
-    n = len(grid_t)
-    nperseg = int(n / (CPC_SEGMENTS / 2 + 0.5))
-    if nperseg < 8:
-        raise InsufficientData("window too short for 8 Welch sub-segments")
-    scaled = []
-    for name, s in (("rr", x), ("breathing", y)):
-        sd = np.std(s)
-        if sd == 0:
-            raise InsufficientData(f"{name} signal is constant in the window")
-        scaled.append((s - np.mean(s)) / sd)
-
-    step = nperseg - nperseg // 2
-    starts = step * np.arange((n - nperseg // 2) // step)
-    segments = np.stack(scaled)[:, starts[:, None] + np.arange(nperseg)]
+    S = np.stack([X, Y])
+    sd = np.std(S, axis=-1, keepdims=True)
+    segments = ((S - np.mean(S, axis=-1, keepdims=True)) / sd)[..., segment]
     segments -= segments.mean(axis=-1, keepdims=True)
-    window, scale, f = _welch_setup(nperseg)
     fx, fy = np.fft.rfft(segments * window, axis=-1)[..., :len(f)]
-    pxy = np.mean(np.conj(fx) * fy, axis=0) * scale
-    pxx = np.mean(np.abs(fx) ** 2, axis=0) * scale
-    pyy = np.mean(np.abs(fy) ** 2, axis=0) * scale
+    pxy, pxx, pyy = (np.mean(p, axis=1) * scale for p in (
+        np.conj(fx) * fy, np.abs(fx) ** 2, np.abs(fy) ** 2))
     for p in (pxy, pxx, pyy):
-        p[1:] *= 2
+        p[:, 1:] *= 2
 
     cross_power = np.abs(pxy) ** 2
     denom = pxx * pyy
-    coh2 = np.zeros_like(cross_power)
-    nz = denom > 0
-    coh2[nz] = np.clip(cross_power[nz] / denom[nz], 0.0, 1.0)
-    cpc = cross_power * coh2
-    return CpcSpectrum(freqs_hz=f, cpc_index=cpc, coherence_sq=coh2)
-
-
-def cpc_band_features(spectrum: CpcSpectrum) -> dict:
-    """Band sums of the coupling index and their ratios to the total."""
-    f = spectrum.freqs_hz
-    c = spectrum.cpc_index
-    total = float(np.sum(c))
-    sums = {}
+    cpc = cross_power * np.where(denom > 0,
+                                 np.clip(cross_power / denom, 0.0, 1.0), 0.0)
+    total = np.sum(cpc, axis=1)
+    live = np.all(sd[..., 0] > 0, axis=0) & (total > 0)
+    out = {}
     for name, (lo, hi) in (("vlf", CPC_VLF), ("lf", CPC_LF), ("hf", CPC_HF)):
-        sums[name] = float(np.sum(c[_band(f, lo, hi)]))
-    out = {f"cpc_sum_{k}": v for k, v in sums.items()}
-    if total <= 0:
-        raise ZeroTotal("all-zero coupling spectrum")
-    for k, v in sums.items():
-        out[f"cpc_ratio_{k}"] = v / total
+        band = np.sum(cpc[:, _band(f, lo, hi)], axis=1)
+        out[f"cpc_sum_{name}"] = np.where(live, band, np.nan)
+        out[f"cpc_ratio_{name}"] = np.where(live, band / total, np.nan)
+    return out
+
+
+def cpc_spectrum(rr_times: np.ndarray, rr_values: np.ndarray,
+                 samples: np.ndarray, sample_rate_hz: float, t0, t1) -> dict:
+    """Band sums of the cardiopulmonary-coupling index (Thomas et al. 2005)
+    of each window ``[t0, t1)`` of a night, and their ratios to the total:
+    key -> column, one row per window; a bin on a band boundary belongs to
+    the higher band.
+
+    The index is cross-spectral power times squared coherence between the
+    night's usable RR intervals (start times ascending) and the breathing
+    belt ``samples``. Window edges lie on the 4 Hz grid ``k / 4`` s, inside
+    the belt. Both signals go onto that grid once, each window holding its
+    own first and last point before and after them, as ``np.interp`` of the
+    window's own points does. Each window's two series are normalized to
+    unit variance, then Welch-estimated (Welch 1967) over 8 half-overlapping
+    sub-segments of ``nperseg = int(n / 4.5)`` samples, ``step = nperseg -
+    nperseg // 2`` apart: each with its own mean removed, times the periodic
+    Hann window ``w``, densities scaled by ``1 / (fs * sum(w**2))``, every
+    bin but DC doubled, and only the bins at or below 0.5 Hz formed.
+
+    A window with fewer than 4 RR intervals, a constant signal or an
+    all-zero index gets a NaN row. Windows of one sample count share one
+    batched FFT, in row blocks.
+    """
+    rr_times, rr_values, samples, t0, t1 = (np.asarray(x, dtype=float) for x in (
+        rr_times, rr_values, samples, t0, t1))
+    k0, k1 = _grid_index(t0), _grid_index(t1)
+    lo, hi = np.searchsorted(rr_times, t0), np.searchsorted(rr_times, t1)
+    out = {k: np.full(len(t0), np.nan) for k in CPC_NAMES}
+    rows = np.flatnonzero(hi - lo >= 4)
+    if len(rows) == 0:
+        return out
+    rr = _grid_gather(rr_times, rr_values, lo, hi, k0, k1)
+    belt = _grid_gather(np.arange(len(samples)) / sample_rate_hz, samples,
+                        *sample_bounds(len(samples), sample_rate_hz, t0, t1),
+                        k0, k1)
+    _by_length(out, rows, k1 - k0,
+               lambda r, m: _cpc_rows(rr(r, m), belt(r, m)))
     return out

@@ -15,14 +15,16 @@ padded to the longest one and processed in row blocks of at most
 ``BLOCK_VALUES`` values. Against the window-by-window definitions, kept as
 oracles in the tests, every entry agrees within rtol 1e-12 plus 1e-12 times
 its column's largest magnitude, with the same NaN entries; the counts, runs
-above the mean and zero crossings agree exactly. Sample entropy, the
-nonlinear family's fifth entry, and the sudden-variation features take one
-window.
+above the mean and zero crossings agree exactly. ``sampen_features``, the
+nonlinear family's fifth entry, calls ``sample_entropy`` once per window.
+The sudden-variation features ``novel_f1``-``novel_f3`` read the night's
+per-epoch mean RRs and interval counts as zero-padded rows and return a
+column over every centre epoch, within the same tolerance.
 
 ``rr_freq_features(times, values, t0, t1)`` evaluates the spectra of every
-window ``[t0, t1)`` of a night: one interpolation onto the 4 Hz grid, then
-one batched FFT per window length. Its entries equal the window-by-window
-definition bit for bit.
+window ``[t0, t1)`` of a night: one interpolation onto the 4 Hz grid, shared
+with the coupling spectrum, then one batched FFT per window length. Its
+entries equal the window-by-window definition bit for bit.
 
 Entries that are undefined on a given window (zero-variance moments, too few
 beats) come back as NaN and are masked as missing downstream.
@@ -32,7 +34,6 @@ from __future__ import annotations
 import numpy as np
 
 from .epoching import resolve_window
-from .errors import MissingCenter, NoValidEpochs
 
 HRV_TIME_NAMES = [
     "rr_mean_nn", "rr_sdnn", "rr_rmssd", "rr_sdsd", "rr_pnn50", "rr_pnn20",
@@ -323,10 +324,12 @@ def sample_entropy(values: np.ndarray, m: int = 2, r_frac: float = 0.2) -> float
     return float(-np.log(a / b))
 
 
-def _sampen_entry(values: np.ndarray) -> dict:
-    """The nonlinear family's sample entropy of one window, NaN below 50
-    intervals."""
-    return {"rr_sampen": sample_entropy(values) if len(values) >= 50 else np.nan}
+def sampen_features(values: np.ndarray, lo, hi) -> dict:
+    """The sample entropy of each window ``values[lo:hi]``, NaN below 50
+    intervals: key -> column, one ``sample_entropy`` call per window."""
+    return {"rr_sampen": np.array([
+        sample_entropy(values[a:b]) if b - a >= 50 else np.nan
+        for a, b in zip(np.asarray(lo).tolist(), np.asarray(hi).tolist())])}
 
 
 def _nonlinear_rows(values, lo, n) -> dict:
@@ -348,59 +351,75 @@ def _nonlinear_rows(values, lo, n) -> dict:
 def nonlinear_features(values: np.ndarray, lo, hi) -> dict:
     """The zero crossings of the mean and the Poincaré SD1 and SD2 of each
     window ``values[lo:hi]``: key -> column. Sample entropy, the family's
-    fifth entry, is ``_sampen_entry`` of each window."""
+    fifth entry, is ``sampen_features``."""
     return _whole_night(_nonlinear_rows, NONLINEAR_NAMES[1:], values, lo, hi)
 
 
 # --- sudden-variation features -------------------------------------------
 
-def _center_mean(epoch_means: np.ndarray, epoch_counts: np.ndarray,
-                 center: int) -> float:
-    if epoch_counts[center] == 0 or not np.isfinite(epoch_means[center]):
-        raise MissingCenter(f"epoch {center} has no usable intervals")
-    return epoch_means[center]
+def _center_means(epoch_means: np.ndarray, epoch_counts: np.ndarray
+                  ) -> np.ndarray:
+    """Each epoch's mean RR, NaN where it has no usable intervals."""
+    return np.where((epoch_counts > 0) & np.isfinite(epoch_means),
+                    epoch_means, np.nan)
 
 
-def _usable_window(epoch_means: np.ndarray, epoch_counts: np.ndarray,
-                   center: int, n: int) -> tuple[np.ndarray, float]:
-    """Mean RRs of the window's epochs with usable intervals and their
-    interval-weighted mean."""
-    first, last = resolve_window(len(epoch_means), center, n)
-    means = epoch_means[first:last + 1]
-    counts = epoch_counts[first:last + 1]
-    ok = (counts > 0) & np.isfinite(means)
-    if not np.any(ok):
-        raise NoValidEpochs(f"no epoch in window around {center} has intervals")
-    means, counts = means[ok], counts[ok]
-    return means, float(np.sum(means * counts) / np.sum(counts))
+def _window_epochs(epoch_means: np.ndarray, epoch_counts: np.ndarray,
+                   n: int) -> dict:
+    """The interval-weighted mean of the usable epoch means in each centre
+    epoch's window of n epochs, clipped to the night, and their population
+    SD around it; NaN for a window without one. Each window is a
+    zero-padded row of means and counts, zero at unusable epochs."""
+    mid = _center_means(epoch_means, epoch_counts)
+    means = np.nan_to_num(mid)
+    counts = np.where(np.isfinite(mid), epoch_counts, 0).astype(float)
+    first, last = resolve_window(len(means), np.arange(len(means)), n)
+    size = last + 1 - first
+
+    def block(r):
+        M, _, _ = _padded(means, first[r], size[r])
+        C, _, _ = _padded(counts, first[r], size[r])
+        mean = np.sum(M * C, axis=1) / np.sum(C, axis=1)
+        dev = np.where(C > 0, M - mean[:, None], 0.0)
+        return {"mean": mean, "sd": np.sqrt(
+            np.sum(dev * dev, axis=1) / np.count_nonzero(C, axis=1))}
+    out = {k: np.full(len(size), np.nan) for k in ("mean", "sd")}
+    _in_blocks(out, np.arange(len(size)), int(size.max()), block)
+    return out
 
 
 def novel_f1(epoch_means: np.ndarray, epoch_counts: np.ndarray,
-             center: int, n: int) -> float:
-    """Mid-epoch mean RR minus the mean over the whole (shrunken) window."""
-    mid = _center_mean(epoch_means, epoch_counts, center)
-    _, w_mean = _usable_window(epoch_means, epoch_counts, center, n)
-    return float(mid - w_mean)
+             n: int) -> np.ndarray:
+    """Each centre epoch's mean RR minus the mean over its (shrunken) window
+    of n epochs; NaN where the centre epoch has no usable intervals."""
+    return (_center_means(epoch_means, epoch_counts)
+            - _window_epochs(epoch_means, epoch_counts, n)["mean"])
 
 
 def novel_f2(epoch_means: np.ndarray, epoch_counts: np.ndarray,
-             window_values: np.ndarray, center: int) -> float:
-    """Mid-epoch mean RR minus the median of all raw RR values in the window."""
-    mid = _center_mean(epoch_means, epoch_counts, center)
-    if len(window_values) == 0:
-        raise MissingCenter("empty window")
-    return float(mid - np.median(window_values))
+             values: np.ndarray, lo, hi) -> np.ndarray:
+    """Each centre epoch's mean RR minus the median of its window's raw RR
+    values ``values[lo:hi]``; NaN where the centre epoch has no usable
+    intervals."""
+    mid = _center_means(epoch_means, epoch_counts)
+    values = np.asarray(values, dtype=float)
+    lo, hi = np.asarray(lo, dtype=int), np.asarray(hi, dtype=int)
+    n = hi - lo
+
+    def block(r):
+        X, mask, _ = _padded(values, lo[r], n[r])
+        return {"rr_f2": mid[r] - _median(_sorted_rows(X, mask), n[r])}
+    out = {"rr_f2": np.full(len(n), np.nan)}
+    _in_blocks(out, np.flatnonzero(np.isfinite(mid) & (n > 0)),
+               int(n.max(initial=0)), block)
+    return out["rr_f2"]
 
 
 def novel_f3(epoch_means: np.ndarray, epoch_counts: np.ndarray,
-             center: int, n: int) -> float:
-    """Population SD of the per-epoch mean RRs around the all-window mean.
-
-    Epochs without usable intervals are excluded and the effective n reduced.
-    """
-    means, w_mean = _usable_window(epoch_means, epoch_counts, center, n)
-    dev = means - w_mean
-    return float(np.sqrt(np.mean(dev * dev)))
+             n: int) -> np.ndarray:
+    """Population SD of the mean RRs of the epochs with usable intervals in
+    each centre epoch's window of n epochs, around the all-window mean."""
+    return _window_epochs(epoch_means, epoch_counts, n)["sd"]
 
 
 # --- frequency domain -----------------------------------------------------
@@ -440,6 +459,40 @@ def _band(freqs: np.ndarray, lo: float, hi: float) -> slice:
     """The bins of ascending ``freqs`` in ``[lo, hi)``: a boundary bin
     belongs to the higher band."""
     return slice(*np.searchsorted(freqs, (lo, hi)))
+
+
+def _grid_index(t: np.ndarray) -> np.ndarray:
+    """Window edges in seconds as indices k of the 4 Hz grid ``k / 4`` s,
+    which they must lie on."""
+    k = np.rint(t * RESAMPLE_HZ).astype(int)
+    if not np.array_equal(k / RESAMPLE_HZ, t):
+        raise ValueError("window edges must lie on the 4 Hz grid")
+    return k
+
+
+def _grid_gather(times, values, lo, hi, k0, k1):
+    """``take(r, m)``: the first m points of windows r of the 4 Hz grid,
+    ``[k0, k1)``, one row each, from one interpolation of the series
+    ``values`` at ascending ``times``. Each window holds its own first and
+    last points ``lo`` and ``hi - 1`` before and after them, as
+    ``np.interp`` of its own points does."""
+    start = k0.min()
+    grid = np.arange(start, k1.max()) / RESAMPLE_HZ
+    series = np.interp(grid, times, values)
+
+    def take(r, m):
+        idx = (k0[r] - start)[:, None] + np.arange(m)
+        first, last = lo[r, None], hi[r, None] - 1
+        X = np.where(grid[idx] < times[first], values[first], series[idx])
+        return np.where(grid[idx] > times[last], values[last], X)
+    return take
+
+
+def _by_length(out: dict, rows: np.ndarray, size: np.ndarray, kernel) -> None:
+    """``_in_blocks`` over each group of ``rows`` with one ``size``:
+    ``kernel(r, m)`` returns the columns of rows r, each of size m."""
+    for m in np.unique(size[rows]):
+        _in_blocks(out, rows[size[rows] == m], m, lambda r: kernel(r, m))
 
 
 def _freq_rows(X: np.ndarray) -> dict:
@@ -491,22 +544,14 @@ def rr_freq_features(times: np.ndarray, values: np.ndarray, t0, t1) -> dict:
     key -> column, one row per window.
 
     ``times`` and ``values`` are the night's usable intervals, start times
-    ascending; a window holds the intervals starting inside it. Window
-    edges lie on the grid ``k / 4`` s. The series is interpolated onto the
-    grid once; each window takes its grid points and holds its first and
-    last intervals' values before and after them, as ``np.interp`` of the
-    window's own intervals does. A window with fewer than 4 intervals,
-    shorter than 30 s, or whose intervals span less than 75% of it, gets a
-    NaN row. Windows of one sample count share one batched FFT.
+    ascending; a window holds the intervals starting inside it, resampled
+    by ``_grid_gather``. A window with fewer than 4 intervals, shorter than
+    30 s, or whose intervals span less than 75% of it, gets a NaN row.
+    Windows of one sample count share one batched FFT.
     """
-    times = np.asarray(times, dtype=float)
-    values = np.asarray(values, dtype=float)
-    t0, t1 = np.asarray(t0, dtype=float), np.asarray(t1, dtype=float)
-    k0 = np.rint(t0 * RESAMPLE_HZ).astype(int)
-    k1 = np.rint(t1 * RESAMPLE_HZ).astype(int)
-    if not (np.array_equal(k0 / RESAMPLE_HZ, t0)
-            and np.array_equal(k1 / RESAMPLE_HZ, t1)):
-        raise ValueError("window edges must lie on the 4 Hz grid")
+    times, values, t0, t1 = (np.asarray(x, dtype=float)
+                             for x in (times, values, t0, t1))
+    k0, k1 = _grid_index(t0), _grid_index(t1)
     lo, hi = np.searchsorted(times, t0), np.searchsorted(times, t1)
     win = t1 - t0
     out = {k: np.full(len(t0), np.nan) for k in FREQ_NAMES}
@@ -515,17 +560,6 @@ def rr_freq_features(times: np.ndarray, values: np.ndarray, t0, t1) -> dict:
         times[hi[rows] - 1] - times[lo[rows]] >= 0.75 * win[rows])]
     if len(rows) == 0:
         return out
-    start = k0[rows].min()
-    grid = np.arange(start, k1[rows].max()) / RESAMPLE_HZ
-    series = np.interp(grid, times, values)
-
-    def block(r, m):
-        idx = (k0[r] - start)[:, None] + np.arange(m)
-        first, last = lo[r, None], hi[r, None] - 1
-        X = np.where(grid[idx] < times[first], values[first], series[idx])
-        return _freq_rows(np.where(grid[idx] > times[last], values[last], X))
-
-    size = k1 - k0
-    for m in np.unique(size[rows]):
-        _in_blocks(out, rows[size[rows] == m], m, lambda r: block(r, m))
+    take = _grid_gather(times, values, lo, hi, k0, k1)
+    _by_length(out, rows, k1 - k0, lambda r, m: _freq_rows(take(r, m)))
     return out

@@ -11,16 +11,11 @@ breathing set: 104 + 25 + 23 = 152.
 
 Assembly groups the manifest's entries by family and window width and makes
 one evaluator call per group. ``_FAMILIES[family](night, width)`` returns a
-column per key, one row per epoch, NaN where the entry is missing. The HRV
-time-domain, statistics, nonlinear, RR spectrum and breathing families
-compute every window of a width in that call. Sample entropy, the
-sudden-variation features and the coupling spectrum run window by window
-through ``_per_window``: a window whose extractor raises one of the family's
-typed errors leaves its entries missing.
+column per key, one row per epoch, NaN where the entry is missing: every
+family computes every window of a width in that one call.
 """
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Optional
 
@@ -29,9 +24,8 @@ import numpy as np
 from . import features_resp, features_rr
 from .cohort import merge_stages
 from .epoching import EPOCH_S, count_epochs, resolve_window
-from .errors import (EmptyTrainingSet, InsufficientData, LengthMismatch,
-                     ManifestMismatch, MissingCenter, NoValidEpochs,
-                     SubjectUnusable, ZeroTotal)
+from .errors import (EmptyTrainingSet, LengthMismatch, ManifestMismatch,
+                     SubjectUnusable)
 from .preprocess import usable_intervals
 from .types import Hypnogram, ProcessedSubject, SignalTrace
 
@@ -161,57 +155,21 @@ def _rr_epoch_means(times: np.ndarray, values: np.ndarray, n_epochs: int
     return means, counts
 
 
-@dataclass(frozen=True)
-class _Window:
-    """One centre epoch's feature window of one width, clipped to the night:
-    seconds ``[t0, t1)`` and the usable RR intervals starting inside it."""
-    center: int
-    n: int
-    t0: float
-    t1: float
-    rr_times: np.ndarray
-    rr_values: np.ndarray
-
-    def samples(self, trace: SignalTrace) -> np.ndarray:
-        """The trace's samples whose timestamps lie inside ``[t0, t1)``."""
-        lo, hi = _sample_bounds(trace, self.t0, self.t1)
-        return trace.samples[lo:hi]
-
-
-def _sample_bounds(trace: SignalTrace, t0, t1) -> tuple:
-    """Index bounds ``[lo, hi)`` of the trace's samples whose timestamps lie
-    inside ``[t0, t1)``, for scalar or array edges."""
-    rate = trace.sample_rate_hz
-    lo = np.ceil(np.asarray(t0) * rate - 1e-9).astype(int)
-    hi = np.minimum(np.ceil(np.asarray(t1) * rate - 1e-9).astype(int),
-                    len(trace.samples))
-    return lo, hi
-
-
 def _spans(n_epochs: int, times: np.ndarray, n: int
            ) -> tuple[np.ndarray, np.ndarray]:
     """Every centre epoch's window of width n: its edges ``[t0, t1)`` in
     seconds and the index bounds ``[lo, hi)`` of the RR intervals starting
     inside it, one row per centre."""
-    spans = np.array([resolve_window(n_epochs, c, n) for c in range(n_epochs)],
-                     dtype=int).reshape(n_epochs, 2)
-    edges = np.column_stack([spans[:, 0], spans[:, 1] + 1]) * EPOCH_S
+    first, last = resolve_window(n_epochs, np.arange(n_epochs), n)
+    edges = np.column_stack([first, last + 1]) * EPOCH_S
     return edges, np.searchsorted(times, edges, side="left")
-
-
-def _windows(n: int, edges: np.ndarray, bounds: np.ndarray, times: np.ndarray,
-             values: np.ndarray) -> list[_Window]:
-    """The window records of width n from ``_spans``, indexed by centre."""
-    return [_Window(c, n, t0, t1, times[lo:hi], values[lo:hi])
-            for c, ((t0, t1), (lo, hi))
-            in enumerate(zip(edges.tolist(), bounds.tolist()))]
 
 
 class _Night:
     """One subject on its epoch grid, with its windows built once per width:
     what the family evaluators read. ``edges[n]`` holds the edges
-    ``(t0, t1)`` in seconds of every width-n window, ``rr_bounds[n]`` their
-    RR index bounds ``(lo, hi)`` and ``windows[n]`` their records."""
+    ``(t0, t1)`` in seconds of every width-n window and ``rr_bounds[n]``
+    their RR index bounds ``(lo, hi)``."""
 
     def __init__(self, subject: ProcessedSubject, n_epochs: int, widths):
         self.subject = subject
@@ -219,52 +177,22 @@ class _Night:
         self.rr_times, self.rr_values = usable_intervals(subject.rr)
         self.epoch_means, self.epoch_counts = _rr_epoch_means(
             self.rr_times, self.rr_values, n_epochs)
-        self.edges, self.rr_bounds, self.windows = {}, {}, {}
+        self.edges, self.rr_bounds = {}, {}
         for n in widths:
             edges, bounds = _spans(n_epochs, self.rr_times, n)
-            self.edges[n] = tuple(edges.T)
-            self.rr_bounds[n] = tuple(bounds.T)
-            self.windows[n] = _windows(n, edges, bounds, self.rr_times,
-                                       self.rr_values)
-
-
-def _per_window(extract, errors):
-    """A whole-night evaluator from a family evaluated window by window:
-    ``extract(night, window)`` returns the window's key -> value dict or
-    raises one of ``errors``, which leaves the window's entries missing. A
-    key no window returned reads as a column of NaN."""
-    def evaluate(night: _Night, n: int) -> dict:
-        cols = defaultdict(lambda: np.full(night.n_epochs, np.nan))
-        for w in night.windows[n]:
-            try:
-                feats = extract(night, w)
-            except errors:
-                continue
-            for k, v in feats.items():
-                cols[k][w.center] = v
-        return cols
-    return evaluate
+            self.edges[n], self.rr_bounds[n] = tuple(edges.T), tuple(bounds.T)
 
 
 def _breath(trace: SignalTrace, night: _Night, n: int) -> dict:
     return features_resp.breath_features(
-        trace.samples, trace.sample_rate_hz,
-        *_sample_bounds(trace, *night.edges[n]))
+        trace.samples, trace.sample_rate_hz, *features_resp.sample_bounds(
+            len(trace.samples), trace.sample_rate_hz, *night.edges[n]))
 
 
-def _cpc(night: _Night, w: _Window) -> dict:
-    chest = night.subject.breath_chest
-    spec = features_resp.cpc_spectrum(w.rr_times, w.rr_values, w.samples(chest),
-                                      chest.sample_rate_hz, w.t0, w.t1)
-    return features_resp.cpc_band_features(spec)
-
-
-# manifest key or, failing that, source -> evaluator(night, width): a
-# column per key, one row per epoch, NaN where the entry is missing. Most
-# families compute every window of a width in one call; sample entropy, the
-# sudden-variation features and the coupling spectrum run window by window.
-# Extractors are looked up on their modules at call time so that wrappers
-# installed on those attributes see every call.
+# manifest key or, failing that, source -> evaluator(night, width): one
+# family call over every window of the width. Extractors are looked up on
+# their modules at call time so that wrappers installed on those attributes
+# see every call.
 _FAMILIES = {
     "rr_time": lambda night, n: features_rr.hrv_time_features(
         night.rr_values, *night.rr_bounds[n]),
@@ -272,23 +200,25 @@ _FAMILIES = {
         night.rr_values, *night.rr_bounds[n]),
     "rr_nonlinear": lambda night, n: features_rr.nonlinear_features(
         night.rr_values, *night.rr_bounds[n]),
-    "rr_sampen": _per_window(
-        lambda night, w: features_rr._sampen_entry(w.rr_values), ()),
+    "rr_sampen": lambda night, n: features_rr.sampen_features(
+        night.rr_values, *night.rr_bounds[n]),
     "rr_freq": lambda night, n: features_rr.rr_freq_features(
         night.rr_times, night.rr_values, *night.edges[n]),
-    # the sudden-variation features (source rr_novel) differ in width and error
-    "rr_f1": _per_window(lambda night, w: {"rr_f1": features_rr.novel_f1(
-        night.epoch_means, night.epoch_counts, w.center, w.n)}, MissingCenter),
-    "rr_f2": _per_window(lambda night, w: {"rr_f2": features_rr.novel_f2(
-        night.epoch_means, night.epoch_counts, w.rr_values, w.center)},
-                         MissingCenter),
-    "rr_f3": _per_window(lambda night, w: {"rr_f3": features_rr.novel_f3(
-        night.epoch_means, night.epoch_counts, w.center, w.n)}, NoValidEpochs),
+    # the sudden-variation features (source rr_novel) differ in width
+    "rr_f1": lambda night, n: {"rr_f1": features_rr.novel_f1(
+        night.epoch_means, night.epoch_counts, n)},
+    "rr_f2": lambda night, n: {"rr_f2": features_rr.novel_f2(
+        night.epoch_means, night.epoch_counts, night.rr_values,
+        *night.rr_bounds[n])},
+    "rr_f3": lambda night, n: {"rr_f3": features_rr.novel_f3(
+        night.epoch_means, night.epoch_counts, n)},
     "breath_chest": lambda night, n: _breath(
         night.subject.breath_chest, night, n),
     "breath_abdomen": lambda night, n: _breath(
         night.subject.breath_abdomen, night, n),
-    "cpc": _per_window(_cpc, (InsufficientData, ZeroTotal, LengthMismatch)),
+    "cpc": lambda night, n: features_resp.cpc_spectrum(
+        night.rr_times, night.rr_values, night.subject.breath_chest.samples,
+        night.subject.breath_chest.sample_rate_hz, *night.edges[n]),
 }
 
 

@@ -56,14 +56,16 @@ def test_criterion_1_novel_feature_oracle():
         buckets = [[] for _ in range(150)]
         for t, v in zip(times.tolist(), values.tolist()):
             buckets[int(t // 30.0)].append(v)
+        # one call per feature covers every centre of the night
+        first, last = resolve_window(150, np.arange(150), 9)
+        lo, hi = np.searchsorted(times, [first * 30.0, (last + 1) * 30.0])
+        night_f1 = features_rr.novel_f1(means, counts, 119)
+        night_f2 = features_rr.novel_f2(means, counts, values, lo, hi)
+        night_f3 = features_rr.novel_f3(means, counts, 9)
         for center in rng.integers(0, 150, 100):
             center = int(center)
-            f1 = features_rr.novel_f1(means, counts, center, 119)
-            f3 = features_rr.novel_f3(means, counts, center, 9)
+            f1, f2, f3 = night_f1[center], night_f2[center], night_f3[center]
             first9, last9 = resolve_window(150, center, 9)
-            t0, t1 = first9 * 30.0, (last9 + 1) * 30.0
-            win_vals = values[(times >= t0) & (times < t1)]
-            f2 = features_rr.novel_f2(means, counts, win_vals, center)
 
             # oracle: direct loops over the raw interval lists
             c_vals = buckets[center]

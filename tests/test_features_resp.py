@@ -8,11 +8,13 @@ import pytest
 from scipy import signal as sps
 
 from cardiosleep import features_resp as resp
-from cardiosleep.errors import InsufficientData, LengthMismatch, ZeroTotal
+from cardiosleep.errors import LengthMismatch
 from cardiosleep.features_rr import RESAMPLE_HZ
-from test_features_rr import (_window_band_mask, _window_hann_spectrum,
-                              _window_spectral_shape, _window_zero_crossings,
-                              assert_columns_match, night_edges)
+from cardiosleep.preprocess import usable_intervals
+from test_features_rr import (InsufficientData, _rr_series, _window_band_mask,
+                              _window_hann_spectrum, _window_spectral_shape,
+                              _window_zero_crossings, assert_columns_match,
+                              night_edges)
 
 FS = 25.0
 
@@ -333,6 +335,9 @@ class TestBreathMatchesWindowOracle:
 
 
 class TestCpcSpectrum:
+    """The coupling estimator's properties on its per-window definition, and
+    the whole-night band features of one window."""
+
     def _rr(self, seconds, freq=0.0, depth=0.0, noise=0.0, seed=0):
         rng = np.random.default_rng(seed)
         t = np.arange(0.45, seconds, 0.9)
@@ -347,7 +352,7 @@ class TestCpcSpectrum:
         t, v = self._rr(seconds, freq=0.1, depth=0.05, noise=0.01)
         grid_t = np.arange(0.0, seconds, 1.0 / FS)
         breath = np.interp(grid_t, t, v)
-        spec = resp.cpc_spectrum(t, v, breath, FS, 0.0, seconds)
+        spec = _window_cpc_spectrum(t, v, breath, FS, 0.0, seconds)
         strong = spec.cpc_index > 0.01 * np.max(spec.cpc_index)
         assert np.all(spec.coherence_sq[strong] > 0.98)
 
@@ -356,7 +361,7 @@ class TestCpcSpectrum:
         rng = np.random.default_rng(9)
         t, v = self._rr(seconds, noise=0.05, seed=1)
         breath = rng.normal(size=int(seconds * FS))
-        spec = resp.cpc_spectrum(t, v, breath, FS, 0.0, seconds)
+        spec = _window_cpc_spectrum(t, v, breath, FS, 0.0, seconds)
         assert np.mean(spec.coherence_sq) < 0.35
 
     def test_shared_oscillation_concentrates_in_its_band(self):
@@ -368,8 +373,7 @@ class TestCpcSpectrum:
         grid_t = np.arange(0.0, seconds, 1.0 / FS)
         breath = (np.sin(2 * np.pi * 0.3 * grid_t)
                   + rng.normal(0, 0.05, len(grid_t)))
-        spec = resp.cpc_spectrum(t, v, breath, FS, 0.0, seconds)
-        feats = resp.cpc_band_features(spec)
+        feats = _one_cpc(t, v, breath, FS, 0.0, seconds)
         assert feats["cpc_ratio_hf"] > 0.9
         assert feats["cpc_sum_hf"] > feats["cpc_sum_lf"]
 
@@ -377,28 +381,39 @@ class TestCpcSpectrum:
         seconds = 270.0
         t, v = self._rr(seconds, noise=0.02)
         breath = np.random.default_rng(0).normal(size=int(seconds * FS))
-        spec = resp.cpc_spectrum(t, v, breath, FS, 0.0, seconds)
+        spec = _window_cpc_spectrum(t, v, breath, FS, 0.0, seconds)
         assert spec.freqs_hz[-1] <= 0.5
-
-    def test_segment_length_mismatch_rejected(self):
-        t, v = self._rr(270.0, noise=0.02)
-        with pytest.raises(LengthMismatch):
-            resp.cpc_spectrum(t, v, np.zeros(100), FS, 0.0, 270.0)
 
     def test_constant_breathing_rejected(self):
         t, v = self._rr(270.0, noise=0.02)
-        with pytest.raises(InsufficientData):
-            resp.cpc_spectrum(t, v, np.full(int(270 * FS), 1.0), FS, 0.0, 270.0)
+        feats = _one_cpc(t, v, np.full(int(270 * FS), 1.0), FS, 0.0, 270.0)
+        assert all(math.isnan(x) for x in feats.values())
 
     def test_too_few_rr_rejected(self):
-        with pytest.raises(InsufficientData):
-            resp.cpc_spectrum(np.array([1.0, 2.0]), np.array([0.9, 0.9]),
-                              np.zeros(int(270 * FS)), FS, 0.0, 270.0)
+        feats = _one_cpc(np.array([1.0, 2.0]), np.array([0.9, 0.9]),
+                         np.random.default_rng(0).normal(size=int(270 * FS)),
+                         FS, 0.0, 270.0)
+        assert all(math.isnan(x) for x in feats.values())
+
+    def test_edges_off_the_grid_rejected(self):
+        t, v = self._rr(270.0, noise=0.02)
+        with pytest.raises(ValueError, match="4 Hz grid"):
+            _one_cpc(t, v, np.zeros(int(270 * FS)), FS, 0.1, 270.0)
+
+
+def _one_cpc(rr_times, rr_values, samples, fs, t0, t1) -> dict:
+    """The coupling features of the single window [t0, t1)."""
+    return {k: col[0] for k, col in resp.cpc_spectrum(
+        rr_times, rr_values, samples, fs, [t0], [t1]).items()}
 
 
 # --- the per-window coupling spectrum as the oracle of the night's --------
 
 CpcSpectrum = namedtuple("CpcSpectrum", "freqs_hz cpc_index coherence_sq")
+
+
+class ZeroTotal(Exception):
+    """The window's coupling index is zero in every bin."""
 
 
 def _window_cpc_spectrum(rr_times: np.ndarray, rr_values: np.ndarray,
@@ -589,21 +604,24 @@ class TestCpcMatchesScipyReference:
 
 
 class TestCpcBandFeatures:
+    """The band rule of the per-window oracle the whole-night features
+    match."""
+
     def test_single_bin_per_band(self):
-        spec = resp.CpcSpectrum(freqs_hz=np.array([0.005, 0.05, 0.2]),
-                                cpc_index=np.array([1.0, 2.0, 5.0]),
-                                coherence_sq=np.ones(3))
-        out = resp.cpc_band_features(spec)
+        spec = CpcSpectrum(freqs_hz=np.array([0.005, 0.05, 0.2]),
+                           cpc_index=np.array([1.0, 2.0, 5.0]),
+                           coherence_sq=np.ones(3))
+        out = _window_cpc_band_features(spec)
         assert out["cpc_sum_vlf"] == 1.0
         assert out["cpc_sum_lf"] == 2.0
         assert out["cpc_sum_hf"] == 5.0
         assert out["cpc_ratio_hf"] == pytest.approx(5.0 / 8.0)
 
     def test_boundary_bin_goes_to_higher_band(self):
-        spec = resp.CpcSpectrum(freqs_hz=np.array([0.01, 0.1]),
-                                cpc_index=np.array([3.0, 4.0]),
-                                coherence_sq=np.ones(2))
-        out = resp.cpc_band_features(spec)
+        spec = CpcSpectrum(freqs_hz=np.array([0.01, 0.1]),
+                           cpc_index=np.array([3.0, 4.0]),
+                           coherence_sq=np.ones(2))
+        out = _window_cpc_band_features(spec)
         assert out["cpc_sum_vlf"] == 0.0
         assert out["cpc_sum_lf"] == 3.0
         assert out["cpc_sum_hf"] == 4.0
@@ -612,11 +630,74 @@ class TestCpcBandFeatures:
         rng = np.random.default_rng(11)
         f = np.linspace(0.0, 0.399, 50)
         c = rng.uniform(0.1, 1.0, 50)
-        out = resp.cpc_band_features(resp.CpcSpectrum(f, c, np.ones(50)))
+        out = _window_cpc_band_features(CpcSpectrum(f, c, np.ones(50)))
         total = out["cpc_ratio_vlf"] + out["cpc_ratio_lf"] + out["cpc_ratio_hf"]
         assert total == pytest.approx(1.0)
 
     def test_zero_spectrum_raises(self):
-        spec = resp.CpcSpectrum(np.array([0.1]), np.array([0.0]), np.array([0.0]))
+        spec = CpcSpectrum(np.array([0.1]), np.array([0.0]), np.array([0.0]))
         with pytest.raises(ZeroTotal):
-            resp.cpc_band_features(spec)
+            _window_cpc_band_features(spec)
+
+
+class TestCpcMatchesWindowOracle:
+    """``cpc_spectrum`` over a night's windows against the per-window
+    oracle: rtol 1e-12 plus 1e-12 times the column's largest magnitude, the
+    same NaN cells."""
+
+    @staticmethod
+    def _assert_same(times, values, samples, fs, t0, t1):
+        t0, t1 = np.asarray(t0, dtype=float), np.asarray(t1, dtype=float)
+        assert_columns_match(
+            resp.cpc_spectrum(times, values, samples, fs, t0, t1),
+            _cpc_window_columns(times, values, samples, fs, t0, t1))
+
+    @pytest.mark.parametrize("channel", ["breath_chest", "breath_abdomen"])
+    @pytest.mark.parametrize("width", [1, 9])
+    def test_windows_of_a_960_epoch_night(self, channel, width,
+                                          night_960_subject):
+        trace = getattr(night_960_subject, channel)
+        self._assert_same(*usable_intervals(night_960_subject.rr),
+                          trace.samples, trace.sample_rate_hz,
+                          *night_edges(width))
+
+    @pytest.mark.parametrize("rate", [10.0, 2.5])
+    def test_belts_at_other_rates(self, rate, night_960_subject):
+        # at 2.5 Hz a window's last sample lies 0.4 s before its end, so the
+        # window holds it over its last grid point
+        x = night_960_subject.breath_chest.samples
+        belt = np.interp(np.arange(int(len(x) / 25.0 * rate)) / rate,
+                         np.arange(len(x)) / 25.0, x)
+        t0, t1 = night_edges(9, 200)
+        self._assert_same(*usable_intervals(night_960_subject.rr), belt, rate,
+                          t0, t1)
+
+    def test_clipped_windows_gaps_and_constant_stretches(self):
+        rng = np.random.default_rng(42)
+        times, values = _rr_series(rng, 2400.0)
+        # no intervals in [600, 900); a lone interval every 25 s in
+        # [1800, 2100); a constant belt in [1200, 1500)
+        lone = (times >= 1800) & (times < 2100)
+        keep = ((times < 600) | (times >= 900)) & (~lone | (times % 25 < 0.9))
+        times, values = times[keep], values[keep]
+        bt = np.arange(int(2400 * FS)) / FS
+        belt = np.sin(2 * np.pi * 0.25 * bt) + rng.normal(0, 0.3, len(bt))
+        belt[(bt >= 1200) & (bt < 1500)] = 0.5
+        for width in (1, 3, 9):
+            self._assert_same(times, values, belt, FS, *night_edges(width, 80))
+
+    def test_row_blocks_bound_the_traced_peak(self, night_960_subject):
+        times, values = usable_intervals(night_960_subject.rr)
+        trace = night_960_subject.breath_chest
+        t0, t1 = night_edges(9)
+
+        def peak(copies):
+            tracemalloc.start()
+            try:
+                resp.cpc_spectrum(times, values, trace.samples,
+                                  trace.sample_rate_hz, np.tile(t0, copies),
+                                  np.tile(t1, copies))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak(8) < 2 * peak(1)

@@ -9,8 +9,20 @@ from hypothesis import given, settings, strategies as st
 from cardiosleep import features_rr as fr
 from cardiosleep import pipeline, synth
 from cardiosleep.epoching import EPOCH_S, resolve_window
-from cardiosleep.errors import InsufficientData, MissingCenter, NoValidEpochs
 from cardiosleep.preprocess import usable_intervals
+
+
+# why a per-window oracle leaves a window's entries missing
+class InsufficientData(Exception):
+    """Too few intervals or samples in the window."""
+
+
+class MissingCenter(Exception):
+    """The centre epoch has no usable intervals."""
+
+
+class NoValidEpochs(Exception):
+    """No epoch of the window has usable intervals."""
 
 
 def _one(fn, x) -> dict:
@@ -403,9 +415,8 @@ FAMILIES = [(fr.hrv_time_features, _window_hrv_time_features),
 def night_edges(width, n_epochs=960):
     """The edges [t0, t1) in seconds of every centre epoch's window of one
     width."""
-    spans = np.array([resolve_window(n_epochs, c, width)
-                      for c in range(n_epochs)])
-    return spans[:, 0] * EPOCH_S, (spans[:, 1] + 1) * EPOCH_S
+    first, last = resolve_window(n_epochs, np.arange(n_epochs), width)
+    return first * EPOCH_S, (last + 1) * EPOCH_S
 
 
 def _night_bounds(times, width, n_epochs=960):
@@ -730,10 +741,10 @@ class TestNonlinear:
         assert fr.sample_entropy(regular) < fr.sample_entropy(random)
 
     def test_sampen_nan_below_fifty_intervals(self):
-        out = fr._sampen_entry(np.random.default_rng(2).normal(0.9, 0.05, 49))
-        assert math.isnan(out["rr_sampen"])
-        out = fr._sampen_entry(np.random.default_rng(2).normal(0.9, 0.05, 50))
-        assert math.isfinite(out["rr_sampen"])
+        x = np.random.default_rng(2).normal(0.9, 0.05, 50)
+        out = fr.sampen_features(x, [0, 0], [49, 50])["rr_sampen"]
+        assert math.isnan(out[0])
+        assert math.isfinite(out[1])
 
     def test_sampen_constant_is_nan(self):
         assert math.isnan(fr.sample_entropy(np.full(60, 1.0)))
@@ -888,69 +899,72 @@ class TestNovelFeatures:
         means = np.array([1.0, 1.3, 0.7])
         counts = np.array([2, 1, 1])
         # window mean = (2*1.0 + 1.3 + 0.7) / 4 = 1.0
-        assert fr.novel_f1(means, counts, 1, 119) == pytest.approx(0.3)
+        assert fr.novel_f1(means, counts, 119)[1] == pytest.approx(0.3)
 
     def test_f2_hand_case(self):
         means = np.array([1.0, 1.2, 0.8])
         counts = np.array([1, 1, 1])
         window_values = np.array([1.0, 1.2, 0.8])
-        assert fr.novel_f2(means, counts, window_values, 1) == pytest.approx(0.2)
+        got = fr.novel_f2(means, counts, window_values, [0, 0, 0], [3, 3, 3])
+        assert got[1] == pytest.approx(0.2)
 
     def test_f3_hand_case(self):
         means = np.array([1.0, 1.2, 0.8])
         counts = np.array([1, 1, 1])
         # window mean 1.0; deviations 0, .2, -.2 -> population SD
         expected = np.sqrt(np.mean(np.array([0.0, 0.2, -0.2]) ** 2))
-        assert fr.novel_f3(means, counts, 1, 9) == pytest.approx(expected)
+        assert fr.novel_f3(means, counts, 9)[1] == pytest.approx(expected)
 
     def test_f1_brute_force_random_windows(self):
         rng = np.random.default_rng(11)
         means, counts = self._epochs(rng, 150)
+        got = fr.novel_f1(means, counts, 119)
         for center in rng.integers(0, 150, 50):
-            got = fr.novel_f1(means, counts, int(center), 119)
             first, last = resolve_window(150, int(center), 119)
             num = den = 0.0
             for e in range(first, last + 1):
                 num += means[e] * counts[e]
                 den += counts[e]
-            assert got == pytest.approx(means[center] - num / den, abs=1e-12)
+            assert got[center] == pytest.approx(means[center] - num / den,
+                                                abs=1e-12)
 
     def test_f3_brute_force_random_windows(self):
         rng = np.random.default_rng(12)
         means, counts = self._epochs(rng, 60)
+        got = fr.novel_f3(means, counts, 9)
         for center in range(60):
-            got = fr.novel_f3(means, counts, center, 9)
             first, last = resolve_window(60, center, 9)
             es = list(range(first, last + 1))
             w = sum(means[e] * counts[e] for e in es) / sum(counts[e] for e in es)
             sq = [(means[e] - w) ** 2 for e in es]
-            assert got == pytest.approx(np.sqrt(np.mean(sq)), abs=1e-12)
+            assert got[center] == pytest.approx(np.sqrt(np.mean(sq)), abs=1e-12)
 
-    def test_empty_center_epoch_raises(self):
+    def test_empty_center_epoch_is_nan(self):
         means = np.array([1.0, np.nan, 0.8])
         counts = np.array([1, 0, 1])
-        with pytest.raises(MissingCenter):
-            fr.novel_f1(means, counts, 1, 9)
-        with pytest.raises(MissingCenter):
-            fr.novel_f2(means, counts, np.array([1.0]), 1)
+        assert np.isnan(fr.novel_f1(means, counts, 9)).tolist() == [
+            False, True, False]
+        f2 = fr.novel_f2(means, counts, np.array([1.0, 0.8]), [0, 0, 0],
+                         [2, 2, 2])
+        assert np.isnan(f2).tolist() == [False, True, False]
 
     def test_f3_skips_empty_epochs(self):
         means = np.array([1.0, np.nan, 0.8])
         counts = np.array([1, 0, 1])
         # window mean 0.9; deviations +-0.1 over the two usable epochs
-        assert fr.novel_f3(means, counts, 0, 9) == pytest.approx(0.1)
+        assert fr.novel_f3(means, counts, 9)[0] == pytest.approx(0.1)
 
-    def test_f3_all_empty_raises(self):
-        with pytest.raises(NoValidEpochs):
-            fr.novel_f3(np.array([np.nan, np.nan]), np.array([0, 0]), 0, 9)
+    def test_f3_all_empty_is_nan(self):
+        got = fr.novel_f3(np.array([np.nan, np.nan]), np.array([0, 0]), 9)
+        assert np.isnan(got).all()
 
     @given(shift=st.floats(-0.5, 0.5), seed=st.integers(0, 100))
     @settings(max_examples=30, deadline=None)
     def test_f1_translation_invariant(self, shift, seed):
         rng = np.random.default_rng(seed)
         means, counts = self._epochs(rng, 20)
-        a = fr.novel_f1(means, counts, 10, 9)
-        b = fr.novel_f1(means + shift, counts, 10, 9)
+        a = fr.novel_f1(means, counts, 9)[10]
+        b = fr.novel_f1(means + shift, counts, 9)[10]
         assert b == pytest.approx(a, abs=1e-9)
 
     @given(scale=st.floats(0.1, 5.0), seed=st.integers(0, 100))
@@ -958,9 +972,75 @@ class TestNovelFeatures:
     def test_f3_scales_homogeneously(self, scale, seed):
         rng = np.random.default_rng(seed)
         means, counts = self._epochs(rng, 20)
-        a = fr.novel_f3(means, counts, 10, 9)
-        b = fr.novel_f3(means * scale, counts, 10, 9)
+        a = fr.novel_f3(means, counts, 9)[10]
+        b = fr.novel_f3(means * scale, counts, 9)[10]
         assert b == pytest.approx(scale * a, rel=1e-9)
+
+
+def _novel_night_columns(epoch_means, epoch_counts, values, lo, hi,
+                         n) -> dict:
+    """The whole-night sudden-variation features, as the oracle's columns."""
+    return {
+        "rr_f1": fr.novel_f1(epoch_means, epoch_counts, n),
+        "rr_f2": fr.novel_f2(epoch_means, epoch_counts, values, lo, hi),
+        "rr_f3": fr.novel_f3(epoch_means, epoch_counts, n),
+    }
+
+
+def _epoch_stats(times, values, n_epochs):
+    """Each epoch's mean RR and interval count, as the registry forms them."""
+    idx = np.floor(times / EPOCH_S).astype(int)
+    counts = np.bincount(idx, minlength=n_epochs)[:n_epochs]
+    sums = np.bincount(idx, weights=values, minlength=n_epochs)[:n_epochs]
+    means = np.full(n_epochs, np.nan)
+    means[counts > 0] = sums[counts > 0] / counts[counts > 0]
+    return means, counts
+
+
+class TestNovelMatchesWindowOracle:
+    @staticmethod
+    def _assert_same(times, values, n_epochs, width):
+        means, counts = _epoch_stats(times, values, n_epochs)
+        lo, hi = _night_bounds(times, width, n_epochs)
+        assert_columns_match(
+            _novel_night_columns(means, counts, values, lo, hi, width),
+            _novel_window_columns(means, counts, values, lo, hi, width),
+            exact={"rr_f2"})
+
+    @pytest.mark.parametrize("width", [1, 9, 119])
+    def test_windows_of_a_960_epoch_night(self, width, night_960):
+        self._assert_same(*night_960, 960, width)
+
+    @pytest.mark.parametrize("width", [9, 119])
+    def test_windows_of_a_120_epoch_night(self, width, night_120):
+        # every 119-epoch window is clipped
+        self._assert_same(*night_120, 119, width)
+
+    @pytest.mark.parametrize("width", [1, 3, 9, 119])
+    def test_empty_epochs_and_runs_of_them(self, width):
+        # single empty epochs, a run longer than a 9-epoch window, and empty
+        # first and last epochs
+        rng = np.random.default_rng(33)
+        times, values = _rr_series(rng, 200 * EPOCH_S)
+        epoch = np.floor(times / EPOCH_S).astype(int)
+        empty = rng.random(200) < 0.15
+        empty[[0, 199]] = True
+        empty[60:75] = True
+        keep = ~empty[epoch]
+        self._assert_same(times[keep], values[keep], 200, width)
+
+    def test_night_without_intervals(self):
+        empty = np.array([])
+        for width in (1, 9, 119):
+            self._assert_same(empty, empty, 12, width)
+
+    def test_sample_entropy_of_a_960_epoch_night(self, night_960):
+        times, values = night_960
+        lo, hi = _night_bounds(times, 9)
+        want = np.array([_window_sampen_entry(values[a:b])["rr_sampen"]
+                         for a, b in zip(lo, hi)])
+        np.testing.assert_array_equal(
+            fr.sampen_features(values, lo, hi)["rr_sampen"], want)
 
 
 def _one_freq(times, values, t0, t1) -> dict:

@@ -18,10 +18,11 @@ from cardiosleep.registry import (FeatureMatrix, NormStats,
 from cardiosleep.preprocess import usable_intervals
 from cardiosleep.types import (FourStage, Hypnogram, ProcessedSubject,
                               RrSeries, SignalTrace, SixStage)
-from test_features_rr import (_freq_window_columns, _window_columns,
-                              _window_hrv_time_features,
-                              _window_nonlinear_features,
-                              _window_rr_freq_features,
+from test_features_resp import _cpc_window_columns
+from test_features_rr import (_freq_window_columns, _novel_window_columns,
+                              _window_columns, _window_hrv_time_features,
+                              _window_nonlinear_without_sampen,
+                              _window_rr_freq_features, _window_sampen_entry,
                               _window_statistical_features)
 
 REPO = Path(__file__).resolve().parents[1]
@@ -87,17 +88,14 @@ class TestManifest:
 
 class TestWindows:
     def test_trace_samples_follow_window_bounds(self):
-        trace = SignalTrace("B", 25.0, np.arange(25 * 120, dtype=float))
         empty = np.array([])
 
-        def window(n):
-            edges, bounds = registry._spans(4, empty, n)
-            return registry._windows(n, edges, bounds, empty, empty)[1]
-        seg = window(1).samples(trace)
-        assert len(seg) == 750
-        assert seg[0] == 750  # first sample at t = 30 s
-        seg_all = window(9).samples(trace)
-        assert len(seg_all) == 25 * 120  # shrunk to the whole recording
+        def bounds(n):
+            edges, _ = registry._spans(4, empty, n)
+            lo, hi = features_resp.sample_bounds(25 * 120, 25.0, *edges.T)
+            return lo[1], hi[1]
+        assert bounds(1) == (750, 1500)  # first sample at t = 30 s
+        assert bounds(9) == (0, 25 * 120)  # shrunk to the whole recording
 
     def test_one_window_per_epoch_and_width(self, processed_subject,
                                             single_manifest, feature_matrix,
@@ -105,14 +103,16 @@ class TestWindows:
         calls = []
         resolve = registry.resolve_window
 
-        def counted(*args):
-            calls.append(args)
-            return resolve(*args)
+        def counted(n_epochs, centers, n):
+            calls.append((n_epochs, tuple(centers), n))
+            return resolve(n_epochs, centers, n)
         monkeypatch.setattr(registry, "resolve_window", counted)
         again = assemble_feature_matrix(processed_subject, single_manifest)
         widths = {e.window_n for e in single_manifest.entries}
         assert widths == {1, 9, 119}
-        assert len(calls) == len(set(calls)) == len(widths) * again.n_epochs
+        every = tuple(range(again.n_epochs))
+        assert sorted(calls) == [(again.n_epochs, every, n)
+                                 for n in sorted(widths)]
         assert np.array_equal(again.values, feature_matrix.values, equal_nan=True)
 
 
@@ -194,18 +194,19 @@ class TestAssembly:
         with pytest.raises(LengthMismatch, match="hypnogram has 10 epochs"):
             assemble_feature_matrix(short, single_manifest)
 
-    def test_each_novel_feature_runs_once_per_epoch(
+    def test_each_novel_feature_runs_once_per_width(
             self, processed_subject, single_manifest, feature_matrix,
             monkeypatch):
         calls = {}
         for name in ("novel_f1", "novel_f2", "novel_f3"):
             def counted(*args, _fn=getattr(features_rr, name), _name=name):
-                calls[_name] = calls.get(_name, 0) + 1
-                return _fn(*args)
+                out = _fn(*args)
+                calls.setdefault(_name, []).append(len(out))
+                return out
             monkeypatch.setattr(features_rr, name, counted)
         again = assemble_feature_matrix(processed_subject, single_manifest)
         n = again.n_epochs
-        assert calls == {"novel_f1": n, "novel_f2": n, "novel_f3": n}
+        assert calls == {"novel_f1": [n], "novel_f2": [n], "novel_f3": [n]}
         assert np.array_equal(again.values, feature_matrix.values)
 
     @staticmethod
@@ -216,8 +217,10 @@ class TestAssembly:
         for module, name in ((features_rr, "hrv_time_features"),
                              (features_rr, "statistical_features"),
                              (features_rr, "nonlinear_features"),
+                             (features_rr, "sampen_features"),
                              (features_rr, "rr_freq_features"),
-                             (features_resp, "breath_features")):
+                             (features_resp, "breath_features"),
+                             (features_resp, "cpc_spectrum")):
             def counted(*args, _fn=getattr(module, name), _name=name):
                 calls.setdefault(_name, []).append((args[0], len(args[-1])))
                 return _fn(*args)
@@ -234,8 +237,9 @@ class TestAssembly:
         n = again.n_epochs
         assert {k: [count for _, count in v] for k, v in calls.items()} == {
             "hrv_time_features": [n, n], "statistical_features": [n, n],
-            "nonlinear_features": [n], "rr_freq_features": [n, n],
-            "breath_features": [n]}
+            "nonlinear_features": [n], "sampen_features": [n],
+            "rr_freq_features": [n, n], "breath_features": [n],
+            "cpc_spectrum": [n]}
         assert calls["breath_features"][0][0] is (
             processed_subject.breath_chest.samples)
         assert np.array_equal(again.values, feature_matrix.values)
@@ -258,8 +262,8 @@ class TestAssembly:
         """Epochs 10-20 lose every usable interval, so their width-1 windows
         and the width-9 window around epoch 15 are empty; epochs 25, 27 and
         30 keep one, three and five intervals, the five spanning under 75%
-        of the epoch. The statistics, HRV time, nonlinear and RR spectrum
-        columns are missing exactly where the per-window oracles give NaN."""
+        of the epoch. Every family's columns are missing exactly where its
+        per-window oracle gives NaN."""
         rr = processed_subject.rr
         starts = rr.peak_times_s[:-1]
         epoch = np.floor(starts / EPOCH_S).astype(int)
@@ -272,34 +276,51 @@ class TestAssembly:
             rr.valid_mask & ~gone))
         matrix = assemble_feature_matrix(holed, single_manifest)
         times, values = usable_intervals(holed.rr)
+        means, counts = registry._rr_epoch_means(times, values, matrix.n_epochs)
+        chest = holed.breath_chest
         checked = set()
-        for n in (1, 9):
+        for n in (1, 9, 119):
             edges, bounds = registry._spans(matrix.n_epochs, times, n)
             lo, hi = bounds.T
-            assert hi[15] == lo[15]
             oracles = {
-                "rr_time": _window_columns(_window_hrv_time_features,
-                                           values, lo, hi),
-                "rr_stat": _window_columns(_window_statistical_features,
-                                           values, lo, hi),
-                "rr_nonlinear": _window_columns(_window_nonlinear_features,
-                                                values, lo, hi),
-                "rr_freq": _freq_window_columns(_window_rr_freq_features,
-                                                times, values, *edges.T),
+                "rr_time": lambda: _window_columns(_window_hrv_time_features,
+                                                   values, lo, hi),
+                "rr_stat": lambda: _window_columns(_window_statistical_features,
+                                                   values, lo, hi),
+                "rr_nonlinear": lambda: {
+                    **_window_columns(_window_nonlinear_without_sampen,
+                                      values, lo, hi),
+                    **_window_columns(_window_sampen_entry, values, lo, hi)},
+                "rr_freq": lambda: _freq_window_columns(
+                    _window_rr_freq_features, times, values, *edges.T),
+                "rr_novel": lambda: _novel_window_columns(
+                    means, counts, values, lo, hi, n),
+                "cpc": lambda: _cpc_window_columns(
+                    times, values, chest.samples, chest.sample_rate_hz,
+                    *edges.T),
             }
+            # every family that reads the RR series
+            at_n = [e for e in single_manifest.entries
+                    if e.window_n == n and e.source in oracles]
+            want = {s: oracles[s]() for s in {e.source for e in at_n}}
+            if n < 119:
+                assert hi[15] == lo[15]
             if n == 1:
                 assert (hi - lo)[[25, 27, 30]].tolist() == [1, 3, 5]
-                assert np.isnan(oracles["rr_freq"]["rrf_total_power"][30])
-            for j, e in enumerate(single_manifest.entries):
-                if e.source in oracles and e.window_n == n:
-                    want = oracles[e.source][e.key]
-                    assert np.isnan(want[15]), e.name
-                    assert np.array_equal(matrix.missing_mask[:, j],
-                                          np.isnan(want)), e.name
-                    checked.add((e.source, n))
+                assert np.isnan(want["rr_freq"]["rrf_total_power"][30])
+            for e in at_n:
+                j = single_manifest.names.index(e.name)
+                col = want[e.source][e.key]
+                assert np.isnan(col[15]), e.name
+                assert np.array_equal(matrix.missing_mask[:, j], np.isnan(col)), (
+                    e.name)
+                checked.add((e.key if e.key in registry._FAMILIES else e.source,
+                             n))
         assert checked == {("rr_time", 1), ("rr_stat", 1), ("rr_time", 9),
                            ("rr_stat", 9), ("rr_nonlinear", 9),
-                           ("rr_freq", 1), ("rr_freq", 9)}
+                           ("rr_sampen", 9), ("rr_freq", 1), ("rr_freq", 9),
+                           ("cpc", 9), ("rr_f1", 119), ("rr_f2", 9),
+                           ("rr_f3", 9)}
 
     def test_empty_interior_epoch_misses_only_center_features(
             self, processed_subject, single_manifest):
