@@ -16,9 +16,9 @@ weight 0: padded states never reach a valid step and every gradient at a
 padded step is exactly 0, so neither recurrence needs a mask. One sequence
 is a batch of one. Work that does not depend on the previous hidden state
 (input projection, weight gradients) is done outside the time loop.
-Prediction (``forward_batch``) runs consecutive sequences in batches of at
-most ``BATCH_STEPS`` padded steps, so its memory does not grow with the
-number of nights.
+Prediction (``forward_batch``) and evaluation (``evaluate_loss``) run
+consecutive sequences in batches of at most ``BATCH_STEPS`` padded steps, so
+their memory does not grow with the number of nights.
 """
 from __future__ import annotations
 
@@ -39,8 +39,8 @@ from .types import Hypnogram, four_hypnogram_from_indices
 CHECKPOINT_VERSION = 1
 
 # A prediction pass holds about 1.5 KB of gate and hidden-state arrays per
-# padded time step and sequence, so forward_batch runs consecutive sequences
-# in groups whose padded T_max * B stays within this.
+# padded time step and sequence, so forward_batch and evaluate_loss run
+# consecutive sequences in groups whose padded T_max * B stays within this.
 BATCH_STEPS = 8192
 
 
@@ -415,13 +415,19 @@ def default_class_weights(labels: Sequence[np.ndarray], classes: int = 4,
 def evaluate_loss(params: BlstmParams, data: Sequence[tuple],
                   class_weights: np.ndarray) -> tuple[float, float]:
     """(weighted mean loss, plain accuracy) over a dataset, from one forward
-    pass over all of its sequences."""
+    pass per group of consecutive sequences (see ``BATCH_STEPS``)."""
     inputs, lengths = _check(params, [X for X, _ in data])
-    Y, w = _pad_labels(data, lengths, np.asarray(class_weights, dtype=float))
-    probs, _, _ = _forward_full(params, inputs, lengths)
-    total_loss, total_weight = _weighted_nll(probs, Y, w)
-    valid = np.arange(len(Y))[:, None] < lengths
-    correct = int(np.sum((np.argmax(probs, axis=2) == Y) & valid))
+    total_loss = total_weight = 0.0
+    correct = 0
+    for a, b in _groups(lengths):
+        Y, w = _pad_labels(data[a:b], lengths[a:b],
+                           np.asarray(class_weights, dtype=float))
+        probs, _, _ = _forward_full(params, inputs[a:b], lengths[a:b])
+        loss, weight = _weighted_nll(probs, Y, w)
+        total_loss += loss
+        total_weight += weight
+        valid = np.arange(len(Y))[:, None] < lengths[a:b]
+        correct += int(np.sum((np.argmax(probs, axis=2) == Y) & valid))
     return (total_loss / max(total_weight, 1e-300),
             correct / max(int(lengths.sum()), 1))
 

@@ -363,6 +363,18 @@ class TestPaddingIsolation:
             assert probs.shape == (len(X), 4)
             _assert_round_off_close(probs, blstm.forward(p, X))
 
+    def test_grouped_evaluation_matches_one_batch(self, monkeypatch):
+        rng = np.random.default_rng(18)
+        p = _perturbed_params(rng, True)
+        data = _ragged(rng, (120, 37, 5, 200, 1, 400, 90, 60))
+        cw = np.array([1.0, 2.0, 0.5, 1.5])
+        whole = blstm.evaluate_loss(p, data, cw)
+        monkeypatch.setattr(blstm, "BATCH_STEPS", 300)
+        assert len(list(blstm._groups(np.array([len(y) for _, y in data])))) > 2
+        loss, acc = blstm.evaluate_loss(p, data, cw)
+        assert loss == pytest.approx(whole[0], rel=1e-12)
+        assert acc == whole[1]
+
     def test_short_cohort_is_one_group(self):
         assert list(blstm._groups(np.full(10, 120))) == [(0, 10)]
 
