@@ -417,11 +417,11 @@ def evaluate_loss(params: BlstmParams, data: Sequence[tuple],
     """(weighted mean loss, plain accuracy) over a dataset, from one forward
     pass per group of consecutive sequences (see ``BATCH_STEPS``)."""
     inputs, lengths = _check(params, [X for X, _ in data])
+    class_weights = np.asarray(class_weights, dtype=float)
     total_loss = total_weight = 0.0
     correct = 0
     for a, b in _groups(lengths):
-        Y, w = _pad_labels(data[a:b], lengths[a:b],
-                           np.asarray(class_weights, dtype=float))
+        Y, w = _pad_labels(data[a:b], lengths[a:b], class_weights)
         probs, _, _ = _forward_full(params, inputs[a:b], lengths[a:b])
         loss, weight = _weighted_nll(probs, Y, w)
         total_loss += loss
