@@ -91,9 +91,9 @@ def cmd_synth(args, cfg: PipelineConfig) -> int:
 
 
 def _preprocess_one(task) -> str:
-    rec, base, out_dir = task
+    rec, base, out_dir, profile = task
     subj = _load_subject(rec, base)
-    processed = pipeline.preprocess_subject(subj)
+    processed = pipeline.preprocess_subject(subj, profile)
     path = out_dir / f"{rec['subject_id']}.npz"
     payload = {
         "rr_peak_times": processed.rr.peak_times_s,
@@ -117,7 +117,7 @@ def cmd_preprocess(args, cfg: PipelineConfig) -> int:
     out_dir = Path(args.out) / "preprocessed"
     out_dir.mkdir(parents=True, exist_ok=True)
     records = signal_io.read_subject_metadata(meta.read_text())
-    tasks = [(rec, base, out_dir) for rec in records]
+    tasks = [(rec, base, out_dir, cfg.profile) for rec in records]
     done = _map(_preprocess_one, tasks, cfg.workers)
     _log_run(Path(args.out), "preprocess", [meta], cfg)
     print(f"preprocess: {len(done)} subjects -> {out_dir}")

@@ -75,24 +75,63 @@ def _row_moments(V: np.ndarray, mask: np.ndarray
     return mean, sd
 
 
+def _tied_maxima(flat: np.ndarray, dist: int) -> np.ndarray:
+    """Positions of the local maxima of ``flat``, as ``find_peaks`` takes
+    them (the middle of a flat top), that have one of equal height closer
+    than ``dist``."""
+    edge = 1 + np.flatnonzero(flat[1:] != flat[:-1])
+    first = np.concatenate([[0], edge])
+    last = np.concatenate([edge - 1, [len(flat) - 1]])
+    level = flat[first]
+    top = 1 + np.flatnonzero((level[1:-1] > level[:-2])
+                             & (level[1:-1] > level[2:]))
+    pos, height = (first[top] + last[top]) // 2, level[top]
+    order = np.lexsort((pos, height))
+    pos, height = pos[order], height[order]
+    close = (height[1:] == height[:-1]) & (pos[1:] - pos[:-1] < dist)
+    return pos[1:][close]
+
+
+def _row_extrema(X: np.ndarray, fs: float, sign: float):
+    """``_detect_breaths``' peaks (sign 1) or troughs (sign -1) of every row
+    of X, as a zero-padded block of each row's indices, the mask of the
+    cells that hold one, and each row's count.
+
+    One ``find_peaks`` call searches the rows laid end to end, ``dist`` NaN
+    samples apart, where no peak, plateau or prominence search crosses from
+    one row to the next and the distance rule never reaches across; rows
+    with ``ptp <= 0`` are all NaN, and the prominence is given per sample.
+    The distance rule visits equal heights in an unstable order, so rows
+    with two equal maxima closer than ``dist`` take their own call.
+    """
+    rows, n = X.shape
+    dist = max(1, int(round(MIN_BREATH_SPACING_S * fs)))
+    ptp = np.ptp(X, axis=1)
+    live = ptp > 0
+    stride = n + dist
+    flat = np.full((rows, stride), np.nan)
+    flat[live, :n] = sign * X[live]
+    flat = flat.ravel()
+    pos, _ = sps.find_peaks(flat, distance=dist,
+                            prominence=np.repeat(PROMINENCE_FRAC * ptp, stride))
+    tied = np.unique(_tied_maxima(flat, dist) // stride)
+    pos = np.concatenate([pos[~np.isin(pos // stride, tied)]] + [
+        r * stride + _detect_breaths(X[r], fs)[int(sign < 0)] for r in tied.tolist()])
+    row, col = np.divmod(np.sort(pos), stride)
+    count = np.bincount(row, minlength=rows)
+    mask = np.arange(max(count.max(initial=0), 1)) < count[:, None]
+    idx = np.zeros(mask.shape, dtype=int)
+    idx[mask] = col
+    return idx, mask, count
+
+
 def _breath_cycles(X: np.ndarray, fs: float) -> dict:
     """The breath-by-breath entries of each row: peak count, breath-to-breath
     intervals, peak and trough levels, and the inhale/exhale ratio of the
     peaks with a trough on each side."""
-    found = [_detect_breaths(x, fs) for x in X]
     rows = np.arange(len(X))[:, None]
-
-    def stacked(k):
-        """The rows' k-th index arrays as a zero-padded block, the mask of
-        the cells that hold an index, and each row's count."""
-        count = np.array([len(f[k]) for f in found], dtype=int)
-        mask = np.arange(max(count.max(initial=0), 1)) < count[:, None]
-        idx = np.zeros(mask.shape, dtype=int)
-        idx[mask] = np.concatenate([f[k] for f in found])
-        return idx, mask, count
-
-    peaks, pmask, npk = stacked(0)
-    troughs, tmask, ntr = stacked(1)
+    peaks, pmask, npk = _row_extrema(X, fs, 1.0)
+    troughs, tmask, ntr = _row_extrema(X, fs, -1.0)
     steps, bmask = _diffs(peaks, pmask)
     bb = steps / fs
     bb_mean, bb_sd = _row_moments(bb, bmask)
@@ -291,7 +330,7 @@ def cpc_spectrum(rr_times: np.ndarray, rr_values: np.ndarray,
     if len(rows) == 0:
         return out
     rr = _grid_gather(rr_times, rr_values, lo, hi, k0, k1)
-    belt = _grid_gather(np.arange(len(samples)) / sample_rate_hz, samples,
+    belt = _grid_gather(sample_rate_hz, samples,
                         *sample_bounds(len(samples), sample_rate_hz, t0, t1),
                         k0, k1)
     _by_length(out, rows, k1 - k0,

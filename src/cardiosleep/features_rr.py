@@ -475,16 +475,35 @@ def _grid_gather(times, values, lo, hi, k0, k1):
     ``[k0, k1)``, one row each, from one interpolation of the series
     ``values`` at ascending ``times``. Each window holds its own first and
     last points ``lo`` and ``hi - 1`` before and after them, as
-    ``np.interp`` of its own points does."""
+    ``np.interp`` of its own points does.
+
+    ``times`` may instead be a sample rate: the series is then a trace
+    sampled at ``i / rate``, whose times are formed only where read. Its
+    grid goes through ``np.interp`` in blocks, each against only the
+    samples that bracket it, which gives the same points bit for bit."""
     start = k0.min()
     grid = np.arange(start, k1.max()) / RESAMPLE_HZ
-    series = np.interp(grid, times, values)
+    if np.ndim(times):
+        at = times.__getitem__
+        series = np.interp(grid, times, values)
+    else:
+        rate = float(times)
+
+        def at(i):
+            return i / rate
+        series = np.empty(len(grid))
+        step = max(1, int(BLOCK_VALUES * RESAMPLE_HZ / rate))
+        for g in range(0, len(grid), step):
+            t = grid[g:g + step]
+            a = min(max(0, int(np.floor(t[0] * rate)) - 1), len(values) - 1)
+            b = min(len(values), int(np.ceil(t[-1] * rate)) + 2)
+            series[g:g + len(t)] = np.interp(t, at(np.arange(a, b)), values[a:b])
 
     def take(r, m):
         idx = (k0[r] - start)[:, None] + np.arange(m)
         first, last = lo[r, None], hi[r, None] - 1
-        X = np.where(grid[idx] < times[first], values[first], series[idx])
-        return np.where(grid[idx] > times[last], values[last], X)
+        X = np.where(grid[idx] < at(first), values[first], series[idx])
+        return np.where(grid[idx] > at(last), values[last], X)
     return take
 
 

@@ -11,16 +11,21 @@ from .registry import FeatureMatrix
 from .types import ProcessedSubject, SubjectRecord
 
 
-def preprocess_subject(record: SubjectRecord) -> ProcessedSubject:
-    """ECG to cleaned RR series, breathing channels to baseline-free,
-    low-passed traces."""
+def preprocess_subject(record: SubjectRecord,
+                       profile: str = "single") -> ProcessedSubject:
+    """ECG to cleaned RR series, and the breathing belts the profile reads
+    to baseline-free, low-passed traces: the chest belt, plus the abdomen
+    belt, where present, for ``"two-channel"``."""
+    if profile not in ("single", "two-channel"):
+        raise ValueError(f"unknown profile {profile!r}")
     if record.ecg is None or record.breath_chest is None:
         raise SubjectUnusable(f"{record.subject_id}: missing ECG or chest channel")
     peaks = preprocess.detect_r_peaks(record.ecg)
     rr = preprocess.rr_from_peaks(peaks, record.ecg.sample_rate_hz)
     chest = preprocess.preprocess_breathing(record.breath_chest)
     abdomen = (preprocess.preprocess_breathing(record.breath_abdomen)
-               if record.breath_abdomen is not None else None)
+               if profile == "two-channel" and record.breath_abdomen is not None
+               else None)
     return ProcessedSubject(subject_id=record.subject_id, rr=rr,
                             breath_chest=chest, breath_abdomen=abdomen,
                             hypnogram=record.hypnogram)

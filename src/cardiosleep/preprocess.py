@@ -34,6 +34,56 @@ def _bandpass_qrs(x: np.ndarray, fs: float) -> np.ndarray:
     return y[::-1][pad:-pad]
 
 
+def _maybe_flat(x: np.ndarray) -> bool:
+    """Whether the population SD of x falls below 1e-8 * (1 + |mean|).
+    range / sqrt(2n) bounds the SD from below and max(|min|, |max|) bounds
+    |mean| from above, so ``np.std`` runs only where the bound, halved for
+    rounding, does not clear the threshold."""
+    lo, hi = float(np.min(x)), float(np.max(x))
+    if (hi - lo) / np.sqrt(2 * len(x)) >= 2e-8 * (1.0 + max(-lo, hi)):
+        return False
+    return bool(np.std(x) < 1e-8 * (1.0 + np.abs(np.mean(x))))
+
+
+def _moving_sum(p: np.ndarray, win: int) -> np.ndarray:
+    """The sums of the ``len(p) - win + 1`` windows ``p[s:s + win]``, by
+    doubling: the window is split into spans of the powers of two in its
+    length, each span's sums made from two of the span below."""
+    n = len(p) - win + 1
+    total, offset = None, 0
+    span, width = p, 1
+    while True:
+        if win & width:
+            part = span[offset:offset + n]
+            if total is None:
+                total = part.copy()
+            else:
+                total += part
+            offset += width
+        if 2 * width > win:
+            return total
+        span = span[:-width] + span[width:]
+        width *= 2
+
+
+def _integrate(bp: np.ndarray, win: int) -> np.ndarray:
+    """Moving-window mean of the squared ``np.gradient(bp)``, taken in blocks
+    so no record-length square is ever held. Output i averages the squares
+    ``sq[i - win // 2:i - win // 2 + win]``, where ``np.convolve(mode="same")``
+    puts its window, with zeros past the record's ends."""
+    half = win // 2
+    integ = np.empty_like(bp)
+    for a in range(0, len(bp), _BLOCK):
+        b = min(a + _BLOCK, len(bp))
+        lo, hi = max(0, a - half), min(len(bp), b - half + win - 1)
+        # one sample of margin keeps the differences at lo and hi - 1 central
+        grad = np.gradient(bp[max(0, lo - 1):hi + 1])[min(lo, 1):][:hi - lo]
+        sq = np.zeros(b - a + win - 1)
+        sq[lo - a + half:hi - a + half] = grad * grad
+        integ[a:b] = _moving_sum(sq, win) * (1.0 / win)
+    return integ
+
+
 def detect_r_peaks(ecg: SignalTrace) -> np.ndarray:
     """Pan-Tompkins style R-peak detection.
 
@@ -48,19 +98,12 @@ def detect_r_peaks(ecg: SignalTrace) -> np.ndarray:
     x = ecg.samples
     if len(x) / fs < 10.0:
         raise SignalTooShort(f"need >= 10 s of ECG, got {len(x) / fs:.1f} s")
-    if np.std(x) < 1e-8 * (1.0 + np.abs(np.mean(x))):
+    if _maybe_flat(x):
         raise FlatSignal("ECG variance below detection threshold")
 
     bp = _bandpass_qrs(x, fs)
-    # moving-window integral of the squared np.gradient(bp), taken in blocks
-    # with a window of margin, so no record-length square is ever held
     win = max(1, int(round(0.150 * fs)))
-    box = np.ones(win) / win
-    integ = np.empty_like(bp)
-    for a in range(0, len(bp), _BLOCK):
-        lo = max(0, a - win)
-        sq = np.gradient(bp[lo:a + _BLOCK + win]) ** 2
-        integ[a:a + _BLOCK] = np.convolve(sq, box, mode="same")[a - lo:a - lo + _BLOCK]
+    integ = _integrate(bp, win)
 
     # candidate local maxima of the integrated signal
     cand, _ = sps.find_peaks(integ, distance=max(1, int(round(REFRACTORY_S * fs))))

@@ -223,13 +223,13 @@ def write_feature_matrix(matrix: FeatureMatrix, destination: Union[str, Path]) -
     serialized with enough digits for bitwise round-trips."""
     path = Path(destination)
     names = matrix.manifest.names
+    stages = ([s.value for s in matrix.labels.labels] if matrix.labels is not None
+              else ["?"] * matrix.n_epochs)
+    line = "%.17g," * len(names) + "%s\n"
     with path.open("w", encoding="utf-8") as f:
         f.write(",".join(names + ["stage"]) + "\n")
-        labels = matrix.labels.labels if matrix.labels is not None else None
-        for r in range(matrix.n_epochs):
-            row = [f"{v:.17g}" for v in matrix.values[r]]
-            row.append(labels[r].value if labels is not None else "?")
-            f.write(",".join(row) + "\n")
+        f.writelines(line % (*row, stage)
+                     for row, stage in zip(matrix.values.tolist(), stages))
 
 
 def read_feature_matrix(source: Union[str, Path],

@@ -14,15 +14,17 @@ def clean_subject():
 
 @pytest.fixture(scope="session")
 def processed_subject(clean_subject):
-    return pipeline.preprocess_subject(clean_subject)
+    """The clean subject preprocessed with both belts, for either profile."""
+    return pipeline.preprocess_subject(clean_subject, "two-channel")
 
 
 @pytest.fixture(scope="session")
 def night_960_subject():
-    """A preprocessed 960-epoch synthetic night (seed 1000, 25 Hz belts)."""
+    """A preprocessed 960-epoch synthetic night (seed 1000, 25 Hz belts),
+    both belts."""
     record = synth.generate_subject(seed=1000, profile=synth.easy_profile(),
                                     n_epochs=960)
-    return pipeline.preprocess_subject(record)
+    return pipeline.preprocess_subject(record, "two-channel")
 
 
 @pytest.fixture(scope="session")

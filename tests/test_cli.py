@@ -181,6 +181,25 @@ class TestTwoChannelProfile:
             assert sum(n.startswith("br_abd_") for n in header) == 25
 
 
+    def test_single_profile_archives_refused_by_two_channel_extract(
+            self, tmp_path, capsys):
+        out = tmp_path
+        for step in (
+                ["synth", "--out", str(out), "--subjects", "2", "--epochs", "40"],
+                ["preprocess", "--meta", str(out / "subjects.jsonl"),
+                 "--out", str(out)]):
+            assert cli.main(step) == 0, step[0]
+        archives = sorted((out / "preprocessed").glob("*.npz"))
+        assert len(archives) == 2
+        for path in archives:
+            with np.load(path) as d:
+                assert "chest" in d.files and "abd" not in d.files
+        code = cli.main(["--profile", "two-channel", "extract", "--preprocessed",
+                         str(out / "preprocessed"), "--out", str(out)])
+        assert code == 3
+        assert "breath_abdomen" in capsys.readouterr().err
+
+
 class TestExitCodes:
     def test_config_error_is_two(self, tmp_path):
         bad = tmp_path / "bad.yaml"

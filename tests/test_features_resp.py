@@ -334,6 +334,88 @@ class TestBreathMatchesWindowOracle:
         _assert_breath_matches(np.concatenate(windows), FS, hi - lengths, hi)
 
 
+def _assert_extrema_match(X: np.ndarray, fs: float = FS) -> None:
+    """``_row_extrema`` of a block against the per-window oracle, row by
+    row, for peaks and troughs."""
+    for sign, k in ((1.0, 0), (-1.0, 1)):
+        idx, mask, count = resp._row_extrema(X, fs, sign)
+        for r, x in enumerate(X):
+            want = _window_detect_breaths(x, fs)[k]
+            assert count[r] == len(want)
+            np.testing.assert_array_equal(idx[r][mask[r]], want)
+
+
+def _smooth_rows(rng, rows, n):
+    """Rows of low-passed noise: many local extrema, a few breaths each."""
+    return sps.sosfiltfilt(sps.butter(2, 0.5, fs=FS, output="sos"),
+                           rng.normal(size=(rows, n)), axis=1)
+
+
+class TestBreathDetectionInBlocks:
+    """One ``find_peaks`` call per row block against the per-window calls."""
+
+    def test_smooth_noise_rows(self):
+        rng = np.random.default_rng(43)
+        for n in (12, 40, 750, 2001):
+            _assert_extrema_match(_smooth_rows(rng, 30, n))
+        _assert_extrema_match(rng.normal(size=(30, 3)))
+
+    def test_equal_extrema_closer_than_the_distance(self, monkeypatch):
+        # each row's two highest maxima (and two lowest minima) are equal
+        # and 2-37 samples apart, closer than the 38-sample distance, so
+        # which survives depends on the order find_peaks visits them in
+        rng = np.random.default_rng(44)
+        X = _smooth_rows(rng, 60, 750)
+        for x in X:
+            for level in (x.max() + 1.0, x.min() - 1.0):
+                i = rng.integers(5, 700)
+                x[[i, i + rng.integers(2, 38)]] = level
+        # quantised rows: flat tops and bottoms of equal level everywhere
+        X = np.vstack([X, np.round(_smooth_rows(rng, 30, 750) * 4)])
+        calls = []
+        detect = resp._detect_breaths
+        monkeypatch.setattr(resp, "_detect_breaths",
+                            lambda x, fs: calls.append(1) or detect(x, fs))
+        _assert_extrema_match(X)
+        assert len(calls) >= 2 * 60
+
+    def test_plateaus_touching_a_window_edge(self):
+        rng = np.random.default_rng(45)
+        X = _smooth_rows(rng, 40, 300)
+        for r, x in enumerate(X):
+            run = rng.integers(1, 6)
+            level = x.max() + 1.0 if r % 2 else x.min() - 1.0
+            if r % 4 < 2:
+                x[:run] = level
+            else:
+                x[-run:] = level
+        _assert_extrema_match(X)
+
+    def test_flat_and_two_sample_rows(self):
+        rng = np.random.default_rng(46)
+        X = _smooth_rows(rng, 6, 200)
+        X[[1, 4]] = 0.0
+        X[2] = 2.5
+        _assert_extrema_match(X)
+        assert not resp._row_extrema(X, FS, 1.0)[2][[1, 2, 4]].any()
+        _assert_extrema_match(rng.normal(size=(8, 2)))
+        _assert_extrema_match(np.array([[1.0, 1.0], [0.0, 1.0], [2.0, 1.0]]))
+
+    def test_breath_features_of_such_windows(self):
+        rng = np.random.default_rng(47)
+        X = _smooth_rows(rng, 20, 750)
+        for x in X[:10]:
+            i = rng.integers(5, 700)
+            x[[i, i + rng.integers(2, 38)]] = x.max() + 1.0
+        X[10:15] = np.round(X[10:15] * 4)
+        X[15, :4] = X[15].max() + 1.0
+        X[16] = 0.0
+        windows = list(X) + [np.zeros(2), np.array([1.0, -1.0])]
+        lengths = np.array([len(w) for w in windows], dtype=int)
+        hi = np.cumsum(lengths)
+        _assert_breath_matches(np.concatenate(windows), FS, hi - lengths, hi)
+
+
 class TestCpcSpectrum:
     """The coupling estimator's properties on its per-window definition, and
     the whole-night band features of one window."""

@@ -29,7 +29,7 @@ NIGHTS = {
 def _matrix(seed: int, n_epochs: int, profile: str) -> np.ndarray:
     record = synth.generate_subject(seed=seed, profile=synth.easy_profile(),
                                     n_epochs=n_epochs)
-    processed = pipeline.preprocess_subject(record)
+    processed = pipeline.preprocess_subject(record, profile)
     return registry.assemble_feature_matrix(
         processed, registry.build_manifest(profile)).values
 

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from cardiosleep import preprocess, wavelet
+from cardiosleep import preprocess, synth, wavelet
 from cardiosleep.errors import (CutoffAboveNyquist, FlatSignal, SignalTooShort,
                                 TooFewPeaks)
 from cardiosleep.types import RrSeries, SignalTrace
@@ -308,6 +308,128 @@ class TestMatchesLoopCode:
                 np.testing.assert_array_equal(getattr(got, field),
                                               getattr(want, field))
 
+
+# --- the convolution integrator and its detection as oracles -------------
+
+_CONVOLVE_BLOCK = 1 << 16
+
+
+def _convolve_integrate(bp: np.ndarray, win: int) -> np.ndarray:
+    """The per-block ``np.convolve`` integrator of ``detect_r_peaks``, kept
+    as the oracle of the doubling one: one dot product per output sample."""
+    box = np.ones(win) / win
+    integ = np.empty_like(bp)
+    for a in range(0, len(bp), _CONVOLVE_BLOCK):
+        lo = max(0, a - win)
+        sq = np.gradient(bp[lo:a + _CONVOLVE_BLOCK + win]) ** 2
+        integ[a:a + _CONVOLVE_BLOCK] = np.convolve(sq, box, mode="same")[
+            a - lo:a - lo + _CONVOLVE_BLOCK]
+    return integ
+
+
+def _convolve_detect_r_peaks(ecg: SignalTrace) -> np.ndarray:
+    """``detect_r_peaks`` with the convolution integrator and the ``np.std``
+    flat-signal check, kept as its oracle."""
+    fs = ecg.sample_rate_hz
+    x = ecg.samples
+    if len(x) / fs < 10.0:
+        raise SignalTooShort(f"need >= 10 s of ECG, got {len(x) / fs:.1f} s")
+    if np.std(x) < 1e-8 * (1.0 + np.abs(np.mean(x))):
+        raise FlatSignal("ECG variance below detection threshold")
+
+    bp = preprocess._bandpass_qrs(x, fs)
+    win = max(1, int(round(0.150 * fs)))
+    integ = _convolve_integrate(bp, win)
+
+    cand, _ = preprocess.sps.find_peaks(
+        integ, distance=max(1, int(round(preprocess.REFRACTORY_S * fs))))
+    if len(cand) == 0:
+        raise FlatSignal("no candidate peaks in integrated signal")
+
+    lead = integ[: int(2 * fs)] if len(integ) >= int(2 * fs) else integ
+    spki = float(np.max(lead))
+    npki = float(np.mean(lead))
+    refine = max(1, int(round(0.050 * fs)))
+    refr = int(round(preprocess.REFRACTORY_S * fs))
+
+    near = np.clip(cand[:, None] + np.arange(-refine, refine + 1), 0, len(bp) - 1)
+    refined = near[np.arange(len(cand)), np.argmax(bp[near], axis=1)]
+    reach = refine + win // 2
+    for i in np.flatnonzero((cand < reach) | (cand >= len(bp) - reach)).tolist():
+        lo = 0 if cand[i] < reach else cand[i] - refine
+        hi = len(bp) if cand[i] >= len(bp) - reach else cand[i] + refine + 1
+        refined[i] = lo + np.argmax(bp[lo:hi])
+
+    peaks: list[int] = []
+    for level, r in zip(integ[cand].tolist(), refined.tolist()):
+        if level >= npki + 0.25 * (spki - npki) and (
+                not peaks or r - peaks[-1] >= refr):
+            peaks.append(r)
+            spki = 0.125 * level + 0.875 * spki
+        else:
+            npki = 0.125 * level + 0.875 * npki
+
+    if not peaks:
+        raise FlatSignal("adaptive threshold found no QRS complexes")
+    return np.array(peaks, dtype=int)
+
+
+def _std_rule(x: np.ndarray) -> bool:
+    return bool(np.std(x) < 1e-8 * (1.0 + np.abs(np.mean(x))))
+
+
+class TestMatchesConvolutionCode:
+    """The doubling integrator moves values by a few ulps, which may move
+    ``find_peaks`` candidates; the refined peaks must not move."""
+
+    @pytest.mark.parametrize("block", [64, 1000, preprocess._BLOCK])
+    def test_integrator_within_rtol(self, block, monkeypatch):
+        monkeypatch.setattr(preprocess, "_BLOCK", block)
+        rng = np.random.default_rng(block)
+        for win in (1, 2, 3, 15, 30, 31, 64, 75):
+            for n in (2 * win + 1, 999, 1000, 4097, 70_000):
+                bp = rng.normal(size=n) * rng.exponential(size=n) ** 3
+                bp[rng.integers(0, n, 3)] = 0.0
+                got = preprocess._integrate(bp, win)
+                assert got.shape == bp.shape
+                np.testing.assert_allclose(got, _convolve_integrate(bp, win),
+                                           rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("seed,n_epochs", [
+        (1000, 960), (1001, 960), (1002, 960), (1003, 960), (1004, 960),
+        (7, 120)])
+    def test_same_peaks_on_synthetic_nights(self, seed, n_epochs):
+        # seeds 1000-1004 are the five 960-epoch nights perfbench stores
+        ecg = synth.generate_subject(seed, synth.easy_profile(), n_epochs).ecg
+        np.testing.assert_array_equal(preprocess.detect_r_peaks(ecg),
+                                      _convolve_detect_r_peaks(ecg))
+
+    def test_same_peaks_on_noisy_trains(self):
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            rr = np.clip(rng.normal(0.9, 0.15, 150), 0.35, 1.8)
+            ecg, _ = _qrs_ecg(rr, fs=rng.choice([128.0, 200.0, 250.0, 500.0]))
+            noisy = ecg.with_samples(
+                ecg.samples + rng.normal(0, 0.05 + 0.1 * seed, len(ecg.samples)))
+            np.testing.assert_array_equal(preprocess.detect_r_peaks(noisy),
+                                          _convolve_detect_r_peaks(noisy))
+
+    def test_flat_check_matches_the_std_rule(self):
+        rng = np.random.default_rng(9)
+        cases = []
+        for offset in (0.0, 1.0, -3.5, 1e6):
+            thr = 1e-8 * (1.0 + abs(offset))
+            cases += [np.full(2000, offset), np.full(2001, offset)]
+            for scale in (0.0, 0.5, 0.99, 1.0, 1.01, 2.0, 100.0):
+                cases.append(offset + thr * scale * rng.normal(size=2000))
+                one = np.full(2000, offset)
+                # a lone spike of size d has population SD just under d / sqrt(n)
+                one[rng.integers(2000)] += thr * scale * np.sqrt(2000)
+                cases.append(one)
+        cases.append(rng.normal(size=5000))
+        flat = [preprocess._maybe_flat(x) for x in cases]
+        assert flat == [_std_rule(x) for x in cases]
+        assert any(flat) and not all(flat)
 
 # --- the a-trous cascade of the wavelet baseline as its oracle -----------
 

@@ -140,6 +140,24 @@ class TestAssembly:
         again = assemble_feature_matrix(processed_subject, single_manifest)
         assert np.array_equal(again.values, feature_matrix.values)
 
+    def test_preprocessing_reads_the_belts_of_its_profile(
+            self, clean_subject, processed_subject, single_manifest,
+            feature_matrix):
+        single = preprocess_subject(clean_subject)
+        assert single.breath_abdomen is None
+        assert processed_subject.breath_abdomen is not None
+        assert np.array_equal(single.breath_chest.samples,
+                              processed_subject.breath_chest.samples)
+        assert np.array_equal(single.rr.intervals_s,
+                              processed_subject.rr.intervals_s)
+        assert np.array_equal(
+            assemble_feature_matrix(single, single_manifest).values,
+            feature_matrix.values)
+        with pytest.raises(SubjectUnusable, match="breath_abdomen"):
+            assemble_feature_matrix(single, build_manifest("two-channel"))
+        with pytest.raises(ValueError, match="profile"):
+            preprocess_subject(clean_subject, "three-channel")
+
     def test_two_channel_requires_abdomen(self, processed_subject):
         manifest = build_manifest("two-channel")
         stripped = ProcessedSubject(

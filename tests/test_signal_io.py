@@ -115,7 +115,39 @@ class TestHypnogramText:
         assert len(hyp) == 0 and hyp.scheme == "four"
 
 
+def _row_by_row_feature_csv(matrix: FeatureMatrix, destination) -> None:
+    """The cell-by-cell CSV writer ``write_feature_matrix`` replaced, kept as
+    the oracle of its bytes."""
+    names = matrix.manifest.names
+    with open(destination, "w", encoding="utf-8") as f:
+        f.write(",".join(names + ["stage"]) + "\n")
+        labels = matrix.labels.labels if matrix.labels is not None else None
+        for r in range(matrix.n_epochs):
+            row = [f"{v:.17g}" for v in matrix.values[r]]
+            row.append(labels[r].value if labels is not None else "?")
+            f.write(",".join(row) + "\n")
+
+
 class TestFeatureMatrixCsv:
+    @pytest.mark.parametrize("labelled", [True, False])
+    def test_bytes_match_the_row_by_row_writer(self, tmp_path, labelled):
+        manifest = build_manifest("two-channel")
+        rng = np.random.default_rng(6)
+        vals = rng.normal(scale=10.0 ** rng.integers(-300, 300, (9, 1)),
+                          size=(9, len(manifest)))
+        vals[0, :6] = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324]
+        vals[1] = np.nan
+        vals[2] = np.round(vals[2])
+        stages = list(FourStage)
+        labels = (Hypnogram(tuple(stages[i % len(stages)] for i in range(9)),
+                            "four") if labelled else None)
+        mat = FeatureMatrix(manifest, vals, ~np.isfinite(vals), labels, "s1")
+        signal_io.write_feature_matrix(mat, tmp_path / "new.csv")
+        _row_by_row_feature_csv(mat, tmp_path / "old.csv")
+        got = (tmp_path / "new.csv").read_bytes()
+        assert got == (tmp_path / "old.csv").read_bytes()
+        assert b"\nnan,inf,-inf,-0,0,4.9406564584124654e-324," in got
+
     def test_round_trip_bitwise(self, tmp_path):
         manifest = build_manifest("single")
         rng = np.random.default_rng(5)
