@@ -2,11 +2,11 @@
 
 ``breath_features(samples, sample_rate_hz, lo, hi)`` evaluates every
 breathing window ``samples[lo:hi]`` of a night at once: windows of one length
-are the rows of a block, and only the breath detection (two ``find_peaks``
-calls) runs row by row. Against the window-by-window definition, kept as the
-oracle in the tests, every entry is bit for bit the same but the skewness and
-kurtosis, which take cubes and fourth powers by multiplication and agree
-within rtol 1e-12.
+are the rows of a block, and breath detection makes one ``find_peaks`` call
+for the block's peaks and one for its troughs. Against the window-by-window
+definition, kept as the oracle in the tests, every entry is bit for bit the
+same but the skewness and kurtosis, which take cubes and fourth powers by
+multiplication and agree within rtol 1e-12.
 
 ``cpc_spectrum`` evaluates the coupling bands of every window of a night
 the same way, one batched Welch estimate per window length, and agrees with

@@ -37,8 +37,8 @@ def _bandpass_qrs(x: np.ndarray, fs: float) -> np.ndarray:
 def _maybe_flat(x: np.ndarray) -> bool:
     """Whether the population SD of x falls below 1e-8 * (1 + |mean|).
     range / sqrt(2n) bounds the SD from below and max(|min|, |max|) bounds
-    |mean| from above, so ``np.std`` runs only where the bound, halved for
-    rounding, does not clear the threshold."""
+    |mean| from above, so ``np.std`` runs only where the bound does not clear
+    twice the threshold, the factor a margin for rounding."""
     lo, hi = float(np.min(x)), float(np.max(x))
     if (hi - lo) / np.sqrt(2 * len(x)) >= 2e-8 * (1.0 + max(-lo, hi)):
         return False
@@ -49,16 +49,11 @@ def _moving_sum(p: np.ndarray, win: int) -> np.ndarray:
     """The sums of the ``len(p) - win + 1`` windows ``p[s:s + win]``, by
     doubling: the window is split into spans of the powers of two in its
     length, each span's sums made from two of the span below."""
-    n = len(p) - win + 1
-    total, offset = None, 0
+    total, offset = np.zeros(len(p) - win + 1), 0
     span, width = p, 1
     while True:
         if win & width:
-            part = span[offset:offset + n]
-            if total is None:
-                total = part.copy()
-            else:
-                total += part
+            total += span[offset:offset + len(total)]
             offset += width
         if 2 * width > win:
             return total

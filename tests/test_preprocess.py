@@ -374,10 +374,6 @@ def _convolve_detect_r_peaks(ecg: SignalTrace) -> np.ndarray:
     return np.array(peaks, dtype=int)
 
 
-def _std_rule(x: np.ndarray) -> bool:
-    return bool(np.std(x) < 1e-8 * (1.0 + np.abs(np.mean(x))))
-
-
 class TestMatchesConvolutionCode:
     """The doubling integrator moves values by a few ulps, which may move
     ``find_peaks`` candidates; the refined peaks must not move."""
@@ -428,7 +424,9 @@ class TestMatchesConvolutionCode:
                 cases.append(one)
         cases.append(rng.normal(size=5000))
         flat = [preprocess._maybe_flat(x) for x in cases]
-        assert flat == [_std_rule(x) for x in cases]
+        # the rule _convolve_detect_r_peaks applies
+        assert flat == [bool(np.std(x) < 1e-8 * (1.0 + np.abs(np.mean(x))))
+                        for x in cases]
         assert any(flat) and not all(flat)
 
 # --- the a-trous cascade of the wavelet baseline as its oracle -----------
