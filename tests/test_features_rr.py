@@ -586,6 +586,102 @@ class TestRrFreqMatchesWindowOracle:
         self._assert_same(times, values, t0, t1)
 
 
+# --- the 4 Hz grid gather against its two-branch form ------------------------
+
+def _two_branch_grid_gather(times, values, lo, hi, k0, k1):
+    """The grid gather as it was before one blocked path served both series:
+    an RR series (``times`` an array) interpolated over the whole grid at
+    once, a belt (``times`` a sample rate) in blocks bracketed by floor and
+    ceil of the sample index."""
+    start = k0.min()
+    grid = np.arange(start, k1.max()) / fr.RESAMPLE_HZ
+    if np.ndim(times):
+        at = times.__getitem__
+        series = np.interp(grid, times, values)
+    else:
+        rate = float(times)
+
+        def at(i):
+            return i / rate
+        series = np.empty(len(grid))
+        step = max(1, int(fr.BLOCK_VALUES * fr.RESAMPLE_HZ / rate))
+        for g in range(0, len(grid), step):
+            t = grid[g:g + step]
+            a = min(max(0, int(np.floor(t[0] * rate)) - 1), len(values) - 1)
+            b = min(len(values), int(np.ceil(t[-1] * rate)) + 2)
+            series[g:g + len(t)] = np.interp(t, at(np.arange(a, b)), values[a:b])
+
+    def take(r, m):
+        idx = (k0[r] - start)[:, None] + np.arange(m)
+        first, last = lo[r, None], hi[r, None] - 1
+        X = np.where(grid[idx] < at(first), values[first], series[idx])
+        return np.where(grid[idx] > at(last), values[last], X)
+    return take
+
+
+def assert_gather_matches(times_or_rate, values, t0, t1):
+    """``_grid_gather`` equals the two-branch form bit for bit on every
+    window [t0, t1) holding at least one point of the series, which is an RR
+    series at ``times_or_rate`` or a trace sampled at that rate."""
+    t0, t1 = np.asarray(t0, dtype=float), np.asarray(t1, dtype=float)
+    if np.ndim(times_or_rate):
+        lo, hi = np.searchsorted(times_or_rate, (t0, t1))
+    else:
+        lo = np.ceil(t0 * times_or_rate - 1e-9).astype(int)
+        hi = np.minimum(np.ceil(t1 * times_or_rate - 1e-9).astype(int),
+                        len(values))
+    k0, k1 = fr._grid_index(t0), fr._grid_index(t1)
+    take = fr._grid_gather(times_or_rate, values, lo, hi, k0, k1)
+    want = _two_branch_grid_gather(times_or_rate, values, lo, hi, k0, k1)
+    size = k1 - k0
+    for m in np.unique(size[hi > lo]):
+        r = np.flatnonzero((size == m) & (hi > lo))
+        np.testing.assert_array_equal(take(r, m), want(r, m))
+
+
+def _edge_windows(seconds):
+    """Windows [t0, t1) of one and many grid points at the first and the
+    last point of a grid covering [0, seconds)."""
+    t0 = np.array([0.0, 0.0, 0.0, seconds - 0.25, seconds - 30.0,
+                   seconds - 270.0, 0.25])
+    return t0, np.array([0.25, 30.0, 270.0, seconds, seconds, seconds,
+                         seconds - 0.25])
+
+
+class TestGridGatherMatchesTwoBranchOracle:
+    def test_irregular_rr_series_with_gaps(self):
+        rng = np.random.default_rng(33)
+        times, values = _rr_series(rng, 2400.0)
+        # no intervals in [600, 900), a lone interval every 25 s after 1800
+        keep = (((times < 600) | (times >= 900))
+                & ((times < 1800) | (times % 25 < 0.9)))
+        times, values = times[keep], values[keep]
+        t0 = rng.integers(0, 4 * 2300, 300) / 4
+        t0 = np.concatenate([t0, _edge_windows(2400.0)[0]])
+        t1 = np.concatenate([t0[:300] + rng.integers(1, 1300, 300) / 4,
+                             _edge_windows(2400.0)[1]])
+        assert_gather_matches(times, values, t0, t1)
+
+    @pytest.mark.parametrize("width", [1, 9])
+    def test_rr_of_a_960_epoch_night(self, width, night_960):
+        t0, t1 = night_edges(width)
+        edge0, edge1 = _edge_windows(960 * EPOCH_S)
+        assert_gather_matches(*night_960, np.concatenate([t0, edge0]),
+                              np.concatenate([t1, edge1]))
+
+    @pytest.mark.parametrize("rate", [25.0, 10.0, 7.35, 2.5])
+    def test_belts_at_several_rates(self, rate, night_960_subject):
+        x = night_960_subject.breath_chest.samples
+        seconds = 300 * EPOCH_S
+        belt = np.interp(np.arange(int(seconds * rate)) / rate,
+                         np.arange(len(x)) / 25.0, x)
+        for width in (1, 9):
+            t0, t1 = night_edges(width, 300)
+            edge0, edge1 = _edge_windows(seconds)
+            assert_gather_matches(rate, belt, np.concatenate([t0, edge0]),
+                                  np.concatenate([t1, edge1]))
+
+
 # --- the loop-based statistics as an exact oracle --------------------------
 
 def _loop_statistical_features(values: np.ndarray) -> dict:
