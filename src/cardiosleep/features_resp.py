@@ -3,23 +3,24 @@
 ``breath_features(samples, sample_rate_hz, lo, hi)`` evaluates every
 breathing window ``samples[lo:hi]`` of a night at once: windows of one length
 are the rows of a block, and breath detection makes one ``find_peaks`` call
-for the block's peaks and one for its troughs. Against the window-by-window
+per block for its peaks and troughs together. Against the window-by-window
 definition, kept as the oracle in the tests, every entry is bit for bit the
 same but the skewness and kurtosis, which take cubes and fourth powers by
 multiplication and agree within rtol 1e-12.
 
 ``cpc_spectrum`` evaluates the coupling bands of every window of a night
 the same way, one batched Welch estimate per window length, and agrees with
-its window-by-window definition within the RR families' tolerance.
+its window-by-window definition within the RR families' tolerance. Both its
+series go onto the 4 Hz grid in blocks, as the RR spectrum's does.
 """
 from __future__ import annotations
 
 import numpy as np
 from scipy import signal as sps
 
-from .features_rr import (RESAMPLE_HZ, _band, _by_length, _diffs, _grid_index,
-                          _grid_gather, _hann_spectrum, _spectral_shape,
-                          _zero_crossings)
+from .features_rr import (RESAMPLE_HZ, _band, _diffs, _grid_gather,
+                          _grid_index, _hann_spectrum, _in_blocks, _moments,
+                          _spectral_shape, _zero_crossings)
 
 BREATH_NAMES = [
     # time domain (15)
@@ -92,37 +93,39 @@ def _tied_maxima(flat: np.ndarray, dist: int) -> np.ndarray:
     return pos[1:][close]
 
 
-def _row_extrema(X: np.ndarray, fs: float, sign: float):
-    """``_detect_breaths``' peaks (sign 1) or troughs (sign -1) of every row
-    of X, as a zero-padded block of each row's indices, the mask of the
-    cells that hold one, and each row's count.
+def _row_extrema(X: np.ndarray, fs: float):
+    """``_detect_breaths``' peaks and then troughs of every row of X, each as
+    a zero-padded block of each row's indices, the mask of the cells that
+    hold one, and each row's count.
 
-    One ``find_peaks`` call searches the rows laid end to end, ``dist`` NaN
-    samples apart, where no peak, plateau or prominence search crosses from
-    one row to the next and the distance rule never reaches across; rows
-    with ``ptp <= 0`` are all NaN, and the prominence is given per sample.
-    The distance rule visits equal heights in an unstable order, so rows
-    with two equal maxima closer than ``dist`` take their own call.
-    """
+    One ``find_peaks`` call searches the rows and their negations laid end
+    to end, ``dist`` NaN samples apart, where no peak, plateau or prominence
+    search crosses from one row to the next and the distance rule never
+    reaches across; rows with ``ptp <= 0`` are all NaN, and the prominence
+    is given per sample. The distance rule visits equal heights in an
+    unstable order, so a row (or negated row) with two equal maxima closer
+    than ``dist`` takes its own call."""
     rows, n = X.shape
     dist = max(1, int(round(MIN_BREATH_SPACING_S * fs)))
-    ptp = np.ptp(X, axis=1)
+    ptp = np.tile(np.ptp(X, axis=1), 2)
     live = ptp > 0
     stride = n + dist
-    flat = np.full((rows, stride), np.nan)
-    flat[live, :n] = sign * X[live]
+    flat = np.full((2 * rows, stride), np.nan)
+    flat[live, :n] = np.vstack([X, -X])[live]
     flat = flat.ravel()
     pos, _ = sps.find_peaks(flat, distance=dist,
                             prominence=np.repeat(PROMINENCE_FRAC * ptp, stride))
     tied = np.unique(_tied_maxima(flat, dist) // stride)
     pos = np.concatenate([pos[~np.isin(pos // stride, tied)]] + [
-        r * stride + _detect_breaths(X[r], fs)[int(sign < 0)] for r in tied.tolist()])
+        r * stride + _detect_breaths(X[r % rows], fs)[r // rows]
+        for r in tied.tolist()])
     row, col = np.divmod(np.sort(pos), stride)
-    count = np.bincount(row, minlength=rows)
+    count = np.bincount(row, minlength=2 * rows)
     mask = np.arange(max(count.max(initial=0), 1)) < count[:, None]
     idx = np.zeros(mask.shape, dtype=int)
     idx[mask] = col
-    return idx, mask, count
+    return ((idx[:rows], mask[:rows], count[:rows]),
+            (idx[rows:], mask[rows:], count[rows:]))
 
 
 def _breath_cycles(X: np.ndarray, fs: float) -> dict:
@@ -130,8 +133,7 @@ def _breath_cycles(X: np.ndarray, fs: float) -> dict:
     intervals, peak and trough levels, and the inhale/exhale ratio of the
     peaks with a trough on each side."""
     rows = np.arange(len(X))[:, None]
-    peaks, pmask, npk = _row_extrema(X, fs, 1.0)
-    troughs, tmask, ntr = _row_extrema(X, fs, -1.0)
+    (peaks, pmask, npk), (troughs, tmask, ntr) = _row_extrema(X, fs)
     steps, bmask = _diffs(peaks, pmask)
     bb = steps / fs
     bb_mean, bb_sd = _row_moments(bb, bmask)
@@ -194,9 +196,7 @@ def _breath_rows(X: np.ndarray, fs: float) -> dict:
     """The 25 breath features of each row of a block of equal-length
     windows."""
     n = X.shape[1]
-    mean = np.mean(X, axis=1)
-    sd = np.std(X, axis=1)
-    C = X - mean[:, None]
+    mean, sd, C = _moments(X, True, n)
     C2 = C * C
     moments = sd > 0
     out = {
@@ -246,10 +246,8 @@ def breath_features(samples: np.ndarray, sample_rate_hz: float, lo, hi) -> dict:
     x = np.asarray(samples, dtype=float)
     lo, hi = np.asarray(lo, dtype=int), np.asarray(hi, dtype=int)
     n = hi - lo
-    out = {k: np.full(len(n), np.nan) for k in BREATH_NAMES}
-    _by_length(out, np.flatnonzero(n >= 2), n, lambda r, m: _breath_rows(
-        x[lo[r, None] + np.arange(m)], sample_rate_hz))
-    return out
+    return _in_blocks(BREATH_NAMES, n, np.flatnonzero(n >= 2), lambda r, m:
+                      _breath_rows(x[lo[r, None] + np.arange(m)], sample_rate_hz))
 
 
 def sample_bounds(n_samples: int, sample_rate_hz: float, t0, t1) -> tuple:
@@ -325,14 +323,10 @@ def cpc_spectrum(rr_times: np.ndarray, rr_values: np.ndarray,
         rr_times, rr_values, samples, t0, t1))
     k0, k1 = _grid_index(t0), _grid_index(t1)
     lo, hi = np.searchsorted(rr_times, t0), np.searchsorted(rr_times, t1)
-    out = {k: np.full(len(t0), np.nan) for k in CPC_NAMES}
     rows = np.flatnonzero(hi - lo >= 4)
-    if len(rows) == 0:
-        return out
-    rr = _grid_gather(rr_times, rr_values, lo, hi, k0, k1)
-    belt = _grid_gather(sample_rate_hz, samples,
+    rr = _grid_gather(rr_times.__getitem__, rr_values, lo, hi, k0, k1)
+    belt = _grid_gather(lambda i: i / sample_rate_hz, samples,
                         *sample_bounds(len(samples), sample_rate_hz, t0, t1),
                         k0, k1)
-    _by_length(out, rows, k1 - k0,
-               lambda r, m: _cpc_rows(rr(r, m), belt(r, m)))
-    return out
+    return _in_blocks(CPC_NAMES, k1 - k0, rows,
+                      lambda r, m: _cpc_rows(rr(r, m), belt(r, m)))

@@ -22,14 +22,17 @@ per-epoch mean RRs and interval counts as zero-padded rows and return a
 column over every centre epoch, within the same tolerance.
 
 ``rr_freq_features(times, values, t0, t1)`` evaluates the spectra of every
-window ``[t0, t1)`` of a night: one interpolation onto the 4 Hz grid, shared
-with the coupling spectrum, then one batched FFT per window length. Its
-entries equal the window-by-window definition bit for bit.
+window ``[t0, t1)`` of a night: one interpolation onto the 4 Hz grid in
+blocks, as for both series of the coupling spectrum, then one batched FFT
+per window length. Its entries equal the window-by-window definition bit for
+bit. Every family fills its columns through one row-block driver.
 
 Entries that are undefined on a given window (zero-variance moments, too few
 beats) come back as NaN and are masked as missing downstream.
 """
 from __future__ import annotations
+
+import bisect
 
 import numpy as np
 
@@ -80,33 +83,35 @@ RESAMPLE_HZ = 4.0
 BLOCK_VALUES = 65_536
 
 
-def _in_blocks(out: dict, rows: np.ndarray, width: int, kernel) -> None:
-    """Fill ``out``'s columns at ``rows`` from ``kernel(block)``, where each
-    block of rows holds at most ``BLOCK_VALUES`` values of ``width`` each."""
-    step = max(1, BLOCK_VALUES // max(width, 1))
+def _in_blocks(names, size: np.ndarray, rows: np.ndarray, kernel) -> dict:
+    """Columns ``names``, one entry per window of ``size``: NaN, but at the
+    windows ``rows``, which ``kernel(r, m)`` fills with the columns of the
+    windows r, all of size m. The windows of one size go to the kernel in
+    blocks of at most ``BLOCK_VALUES`` values."""
+    out = {k: np.full(len(size), np.nan) for k in names}
     # padded cells and degenerate rows may divide by zero before being masked
     with np.errstate(divide="ignore", invalid="ignore"):
-        for start in range(0, len(rows), step):
-            r = rows[start:start + step]
-            for k, col in kernel(r).items():
-                out[k][r] = col
+        for m in np.unique(size[rows]):
+            same = rows[size[rows] == m]
+            step = max(1, BLOCK_VALUES // max(m, 1))
+            for start in range(0, len(same), step):
+                r = same[start:start + step]
+                for k, col in kernel(r, m).items():
+                    out[k][r] = col
+    return out
 
 
 def _whole_night(kernel, names: list, values, lo, hi) -> dict:
     """``kernel``'s columns over the windows ``values[lo:hi]``, one row per
-    window; NaN rows for windows of fewer than 2 intervals.
-
-    The kernel sees row blocks of the windows with at least 2 intervals,
-    each with as many rows as fit ``BLOCK_VALUES`` at the night's longest
-    window.
-    """
+    window; NaN rows for windows of fewer than 2 intervals. The kernel sees
+    row blocks of the other windows, as many as fit ``BLOCK_VALUES`` at the
+    night's longest window."""
     values = np.asarray(values, dtype=float)
     lo, hi = np.asarray(lo, dtype=int), np.asarray(hi, dtype=int)
     n = hi - lo
-    out = {k: np.full(len(n), np.nan) for k in names}
-    _in_blocks(out, np.flatnonzero(n >= 2), int(n.max(initial=0)),
-               lambda r: kernel(values, lo[r], n[r]))
-    return out
+    return _in_blocks(names, np.full(len(n), n.max(initial=0)),
+                      np.flatnonzero(n >= 2),
+                      lambda r, _: kernel(values, lo[r], n[r]))
 
 
 def _padded(values: np.ndarray, lo: np.ndarray, n: np.ndarray):
@@ -376,16 +381,15 @@ def _window_epochs(epoch_means: np.ndarray, epoch_counts: np.ndarray,
     first, last = resolve_window(len(means), np.arange(len(means)), n)
     size = last + 1 - first
 
-    def block(r):
+    def block(r, m):
         M, _, _ = _padded(means, first[r], size[r])
         C, _, _ = _padded(counts, first[r], size[r])
         mean = np.sum(M * C, axis=1) / np.sum(C, axis=1)
         dev = np.where(C > 0, M - mean[:, None], 0.0)
         return {"mean": mean, "sd": np.sqrt(
             np.sum(dev * dev, axis=1) / np.count_nonzero(C, axis=1))}
-    out = {k: np.full(len(size), np.nan) for k in ("mean", "sd")}
-    _in_blocks(out, np.arange(len(size)), int(size.max()), block)
-    return out
+    return _in_blocks(("mean", "sd"), np.full(len(size), size.max()),
+                      np.arange(len(size)), block)
 
 
 def novel_f1(epoch_means: np.ndarray, epoch_counts: np.ndarray,
@@ -406,13 +410,12 @@ def novel_f2(epoch_means: np.ndarray, epoch_counts: np.ndarray,
     lo, hi = np.asarray(lo, dtype=int), np.asarray(hi, dtype=int)
     n = hi - lo
 
-    def block(r):
+    def block(r, m):
         X, mask, _ = _padded(values, lo[r], n[r])
         return {"rr_f2": mid[r] - _median(_sorted_rows(X, mask), n[r])}
-    out = {"rr_f2": np.full(len(n), np.nan)}
-    _in_blocks(out, np.flatnonzero(np.isfinite(mid) & (n > 0)),
-               int(n.max(initial=0)), block)
-    return out["rr_f2"]
+    return _in_blocks(["rr_f2"], np.full(len(n), n.max(initial=0)),
+                      np.flatnonzero(np.isfinite(mid) & (n > 0)),
+                      block)["rr_f2"]
 
 
 def novel_f3(epoch_means: np.ndarray, epoch_counts: np.ndarray,
@@ -470,34 +473,28 @@ def _grid_index(t: np.ndarray) -> np.ndarray:
     return k
 
 
-def _grid_gather(times, values, lo, hi, k0, k1):
+def _grid_gather(at, values, lo, hi, k0, k1):
     """``take(r, m)``: the first m points of windows r of the 4 Hz grid,
     ``[k0, k1)``, one row each, from one interpolation of the series
-    ``values`` at ascending ``times``. Each window holds its own first and
-    last points ``lo`` and ``hi - 1`` before and after them, as
-    ``np.interp`` of its own points does.
-
-    ``times`` may instead be a sample rate: the series is then a trace
-    sampled at ``i / rate``, whose times are formed only where read. Its
-    grid goes through ``np.interp`` in blocks, each against only the
-    samples that bracket it, which gives the same points bit for bit."""
+    ``values`` whose point i (or points, i an array) lies at ascending time
+    ``at(i)``. Each window holds its own first and last points ``lo`` and
+    ``hi - 1`` before and after them, as ``np.interp`` of its own points
+    does. The grid goes through ``np.interp`` in blocks of about
+    ``BLOCK_VALUES`` series points, each against only the points that
+    bracket it, found by binary search on ``at``: as a point depends only on
+    the two around it, this is one whole-series ``np.interp`` bit for bit."""
+    if len(k0) == 0 or len(values) == 0:
+        return None  # no window reads a point
     start = k0.min()
     grid = np.arange(start, k1.max()) / RESAMPLE_HZ
-    if np.ndim(times):
-        at = times.__getitem__
-        series = np.interp(grid, times, values)
-    else:
-        rate = float(times)
-
-        def at(i):
-            return i / rate
-        series = np.empty(len(grid))
-        step = max(1, int(BLOCK_VALUES * RESAMPLE_HZ / rate))
-        for g in range(0, len(grid), step):
-            t = grid[g:g + step]
-            a = min(max(0, int(np.floor(t[0] * rate)) - 1), len(values) - 1)
-            b = min(len(values), int(np.ceil(t[-1] * rate)) + 2)
-            series[g:g + len(t)] = np.interp(t, at(np.arange(a, b)), values[a:b])
+    series = np.empty(len(grid))
+    points = range(len(values))
+    step = max(1, BLOCK_VALUES * len(grid) // len(values))
+    for g in range(0, len(grid), step):
+        t = grid[g:g + step]
+        a = max(0, bisect.bisect_right(points, t[0], key=at) - 1)
+        b = min(len(values), bisect.bisect_left(points, t[-1], key=at) + 1)
+        series[g:g + len(t)] = np.interp(t, at(np.arange(a, b)), values[a:b])
 
     def take(r, m):
         idx = (k0[r] - start)[:, None] + np.arange(m)
@@ -505,13 +502,6 @@ def _grid_gather(times, values, lo, hi, k0, k1):
         X = np.where(grid[idx] < at(first), values[first], series[idx])
         return np.where(grid[idx] > at(last), values[last], X)
     return take
-
-
-def _by_length(out: dict, rows: np.ndarray, size: np.ndarray, kernel) -> None:
-    """``_in_blocks`` over each group of ``rows`` with one ``size``:
-    ``kernel(r, m)`` returns the columns of rows r, each of size m."""
-    for m in np.unique(size[rows]):
-        _in_blocks(out, rows[size[rows] == m], m, lambda r: kernel(r, m))
 
 
 def _freq_rows(X: np.ndarray) -> dict:
@@ -573,12 +563,9 @@ def rr_freq_features(times: np.ndarray, values: np.ndarray, t0, t1) -> dict:
     k0, k1 = _grid_index(t0), _grid_index(t1)
     lo, hi = np.searchsorted(times, t0), np.searchsorted(times, t1)
     win = t1 - t0
-    out = {k: np.full(len(t0), np.nan) for k in FREQ_NAMES}
     rows = np.flatnonzero(hi - lo >= 4)
     rows = rows[(win[rows] >= 30.0 - 1e-9) & (
         times[hi[rows] - 1] - times[lo[rows]] >= 0.75 * win[rows])]
-    if len(rows) == 0:
-        return out
-    take = _grid_gather(times, values, lo, hi, k0, k1)
-    _by_length(out, rows, k1 - k0, lambda r, m: _freq_rows(take(r, m)))
-    return out
+    take = _grid_gather(times.__getitem__, values, lo, hi, k0, k1)
+    return _in_blocks(FREQ_NAMES, k1 - k0, rows,
+                      lambda r, m: _freq_rows(take(r, m)))

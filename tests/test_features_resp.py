@@ -337,8 +337,7 @@ class TestBreathMatchesWindowOracle:
 def _assert_extrema_match(X: np.ndarray, fs: float = FS) -> None:
     """``_row_extrema`` of a block against the per-window oracle, row by
     row, for peaks and troughs."""
-    for sign, k in ((1.0, 0), (-1.0, 1)):
-        idx, mask, count = resp._row_extrema(X, fs, sign)
+    for k, (idx, mask, count) in enumerate(resp._row_extrema(X, fs)):
         for r, x in enumerate(X):
             want = _window_detect_breaths(x, fs)[k]
             assert count[r] == len(want)
@@ -397,7 +396,7 @@ class TestBreathDetectionInBlocks:
         X[[1, 4]] = 0.0
         X[2] = 2.5
         _assert_extrema_match(X)
-        assert not resp._row_extrema(X, FS, 1.0)[2][[1, 2, 4]].any()
+        assert not resp._row_extrema(X, FS)[0][2][[1, 2, 4]].any()
         _assert_extrema_match(rng.normal(size=(8, 2)))
         _assert_extrema_match(np.array([[1.0, 1.0], [0.0, 1.0], [2.0, 1.0]]))
 

@@ -491,6 +491,60 @@ class TestWholeNightMatchesWindowOracle:
         assert peak(8) < 2 * peak(1)
 
 
+# --- the row-block driver ---------------------------------------------------
+
+class TestInBlocks:
+    """``_in_blocks`` fills each row of ``rows`` once and leaves every other
+    row NaN; each kernel block holds rows of one size and at most
+    ``BLOCK_VALUES`` values, unless it is one row longer than that."""
+
+    @staticmethod
+    def _blocks(size, rows):
+        """The driver's columns, with the rows and size of each kernel
+        block in call order, after checking its contract."""
+        blocks = []
+
+        def kernel(r, m):
+            blocks.append((r.copy(), m))
+            return {"row": 1.0 * r, "size": np.full(len(r), 1.0 * m)}
+        out = fr._in_blocks(["row", "size"], size, rows, kernel)
+        filled = np.concatenate([r for r, _ in blocks] + [[]]).astype(int)
+        assert len(filled) == len(np.unique(filled))
+        np.testing.assert_array_equal(np.sort(filled), np.sort(rows))
+        for r, m in blocks:
+            assert np.all(size[r] == m)
+            assert len(r) == 1 or len(r) * max(m, 1) <= fr.BLOCK_VALUES
+        np.testing.assert_array_equal(out["row"][rows], rows)
+        np.testing.assert_array_equal(out["size"][rows], size[rows])
+        rest = np.setdiff1d(np.arange(len(size)), rows)
+        assert all(np.isnan(col[rest]).all() for col in out.values())
+        return blocks
+
+    def test_one_width_for_every_row(self):
+        # the padded families' call: consecutive runs of the rows in order,
+        # as many as fit BLOCK_VALUES at the one width
+        rng = np.random.default_rng(16)
+        rows = np.sort(rng.choice(5000, 3000, replace=False))
+        blocks = self._blocks(np.full(5000, 301), rows)
+        step = fr.BLOCK_VALUES // 301
+        assert len(blocks) == -(-len(rows) // step)
+        for i, (r, m) in enumerate(blocks):
+            np.testing.assert_array_equal(r, rows[i * step:(i + 1) * step])
+
+    def test_rows_grouped_by_length(self):
+        rng = np.random.default_rng(18)
+        size = rng.integers(0, 3000, 4000)
+        size[[5, 77]] = fr.BLOCK_VALUES + 10    # rows longer than a block
+        rows = np.flatnonzero(rng.random(4000) < 0.7)
+        blocks = self._blocks(size, np.union1d(rows, [5, 77]))
+        assert [len(r) for r, m in blocks if m > fr.BLOCK_VALUES] == [1, 1]
+
+    def test_no_rows(self):
+        assert self._blocks(np.arange(7), np.array([], dtype=int)) == []
+        assert self._blocks(np.array([], dtype=int),
+                            np.array([], dtype=int)) == []
+
+
 # --- the RR spectrum over a night's windows --------------------------------
 
 def _freq_window_columns(fn, times, values, t0, t1) -> dict:
@@ -625,13 +679,16 @@ def assert_gather_matches(times_or_rate, values, t0, t1):
     series at ``times_or_rate`` or a trace sampled at that rate."""
     t0, t1 = np.asarray(t0, dtype=float), np.asarray(t1, dtype=float)
     if np.ndim(times_or_rate):
+        at = times_or_rate.__getitem__
         lo, hi = np.searchsorted(times_or_rate, (t0, t1))
     else:
+        def at(i):
+            return i / times_or_rate
         lo = np.ceil(t0 * times_or_rate - 1e-9).astype(int)
         hi = np.minimum(np.ceil(t1 * times_or_rate - 1e-9).astype(int),
                         len(values))
     k0, k1 = fr._grid_index(t0), fr._grid_index(t1)
-    take = fr._grid_gather(times_or_rate, values, lo, hi, k0, k1)
+    take = fr._grid_gather(at, values, lo, hi, k0, k1)
     want = _two_branch_grid_gather(times_or_rate, values, lo, hi, k0, k1)
     size = k1 - k0
     for m in np.unique(size[hi > lo]):
