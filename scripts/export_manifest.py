@@ -14,7 +14,7 @@ from cardiosleep import registry
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--profile", choices=["single", "two-channel"],
+    parser.add_argument("--profile", choices=registry.PROFILES,
                         default="single")
     parser.add_argument("--out", default=str(Path(__file__).resolve().parents[1]
                                              / "docs" / "feature_manifest.tsv"))

@@ -89,34 +89,40 @@ class TrainConfig:
                 raise ValueError(f"{name} must be >= {low}")
 
 
-def init_params(seed: int, input_dim: int = 152, hidden: int = 16,
-                layers: int = 2, classes: int = 4,
-                bidirectional: bool = True) -> BlstmParams:
-    """Glorot-uniform weights, zero biases except forget-gate biases at 1.0."""
+def weight_shapes(input_dim, hidden, layers, classes, bidirectional) -> dict:
+    """The shape of each weight of a model with these dimensions, in the
+    order ``init_params`` draws them."""
     if min(input_dim, hidden, layers, classes) <= 0:
         raise ValueError("all dimensions must be positive")
-    rng = np.random.default_rng(seed)
     ndir = 2 if bidirectional else 1
-    weights: dict = {}
-
-    def glorot(rows, cols, fan_in, fan_out):
-        lim = np.sqrt(6.0 / (fan_in + fan_out))
-        return rng.uniform(-lim, lim, size=(rows, cols))
-
+    shapes = {}
     for l in range(layers):
         din = input_dim if l == 0 else hidden * ndir
         for d in ("f", "b")[:ndir]:
-            W = np.vstack([glorot(hidden, din, din, hidden) for _ in range(4)])
-            U = np.vstack([glorot(hidden, hidden, hidden, hidden) for _ in range(4)])
-            b = np.zeros(4 * hidden)
-            b[hidden:2 * hidden] = 1.0  # forget gate
-            weights[f"l{l}{d}_W"] = W
-            weights[f"l{l}{d}_U"] = U
-            weights[f"l{l}{d}_b"] = b
-    dlast = hidden * ndir
-    weights["out_W"] = glorot(classes, dlast, dlast, classes)
-    weights["out_b"] = np.zeros(classes)
-    return BlstmParams(input_dim, hidden, layers, classes, bidirectional, weights)
+            shapes.update({f"l{l}{d}_W": (4 * hidden, din),
+                           f"l{l}{d}_U": (4 * hidden, hidden),
+                           f"l{l}{d}_b": (4 * hidden,)})
+    return {**shapes, "out_W": (classes, hidden * ndir), "out_b": (classes,)}
+
+
+def init_params(seed: int, input_dim: int = 152, hidden: int = 16,
+                layers: int = 2, classes: int = 4,
+                bidirectional: bool = True) -> BlstmParams:
+    """Glorot-uniform weights, zero biases except forget-gate biases at 1.0;
+    a gate's ``hidden`` rows of W or U count as its fan-out."""
+    dims = (input_dim, hidden, layers, classes, bidirectional)
+    rng = np.random.default_rng(seed)
+    weights: dict = {}
+    for k, shape in weight_shapes(*dims).items():
+        if len(shape) == 1:
+            weights[k] = np.zeros(shape)
+            if k != "out_b":
+                weights[k][hidden:2 * hidden] = 1.0  # forget gate
+        else:
+            fan_out = classes if k == "out_W" else hidden
+            lim = np.sqrt(6.0 / (shape[1] + fan_out))
+            weights[k] = rng.uniform(-lim, lim, size=shape)
+    return BlstmParams(*dims, weights)
 
 
 # --- batches --------------------------------------------------------------
@@ -524,6 +530,13 @@ def load_checkpoint(path, expected_manifest_hash: Optional[str] = None
                 and meta["manifest_hash"] != expected_manifest_hash):
             raise ManifestMismatch("checkpoint was trained against a different manifest")
         weights = {k: data[k] for k in data.files if k != "__meta"}
-    params = BlstmParams(meta["input_dim"], meta["hidden"], meta["layers"],
-                         meta["classes"], meta["bidirectional"], weights)
-    return params, meta
+        dims = (meta["input_dim"], meta["hidden"], meta["layers"],
+                meta["classes"], meta["bidirectional"])
+        try:  # the key count bounds the layers before any shape is formed
+            fits = (len(weights) == 3 * (1 + bool(dims[4])) * dims[2] + 2
+                    and {k: v.shape for k, v in weights.items()} == weight_shapes(*dims))
+        except (TypeError, ValueError):
+            fits = False
+        if not fits:
+            raise ManifestMismatch(f"{path}: weights do not fit the model dimensions {dims}")
+    return BlstmParams(*dims, weights), meta

@@ -213,8 +213,10 @@ def _load_norm(path: Path, manifest) -> registry.NormStats:
     with signal_io.open_npz(path) as d:
         if str(d["manifest_hash"]) != registry.manifest_hash(manifest):
             raise CardiosleepError("normalization stats built for a different manifest")
-        return registry.NormStats(manifest=manifest, mean=d["mean"], sd=d["sd"],
-                                  constant=d["constant"])
+        stats = {k: d[k] for k in ("mean", "sd", "constant")}
+    if any(np.shape(v) != (len(manifest),) for v in stats.values()):
+        raise CardiosleepError(f"{path}: statistics do not cover the {len(manifest)} features")
+    return registry.NormStats(manifest=manifest, **stats)
 
 
 def _sequences(mats, stats, require_labels: bool):
@@ -350,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="YAML config file")
     parser.add_argument("--seed", type=int, help="override config seed")
     parser.add_argument("--workers", type=int, help="per-subject parallelism")
-    parser.add_argument("--profile", choices=["single", "two-channel"],
+    parser.add_argument("--profile", choices=registry.PROFILES,
                         help="breathing-channel profile")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -23,11 +23,12 @@ import yaml
 
 from .blstm import TrainConfig, require_int
 from .errors import ConfigError
+from .registry import PROFILES
 
 
 @dataclass
 class PipelineConfig:
-    profile: str = "single"          # "single" | "two-channel"
+    profile: str = "single"          # one of registry.PROFILES
     seed: int = 0
     workers: int = 1
     train: TrainConfig = field(default_factory=TrainConfig)
@@ -35,7 +36,7 @@ class PipelineConfig:
     def validate(self) -> "PipelineConfig":
         """Check every value; ``load_config`` reports a failure as a
         ``ConfigError``."""
-        if self.profile not in ("single", "two-channel"):
+        if self.profile not in PROFILES:
             raise ConfigError(f"unknown profile {self.profile!r}")
         for name in ("seed", "workers"):
             require_int(name, getattr(self, name))

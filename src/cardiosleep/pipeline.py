@@ -7,7 +7,7 @@ import numpy as np
 
 from . import preprocess
 from .errors import SubjectUnusable
-from .registry import FeatureMatrix
+from .registry import PROFILES, FeatureMatrix
 from .types import ProcessedSubject, SubjectRecord
 
 
@@ -16,7 +16,7 @@ def preprocess_subject(record: SubjectRecord,
     """ECG to cleaned RR series, and the breathing belts the profile reads
     to baseline-free, low-passed traces: the chest belt, plus the abdomen
     belt, where present, for ``"two-channel"``."""
-    if profile not in ("single", "two-channel"):
+    if profile not in PROFILES:
         raise ValueError(f"unknown profile {profile!r}")
     if record.ecg is None or record.breath_chest is None:
         raise SubjectUnusable(f"{record.subject_id}: missing ECG or chest channel")

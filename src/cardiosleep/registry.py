@@ -36,6 +36,8 @@ MULTI_WINDOW = 9
 
 MAX_MISSING_FRAC = 0.5  # a subject with more missing feature entries is unusable
 
+PROFILES = ("single", "two-channel")  # the breathing-channel profiles
+
 
 @dataclass(frozen=True)
 class ManifestEntry:
@@ -105,7 +107,7 @@ def _entries(keys: list[str], source: str, window_n: int, units: str = "",
 
 def build_manifest(profile: str = "single") -> FeatureManifest:
     """The canonical manifest for a breathing-channel profile."""
-    if profile not in ("single", "two-channel"):
+    if profile not in PROFILES:
         raise ValueError(f"unknown profile {profile!r}")
     base: list[ManifestEntry] = []
     base += _entries(features_rr.HRV_TIME_NAMES, "rr_time", 1, "s")

@@ -1,4 +1,5 @@
 """The from-scratch bidirectional LSTM: shapes, gradients, training behavior."""
+import json
 import tracemalloc
 
 import numpy as np
@@ -517,6 +518,27 @@ class TestCheckpoint:
             assert np.array_equal(p.weights[k], q.weights[k])
         X = np.random.default_rng(0).normal(size=(6, DIM))
         assert np.array_equal(blstm.forward(p, X), blstm.forward(q, X))
+
+    @pytest.mark.parametrize("dims", [(3, 2, 1, 5, False), (7, 4, 3, 2, True)])
+    def test_round_trip_at_other_dimensions(self, tmp_path, dims):
+        p = blstm.init_params(1, *dims)
+        assert {k: v.shape for k, v in p.weights.items()} == blstm.weight_shapes(*dims)
+        blstm.save_checkpoint(p, tmp_path / "model.npz", "h")
+        q, _ = blstm.load_checkpoint(tmp_path / "model.npz")
+        assert (q.input_dim, q.hidden, q.layers, q.classes, q.bidirectional) == dims
+
+    @pytest.mark.parametrize("meta", [{"hidden": 8}, {"layers": 3}, {"layers": 10 ** 9},
+                                      {"bidirectional": False}, {"hidden": 0},
+                                      {"input_dim": "152"}])
+    def test_weights_that_do_not_fit_the_metadata_are_refused(self, tmp_path, meta):
+        path = tmp_path / "model.npz"
+        blstm.save_checkpoint(blstm.init_params(0, input_dim=DIM), path, "h")
+        with np.load(path, allow_pickle=False) as d:
+            payload = {k: d[k] for k in d.files}
+        payload["__meta"] = json.dumps({**json.loads(str(payload["__meta"])), **meta})
+        np.savez(path, **payload)
+        with pytest.raises(ManifestMismatch, match="model.npz"):
+            blstm.load_checkpoint(path)
 
     def test_manifest_hash_mismatch_refused(self, tmp_path):
         p = blstm.init_params(0, input_dim=DIM)

@@ -200,6 +200,23 @@ class TestTwoChannelProfile:
         assert "breath_abdomen" in capsys.readouterr().err
 
 
+def _cut_l0f_w(payload):
+    """A model whose first layer's input weights lost columns."""
+    payload["l0f_W"] = payload["l0f_W"][:, :100]
+
+
+def _meta_hidden_8(payload):
+    """A model whose metadata says 8 units over 16-unit weights."""
+    meta = json.loads(str(payload["__meta"]))
+    meta["hidden"] = 8
+    payload["__meta"] = json.dumps(meta, sort_keys=True)
+
+
+def _cut_mean(payload):
+    """Normalization statistics with 100 means for 152 features."""
+    payload["mean"] = payload["mean"][:100]
+
+
 class TestExitCodes:
     def test_config_error_is_two(self, tmp_path):
         bad = tmp_path / "bad.yaml"
@@ -260,13 +277,24 @@ class TestExitCodes:
                          "--out", str(tmp_path)]) == 3
         assert "bad.npz" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("corrupt", ["model.npz", "norm.npz"])
+    @pytest.mark.parametrize("corrupt, damage", [
+        pytest.param("model.npz", None, id="model.npz"),
+        pytest.param("norm.npz", None, id="norm.npz"),
+        pytest.param("model.npz", _cut_l0f_w, id="model.npz-l0f_W-cut"),
+        pytest.param("model.npz", _meta_hidden_8, id="model.npz-hidden-8"),
+        pytest.param("norm.npz", _cut_mean, id="norm.npz-mean-cut")])
     def test_corrupt_model_or_norm_is_three(self, pipeline_dir, tmp_path,
-                                            capsys, corrupt):
+                                            capsys, corrupt, damage):
         out = pipeline_dir
         files = {name: out / name for name in ("model.npz", "norm.npz")}
         files[corrupt] = tmp_path / corrupt
-        files[corrupt].write_bytes(b"garbage")  # 7 bytes, not a zip archive
+        if damage is None:
+            files[corrupt].write_bytes(b"garbage")  # 7 bytes, not a zip archive
+        else:
+            with np.load(out / corrupt, allow_pickle=False) as d:
+                payload = {k: d[k] for k in d.files}
+            damage(payload)
+            np.savez(files[corrupt], **payload)
         code = cli.main(["--config", str(out / "config.yaml"), "predict",
                          "--features", str(out / "features"),
                          "--model", str(files["model.npz"]),
