@@ -470,6 +470,14 @@ class TestCpcSpectrum:
         feats = _one_cpc(t, v, np.full(int(270 * FS), 1.0), FS, 0.0, 270.0)
         assert all(math.isnan(x) for x in feats.values())
 
+    def test_no_intervals_or_no_windows(self):
+        belt = np.sin(2 * np.pi * 0.25 * np.arange(int(120 * FS)) / FS)
+        empty = np.array([])
+        got = resp.cpc_spectrum(empty, empty, belt, FS, [0.0], [120.0])
+        assert all(np.isnan(col).all() and len(col) == 1 for col in got.values())
+        got = resp.cpc_spectrum(*self._rr(120.0), belt, FS, empty, empty)
+        assert all(len(col) == 0 for col in got.values())
+
     def test_too_few_rr_rejected(self):
         feats = _one_cpc(np.array([1.0, 2.0]), np.array([0.9, 0.9]),
                          np.random.default_rng(0).normal(size=int(270 * FS)),

@@ -632,6 +632,14 @@ class TestRrFreqMatchesWindowOracle:
                 tracemalloc.stop()
         assert peak(8) < 2 * peak(1)
 
+    def test_no_intervals_or_no_windows(self):
+        empty = np.array([])
+        got = fr.rr_freq_features(empty, empty, [0.0, 30.0], [30.0, 60.0])
+        assert all(np.isnan(col).all() and len(col) == 2 for col in got.values())
+        got = fr.rr_freq_features(*_rr_series(np.random.default_rng(34), 90.0),
+                                  empty, empty)
+        assert all(len(col) == 0 for col in got.values())
+
     def test_windows_of_few_intervals(self):
         times = np.array([1.0, 2.0, 3.0, 4.0, 28.0, 29.0, 40.0, 70.0, 71.0])
         values = np.array([0.8, 0.9, 1.0, 0.9, 0.7, 0.8, 0.9, 1.0, 1.1])
