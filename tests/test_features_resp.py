@@ -415,6 +415,80 @@ class TestBreathDetectionInBlocks:
         _assert_breath_matches(np.concatenate(windows), FS, hi - lengths, hi)
 
 
+def _scan_tied_maxima(flat: np.ndarray, dist: int) -> np.ndarray:
+    """``_tied_maxima`` as a run-length scan of its own, the oracle of the
+    ``find_peaks`` version: a run of equal samples above both neighbouring
+    runs is a maximum at its middle, and a NaN is a run of its own that
+    never compares above anything."""
+    edge = 1 + np.flatnonzero(flat[1:] != flat[:-1])
+    first = np.concatenate([[0], edge])
+    last = np.concatenate([edge - 1, [len(flat) - 1]])
+    level = flat[first]
+    top = 1 + np.flatnonzero((level[1:-1] > level[:-2])
+                             & (level[1:-1] > level[2:]))
+    pos, height = (first[top] + last[top]) // 2, level[top]
+    order = np.lexsort((pos, height))
+    pos, height = pos[order], height[order]
+    close = (height[1:] == height[:-1]) & (pos[1:] - pos[:-1] < dist)
+    return pos[1:][close]
+
+
+def _gapped(X: np.ndarray, gap: int) -> np.ndarray:
+    """The rows of X laid end to end, each followed by ``gap`` NaN samples,
+    as ``_row_extrema`` lays out a block."""
+    flat = np.full((len(X), X.shape[1] + gap), np.nan)
+    flat[:, :X.shape[1]] = X
+    return flat.ravel()
+
+
+class TestTiedMaximaMatchesScan:
+    """``_tied_maxima`` against its run-length scan, position for position."""
+
+    @staticmethod
+    def _assert_match(flat: np.ndarray, dist: int) -> np.ndarray:
+        got = resp._tied_maxima(flat, dist)
+        np.testing.assert_array_equal(got, _scan_tied_maxima(flat, dist))
+        return got
+
+    def test_plateaus_touching_a_gap_or_an_end(self):
+        rng = np.random.default_rng(48)
+        X = _smooth_rows(rng, 40, 300)
+        for r, x in enumerate(X):
+            run = rng.integers(1, 6)
+            level = x.max() + 1.0
+            if r % 3 == 0:
+                x[:run] = level
+            elif r % 3 == 1:
+                x[-run:] = level
+            i = rng.integers(10, 280)
+            x[[i, i + rng.integers(2, 10)]] = level
+        X[7] = np.nan
+        found = 0
+        for dist in (1, 3, 12, 38):
+            for flat in (_gapped(X, dist), X.ravel(), X[0], X[1]):
+                found += len(self._assert_match(flat, dist))
+        assert found
+
+    def test_quantised_rows(self):
+        rng = np.random.default_rng(49)
+        X = np.round(_smooth_rows(rng, 30, 750) * 4)
+        assert len(self._assert_match(_gapped(np.vstack([X, -X]), 38), 38))
+        for x in X[:5]:
+            self._assert_match(x, 38)
+
+    def test_all_nan_and_short_rows(self):
+        for n in (1, 2, 3, 40):
+            self._assert_match(np.full(n, np.nan), 5)
+        values = (0.0, 1.0, 2.0, np.nan)
+        for n in (1, 2, 3):
+            X = np.array(np.meshgrid(*[values] * n)).reshape(n, -1).T
+            for dist in (1, 2, 4):
+                for flat in (_gapped(X, dist), X.ravel()):
+                    self._assert_match(flat, dist)
+                for x in X:
+                    self._assert_match(x, dist)
+
+
 class TestCpcSpectrum:
     """The coupling estimator's properties on its per-window definition, and
     the whole-night band features of one window."""
