@@ -2,8 +2,10 @@
 
 ``breath_features(samples, sample_rate_hz, lo, hi)`` evaluates every
 breathing window ``samples[lo:hi]`` of a night at once: windows of one length
-are the rows of a block, and breath detection makes one ``find_peaks`` call
-per block for its peaks and troughs together. Against the window-by-window
+are the rows of a block. Every local maximum, of a breath, a tied breath or
+a spectrum, comes from ``find_peaks`` over the block's rows laid end to end,
+NaN apart: one call for the peaks and troughs together, one for the tied
+maxima and one for the spectral peaks. Against the window-by-window
 definition, kept as the oracle in the tests, every entry is bit for bit the
 same but the skewness and kurtosis, which take cubes and fourth powers by
 multiplication and agree within rtol 1e-12.
@@ -80,13 +82,8 @@ def _tied_maxima(flat: np.ndarray, dist: int) -> np.ndarray:
     """Positions of the local maxima of ``flat``, as ``find_peaks`` takes
     them (the middle of a flat top), that have one of equal height closer
     than ``dist``."""
-    edge = 1 + np.flatnonzero(flat[1:] != flat[:-1])
-    first = np.concatenate([[0], edge])
-    last = np.concatenate([edge - 1, [len(flat) - 1]])
-    level = flat[first]
-    top = 1 + np.flatnonzero((level[1:-1] > level[:-2])
-                             & (level[1:-1] > level[2:]))
-    pos, height = (first[top] + last[top]) // 2, level[top]
+    pos = sps.find_peaks(flat)[0]
+    height = flat[pos]
     order = np.lexsort((pos, height))
     pos, height = pos[order], height[order]
     close = (height[1:] == height[:-1]) & (pos[1:] - pos[:-1] < dist)
@@ -139,14 +136,15 @@ def _breath_cycles(X: np.ndarray, fs: float) -> dict:
     bb_mean, bb_sd = _row_moments(bb, bmask)
     amp_mean, amp_sd = _row_moments(X[rows, peaks], pmask)
     trough_mean, trough_sd = _row_moments(X[rows, troughs], tmask)
-    # each peak between two troughs, with the nearest trough on each side
+    # each peak between two troughs, with the nearest trough on each side;
+    # no sample is both, as a peak's flat top starts above its left
+    # neighbour and a trough's below it
     t, p = troughs[:, None, :], peaks[:, :, None]
     before = np.count_nonzero(tmask[:, None, :] & (t < p), axis=2)
-    after = np.count_nonzero(tmask[:, None, :] & (t <= p), axis=2)
-    paired = pmask & (before > 0) & (after < ntr[:, None])
+    paired = pmask & (before > 0) & (before < ntr[:, None])
     inhale = (peaks - np.take_along_axis(troughs, np.maximum(before - 1, 0), 1)
               ) / fs
-    exhale = (np.take_along_axis(troughs, np.minimum(after, troughs.shape[1] - 1),
+    exhale = (np.take_along_axis(troughs, np.minimum(before, troughs.shape[1] - 1),
                                  1) - peaks) / fs
     two = npk >= 2
     return {
@@ -177,14 +175,14 @@ def _half_power_bandwidth(freqs: np.ndarray, P: np.ndarray,
 def _second_peak(freqs: np.ndarray, P: np.ndarray, dom: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray]:
     """Frequency and power of each row's highest local maximum more than one
-    bin from its dominant bin ``dom``; NaN where there is none."""
+    bin from its dominant bin ``dom``; NaN where there is none.
+
+    One ``find_peaks`` call searches the rows laid end to end, one NaN
+    after each: a NaN is never a peak and ends a flat top, so no row's
+    search reaches into the next."""
+    flat = np.hstack([P, np.full((len(P), 1), np.nan)]).ravel()
     peak = np.zeros(P.shape, dtype=bool)
-    peak[:, 1:-1] = (P[:, :-2] < P[:, 1:-1]) & (P[:, 1:-1] > P[:, 2:])
-    # find_peaks takes the middle of a flat top, so rows with equal
-    # neighbouring bins take its own search
-    for r in np.flatnonzero(np.any(P[:, 1:] == P[:, :-1], axis=1)):
-        peak[r] = False
-        peak[r, sps.find_peaks(P[r])[0]] = True
+    peak[np.divmod(sps.find_peaks(flat)[0], P.shape[1] + 1)] = True
     peak &= np.abs(np.arange(P.shape[1]) - dom[:, None]) > 1
     k = np.argmax(np.where(peak, P, -np.inf), axis=1)
     found = np.any(peak, axis=1)
