@@ -183,7 +183,7 @@ def cmd_cohort(args, cfg: PipelineConfig) -> int:
 
 
 def cmd_split(args, cfg: PipelineConfig) -> int:
-    ids = json.loads(Path(args.ids).read_text())
+    ids = _read_ids(args.ids)
     train_ids, val_ids = cohort.split_subjects(ids, seed=cfg.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -192,6 +192,34 @@ def cmd_split(args, cfg: PipelineConfig) -> int:
     _log_run(out, "split", [Path(args.ids)], cfg)
     print(f"split: {len(train_ids)} train / {len(val_ids)} validation")
     return EXIT_OK
+
+
+def _read_json(path: str, shape: str, fits) -> object:
+    """The JSON document at ``path``; raises ``CardiosleepError`` naming the
+    file unless ``fits`` holds for it."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as e:
+        raise CardiosleepError(f"{path}: not JSON ({e})") from e
+    if not fits(doc):
+        raise CardiosleepError(f"{path}: not {shape}")
+    return doc
+
+
+def _is_ids(doc) -> bool:
+    return isinstance(doc, list) and all(isinstance(s, str) for s in doc)
+
+
+def _read_ids(path: str) -> list:
+    """An ids file: a JSON list of subject ids."""
+    return _read_json(path, "a JSON list of subject ids", _is_ids)
+
+
+def _read_split(path: str) -> dict:
+    """A split file: a JSON object of train and val subject-id lists."""
+    return _read_json(path, "a JSON object with train and val lists of subject ids",
+                      lambda doc: isinstance(doc, dict)
+                      and all(_is_ids(doc.get(k)) for k in ("train", "val")))
 
 
 def _load_matrices(feat_dir: Path, ids, manifest):
@@ -232,7 +260,7 @@ def _sequences(mats, stats, require_labels: bool):
 
 def cmd_train(args, cfg: PipelineConfig) -> int:
     feat_dir = Path(args.features)
-    split = json.loads(Path(args.split).read_text())
+    split = _read_split(args.split)
     manifest = registry.build_manifest(cfg.profile)
     train_mats = _load_matrices(feat_dir, split["train"], manifest)
     val_mats = _load_matrices(feat_dir, split["val"], manifest)
@@ -264,7 +292,7 @@ def cmd_predict(args, cfg: PipelineConfig) -> int:
     feat_dir = Path(args.features)
     ids = [p.stem for p in sorted(feat_dir.glob("*.csv"))]
     if args.ids:
-        ids = json.loads(Path(args.ids).read_text())
+        ids = _read_ids(args.ids)
     mats = _load_matrices(feat_dir, ids, manifest)
     out_dir = Path(args.out) / "predictions"
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -279,7 +307,7 @@ def cmd_predict(args, cfg: PipelineConfig) -> int:
 
 def cmd_evaluate(args, cfg: PipelineConfig) -> int:
     manifest, params, stats = _load_model(args, cfg)
-    split = json.loads(Path(args.split).read_text())
+    split = _read_split(args.split)
     mats = _load_matrices(Path(args.features), split[args.subset], manifest)
     total_cm = evaluate.ConfusionMatrix(np.zeros((4, 4), dtype=int))
     per_subject = {}
@@ -327,7 +355,7 @@ def cmd_importance(args, cfg: PipelineConfig) -> int:
     if args.repeats < 1:
         raise ConfigError("--repeats must be >= 1")
     manifest, params, stats = _load_model(args, cfg)
-    split = json.loads(Path(args.split).read_text())
+    split = _read_split(args.split)
     mats = _load_matrices(Path(args.features), split["val"], manifest)
     seqs = [(X, y) for _, X, y in _sequences(mats, stats, require_labels=True)]
     ranking = evaluate.permutation_importance(params, seqs, manifest.names,

@@ -263,8 +263,26 @@ def read_feature_matrix(source: Union[str, Path],
 
 # --- subject metadata lines ----------------------------------------------
 
+def _metadata_fault(obj: dict) -> Optional[str]:
+    """What is wrong with one metadata record's fields, or None: the subject
+    id names its output files, so it must be a plain file name."""
+    sid = obj["subject_id"]
+    if not isinstance(sid, str) or sid in ("", "..") or Path(sid).name != sid:
+        return f"subject_id {sid!r} is not a plain file name"
+    for key in ("edf", "hypnogram"):
+        if obj.get(key) is not None and not isinstance(obj[key], str):
+            return f"{key} {obj[key]!r} is not a path"
+    ahi = obj.get("ahi")
+    if ahi is not None and (isinstance(ahi, bool)
+                            or not isinstance(ahi, (int, float))):
+        return f"ahi {ahi!r} is not a number"
+    return None
+
+
 def read_subject_metadata(text: str) -> list[dict]:
-    """One JSON object per line: {subject_id, ahi, paths...}."""
+    """One JSON object per line: {subject_id, ahi, edf, hypnogram}. A line
+    that is not one, or whose fields have the wrong type, raises
+    ``MissingMetadata`` naming the line."""
     records = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -275,6 +293,9 @@ def read_subject_metadata(text: str) -> list[dict]:
             raise MissingMetadata(f"line {lineno}: invalid metadata ({e})") from e
         if not isinstance(obj, dict) or "subject_id" not in obj:
             raise MissingMetadata(f"line {lineno}: missing subject_id")
+        fault = _metadata_fault(obj)
+        if fault:
+            raise MissingMetadata(f"line {lineno}: {fault}")
         records.append(obj)
     return records
 

@@ -351,6 +351,51 @@ class TestExitCodes:
                          "--out", str(tmp_path)])
         assert code == 3
 
+    @pytest.mark.parametrize("fields", [
+        {"ahi": "2.5"}, {"edf": 5}, {"subject_id": ["x"]},
+        {"subject_id": "../escaped"}])
+    def test_mistyped_metadata_is_three(self, pipeline_dir, tmp_path, capsys,
+                                        fields):
+        rec = signal_io.read_subject_metadata(
+            (pipeline_dir / "subjects.jsonl").read_text())[0]
+        rec.update({key: str(pipeline_dir / rec[key])
+                    for key in ("edf", "hypnogram")})
+        rec.update(fields)
+        meta = tmp_path / "meta" / "subjects.jsonl"
+        meta.parent.mkdir()
+        meta.write_text(json.dumps(rec) + "\n")
+        for stage in ("preprocess", "cohort"):
+            assert cli.main([stage, "--meta", str(meta),
+                             "--out", str(tmp_path / "out")]) == 3, stage
+            assert "line 1" in capsys.readouterr().err
+        assert not [p for p in tmp_path.rglob("*") if p.is_file()
+                    and p != meta]
+
+    @pytest.mark.parametrize("command, option, text", [
+        ("split", "--ids", '{"a": 1, "b": 2}'),
+        ("split", "--ids", '["a", 2]'),
+        ("split", "--ids", "not json"),
+        ("predict", "--ids", '{"a": 1}'),
+        ("train", "--split", '["a", "b"]'),
+        ("train", "--split", '{"train": ["a"]}'),
+        ("train", "--split", '{"train": "ab", "val": []}'),
+        ("evaluate", "--split", '{"train": [], "val": [1]}'),
+        ("importance", "--split", '["a"]')])
+    def test_misshapen_split_or_ids_file_is_three(self, pipeline_dir, tmp_path,
+                                                  capsys, command, option, text):
+        out = pipeline_dir
+        path = tmp_path / "given.json"
+        path.write_text(text)
+        args = {"split": [],
+                "train": ["--features", str(out / "features")]}.get(command, [
+            "--features", str(out / "features"),
+            "--model", str(out / "model.npz"), "--norm", str(out / "norm.npz")])
+        code = cli.main(["--config", str(out / "config.yaml"), command, option,
+                         str(path), *args, "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert str(path) in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_non_finite_inputs_are_four(self, pipeline_dir, tmp_path):
         out = pipeline_dir
         with np.load(out / "norm.npz", allow_pickle=False) as d:

@@ -1,4 +1,6 @@
 """EDF, hypnogram text, feature-matrix CSV, and metadata round-trips."""
+import json
+
 import numpy as np
 import pytest
 
@@ -195,3 +197,24 @@ class TestSubjectMetadata:
     def test_invalid_json_reports_line(self):
         with pytest.raises(errors.MissingMetadata, match="line 2"):
             signal_io.read_subject_metadata('{"subject_id": "a"}\nnot json\n')
+
+    @pytest.mark.parametrize("fields", [
+        {"subject_id": ["x"]}, {"subject_id": 7}, {"subject_id": ""},
+        {"subject_id": "."}, {"subject_id": ".."},
+        {"subject_id": "../escaped"}, {"subject_id": "a/b"},
+        {"subject_id": "/abs"}, {"subject_id": "a", "edf": 5},
+        {"subject_id": "a", "hypnogram": ["a.hyp"]},
+        {"subject_id": "a", "ahi": "2.5"}, {"subject_id": "a", "ahi": True},
+        {"subject_id": "a", "ahi": [2.5]}])
+    def test_mistyped_field_reports_line(self, fields):
+        text = '{"subject_id": "ok"}\n' + json.dumps(fields) + "\n"
+        with pytest.raises(errors.MissingMetadata, match="line 2"):
+            signal_io.read_subject_metadata(text)
+
+    def test_well_typed_fields_pass(self):
+        recs = [{"subject_id": "a.b-1", "ahi": 3, "edf": "raw/a.edf",
+                 "hypnogram": "raw/a.hyp"},
+                {"subject_id": "b", "ahi": None, "edf": None, "hypnogram": None},
+                {"subject_id": "c", "ahi": 0.5}]
+        assert signal_io.read_subject_metadata(
+            signal_io.write_subject_metadata(recs)) == recs
