@@ -182,18 +182,6 @@ def cmd_cohort(args, cfg: PipelineConfig) -> int:
     return EXIT_OK
 
 
-def cmd_split(args, cfg: PipelineConfig) -> int:
-    ids = _read_ids(args.ids)
-    train_ids, val_ids = cohort.split_subjects(ids, seed=cfg.seed)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "split.json").write_text(json.dumps(
-        {"train": train_ids, "val": val_ids}, indent=2))
-    _log_run(out, "split", [Path(args.ids)], cfg)
-    print(f"split: {len(train_ids)} train / {len(val_ids)} validation")
-    return EXIT_OK
-
-
 def _read_json(path: str, shape: str, fits) -> object:
     """The JSON document at ``path``; raises ``CardiosleepError`` naming the
     file unless ``fits`` holds for it."""
@@ -220,6 +208,18 @@ def _read_split(path: str) -> dict:
     return _read_json(path, "a JSON object with train and val lists of subject ids",
                       lambda doc: isinstance(doc, dict)
                       and all(_is_ids(doc.get(k)) for k in ("train", "val")))
+
+
+def cmd_split(args, cfg: PipelineConfig) -> int:
+    ids = _read_ids(args.ids)
+    train_ids, val_ids = cohort.split_subjects(ids, seed=cfg.seed)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "split.json").write_text(json.dumps(
+        {"train": train_ids, "val": val_ids}, indent=2))
+    _log_run(out, "split", [Path(args.ids)], cfg)
+    print(f"split: {len(train_ids)} train / {len(val_ids)} validation")
+    return EXIT_OK
 
 
 def _load_matrices(feat_dir: Path, ids, manifest):

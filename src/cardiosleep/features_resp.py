@@ -83,9 +83,8 @@ def _tied_maxima(flat: np.ndarray, dist: int) -> np.ndarray:
     them (the middle of a flat top), that have one of equal height closer
     than ``dist``."""
     pos = sps.find_peaks(flat)[0]
+    pos = pos[np.argsort(flat[pos], kind="stable")]
     height = flat[pos]
-    order = np.lexsort((pos, height))
-    pos, height = pos[order], height[order]
     close = (height[1:] == height[:-1]) & (pos[1:] - pos[:-1] < dist)
     return pos[1:][close]
 

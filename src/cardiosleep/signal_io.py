@@ -8,6 +8,7 @@ records of 16-bit little-endian samples.
 from __future__ import annotations
 
 import json
+import math
 import zipfile
 from contextlib import contextmanager
 from pathlib import Path
@@ -274,8 +275,9 @@ def _metadata_fault(obj: dict) -> Optional[str]:
             return f"{key} {obj[key]!r} is not a path"
     ahi = obj.get("ahi")
     if ahi is not None and (isinstance(ahi, bool)
-                            or not isinstance(ahi, (int, float))):
-        return f"ahi {ahi!r} is not a number"
+                            or not isinstance(ahi, (int, float))
+                            or not math.isfinite(ahi)):
+        return f"ahi {ahi!r} is not a finite number"
     return None
 
 

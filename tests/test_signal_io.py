@@ -205,7 +205,9 @@ class TestSubjectMetadata:
         {"subject_id": "/abs"}, {"subject_id": "a", "edf": 5},
         {"subject_id": "a", "hypnogram": ["a.hyp"]},
         {"subject_id": "a", "ahi": "2.5"}, {"subject_id": "a", "ahi": True},
-        {"subject_id": "a", "ahi": [2.5]}])
+        {"subject_id": "a", "ahi": [2.5]},
+        {"subject_id": "a", "ahi": float("nan")},
+        {"subject_id": "a", "ahi": float("inf")}])
     def test_mistyped_field_reports_line(self, fields):
         text = '{"subject_id": "ok"}\n' + json.dumps(fields) + "\n"
         with pytest.raises(errors.MissingMetadata, match="line 2"):
