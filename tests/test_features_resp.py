@@ -8,6 +8,7 @@ import pytest
 from scipy import signal as sps
 
 from cardiosleep import features_resp as resp
+from cardiosleep import features_rr as fr
 from cardiosleep.errors import LengthMismatch
 from cardiosleep.features_rr import RESAMPLE_HZ
 from cardiosleep.preprocess import usable_intervals
@@ -487,6 +488,90 @@ class TestTiedMaximaMatchesScan:
                     self._assert_match(flat, dist)
                 for x in X:
                     self._assert_match(x, dist)
+
+
+def _row_moments(V: np.ndarray, mask: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's ``np.mean`` and ``np.std`` over its masked cells, bit for
+    bit, NaN for rows with none. Rows with the same cell count are reduced
+    together, their cells moved to the front in order."""
+    count = np.count_nonzero(mask, axis=1)
+    V = np.take_along_axis(V, np.argsort(~mask, axis=1, kind="stable"), 1)
+    mean, sd = np.full(len(V), np.nan), np.full(len(V), np.nan)
+    for c in np.unique(count[count > 0]):
+        r = np.flatnonzero(count == c)
+        W = V[r, :c]
+        # np.mean and np.std's own steps, without their wrappers
+        m = np.sum(W, axis=1, keepdims=True) / c
+        D = W - m
+        mean[r], sd[r] = m[:, 0], np.sqrt(np.sum(D * D, axis=1) / c)
+    return mean, sd
+
+
+class TestMomentsMatchRowMoments:
+    """``features_rr._moments`` over masked cells against the breath
+    features' former per-count reduction, kept above as its oracle: within
+    the RR families' tolerance, NaN for the same rows."""
+
+    @staticmethod
+    def _assert_match(V: np.ndarray, mask: np.ndarray) -> None:
+        with np.errstate(invalid="ignore"):
+            mean, sd, _ = fr._moments(V, mask, np.count_nonzero(mask, axis=1))
+        want_mean, want_sd = _row_moments(V, mask)
+        assert_columns_match({"mean": mean, "sd": sd},
+                             {"mean": want_mean, "sd": want_sd})
+
+    def test_prefix_masks(self):
+        rng = np.random.default_rng(50)
+        for n in (1, 2, 3, 17, 80):
+            V = rng.normal(3.0, rng.uniform(0.01, 5.0, (60, 1)), size=(60, n))
+            count = rng.integers(0, n + 1, 60)
+            count[:2] = 0, n
+            self._assert_match(V, np.arange(n) < count[:, None])
+
+    def test_scattered_masks(self):
+        rng = np.random.default_rng(51)
+        for n in (1, 4, 33):
+            V = rng.exponential(size=(80, n)) + rng.integers(0, 3, (80, 1))
+            mask = rng.random((80, n)) < rng.random((80, 1))
+            mask[0] = False
+            self._assert_match(V, mask)
+
+    def test_no_cells_and_non_finite_cells_outside_the_mask(self):
+        rng = np.random.default_rng(52)
+        V = rng.normal(size=(40, 12))
+        mask = rng.random((40, 12)) < 0.5
+        mask[:4] = False
+        V[~mask & (rng.random((40, 12)) < 0.5)] = np.inf
+        V[~mask & (rng.random((40, 12)) < 0.3)] = -np.inf
+        V[~mask & (rng.random((40, 12)) < 0.3)] = np.nan
+        self._assert_match(V, mask)
+        self._assert_match(np.zeros((3, 0)), np.zeros((3, 0), dtype=bool))
+
+    def test_breath_cells_of_smooth_rows(self):
+        # the masks and values _breath_cycles reduces: peak levels, breath
+        # intervals and their steps, and inhale / exhale of paired peaks,
+        # whose unpaired cells hold inf and NaN
+        rng = np.random.default_rng(53)
+        X = np.vstack([_smooth_rows(rng, 40, 750), np.zeros((2, 750))])
+        (peaks, pmask, npk), (troughs, tmask, ntr) = resp._row_extrema(X, FS)
+        rows = np.arange(len(X))[:, None]
+        steps, bmask = fr._diffs(peaks, pmask)
+        bb = steps / FS
+        before = np.count_nonzero(
+            tmask[:, None, :] & (troughs[:, None, :] < peaks[:, :, None]), axis=2)
+        paired = pmask & (before > 0) & (before < ntr[:, None])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = ((peaks - np.take_along_axis(
+                troughs, np.maximum(before - 1, 0), 1))
+                / (np.take_along_axis(
+                    troughs, np.minimum(before, troughs.shape[1] - 1), 1)
+                   - peaks))
+        assert not np.all(np.isfinite(ratio[~paired]))
+        for V, mask in ((X[rows, peaks], pmask), (X[rows, troughs], tmask),
+                        (bb, bmask), fr._diffs(bb, bmask),
+                        (ratio, paired)):
+            self._assert_match(V, mask)
 
 
 class TestCpcSpectrum:
