@@ -7,8 +7,10 @@ a spectrum, comes from ``find_peaks`` over the block's rows laid end to end,
 NaN apart: one call for the peaks and troughs together, one for the tied
 maxima and one for the spectral peaks. Against the window-by-window
 definition, kept as the oracle in the tests, every entry is bit for bit the
-same but the skewness and kurtosis, which take cubes and fourth powers by
-multiplication and agree within rtol 1e-12.
+same but two kinds, which agree within rtol 1e-12: the breath-cycle means and
+SDs (``bb_*``, ``amp_*``, ``trough_*``, ``ie_ratio_mean``), summed over the
+masked cells of zero-padded rows, and the skewness and kurtosis, which take
+cubes and fourth powers by multiplication.
 
 ``cpc_spectrum`` evaluates the coupling bands of every window of a night
 the same way, one batched Welch estimate per window length, and agrees with
@@ -58,24 +60,6 @@ def _detect_breaths(x: np.ndarray, fs: float) -> tuple[np.ndarray, np.ndarray]:
     peaks, _ = sps.find_peaks(x, distance=dist, prominence=prom)
     troughs, _ = sps.find_peaks(-x, distance=dist, prominence=prom)
     return peaks, troughs
-
-
-def _row_moments(V: np.ndarray, mask: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's ``np.mean`` and ``np.std`` over its masked cells, bit for
-    bit, NaN for rows with none. Rows with the same cell count are reduced
-    together, their cells moved to the front in order."""
-    count = np.count_nonzero(mask, axis=1)
-    V = np.take_along_axis(V, np.argsort(~mask, axis=1, kind="stable"), 1)
-    mean, sd = np.full(len(V), np.nan), np.full(len(V), np.nan)
-    for c in np.unique(count[count > 0]):
-        r = np.flatnonzero(count == c)
-        W = V[r, :c]
-        # np.mean and np.std's own steps, without their wrappers
-        m = np.sum(W, axis=1, keepdims=True) / c
-        D = W - m
-        mean[r], sd[r] = m[:, 0], np.sqrt(np.sum(D * D, axis=1) / c)
-    return mean, sd
 
 
 def _tied_maxima(flat: np.ndarray, dist: int) -> np.ndarray:
@@ -132,9 +116,9 @@ def _breath_cycles(X: np.ndarray, fs: float) -> dict:
     (peaks, pmask, npk), (troughs, tmask, ntr) = _row_extrema(X, fs)
     steps, bmask = _diffs(peaks, pmask)
     bb = steps / fs
-    bb_mean, bb_sd = _row_moments(bb, bmask)
-    amp_mean, amp_sd = _row_moments(X[rows, peaks], pmask)
-    trough_mean, trough_sd = _row_moments(X[rows, troughs], tmask)
+    bb_mean, bb_sd, _ = _moments(bb, bmask, np.maximum(npk - 1, 0))
+    amp_mean, amp_sd, _ = _moments(X[rows, peaks], pmask, npk)
+    trough_mean, trough_sd, _ = _moments(X[rows, troughs], tmask, ntr)
     # each peak between two troughs, with the nearest trough on each side;
     # no sample is both, as a peak's flat top starts above its left
     # neighbour and a trough's below it
@@ -152,10 +136,11 @@ def _breath_cycles(X: np.ndarray, fs: float) -> dict:
         "bb_sd": bb_sd,
         "amp_mean": np.where(two, amp_mean, np.nan),
         "amp_sd": np.where(two, amp_sd, np.nan),
-        "bb_succ_sd": _row_moments(*_diffs(bb, bmask))[1],
+        "bb_succ_sd": _moments(*_diffs(bb, bmask), np.maximum(npk - 2, 0))[1],
         "trough_mean": trough_mean,
         "trough_sd": trough_sd,
-        "ie_ratio_mean": _row_moments(inhale / exhale, paired)[0],
+        "ie_ratio_mean": _moments(inhale / exhale, paired,
+                                  np.count_nonzero(paired, axis=1))[0],
     }
 
 
