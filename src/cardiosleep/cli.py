@@ -47,7 +47,8 @@ def _log_run(out_dir: Path, stage: str, inputs: list, cfg: PipelineConfig) -> No
 
 
 def _map(fn, items, workers: int):
-    if workers <= 1 or len(items) <= 1:
+    workers = min(workers, len(items))
+    if workers <= 1:
         return [fn(it) for it in items]
     with ProcessPoolExecutor(max_workers=workers) as ex:
         return list(ex.map(fn, items))
@@ -114,9 +115,11 @@ def _preprocess_one(task) -> str:
 def cmd_preprocess(args, cfg: PipelineConfig) -> int:
     meta = Path(args.meta)
     base = meta.parent
+    records = signal_io.read_subject_metadata(meta.read_text())
+    if not records:
+        raise CardiosleepError(f"no subjects in {meta}")
     out_dir = Path(args.out) / "preprocessed"
     out_dir.mkdir(parents=True, exist_ok=True)
-    records = signal_io.read_subject_metadata(meta.read_text())
     tasks = [(rec, base, out_dir, cfg.profile) for rec in records]
     done = _map(_preprocess_one, tasks, cfg.workers)
     _log_run(Path(args.out), "preprocess", [meta], cfg)
@@ -293,6 +296,8 @@ def cmd_predict(args, cfg: PipelineConfig) -> int:
     ids = [p.stem for p in sorted(feat_dir.glob("*.csv"))]
     if args.ids:
         ids = _read_ids(args.ids)
+    if not ids:
+        raise CardiosleepError(f"no subjects to predict in {args.ids or feat_dir}")
     mats = _load_matrices(feat_dir, ids, manifest)
     out_dir = Path(args.out) / "predictions"
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -150,6 +150,36 @@ class TestWorkers:
         assert len(features[1]) == 2
         assert features[1] == features[2]
 
+    def test_no_more_worker_processes_than_subjects(self, pipeline_dir,
+                                                    tmp_path, monkeypatch):
+        pools = []
+
+        class SerialPool:
+            """Records the pool's size and maps in this process."""
+
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        for workers, items in ((64, "ab"), (2, "abcdefghij"), (3, "abcd"),
+                               (8, "a"), (8, "")):
+            assert cli._map(str.upper, list(items), workers) == list(
+                items.upper())
+        assert pools == [2, 2, 3]
+        assert cli.main(["--workers", "64", "preprocess",
+                         "--meta", str(pipeline_dir / "subjects.jsonl"),
+                         "--out", str(tmp_path)]) == 0
+        assert pools[3:] == [6]
+
 
 class TestTwoChannelProfile:
     def test_abdomen_belt_runs_through_every_stage(self, tmp_path):
@@ -392,6 +422,31 @@ class TestExitCodes:
             "--model", str(out / "model.npz"), "--norm", str(out / "norm.npz")])
         code = cli.main(["--config", str(out / "config.yaml"), command, option,
                          str(path), *args, "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert str(path) in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, option, make", [
+        pytest.param("preprocess", "--meta", lambda p: p.write_text("\n"),
+                     id="preprocess-metadata-without-subjects"),
+        pytest.param("predict", "--features", lambda p: None,
+                     id="predict-missing-features-dir"),
+        pytest.param("predict", "--features", lambda p: p.mkdir(),
+                     id="predict-features-dir-without-csv"),
+        pytest.param("predict", "--ids", lambda p: p.write_text("[]"),
+                     id="predict-empty-ids")])
+    def test_no_subjects_is_three(self, pipeline_dir, tmp_path, capsys,
+                                  command, option, make):
+        out = pipeline_dir
+        path = tmp_path / "given"
+        make(path)
+        args = {"--features": str(out / "features"),
+                "--model": str(out / "model.npz"),
+                "--norm": str(out / "norm.npz")} if command == "predict" else {}
+        args[option] = str(path)
+        code = cli.main(["--config", str(out / "config.yaml"), command,
+                         *[x for item in args.items() for x in item],
+                         "--out", str(tmp_path / "out")])
         assert code == 3
         assert str(path) in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
