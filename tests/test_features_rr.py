@@ -943,9 +943,78 @@ class TestNonlinear:
         # no two values lie within r, so no template pair matches
         assert math.isnan(fr.sample_entropy(np.arange(40.0), m, r_frac=0.01))
 
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("r_frac", [0.2, 10.0])
+    def test_sampen_equals_broadcast_oracle_at_every_short_length(self, m, r_frac):
+        # odd and even n down to m + 2, on quantised values whose distances tie
+        x = _quantised_rr(6, 61)
+        for n in range(m + 2, len(x) + 1):
+            np.testing.assert_array_equal(fr.sample_entropy(x[:n], m, r_frac),
+                                          _broadcast_sampen(x[:n], m, r_frac))
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("n", [140, 141, 522, 523])
+    def test_sampen_equals_broadcast_oracle_on_window_lengths(self, m, n):
+        # the 9-epoch windows of a night hold 140-523 intervals
+        for x in (np.random.default_rng(n).normal(0.9, 0.05, n),
+                  _quantised_rr(n, n)):
+            np.testing.assert_array_equal(fr.sample_entropy(x, m),
+                                          _broadcast_sampen(x, m))
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("n", [159, 160])
+    def test_sampen_equals_broadcast_oracle_at_tolerance_boundary(self, m, n):
+        # r equals a pairwise distance that occurs, which counts as a match
+        x = _quantised_rr(3, n)
+        sd = np.std(x)
+        dist = np.abs(x[:, None] - x[None, :])
+        r_frac = min((d / sd for d in np.unique(dist[dist > 0])
+                      if (d / sd) * sd == d), key=lambda f: abs(f - 0.2))
+        assert np.any(dist == r_frac * sd)
+        want = _broadcast_sampen(x, m, r_frac)
+        assert math.isfinite(want)
+        assert fr.sample_entropy(x, m, r_frac) == want
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_sampen_of_a_constant_window_is_nan_as_in_the_oracle(self, m):
+        for n in (m + 2, m + 3, 60, 61):
+            assert math.isnan(_broadcast_sampen(np.full(n, 0.9), m))
+            assert math.isnan(fr.sample_entropy(np.full(n, 0.9), m))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(150, 210), min_size=3, max_size=90),
+           st.integers(1, 3), st.sampled_from([0.1, 0.2, 10.0]))
+    def test_sampen_equals_broadcast_oracle_on_tied_values(self, ticks, m, r_frac):
+        x = np.array(ticks) / 200
+        np.testing.assert_array_equal(fr.sample_entropy(x, m, r_frac),
+                                      _broadcast_sampen(x, m, r_frac))
+
 
 def _quantised_rr(seed, n):
     return np.round(np.random.default_rng(seed).normal(0.9, 0.05, n) * 200) / 200
+
+
+def _broadcast_sampen(values, m=2, r_frac=0.2):
+    """Sample entropy from the full n x n matrix of |x_i - x_j|, comparing
+    every ordered template pair and the diagonal: the reference that
+    ``fr.sample_entropy`` must equal exactly, NaN for NaN."""
+    x = np.asarray(values, dtype=float)
+    n = len(x)
+    sd = np.std(x)
+    if n < m + 2 or sd == 0:
+        return np.nan
+    r = r_frac * sd
+    # templates i and j of length L match iff close[i + s, j + s] for all s < L
+    close = np.abs(x[:, None] - x[None, :]) <= r
+    k = n - m + 1
+    match = close[:k, :k].copy()
+    for s in range(1, m):
+        match &= close[s:s + k, s:s + k]
+    b = np.count_nonzero(match) - k  # exclude self-matches
+    a = np.count_nonzero(match[:-1, :-1] & close[m:, m:]) - (k - 1)
+    if b == 0 or a == 0:
+        return np.nan
+    return float(-np.log(a / b))
 
 
 def _sampen_oracle(x, m, r):
@@ -1046,7 +1115,7 @@ def _novel_window_columns(epoch_means, epoch_counts, values, lo, hi,
 def _window_sampen_entry(values: np.ndarray) -> dict:
     """The nonlinear family's sample entropy of one window, NaN below 50
     intervals."""
-    return {"rr_sampen": fr.sample_entropy(values) if len(values) >= 50
+    return {"rr_sampen": _broadcast_sampen(values) if len(values) >= 50
             else np.nan}
 
 
