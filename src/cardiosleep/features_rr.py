@@ -16,7 +16,10 @@ padded to the longest one and processed in row blocks of at most
 oracles in the tests, every entry agrees within rtol 1e-12 plus 1e-12 times
 its column's largest magnitude, with the same NaN entries; the counts, runs
 above the mean and zero crossings agree exactly. ``sampen_features``, the
-nonlinear family's fifth entry, calls ``sample_entropy`` once per window.
+nonlinear family's fifth entry, calls ``sample_entropy`` once per window of
+at least 50 intervals. It compares each unordered template pair once, by lag,
+in ceil(n/2) x n distances, and equals the n x n definition kept as a test
+oracle bit for bit.
 The sudden-variation features ``novel_f1``-``novel_f3`` read the night's
 per-epoch mean RRs and interval counts as zero-padded rows and return a
 column over every centre epoch, within the same tolerance.
@@ -309,6 +312,14 @@ def sample_entropy(values: np.ndarray, m: int = 2, r_frac: float = 0.2) -> float
     Every start index gives a template, so there are N - m + 1 templates of
     length m and N - m of length m + 1; Richman & Moorman (2000) use the
     first N - m at both lengths.
+
+    Each unordered pair is compared once, by its lag d = j - i. The lags are
+    folded into ceil(N/2) rows of N columns: row d - 1 holds |x[i + d] - x[i]|
+    at columns i < N - d, a NaN, then lag N + 1 - d; for odd N the middle
+    lag's second copy is NaN too. Templates of one lag are runs of m (or
+    m + 1) columns of one row whose distances are all <= r; NaN compares
+    false, so no template crosses the seam. Both counts are half of the
+    ordered-pair counts, so a / b, and the result, are exactly theirs.
     """
     x = np.asarray(values, dtype=float)
     n = len(x)
@@ -316,14 +327,21 @@ def sample_entropy(values: np.ndarray, m: int = 2, r_frac: float = 0.2) -> float
     if n < m + 2 or sd == 0:
         return np.nan
     r = r_frac * sd
-    # templates i and j of length L match iff close[i + s, j + s] for all s < L
-    close = np.abs(x[:, None] - x[None, :]) <= r
+    h = (n + 1) // 2
+    y = np.concatenate((x[1:], [np.nan], x))
+    dist = np.lib.stride_tricks.as_strided(y, (h, n), y.strides * 2,
+                                           writeable=False) - x
+    if n % 2:
+        dist[-1, n - h:] = np.nan
+    np.abs(dist, out=dist)
+    close = dist <= r
+    del dist
     k = n - m + 1
-    match = close[:k, :k].copy()
+    match = close[:, :k]
     for s in range(1, m):
-        match &= close[s:s + k, s:s + k]
-    b = np.count_nonzero(match) - k  # exclude self-matches
-    a = np.count_nonzero(match[:-1, :-1] & close[m:, m:]) - (k - 1)
+        match = match & close[:, s:s + k]
+    b = np.count_nonzero(match)
+    a = np.count_nonzero(match[:, :-1] & close[:, m:])
     if b == 0 or a == 0:
         return np.nan
     return float(-np.log(a / b))

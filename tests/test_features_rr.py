@@ -907,6 +907,33 @@ class TestNonlinear:
         assert math.isnan(out[0])
         assert math.isfinite(out[1])
 
+    def test_sampen_features_calls_sample_entropy_once_per_long_window(
+            self, monkeypatch):
+        # perfbench times the family by wrapping this module attribute
+        calls = []
+        real = fr.sample_entropy
+
+        def counted(*args, **kwargs):
+            calls.append(len(args[0]))
+            return real(*args, **kwargs)
+        monkeypatch.setattr(fr, "sample_entropy", counted)
+        x = np.random.default_rng(8).normal(0.9, 0.05, 300)
+        out = fr.sampen_features(x, [0, 0, 10, 100, 0], [49, 50, 200, 100, 300])
+        assert calls == [50, 190, 300]
+        assert np.isnan(out["rr_sampen"][[0, 3]]).all()
+
+    def test_sampen_traced_peak_below_six_bytes_per_pair(self):
+        # the lag fold holds ceil(n/2) x n distances, not n x n (16 n^2 bytes)
+        n = 500
+        x = np.random.default_rng(9).normal(0.9, 0.05, n)
+        tracemalloc.start()
+        try:
+            fr.sample_entropy(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * n ** 2
+
     def test_sampen_constant_is_nan(self):
         assert math.isnan(fr.sample_entropy(np.full(60, 1.0)))
 
