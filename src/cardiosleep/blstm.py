@@ -32,11 +32,13 @@ import numpy as np
 from scipy.special import expit
 
 from . import signal_io
-from .errors import (EmptyDataset, ManifestMismatch, NonFiniteInput,
-                     NonFiniteLoss, ShapeMismatch)
+from .errors import (EmptyDataset, ManifestMismatch, MissingMember,
+                     NonFiniteInput, NonFiniteLoss, ShapeMismatch)
 from .types import Hypnogram, four_hypnogram_from_indices
 
 CHECKPOINT_VERSION = 1
+META_KEYS = ("manifest_hash", "input_dim", "hidden", "layers", "classes",
+             "bidirectional")
 
 # A prediction pass holds about 1.5 KB of gate and hidden-state arrays per
 # padded time step and sequence, so forward_batch and evaluate_loss run
@@ -524,8 +526,13 @@ def load_checkpoint(path, expected_manifest_hash: Optional[str] = None
                     ) -> tuple[BlstmParams, dict]:
     with signal_io.open_npz(path) as data:
         meta = json.loads(str(data["__meta"]))
+        if not isinstance(meta, dict):
+            raise ManifestMismatch(f"{path}: __meta is not a JSON object")
         if meta.get("version") != CHECKPOINT_VERSION:
             raise ManifestMismatch(f"unsupported checkpoint version {meta.get('version')}")
+        missing = [k for k in META_KEYS if k not in meta]
+        if missing:
+            raise MissingMember(f"{path}: __meta has no {missing[0]!r}")
         if (expected_manifest_hash is not None
                 and meta["manifest_hash"] != expected_manifest_hash):
             raise ManifestMismatch("checkpoint was trained against a different manifest")

@@ -16,8 +16,8 @@ import numpy as np
 
 from . import blstm, cohort, evaluate, pipeline, registry, signal_io, synth
 from .config import PipelineConfig, load_config
-from .errors import (CardiosleepError, ConfigError, NonFiniteInput,
-                     NonFiniteLoss)
+from .errors import (CardiosleepError, ConfigError, MissingMetadata,
+                     NonFiniteInput, NonFiniteLoss)
 from .types import ProcessedSubject, RrSeries, SignalTrace, SubjectRecord
 
 EXIT_OK = 0
@@ -55,6 +55,8 @@ def _map(fn, items, workers: int):
 
 
 def _load_subject(rec: dict, base: Path) -> SubjectRecord:
+    if rec.get("edf") is None:
+        raise MissingMetadata(f"{rec['subject_id']}: no edf path in the metadata")
     traces = signal_io.read_edf((base / rec["edf"]).read_bytes())
     by_label = {t.channel_label: t for t in traces}
     ecg = by_label.get("ECG")
@@ -166,8 +168,11 @@ def cmd_extract(args, cfg: PipelineConfig) -> int:
 def cmd_cohort(args, cfg: PipelineConfig) -> int:
     meta = Path(args.meta)
     base = meta.parent
+    records = signal_io.read_subject_metadata(meta.read_text())
+    if not records:
+        raise CardiosleepError(f"no subjects in {meta}")
     subjects = []
-    for rec in signal_io.read_subject_metadata(meta.read_text()):
+    for rec in records:
         hyp = None
         if rec.get("hypnogram"):
             hyp = signal_io.read_hypnogram((base / rec["hypnogram"]).read_text())
@@ -271,6 +276,11 @@ def cmd_train(args, cfg: PipelineConfig) -> int:
     train_seqs = [(X, y) for _, X, y in _sequences(train_mats, stats, True)]
     val_seqs = [(X, y) for _, X, y in _sequences(val_mats, stats, True)]
     params, history = blstm.train(cfg.train, train_seqs, val_seqs)
+    if val_seqs:
+        label, losses = "validation loss", history["val_loss"]
+    else:  # blstm.train monitored the training set in the val_* lists
+        history = {k: v for k, v in history.items() if not k.startswith("val_")}
+        label, losses = "training loss (no validation subjects)", history["train_loss"]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _save_norm(stats, out / "norm.npz")
@@ -278,8 +288,7 @@ def cmd_train(args, cfg: PipelineConfig) -> int:
                           registry.manifest_hash(manifest), cfg.to_dict())
     (out / "history.json").write_text(json.dumps(history, indent=2))
     _log_run(out, "train", [Path(args.split)], cfg)
-    print(f"train: best validation loss {min(history['val_loss']):.4f} "
-          f"after {len(history['val_loss'])} epochs")
+    print(f"train: best {label} {min(losses):.4f} after {len(losses)} epochs")
     return EXIT_OK
 
 
@@ -469,7 +478,7 @@ def main(argv=None) -> int:
     except (NonFiniteLoss, NonFiniteInput) as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (CardiosleepError, OSError, json.JSONDecodeError, KeyError) as e:
+    except (CardiosleepError, OSError, json.JSONDecodeError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
 

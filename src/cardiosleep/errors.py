@@ -35,6 +35,10 @@ class MissingMetadata(CardiosleepError):
     pass
 
 
+class MissingMember(CardiosleepError):
+    """An npz archive, or its metadata, lacks a member the reader needs."""
+
+
 # --- signal conditioning --------------------------------------------------
 
 class SignalTooShort(CardiosleepError):

@@ -16,8 +16,8 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import (MalformedHeader, ManifestMismatch, MissingMetadata,
-                     MixedScheme, TruncatedData, UnknownToken,
+from .errors import (MalformedHeader, ManifestMismatch, MissingMember,
+                     MissingMetadata, MixedScheme, TruncatedData, UnknownToken,
                      UnsupportedVariant)
 from .registry import FeatureManifest, FeatureMatrix, build_manifest
 from .types import FourStage, Hypnogram, SignalTrace, SixStage
@@ -308,13 +308,29 @@ def write_subject_metadata(records: Sequence[dict]) -> str:
 
 # --- npz archives ---------------------------------------------------------
 
+class _Archive:
+    """An open npz archive whose missing members raise ``MissingMember``
+    naming the archive and the member."""
+
+    def __init__(self, archive, path):
+        self.files = archive.files
+        self._archive = archive
+        self._path = path
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        if name not in self.files:
+            raise MissingMember(f"{self._path}: no member {name!r}")
+        return self._archive[name]
+
+
 @contextmanager
 def open_npz(path: Union[str, Path]):
     """The npz archive at ``path``, open for reading without pickles. A file
     that is not one, or whose members cannot be read, raises
-    ``MalformedHeader`` naming the file."""
+    ``MalformedHeader`` naming the file; reading a member it lacks raises
+    ``MissingMember``."""
     try:
         with np.load(Path(path), allow_pickle=False) as archive:
-            yield archive
+            yield _Archive(archive, path)
     except (ValueError, EOFError, zipfile.BadZipFile) as e:
         raise MalformedHeader(f"{path}: not a readable npz archive ({e})") from e

@@ -126,6 +126,21 @@ class TestPipelineStages:
                          "--out", str(tmp_path)]) == 0
         assert seeds == [5]
 
+    def test_train_without_validation_subjects_labels_training_loss(
+            self, pipeline_dir, tmp_path, capsys):
+        out = pipeline_dir
+        split = tmp_path / "split.json"
+        split.write_text(json.dumps({"train": json.loads(
+            (out / "split.json").read_text())["train"], "val": []}))
+        assert cli.main(["--config", str(out / "config.yaml"), "train",
+                         "--features", str(out / "features"),
+                         "--split", str(split), "--out", str(tmp_path)]) == 0
+        printed = capsys.readouterr().out
+        assert "best training loss (no validation subjects)" in printed
+        assert "validation loss" not in printed
+        history = json.loads((tmp_path / "history.json").read_text())
+        assert sorted(history) == ["train_acc", "train_loss"]
+
 
 class TestWorkers:
     def test_worker_count_changes_no_output_or_hash(self, tmp_path):
@@ -247,6 +262,20 @@ def _cut_mean(payload):
     payload["mean"] = payload["mean"][:100]
 
 
+def _drop(name):
+    """An archive without the member ``name``."""
+    return lambda payload: payload.pop(name)
+
+
+def _drop_meta_key(key):
+    """A model whose metadata lacks ``key``."""
+    def damage(payload):
+        meta = json.loads(str(payload["__meta"]))
+        del meta[key]
+        payload["__meta"] = json.dumps(meta)
+    return damage
+
+
 class TestExitCodes:
     def test_config_error_is_two(self, tmp_path):
         bad = tmp_path / "bad.yaml"
@@ -282,6 +311,15 @@ class TestExitCodes:
         assert cli.main(["preprocess", "--meta", str(tmp_path / "meta.jsonl"),
                          "--out", str(tmp_path)]) == 3
 
+    @pytest.mark.parametrize("edf", [{}, {"edf": None}], ids=["absent", "null"])
+    def test_metadata_without_edf_is_three_for_preprocess(self, tmp_path,
+                                                          capsys, edf):
+        meta = {"subject_id": "noedf", "ahi": 1.0, **edf}
+        (tmp_path / "meta.jsonl").write_text(json.dumps(meta) + "\n")
+        assert cli.main(["preprocess", "--meta", str(tmp_path / "meta.jsonl"),
+                         "--out", str(tmp_path)]) == 3
+        assert "noedf: no edf path" in capsys.readouterr().err
+
     def test_low_rate_ecg_is_three(self, tmp_path):
         t = np.arange(50 * 60) / 50.0
         ecg = SignalTrace("ECG", 50.0, (np.sin(2 * np.pi * t) > 0.99) * 1.0)
@@ -312,7 +350,15 @@ class TestExitCodes:
         pytest.param("norm.npz", None, id="norm.npz"),
         pytest.param("model.npz", _cut_l0f_w, id="model.npz-l0f_W-cut"),
         pytest.param("model.npz", _meta_hidden_8, id="model.npz-hidden-8"),
-        pytest.param("norm.npz", _cut_mean, id="norm.npz-mean-cut")])
+        pytest.param("norm.npz", _cut_mean, id="norm.npz-mean-cut"),
+        pytest.param("model.npz", _drop("__meta"), id="model.npz-no-__meta"),
+        pytest.param("model.npz", _drop_meta_key("hidden"),
+                     id="model.npz-__meta-no-hidden"),
+        pytest.param("model.npz", _drop_meta_key("manifest_hash"),
+                     id="model.npz-__meta-no-manifest_hash"),
+        pytest.param("norm.npz", _drop("manifest_hash"),
+                     id="norm.npz-no-manifest_hash"),
+        pytest.param("norm.npz", _drop("sd"), id="norm.npz-no-sd")])
     def test_corrupt_model_or_norm_is_three(self, pipeline_dir, tmp_path,
                                             capsys, corrupt, damage):
         out = pipeline_dir
@@ -350,6 +396,19 @@ class TestExitCodes:
                          "--out", str(tmp_path)])
         assert code == 3
         assert f"{sid}.csv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("member", ["rr_valid", "chest_rate"])
+    def test_preprocessed_file_without_a_member_is_three(
+            self, pipeline_dir, tmp_path, capsys, member):
+        src = sorted((pipeline_dir / "preprocessed").glob("*.npz"))[0]
+        with np.load(src, allow_pickle=False) as d:
+            payload = {k: d[k] for k in d.files if k != member}
+        pre = tmp_path / "preprocessed"
+        pre.mkdir()
+        np.savez(pre / src.name, **payload)
+        assert cli.main(["extract", "--preprocessed", str(pre),
+                         "--out", str(tmp_path)]) == 3
+        assert f"{src.name}: no member '{member}'" in capsys.readouterr().err
 
     def test_short_hypnogram_is_three(self, pipeline_dir, tmp_path):
         src = sorted((pipeline_dir / "preprocessed").glob("*.npz"))[0]
@@ -429,6 +488,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("command, option, make", [
         pytest.param("preprocess", "--meta", lambda p: p.write_text("\n"),
                      id="preprocess-metadata-without-subjects"),
+        pytest.param("cohort", "--meta", lambda p: p.write_text("\n"),
+                     id="cohort-metadata-without-subjects"),
         pytest.param("predict", "--features", lambda p: None,
                      id="predict-missing-features-dir"),
         pytest.param("predict", "--features", lambda p: p.mkdir(),
@@ -463,6 +524,17 @@ class TestExitCodes:
                          "--norm", str(tmp_path / "norm.npz"),
                          "--out", str(tmp_path)])
         assert code == 4
+
+    def test_key_error_inside_a_stage_is_not_a_data_error(self, tmp_path,
+                                                         monkeypatch):
+        # missing archive members raise MissingMember; a bare KeyError is a
+        # fault of the program and must surface with its traceback
+        def faulty(args, cfg):
+            raise KeyError("not data")
+        monkeypatch.setattr(cli, "cmd_split", faulty)
+        with pytest.raises(KeyError):
+            cli.main(["split", "--ids", str(tmp_path / "ids.json"),
+                      "--out", str(tmp_path)])
 
     def test_importance_repeat_validation_is_two(self, pipeline_dir, tmp_path):
         out = pipeline_dir
