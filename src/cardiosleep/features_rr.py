@@ -335,7 +335,7 @@ def sample_entropy(values: np.ndarray, m: int = 2, r_frac: float = 0.2) -> float
         dist[-1, n - h:] = np.nan
     np.abs(dist, out=dist)
     close = dist <= r
-    del dist
+    del dist  # the float rows go before the match arrays are made
     k = n - m + 1
     match = close[:, :k]
     for s in range(1, m):

@@ -262,6 +262,11 @@ def _cut_mean(payload):
     payload["mean"] = payload["mean"][:100]
 
 
+def _meta_not_an_object(payload):
+    """A model whose metadata is a JSON list."""
+    payload["__meta"] = "[1]"
+
+
 def _drop(name):
     """An archive without the member ``name``."""
     return lambda payload: payload.pop(name)
@@ -352,6 +357,8 @@ class TestExitCodes:
         pytest.param("model.npz", _meta_hidden_8, id="model.npz-hidden-8"),
         pytest.param("norm.npz", _cut_mean, id="norm.npz-mean-cut"),
         pytest.param("model.npz", _drop("__meta"), id="model.npz-no-__meta"),
+        pytest.param("model.npz", _meta_not_an_object,
+                     id="model.npz-__meta-not-an-object"),
         pytest.param("model.npz", _drop_meta_key("hidden"),
                      id="model.npz-__meta-no-hidden"),
         pytest.param("model.npz", _drop_meta_key("manifest_hash"),

@@ -232,7 +232,9 @@ def _window_zero_crossings(centered: np.ndarray) -> int:
     return int(np.count_nonzero(np.diff(signs[signs != 0])))
 
 
-def _window_nonlinear_features(values: np.ndarray) -> dict:
+def _window_nonlinear_without_sampen(values: np.ndarray) -> dict:
+    """The nonlinear family's entries but sample entropy, which
+    ``sampen_features`` evaluates window by window."""
     x = np.asarray(values, dtype=float)
     n = len(x)
     if n < 2:
@@ -242,22 +244,12 @@ def _window_nonlinear_features(values: np.ndarray) -> dict:
     s = x[:-1] + x[1:]
     sd1 = float(np.std(d) / np.sqrt(2))
     sd2 = float(np.std(s) / np.sqrt(2))
-    sampen = fr.sample_entropy(x) if n >= 50 else np.nan
     return {
-        "rr_sampen": sampen,
         "rr_zero_cross_count": float(zc),
         "rr_zero_cross_rate": zc / n,
         "rr_sd1": sd1,
         "rr_sd2": sd2,
     }
-
-
-def _window_nonlinear_without_sampen(values: np.ndarray) -> dict:
-    """The nonlinear oracle's entries but sample entropy, which the registry
-    evaluates window by window."""
-    out = _window_nonlinear_features(values)
-    del out["rr_sampen"]
-    return out
 
 
 def _window_one_sided_power(y: np.ndarray) -> np.ndarray:
