@@ -251,6 +251,9 @@ def read_feature_matrix(source: Union[str, Path],
                 values.append([float(v) for v in parts[:-1]])
             except ValueError as e:
                 raise UnknownToken(f"{path}: line {lineno}: {e}") from e
+            if parts[-1] != "?" and parts[-1] not in _FOUR_TOKENS:
+                raise UnknownToken(
+                    f"{path}: line {lineno}: unknown stage token {parts[-1]!r}")
             stages.append(parts[-1])
     vals = (np.array(values, dtype=float) if values
             else np.empty((0, len(manifest))))

@@ -404,6 +404,29 @@ class TestExitCodes:
         assert code == 3
         assert f"{sid}.csv" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command",
+                             ["train", "evaluate", "predict", "importance"])
+    def test_unknown_stage_token_is_three(self, pipeline_dir, tmp_path, capsys,
+                                          command):
+        out = pipeline_dir
+        features = tmp_path / "features"
+        features.mkdir()
+        for src in (out / "features").glob("*.csv"):
+            (features / src.name).write_text(src.read_text())
+        sid = json.loads((out / "split.json").read_text())["val"][0]
+        lines = (features / f"{sid}.csv").read_text().splitlines()
+        lines[3] = lines[3].rsplit(",", 1)[0] + ",W"
+        (features / f"{sid}.csv").write_text("\n".join(lines) + "\n")
+        args = ["--split", str(out / "split.json")] if command != "predict" else []
+        if command != "train":
+            args += ["--model", str(out / "model.npz"),
+                     "--norm", str(out / "norm.npz")]
+        code = cli.main(["--config", str(out / "config.yaml"), command,
+                         "--features", str(features), *args,
+                         "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert f"{sid}.csv: line 4: unknown stage token 'W'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("member", ["rr_valid", "chest_rate"])
     def test_preprocessed_file_without_a_member_is_three(
             self, pipeline_dir, tmp_path, capsys, member):

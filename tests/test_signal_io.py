@@ -176,6 +176,22 @@ class TestFeatureMatrixCsv:
         back = signal_io.read_feature_matrix(path, manifest)
         assert back.labels is None
 
+    @pytest.mark.parametrize("stage", ["W", "N2", "wake", ""])
+    def test_unknown_stage_token_names_file_and_line(self, tmp_path, stage):
+        manifest = build_manifest("single")
+        vals = np.zeros((3, len(manifest)))
+        labels = Hypnogram((FourStage.WAKE,) * 3, "four")
+        path = tmp_path / "s1.csv"
+        signal_io.write_feature_matrix(
+            FeatureMatrix(manifest, vals, np.zeros_like(vals, dtype=bool),
+                          labels, "s1"), path)
+        lines = path.read_text().splitlines()
+        lines[2] = lines[2].rsplit(",", 1)[0] + "," + stage
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(errors.UnknownToken,
+                           match=f"s1.csv: line 3: unknown stage token {stage!r}"):
+            signal_io.read_feature_matrix(path, manifest)
+
     def test_header_mismatch_rejected(self, tmp_path):
         manifest = build_manifest("single")
         path = tmp_path / "bad.csv"
