@@ -37,6 +37,8 @@ from .errors import (EmptyDataset, ManifestMismatch, MissingMember,
 from .types import Hypnogram, four_hypnogram_from_indices
 
 CHECKPOINT_VERSION = 1
+# the metadata keys load_checkpoint needs; those after the first are
+# BlstmParams' dimensions, in its field order
 META_KEYS = ("manifest_hash", "input_dim", "hidden", "layers", "classes",
              "bidirectional")
 
@@ -537,8 +539,7 @@ def load_checkpoint(path, expected_manifest_hash: Optional[str] = None
                 and meta["manifest_hash"] != expected_manifest_hash):
             raise ManifestMismatch("checkpoint was trained against a different manifest")
         weights = {k: data[k] for k in data.files if k != "__meta"}
-        dims = (meta["input_dim"], meta["hidden"], meta["layers"],
-                meta["classes"], meta["bidirectional"])
+        dims = tuple(meta[k] for k in META_KEYS[1:])
         try:  # the key count bounds the layers before any shape is formed
             fits = (len(weights) == 3 * (1 + bool(dims[4])) * dims[2] + 2
                     and {k: v.shape for k, v in weights.items()} == weight_shapes(*dims))
