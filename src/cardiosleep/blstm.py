@@ -37,8 +37,8 @@ from .errors import (EmptyDataset, ManifestMismatch, MissingMember,
 from .types import Hypnogram, four_hypnogram_from_indices
 
 CHECKPOINT_VERSION = 1
-# the metadata keys load_checkpoint needs; those after the first are
-# BlstmParams' dimensions, in its field order
+# the metadata keys a checkpoint carries besides its version and config;
+# those after the first are BlstmParams' dimensions, in its field order
 META_KEYS = ("manifest_hash", "input_dim", "hidden", "layers", "classes",
              "bidirectional")
 
@@ -264,17 +264,22 @@ def _groups(lengths: np.ndarray):
         yield start, len(lengths)
 
 
+def _grouped_forward(params: BlstmParams, sequences: Sequence[np.ndarray]):
+    """One forward pass per group of consecutive sequences (see ``BATCH_STEPS``),
+    all checked first: yields each group's slice, lengths and probabilities."""
+    inputs, lengths = _check(params, sequences)
+    for a, b in _groups(lengths):
+        probs, _, _ = _forward_full(params, inputs[a:b], lengths[a:b])
+        yield slice(a, b), lengths[a:b], probs
+
+
 def forward_batch(params: BlstmParams, sequences: Sequence[np.ndarray]
                   ) -> list[np.ndarray]:
     """Per-epoch class probabilities of each (T_k, input_dim) sequence, shape
-    (T_k, classes), from one pass per group of consecutive sequences (see
-    ``BATCH_STEPS``)."""
-    inputs, lengths = _check(params, sequences)
-    out = []
-    for a, b in _groups(lengths):
-        probs, _, _ = _forward_full(params, inputs[a:b], lengths[a:b])
-        out += [probs[:L, k] for k, L in enumerate(lengths[a:b])]
-    return out
+    (T_k, classes), from one pass per group of consecutive sequences."""
+    return [probs[:L, k]
+            for _, lengths, probs in _grouped_forward(params, sequences)
+            for k, L in enumerate(lengths)]
 
 
 def forward(params: BlstmParams, X: np.ndarray) -> np.ndarray:
@@ -425,28 +430,28 @@ def default_class_weights(labels: Sequence[np.ndarray], classes: int = 4,
 def evaluate_loss(params: BlstmParams, data: Sequence[tuple],
                   class_weights: np.ndarray) -> tuple[float, float]:
     """(weighted mean loss, plain accuracy) over a dataset, from one forward
-    pass per group of consecutive sequences (see ``BATCH_STEPS``)."""
-    inputs, lengths = _check(params, [X for X, _ in data])
+    pass per group of consecutive sequences."""
     class_weights = np.asarray(class_weights, dtype=float)
     total_loss = total_weight = 0.0
     correct = 0
-    for a, b in _groups(lengths):
-        Y, w = _pad_labels(data[a:b], lengths[a:b], class_weights)
-        probs, _, _ = _forward_full(params, inputs[a:b], lengths[a:b])
+    for group, lengths, probs in _grouped_forward(params, [X for X, _ in data]):
+        Y, w = _pad_labels(data[group], lengths, class_weights)
         loss, weight = _weighted_nll(probs, Y, w)
         total_loss += loss
         total_weight += weight
-        valid = np.arange(len(Y))[:, None] < lengths[a:b]
+        valid = np.arange(len(Y))[:, None] < lengths
         correct += int(np.sum((np.argmax(probs, axis=2) == Y) & valid))
     return (total_loss / max(total_weight, 1e-300),
-            correct / max(int(lengths.sum()), 1))
+            correct / max(sum(len(X) for X, _ in data), 1))
 
 
 def train(config: TrainConfig, train_data: Sequence[tuple],
           val_data: Optional[Sequence[tuple]] = None
           ) -> tuple[BlstmParams, dict]:
     """Adam over whole-night sequences with gradient clipping and early
-    stopping on validation loss. Deterministic for a fixed config."""
+    stopping on the validation loss, or without ``val_data`` on the training
+    loss. Deterministic for a fixed config. Returns the best parameters and
+    the per-epoch history, whose ``val_*`` lists exist only with ``val_data``."""
     if not train_data:
         raise EmptyDataset("no training sequences")
     input_dim = np.asarray(train_data[0][0]).shape[1]
@@ -460,8 +465,8 @@ def train(config: TrainConfig, train_data: Sequence[tuple],
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     step = 0
 
-    history = {"train_loss": [], "val_loss": [], "train_acc": [], "val_acc": []}
-    monitor = val_data if val_data else train_data
+    history = {k: [] for k in ("train_loss", "val_loss", "train_acc", "val_acc")
+               if val_data or k.startswith("train_")}
     best_loss = np.inf
     best_params = params.copy()
     bad_epochs = 0
@@ -486,14 +491,14 @@ def train(config: TrainConfig, train_data: Sequence[tuple],
                 params.weights[k] -= lr_t * m[k] / (np.sqrt(v[k]) + eps)
 
         tr_loss, tr_acc = evaluate_loss(params, train_data, cw)
-        history["train_loss"].append(tr_loss)
-        history["train_acc"].append(tr_acc)
-        mon_loss, mon_acc = ((tr_loss, tr_acc) if monitor is train_data
-                             else evaluate_loss(params, monitor, cw))
-        history["val_loss"].append(mon_loss)
-        history["val_acc"].append(mon_acc)
+        mon_loss, mon_acc = (evaluate_loss(params, val_data, cw) if val_data
+                             else (tr_loss, tr_acc))
+        epoch = {"train_loss": tr_loss, "val_loss": mon_loss,
+                 "train_acc": tr_acc, "val_acc": mon_acc}
+        for k, values in history.items():
+            values.append(epoch[k])
         if not np.isfinite(mon_loss):
-            raise NonFiniteLoss(f"validation loss became {mon_loss}")
+            raise NonFiniteLoss(f"monitored loss became {mon_loss}")
 
         if mon_loss < best_loss - 1e-12:
             best_loss = mon_loss
@@ -510,16 +515,9 @@ def train(config: TrainConfig, train_data: Sequence[tuple],
 
 def save_checkpoint(params: BlstmParams, path, manifest_hash: str,
                     config: Optional[dict] = None) -> None:
-    meta = {
-        "version": CHECKPOINT_VERSION,
-        "input_dim": params.input_dim,
-        "hidden": params.hidden,
-        "layers": params.layers,
-        "classes": params.classes,
-        "bidirectional": params.bidirectional,
-        "manifest_hash": manifest_hash,
-        "config": config or {},
-    }
+    meta = {k: getattr(params, k) for k in META_KEYS[1:]}
+    meta.update(version=CHECKPOINT_VERSION, manifest_hash=manifest_hash,
+                config=config or {})
     np.savez(Path(path), __meta=json.dumps(meta, sort_keys=True),
              **params.weights)
 
@@ -531,13 +529,14 @@ def load_checkpoint(path, expected_manifest_hash: Optional[str] = None
         if not isinstance(meta, dict):
             raise ManifestMismatch(f"{path}: __meta is not a JSON object")
         if meta.get("version") != CHECKPOINT_VERSION:
-            raise ManifestMismatch(f"unsupported checkpoint version {meta.get('version')}")
+            raise ManifestMismatch(
+                f"{path}: unsupported checkpoint version {meta.get('version')}")
         missing = [k for k in META_KEYS if k not in meta]
         if missing:
             raise MissingMember(f"{path}: __meta has no {missing[0]!r}")
         if (expected_manifest_hash is not None
                 and meta["manifest_hash"] != expected_manifest_hash):
-            raise ManifestMismatch("checkpoint was trained against a different manifest")
+            raise ManifestMismatch(f"{path}: trained against a different manifest")
         weights = {k: data[k] for k in data.files if k != "__meta"}
         dims = tuple(meta[k] for k in META_KEYS[1:])
         try:  # the key count bounds the layers before any shape is formed

@@ -9,6 +9,7 @@ import argparse
 import hashlib
 import json
 import sys
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -54,6 +55,24 @@ def _map(fn, items, workers: int):
         return list(ex.map(fn, items))
 
 
+def _read_metadata(meta: Path) -> list:
+    """The records of a metadata file, which must list subjects."""
+    try:
+        records = signal_io.read_subject_metadata(meta.read_text())
+    except MissingMetadata as e:
+        raise MissingMetadata(f"{meta}: {e}") from e
+    if not records:
+        raise CardiosleepError(f"no subjects in {meta}")
+    return records
+
+
+def _hypnogram(rec: dict, base: Path):
+    """The hypnogram a metadata record names, or None."""
+    if not rec.get("hypnogram"):
+        return None
+    return signal_io.read_hypnogram((base / rec["hypnogram"]).read_text())
+
+
 def _load_subject(rec: dict, base: Path) -> SubjectRecord:
     if rec.get("edf") is None:
         raise MissingMetadata(f"{rec['subject_id']}: no edf path in the metadata")
@@ -62,17 +81,16 @@ def _load_subject(rec: dict, base: Path) -> SubjectRecord:
     ecg = by_label.get("ECG")
     chest = by_label.get("THOR RES")
     abd = by_label.get("ABDO RES")
-    hyp = None
-    if rec.get("hypnogram"):
-        hyp = signal_io.read_hypnogram((base / rec["hypnogram"]).read_text())
     return SubjectRecord(subject_id=rec["subject_id"], ecg=ecg,
                          breath_chest=chest, breath_abdomen=abd,
-                         hypnogram=hyp, ahi=rec.get("ahi"))
+                         hypnogram=_hypnogram(rec, base), ahi=rec.get("ahi"))
 
 
 # --- stages ---------------------------------------------------------------
 
 def cmd_synth(args, cfg: PipelineConfig) -> int:
+    if args.subjects < 1 or args.epochs < synth.MIN_EPOCHS:
+        raise ConfigError(f"--subjects must be >= 1 and --epochs >= {synth.MIN_EPOCHS}")
     out = Path(args.out)
     raw = out / "raw"
     raw.mkdir(parents=True, exist_ok=True)
@@ -116,13 +134,10 @@ def _preprocess_one(task) -> str:
 
 def cmd_preprocess(args, cfg: PipelineConfig) -> int:
     meta = Path(args.meta)
-    base = meta.parent
-    records = signal_io.read_subject_metadata(meta.read_text())
-    if not records:
-        raise CardiosleepError(f"no subjects in {meta}")
+    records = _read_metadata(meta)
     out_dir = Path(args.out) / "preprocessed"
     out_dir.mkdir(parents=True, exist_ok=True)
-    tasks = [(rec, base, out_dir, cfg.profile) for rec in records]
+    tasks = [(rec, meta.parent, out_dir, cfg.profile) for rec in records]
     done = _map(_preprocess_one, tasks, cfg.workers)
     _log_run(Path(args.out), "preprocess", [meta], cfg)
     print(f"preprocess: {len(done)} subjects -> {out_dir}")
@@ -153,11 +168,11 @@ def _extract_one(task) -> str:
 
 def cmd_extract(args, cfg: PipelineConfig) -> int:
     pre_dir = Path(args.preprocessed)
-    out_dir = Path(args.out) / "features"
-    out_dir.mkdir(parents=True, exist_ok=True)
     paths = sorted(pre_dir.glob("*.npz"))
     if not paths:
         raise CardiosleepError(f"no preprocessed subjects in {pre_dir}")
+    out_dir = Path(args.out) / "features"
+    out_dir.mkdir(parents=True, exist_ok=True)
     tasks = [(p, out_dir, cfg.profile) for p in paths]
     done = _map(_extract_one, tasks, cfg.workers)
     _log_run(Path(args.out), "extract", paths, cfg)
@@ -167,38 +182,36 @@ def cmd_extract(args, cfg: PipelineConfig) -> int:
 
 def cmd_cohort(args, cfg: PipelineConfig) -> int:
     meta = Path(args.meta)
-    base = meta.parent
-    records = signal_io.read_subject_metadata(meta.read_text())
-    if not records:
-        raise CardiosleepError(f"no subjects in {meta}")
-    subjects = []
-    for rec in records:
-        hyp = None
-        if rec.get("hypnogram"):
-            hyp = signal_io.read_hypnogram((base / rec["hypnogram"]).read_text())
-        subjects.append(SubjectRecord(subject_id=rec["subject_id"],
-                                      hypnogram=hyp, ahi=rec.get("ahi")))
-    kept, log = cohort.select_cohort(subjects)
+    records = _read_metadata(meta)
+    kept, log = cohort.select_cohort(
+        SubjectRecord(subject_id=rec["subject_id"], ahi=rec.get("ahi"),
+                      hypnogram=_hypnogram(rec, meta.parent))
+        for rec in records)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "cohort.txt").write_text("subject\tdecision\treason\n"
                                     + "\n".join(log) + "\n")
-    (out / "cohort_ids.json").write_text(
-        json.dumps([s.subject_id for s in kept], indent=2))
+    (out / "cohort_ids.json").write_text(json.dumps(kept, indent=2))
     _log_run(out, "cohort", [meta], cfg)
-    print(f"cohort: kept {len(kept)} of {len(subjects)} subjects")
+    print(f"cohort: kept {len(kept)} of {len(records)} subjects")
     return EXIT_OK
 
 
-def _read_json(path: str, shape: str, fits) -> object:
-    """The JSON document at ``path``; raises ``CardiosleepError`` naming the
-    file unless ``fits`` holds for it."""
+def _read_id_lists(path: str, shape: str, id_lists) -> object:
+    """The JSON document at ``path``, of which ``id_lists`` gives the lists
+    of subject ids it must hold, or None if it is not ``shape``. Raises
+    ``CardiosleepError`` naming the file unless each list holds only ids
+    and no id appears twice across them."""
     try:
         doc = json.loads(Path(path).read_text())
     except json.JSONDecodeError as e:
         raise CardiosleepError(f"{path}: not JSON ({e})") from e
-    if not fits(doc):
+    lists = id_lists(doc)
+    if lists is None or not all(map(_is_ids, lists)):
         raise CardiosleepError(f"{path}: not {shape}")
+    twice = [sid for sid, n in Counter(sum(lists, [])).items() if n > 1]
+    if twice:
+        raise CardiosleepError(f"{path}: subject {twice[0]!r} is listed more than once")
     return doc
 
 
@@ -207,15 +220,16 @@ def _is_ids(doc) -> bool:
 
 
 def _read_ids(path: str) -> list:
-    """An ids file: a JSON list of subject ids."""
-    return _read_json(path, "a JSON list of subject ids", _is_ids)
+    """An ids file: a JSON list of distinct subject ids."""
+    return _read_id_lists(path, "a JSON list of subject ids", lambda doc: [doc])
 
 
 def _read_split(path: str) -> dict:
-    """A split file: a JSON object of train and val subject-id lists."""
-    return _read_json(path, "a JSON object with train and val lists of subject ids",
-                      lambda doc: isinstance(doc, dict)
-                      and all(_is_ids(doc.get(k)) for k in ("train", "val")))
+    """A split file: a JSON object of train and val subject-id lists that
+    share no id and repeat none."""
+    return _read_id_lists(path, "a JSON object with train and val lists of subject ids",
+                          lambda doc: [doc.get("train"), doc.get("val")]
+                          if isinstance(doc, dict) else None)
 
 
 def cmd_split(args, cfg: PipelineConfig) -> int:
@@ -248,7 +262,7 @@ def _save_norm(stats: registry.NormStats, path: Path) -> None:
 def _load_norm(path: Path, manifest) -> registry.NormStats:
     with signal_io.open_npz(path) as d:
         if str(d["manifest_hash"]) != registry.manifest_hash(manifest):
-            raise CardiosleepError("normalization stats built for a different manifest")
+            raise CardiosleepError(f"{path}: statistics built for a different manifest")
         stats = {k: d[k] for k in ("mean", "sd", "constant")}
     if any(np.shape(v) != (len(manifest),) for v in stats.values()):
         raise CardiosleepError(f"{path}: statistics do not cover the {len(manifest)} features")
@@ -262,7 +276,7 @@ def _sequences(mats, stats, require_labels: bool):
         X, y = pipeline.matrix_to_sequence(norm)
         if y is None and require_labels:
             raise CardiosleepError(f"{m.subject_id}: no stage labels")
-        seqs.append((m.subject_id, X, y))
+        seqs.append((X, y))
     return seqs
 
 
@@ -273,14 +287,11 @@ def cmd_train(args, cfg: PipelineConfig) -> int:
     train_mats = _load_matrices(feat_dir, split["train"], manifest)
     val_mats = _load_matrices(feat_dir, split["val"], manifest)
     stats = registry.fit_normalization(train_mats)
-    train_seqs = [(X, y) for _, X, y in _sequences(train_mats, stats, True)]
-    val_seqs = [(X, y) for _, X, y in _sequences(val_mats, stats, True)]
+    train_seqs = _sequences(train_mats, stats, True)
+    val_seqs = _sequences(val_mats, stats, True)
     params, history = blstm.train(cfg.train, train_seqs, val_seqs)
-    if val_seqs:
-        label, losses = "validation loss", history["val_loss"]
-    else:  # blstm.train monitored the training set in the val_* lists
-        history = {k: v for k, v in history.items() if not k.startswith("val_")}
-        label, losses = "training loss (no validation subjects)", history["train_loss"]
+    label, losses = (("validation loss", history["val_loss"]) if val_seqs else
+                     ("training loss (no validation subjects)", history["train_loss"]))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _save_norm(stats, out / "norm.npz")
@@ -310,10 +321,9 @@ def cmd_predict(args, cfg: PipelineConfig) -> int:
     mats = _load_matrices(feat_dir, ids, manifest)
     out_dir = Path(args.out) / "predictions"
     out_dir.mkdir(parents=True, exist_ok=True)
-    seqs = _sequences(mats, stats, require_labels=False)
-    hyps = blstm.predict_batch(params, [X for _, X, _ in seqs])
-    for (sid, _, _), hyp in zip(seqs, hyps):
-        (out_dir / f"{sid}.hyp").write_text(signal_io.write_hypnogram(hyp))
+    hyps = blstm.predict_batch(params, [X for X, _ in _sequences(mats, stats, False)])
+    for m, hyp in zip(mats, hyps):
+        (out_dir / f"{m.subject_id}.hyp").write_text(signal_io.write_hypnogram(hyp))
     _log_run(Path(args.out), "predict", [Path(args.model)], cfg)
     print(f"predict: {len(mats)} subjects -> {out_dir}")
     return EXIT_OK
@@ -325,12 +335,11 @@ def cmd_evaluate(args, cfg: PipelineConfig) -> int:
     mats = _load_matrices(Path(args.features), split[args.subset], manifest)
     total_cm = evaluate.ConfusionMatrix(np.zeros((4, 4), dtype=int))
     per_subject = {}
-    seqs = _sequences(mats, stats, require_labels=True)
-    hyps = blstm.predict_batch(params, [X for _, X, _ in seqs])
-    for m, (sid, _, _), hyp in zip(mats, seqs, hyps):
+    hyps = blstm.predict_batch(params, [X for X, _ in _sequences(mats, stats, True)])
+    for m, hyp in zip(mats, hyps):
         cm = evaluate.confusion_matrix(hyp, m.labels)
         total_cm = total_cm + cm
-        per_subject[sid] = evaluate.accuracy(cm)
+        per_subject[m.subject_id] = evaluate.accuracy(cm)
 
     acc = evaluate.accuracy(total_cm)
     kappa = evaluate.cohens_kappa(total_cm)
@@ -371,7 +380,7 @@ def cmd_importance(args, cfg: PipelineConfig) -> int:
     manifest, params, stats = _load_model(args, cfg)
     split = _read_split(args.split)
     mats = _load_matrices(Path(args.features), split["val"], manifest)
-    seqs = [(X, y) for _, X, y in _sequences(mats, stats, require_labels=True)]
+    seqs = _sequences(mats, stats, require_labels=True)
     ranking = evaluate.permutation_importance(params, seqs, manifest.names,
                                               seed=cfg.seed, repeats=args.repeats)
     out = Path(args.out)

@@ -63,9 +63,10 @@ def merge_stages(hypnogram: Hypnogram) -> Hypnogram:
 
 
 def select_cohort(subjects: Iterable[SubjectRecord]
-                  ) -> tuple[list[SubjectRecord], list[str]]:
-    """Keep subjects with no apnea and regular sleep; merge their hypnograms
-    to four-class. Returns (kept subjects, log lines for excluded/kept)."""
+                  ) -> tuple[list[str], list[str]]:
+    """Keep subjects with no apnea and, for a six-class hypnogram, regular
+    sleep. Returns (kept subject ids, log lines for excluded/kept). Merging
+    the kept hypnograms to four classes is left to feature assembly."""
     kept, log = [], []
     for s in subjects:
         if s.ahi is None or s.hypnogram is None:
@@ -79,17 +80,10 @@ def select_cohort(subjects: Iterable[SubjectRecord]
         if level is not AhiLevel.NO_APNEA:
             log.append(f"{s.subject_id}\texcluded\tAHI {s.ahi:.1f} ({level.name})")
             continue
-        hyp = s.hypnogram
-        if hyp.scheme == "six":
-            if not is_regular_sleep(hyp):
-                log.append(f"{s.subject_id}\texcluded\tirregular sleep")
-                continue
-            hyp = merge_stages(hyp)
-        s = SubjectRecord(subject_id=s.subject_id, ecg=s.ecg,
-                          breath_chest=s.breath_chest,
-                          breath_abdomen=s.breath_abdomen,
-                          hypnogram=hyp, ahi=s.ahi)
-        kept.append(s)
+        if s.hypnogram.scheme == "six" and not is_regular_sleep(s.hypnogram):
+            log.append(f"{s.subject_id}\texcluded\tirregular sleep")
+            continue
+        kept.append(s.subject_id)
         log.append(f"{s.subject_id}\tkept\tAHI {s.ahi:.1f}")
     return kept, log
 

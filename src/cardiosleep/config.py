@@ -34,14 +34,11 @@ class PipelineConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
 
     def validate(self) -> "PipelineConfig":
-        """Check every value; ``load_config`` reports a failure as a
-        ``ConfigError``."""
+        """Check the profile and worker count (``TrainConfig`` checks the seed);
+        ``load_config`` reports a failure as a ``ConfigError``."""
         if self.profile not in PROFILES:
             raise ConfigError(f"unknown profile {self.profile!r}")
-        for name in ("seed", "workers"):
-            require_int(name, getattr(self, name))
-        if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
+        require_int("workers", self.workers)
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
         return self

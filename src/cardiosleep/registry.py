@@ -105,7 +105,7 @@ def _entries(keys: list[str], source: str, window_n: int, units: str = "",
     return [ManifestEntry(name.format(k), source, window_n, units, k) for k in keys]
 
 
-def build_manifest(profile: str = "single") -> FeatureManifest:
+def build_manifest(profile: str) -> FeatureManifest:
     """The canonical manifest for a breathing-channel profile."""
     if profile not in PROFILES:
         raise ValueError(f"unknown profile {profile!r}")
@@ -225,7 +225,7 @@ _FAMILIES = {
 
 
 def assemble_feature_matrix(subject: ProcessedSubject,
-                            manifest: Optional[FeatureManifest] = None) -> FeatureMatrix:
+                            manifest: FeatureManifest) -> FeatureMatrix:
     """Evaluate every manifest feature for every epoch of one subject.
 
     Entries sharing a family (their key's own ``_FAMILIES`` row if it has
@@ -234,8 +234,6 @@ def assemble_feature_matrix(subject: ProcessedSubject,
     hypnogram shorter than the epoch grid is a ``LengthMismatch``; a longer
     one is cut to the grid.
     """
-    if manifest is None:
-        manifest = build_manifest("single")
     two_channel = any(e.source == "breath_abdomen" for e in manifest.entries)
     if two_channel and subject.breath_abdomen is None:
         raise SubjectUnusable(

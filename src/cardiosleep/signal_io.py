@@ -19,7 +19,7 @@ import numpy as np
 from .errors import (MalformedHeader, ManifestMismatch, MissingMember,
                      MissingMetadata, MixedScheme, TruncatedData, UnknownToken,
                      UnsupportedVariant)
-from .registry import FeatureManifest, FeatureMatrix, build_manifest
+from .registry import FeatureManifest, FeatureMatrix
 from .types import FourStage, Hypnogram, SignalTrace, SixStage
 
 MAX_SIGNALS = 512
@@ -234,10 +234,10 @@ def write_feature_matrix(matrix: FeatureMatrix, destination: Union[str, Path]) -
 
 
 def read_feature_matrix(source: Union[str, Path],
-                        manifest: Optional[FeatureManifest] = None) -> FeatureMatrix:
+                        manifest: FeatureManifest) -> FeatureMatrix:
+    """A ``write_feature_matrix`` CSV, unlabeled if a stage is ``?``. A header
+    other than ``manifest``'s, a malformed row or no rows raises naming the file."""
     path = Path(source)
-    if manifest is None:
-        manifest = build_manifest("single")
     with path.open("r", encoding="utf-8") as f:
         header = f.readline().rstrip("\n").split(",")
         if header[:-1] != manifest.names or header[-1] != "stage":
@@ -255,10 +255,11 @@ def read_feature_matrix(source: Union[str, Path],
                 raise UnknownToken(
                     f"{path}: line {lineno}: unknown stage token {parts[-1]!r}")
             stages.append(parts[-1])
-    vals = (np.array(values, dtype=float) if values
-            else np.empty((0, len(manifest))))
+    if not values:
+        raise TruncatedData(f"{path}: no rows")
+    vals = np.array(values, dtype=float)
     labels = None
-    if stages and all(s != "?" for s in stages):
+    if all(s != "?" for s in stages):
         labels = Hypnogram(tuple(_FOUR_TOKENS[s] for s in stages), "four")
     return FeatureMatrix(manifest=manifest, values=vals,
                          missing_mask=~np.isfinite(vals), labels=labels,
@@ -286,9 +287,9 @@ def _metadata_fault(obj: dict) -> Optional[str]:
 
 def read_subject_metadata(text: str) -> list[dict]:
     """One JSON object per line: {subject_id, ahi, edf, hypnogram}. A line
-    that is not one, or whose fields have the wrong type, raises
-    ``MissingMetadata`` naming the line."""
-    records = []
+    that is not one, whose fields have the wrong type, or that repeats an
+    earlier line's subject_id raises ``MissingMetadata`` naming the line."""
+    records, first_line = [], {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -301,6 +302,10 @@ def read_subject_metadata(text: str) -> list[dict]:
         fault = _metadata_fault(obj)
         if fault:
             raise MissingMetadata(f"line {lineno}: {fault}")
+        first = first_line.setdefault(obj["subject_id"], lineno)
+        if first != lineno:
+            raise MissingMetadata(
+                f"line {lineno}: subject_id {obj['subject_id']!r} repeats line {first}")
         records.append(obj)
     return records
 

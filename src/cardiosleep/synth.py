@@ -19,6 +19,7 @@ from .types import (FOUR_STAGE_ORDER, FourStage, SignalTrace, SubjectRecord,
 
 ECG_RATE_HZ = 200.0
 BREATH_RATE_HZ = 25.0
+MIN_EPOCHS = 20  # the shortest night generate_subject makes
 
 
 @dataclass(frozen=True)
@@ -110,8 +111,8 @@ def _stage_sequence(rng: np.random.Generator, transition: np.ndarray,
 
 def generate_subject(seed: int, profile: StageProfile, n_epochs: int) -> SubjectRecord:
     """One subject-night with ground-truth four-class stages."""
-    if n_epochs < 20:
-        raise InvalidProfile(f"need >= 20 epochs, got {n_epochs}")
+    if n_epochs < MIN_EPOCHS:
+        raise InvalidProfile(f"need >= {MIN_EPOCHS} epochs, got {n_epochs}")
     rng = np.random.default_rng(seed)
     dyn = profile.scaled()
     stages = _stage_sequence(rng, profile.transition, n_epochs)

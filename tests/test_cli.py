@@ -267,6 +267,28 @@ def _meta_not_an_object(payload):
     payload["__meta"] = "[1]"
 
 
+def _set(name, value):
+    """An archive whose member ``name`` holds ``value``."""
+    def damage(payload):
+        payload[name] = np.array(value)
+    return damage
+
+
+def _meta_version_2(payload):
+    """A model whose metadata gives checkpoint version 2."""
+    meta = json.loads(str(payload["__meta"]))
+    meta["version"] = 2
+    payload["__meta"] = json.dumps(meta)
+
+
+def _copy_features(src, dest):
+    """``dest``, a copy of the feature directory ``src``."""
+    dest.mkdir()
+    for csv in src.glob("*.csv"):
+        (dest / csv.name).write_text(csv.read_text())
+    return dest
+
+
 def _drop(name):
     """An archive without the member ``name``."""
     return lambda payload: payload.pop(name)
@@ -286,11 +308,14 @@ class TestExitCodes:
         bad = tmp_path / "bad.yaml"
         for text in ("workers: 0\n", "train:\n  max_epochs: 0\n",
                      "workers: two\n", "seed: abc\n",
-                     "train:\n  max_epochs: 2.5\n", "seed: -1\n"):
+                     "train:\n  max_epochs: 2.5\n", "seed: -1\n",
+                     "- a\n- b\n", "profile: triple\n"):
             bad.write_text(text)
             code = cli.main(["--config", str(bad), "synth",
                              "--out", str(tmp_path), "--subjects", "2"])
             assert code == 2, text
+        assert cli.main(["--config", str(tmp_path / "missing.yaml"), "synth",
+                         "--out", str(tmp_path), "--subjects", "2"]) == 2
 
     def test_unknown_config_key_is_two(self, tmp_path):
         bad = tmp_path / "bad.yaml"
@@ -365,7 +390,12 @@ class TestExitCodes:
                      id="model.npz-__meta-no-manifest_hash"),
         pytest.param("norm.npz", _drop("manifest_hash"),
                      id="norm.npz-no-manifest_hash"),
-        pytest.param("norm.npz", _drop("sd"), id="norm.npz-no-sd")])
+        pytest.param("norm.npz", _drop("sd"), id="norm.npz-no-sd"),
+        pytest.param("norm.npz", _set("manifest_hash", "0" * 64),
+                     id="norm.npz-other-manifest"),
+        pytest.param("model.npz", _meta_version_2, id="model.npz-version-2"),
+        pytest.param("model.npz", _drop_meta_key("version"),
+                     id="model.npz-__meta-no-version")])
     def test_corrupt_model_or_norm_is_three(self, pipeline_dir, tmp_path,
                                             capsys, corrupt, damage):
         out = pipeline_dir
@@ -389,10 +419,7 @@ class TestExitCodes:
     def test_non_numeric_feature_cell_is_three(self, pipeline_dir, tmp_path,
                                                capsys):
         out = pipeline_dir
-        features = tmp_path / "features"
-        features.mkdir()
-        for src in (out / "features").glob("*.csv"):
-            (features / src.name).write_text(src.read_text())
+        features = _copy_features(out / "features", tmp_path / "features")
         sid = json.loads((out / "split.json").read_text())["train"][0]
         lines = (features / f"{sid}.csv").read_text().splitlines()
         lines[3] = ",".join(["abc"] + lines[3].split(",")[1:])
@@ -404,15 +431,89 @@ class TestExitCodes:
         assert code == 3
         assert f"{sid}.csv" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("damage", [
+        pytest.param(lambda lines: lines[:3] + [lines[3].rsplit(",", 1)[0]]
+                     + lines[4:], id="row-without-stage-field"),
+        pytest.param(lambda lines: lines[:1], id="no-rows")])
+    def test_malformed_feature_csv_is_three(self, pipeline_dir, tmp_path,
+                                            capsys, damage):
+        out = pipeline_dir
+        features = _copy_features(out / "features", tmp_path / "features")
+        csv = sorted(features.glob("*.csv"))[0]
+        csv.write_text("\n".join(damage(csv.read_text().splitlines())) + "\n")
+        code = cli.main(["--config", str(out / "config.yaml"), "predict",
+                         "--features", str(features),
+                         "--model", str(out / "model.npz"),
+                         "--norm", str(out / "norm.npz"),
+                         "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert str(csv) in capsys.readouterr().err
+
+    def test_split_naming_a_missing_feature_csv_is_three(
+            self, pipeline_dir, tmp_path, capsys):
+        out = pipeline_dir
+        split = json.loads((out / "split.json").read_text())
+        split["train"].append("absent")
+        (tmp_path / "split.json").write_text(json.dumps(split))
+        code = cli.main(["--config", str(out / "config.yaml"), "train",
+                         "--features", str(out / "features"),
+                         "--split", str(tmp_path / "split.json"),
+                         "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert str(out / "features" / "absent.csv") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["preprocess", "cohort"])
+    def test_repeated_metadata_subject_is_three(self, pipeline_dir, tmp_path,
+                                               capsys, command):
+        lines = (pipeline_dir / "subjects.jsonl").read_text().splitlines()
+        sid = json.loads(lines[0])["subject_id"]
+        meta = tmp_path / "subjects.jsonl"
+        meta.write_text("\n".join(lines[:2] + lines[:1]) + "\n")
+        assert cli.main([command, "--meta", str(meta),
+                         "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert f"{meta}: line 3: subject_id {sid!r} repeats line 1" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, option, lists, sid", [
+        ("split", "--ids", ["a", "b", "a"], "a"),
+        ("predict", "--ids", ["a", "a"], "a"),
+        ("train", "--split", {"train": ["a", "b", "a"], "val": ["c"]}, "a"),
+        ("train", "--split", {"train": ["a", "b"], "val": ["c", "c"]}, "c"),
+        ("train", "--split", {"train": ["a", "b"], "val": ["c", "b"]}, "b"),
+        ("evaluate", "--split", {"train": ["a"], "val": ["a"]}, "a")])
+    def test_repeated_split_or_ids_subject_is_three(
+            self, pipeline_dir, tmp_path, capsys, command, option, lists, sid):
+        out = pipeline_dir
+        path = tmp_path / "given.json"
+        path.write_text(json.dumps(lists))
+        args = {"split": [],
+                "train": ["--features", str(out / "features")]}.get(command, [
+            "--features", str(out / "features"),
+            "--model", str(out / "model.npz"), "--norm", str(out / "norm.npz")])
+        code = cli.main(["--config", str(out / "config.yaml"), command, option,
+                         str(path), *args, "--out", str(tmp_path / "out")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert str(path) in err
+        assert f"subject {sid!r} is listed more than once" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("counts", [
+        ["--subjects", "-1"], ["--subjects", "0"], ["--epochs", "5"],
+        ["--epochs", "19"]])
+    def test_bad_synth_count_is_two(self, tmp_path, capsys, counts):
+        assert cli.main(["synth", "--out", str(tmp_path / "out"),
+                         "--subjects", "1", *counts]) == 2
+        assert counts[0] in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command",
                              ["train", "evaluate", "predict", "importance"])
     def test_unknown_stage_token_is_three(self, pipeline_dir, tmp_path, capsys,
                                           command):
         out = pipeline_dir
-        features = tmp_path / "features"
-        features.mkdir()
-        for src in (out / "features").glob("*.csv"):
-            (features / src.name).write_text(src.read_text())
+        features = _copy_features(out / "features", tmp_path / "features")
         sid = json.loads((out / "split.json").read_text())["val"][0]
         lines = (features / f"{sid}.csv").read_text().splitlines()
         lines[3] = lines[3].rsplit(",", 1)[0] + ",W"
@@ -525,7 +626,9 @@ class TestExitCodes:
         pytest.param("predict", "--features", lambda p: p.mkdir(),
                      id="predict-features-dir-without-csv"),
         pytest.param("predict", "--ids", lambda p: p.write_text("[]"),
-                     id="predict-empty-ids")])
+                     id="predict-empty-ids"),
+        pytest.param("extract", "--preprocessed", lambda p: p.mkdir(),
+                     id="extract-dir-without-npz")])
     def test_no_subjects_is_three(self, pipeline_dir, tmp_path, capsys,
                                   command, option, make):
         out = pipeline_dir

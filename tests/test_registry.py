@@ -376,7 +376,7 @@ class TestAssembly:
             breath_abdomen=resampled(rec.breath_abdomen, 10))
         subject = preprocess_subject(rec)
         assert subject.rr.valid_mask.all()
-        matrix = assemble_feature_matrix(subject)
+        matrix = assemble_feature_matrix(subject, build_manifest("single"))
         assert matrix.n_epochs == 119
         assert not matrix.missing_mask.any()
 

@@ -192,6 +192,13 @@ class TestFeatureMatrixCsv:
                            match=f"s1.csv: line 3: unknown stage token {stage!r}"):
             signal_io.read_feature_matrix(path, manifest)
 
+    def test_header_only_csv_names_the_file(self, tmp_path):
+        manifest = build_manifest("single")
+        path = tmp_path / "s1.csv"
+        path.write_text(",".join(manifest.names + ["stage"]) + "\n")
+        with pytest.raises(errors.TruncatedData, match="s1.csv: no rows"):
+            signal_io.read_feature_matrix(path, manifest)
+
     def test_header_mismatch_rejected(self, tmp_path):
         manifest = build_manifest("single")
         path = tmp_path / "bad.csv"
@@ -227,6 +234,13 @@ class TestSubjectMetadata:
     def test_mistyped_field_reports_line(self, fields):
         text = '{"subject_id": "ok"}\n' + json.dumps(fields) + "\n"
         with pytest.raises(errors.MissingMetadata, match="line 2"):
+            signal_io.read_subject_metadata(text)
+
+    def test_repeated_subject_id_names_both_lines(self):
+        text = ('{"subject_id": "a"}\n{"subject_id": "b"}\n'
+                '{"subject_id": "a", "ahi": 1.0}\n')
+        with pytest.raises(errors.MissingMetadata,
+                           match="line 3: subject_id 'a' repeats line 1"):
             signal_io.read_subject_metadata(text)
 
     def test_well_typed_fields_pass(self):

@@ -60,6 +60,8 @@ class TestGenerateSubject:
     def test_too_few_epochs_rejected(self):
         with pytest.raises(InvalidProfile):
             synth.generate_subject(0, synth.easy_profile(), 10)
+        with pytest.raises(InvalidProfile):
+            synth.generate_subject(0, synth.easy_profile(), synth.MIN_EPOCHS - 1)
 
     def test_rr_means_track_stage_dynamics(self, clean_subject,
                                            processed_subject):
