@@ -17,8 +17,8 @@ def main(argv=None) -> int:
     parser.add_argument("--out", required=True, help="experiment directory")
     parser.add_argument("--subjects", type=int, default=30)
     parser.add_argument("--epochs", type=int, default=120)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--workers", type=int, default=4)
+    parser.add_argument("--seed", type=int, help="default: the config's seed")
+    parser.add_argument("--workers", type=int, help="default: the config's workers")
     parser.add_argument("--profile-name", choices=["easy", "default"],
                         default="easy")
     parser.add_argument("--config", help="optional YAML config")
@@ -27,9 +27,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     out = Path(args.out)
-    base = ["--seed", str(args.seed), "--workers", str(args.workers)]
-    if args.config:
-        base += ["--config", args.config]
+    base = ["--config", args.config] if args.config else []
+    if args.seed is not None:
+        base += ["--seed", str(args.seed)]
+    if args.workers is not None:
+        base += ["--workers", str(args.workers)]
 
     stages = [
         ["synth", "--out", str(out), "--subjects", str(args.subjects),

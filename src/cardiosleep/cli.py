@@ -39,7 +39,7 @@ def _log_run(out_dir: Path, stage: str, inputs: list, cfg: PipelineConfig) -> No
     out_dir.mkdir(parents=True, exist_ok=True)
     line = {
         "stage": stage,
-        "inputs": {str(p): _sha256(Path(p)) for p in inputs if Path(p).is_file()},
+        "inputs": {str(p): _sha256(p) for p in map(Path, inputs) if p.is_file()},
         "config_hash": cfg.config_hash(),
         "version": 1,
     }
@@ -55,12 +55,19 @@ def _map(fn, items, workers: int):
         return list(ex.map(fn, items))
 
 
+def _parse_file(path: Path, parse, read=Path.read_text):
+    """``parse`` applied to the file at ``path`` as ``read`` gives it; a data
+    error ``parse`` raises is raised again with the path in front."""
+    content = read(path)
+    try:
+        return parse(content)
+    except CardiosleepError as e:
+        raise type(e)(f"{path}: {e}") from e
+
+
 def _read_metadata(meta: Path) -> list:
     """The records of a metadata file, which must list subjects."""
-    try:
-        records = signal_io.read_subject_metadata(meta.read_text())
-    except MissingMetadata as e:
-        raise MissingMetadata(f"{meta}: {e}") from e
+    records = _parse_file(meta, signal_io.read_subject_metadata)
     if not records:
         raise CardiosleepError(f"no subjects in {meta}")
     return records
@@ -70,13 +77,13 @@ def _hypnogram(rec: dict, base: Path):
     """The hypnogram a metadata record names, or None."""
     if not rec.get("hypnogram"):
         return None
-    return signal_io.read_hypnogram((base / rec["hypnogram"]).read_text())
+    return _parse_file(base / rec["hypnogram"], signal_io.read_hypnogram)
 
 
 def _load_subject(rec: dict, base: Path) -> SubjectRecord:
     if rec.get("edf") is None:
         raise MissingMetadata(f"{rec['subject_id']}: no edf path in the metadata")
-    traces = signal_io.read_edf((base / rec["edf"]).read_bytes())
+    traces = _parse_file(base / rec["edf"], signal_io.read_edf, Path.read_bytes)
     by_label = {t.channel_label: t for t in traces}
     ecg = by_label.get("ECG")
     chest = by_label.get("THOR RES")
@@ -87,8 +94,10 @@ def _load_subject(rec: dict, base: Path) -> SubjectRecord:
 
 
 # --- stages ---------------------------------------------------------------
+# Each cmd_* runs one stage and returns the input files to record in the run
+# manifest and the stage's one-line summary; main records and prints them.
 
-def cmd_synth(args, cfg: PipelineConfig) -> int:
+def cmd_synth(args, cfg: PipelineConfig) -> tuple:
     if args.subjects < 1 or args.epochs < synth.MIN_EPOCHS:
         raise ConfigError(f"--subjects must be >= 1 and --epochs >= {synth.MIN_EPOCHS}")
     out = Path(args.out)
@@ -106,9 +115,7 @@ def cmd_synth(args, cfg: PipelineConfig) -> int:
                         "edf": f"raw/{subj.subject_id}.edf",
                         "hypnogram": f"raw/{subj.subject_id}.hyp"})
     (out / "subjects.jsonl").write_text(signal_io.write_subject_metadata(records))
-    _log_run(out, "synth", [], cfg)
-    print(f"synth: wrote {len(records)} subjects to {out}")
-    return EXIT_OK
+    return [], f"wrote {len(records)} subjects to {out}"
 
 
 def _preprocess_one(task) -> str:
@@ -132,16 +139,14 @@ def _preprocess_one(task) -> str:
     return rec["subject_id"]
 
 
-def cmd_preprocess(args, cfg: PipelineConfig) -> int:
+def cmd_preprocess(args, cfg: PipelineConfig) -> tuple:
     meta = Path(args.meta)
     records = _read_metadata(meta)
     out_dir = Path(args.out) / "preprocessed"
     out_dir.mkdir(parents=True, exist_ok=True)
     tasks = [(rec, meta.parent, out_dir, cfg.profile) for rec in records]
     done = _map(_preprocess_one, tasks, cfg.workers)
-    _log_run(Path(args.out), "preprocess", [meta], cfg)
-    print(f"preprocess: {len(done)} subjects -> {out_dir}")
-    return EXIT_OK
+    return [meta], f"{len(done)} subjects -> {out_dir}"
 
 
 def _load_processed(path: Path) -> ProcessedSubject:
@@ -166,7 +171,7 @@ def _extract_one(task) -> str:
     return processed.subject_id
 
 
-def cmd_extract(args, cfg: PipelineConfig) -> int:
+def cmd_extract(args, cfg: PipelineConfig) -> tuple:
     pre_dir = Path(args.preprocessed)
     paths = sorted(pre_dir.glob("*.npz"))
     if not paths:
@@ -175,12 +180,10 @@ def cmd_extract(args, cfg: PipelineConfig) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     tasks = [(p, out_dir, cfg.profile) for p in paths]
     done = _map(_extract_one, tasks, cfg.workers)
-    _log_run(Path(args.out), "extract", paths, cfg)
-    print(f"extract: {len(done)} subjects -> {out_dir}")
-    return EXIT_OK
+    return paths, f"{len(done)} subjects -> {out_dir}"
 
 
-def cmd_cohort(args, cfg: PipelineConfig) -> int:
+def cmd_cohort(args, cfg: PipelineConfig) -> tuple:
     meta = Path(args.meta)
     records = _read_metadata(meta)
     kept, log = cohort.select_cohort(
@@ -192,9 +195,7 @@ def cmd_cohort(args, cfg: PipelineConfig) -> int:
     (out / "cohort.txt").write_text("subject\tdecision\treason\n"
                                     + "\n".join(log) + "\n")
     (out / "cohort_ids.json").write_text(json.dumps(kept, indent=2))
-    _log_run(out, "cohort", [meta], cfg)
-    print(f"cohort: kept {len(kept)} of {len(records)} subjects")
-    return EXIT_OK
+    return [meta], f"kept {len(kept)} of {len(records)} subjects"
 
 
 def _read_id_lists(path: str, shape: str, id_lists) -> object:
@@ -224,24 +225,14 @@ def _read_ids(path: str) -> list:
     return _read_id_lists(path, "a JSON list of subject ids", lambda doc: [doc])
 
 
-def _read_split(path: str) -> dict:
-    """A split file: a JSON object of train and val subject-id lists that
-    share no id and repeat none."""
-    return _read_id_lists(path, "a JSON object with train and val lists of subject ids",
-                          lambda doc: [doc.get("train"), doc.get("val")]
-                          if isinstance(doc, dict) else None)
-
-
-def cmd_split(args, cfg: PipelineConfig) -> int:
+def cmd_split(args, cfg: PipelineConfig) -> tuple:
     ids = _read_ids(args.ids)
     train_ids, val_ids = cohort.split_subjects(ids, seed=cfg.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "split.json").write_text(json.dumps(
         {"train": train_ids, "val": val_ids}, indent=2))
-    _log_run(out, "split", [Path(args.ids)], cfg)
-    print(f"split: {len(train_ids)} train / {len(val_ids)} validation")
-    return EXIT_OK
+    return [args.ids], f"{len(train_ids)} train / {len(val_ids)} validation"
 
 
 def _load_matrices(feat_dir: Path, ids, manifest):
@@ -252,6 +243,22 @@ def _load_matrices(feat_dir: Path, ids, manifest):
             raise CardiosleepError(f"missing feature file {path}")
         mats.append(signal_io.read_feature_matrix(path, manifest))
     return mats
+
+
+def _split_matrices(args, manifest, *subsets, may_be_empty=()) -> list:
+    """For each named list of the split file ``args.split``, a JSON object of
+    train and val subject-id lists that share no id and repeat none, the
+    feature matrices of its subjects in ``args.features``. A list not in
+    ``may_be_empty`` that holds no subject raises ``CardiosleepError``
+    naming the file and the list."""
+    split = _read_id_lists(args.split,
+                           "a JSON object with train and val lists of subject ids",
+                           lambda doc: [doc.get("train"), doc.get("val")]
+                           if isinstance(doc, dict) else None)
+    for subset in subsets:
+        if not split[subset] and subset not in may_be_empty:
+            raise CardiosleepError(f"{args.split}: no subjects in the {subset!r} list")
+    return [_load_matrices(Path(args.features), split[s], manifest) for s in subsets]
 
 
 def _save_norm(stats: registry.NormStats, path: Path) -> None:
@@ -280,12 +287,10 @@ def _sequences(mats, stats, require_labels: bool):
     return seqs
 
 
-def cmd_train(args, cfg: PipelineConfig) -> int:
-    feat_dir = Path(args.features)
-    split = _read_split(args.split)
+def cmd_train(args, cfg: PipelineConfig) -> tuple:
     manifest = registry.build_manifest(cfg.profile)
-    train_mats = _load_matrices(feat_dir, split["train"], manifest)
-    val_mats = _load_matrices(feat_dir, split["val"], manifest)
+    train_mats, val_mats = _split_matrices(args, manifest, "train", "val",
+                                           may_be_empty=("val",))
     stats = registry.fit_normalization(train_mats)
     train_seqs = _sequences(train_mats, stats, True)
     val_seqs = _sequences(val_mats, stats, True)
@@ -298,9 +303,7 @@ def cmd_train(args, cfg: PipelineConfig) -> int:
     blstm.save_checkpoint(params, out / "model.npz",
                           registry.manifest_hash(manifest), cfg.to_dict())
     (out / "history.json").write_text(json.dumps(history, indent=2))
-    _log_run(out, "train", [Path(args.split)], cfg)
-    print(f"train: best {label} {min(losses):.4f} after {len(losses)} epochs")
-    return EXIT_OK
+    return [args.split], f"best {label} {min(losses):.4f} after {len(losses)} epochs"
 
 
 def _load_model(args, cfg: PipelineConfig):
@@ -310,7 +313,7 @@ def _load_model(args, cfg: PipelineConfig):
     return manifest, params, stats
 
 
-def cmd_predict(args, cfg: PipelineConfig) -> int:
+def cmd_predict(args, cfg: PipelineConfig) -> tuple:
     manifest, params, stats = _load_model(args, cfg)
     feat_dir = Path(args.features)
     ids = [p.stem for p in sorted(feat_dir.glob("*.csv"))]
@@ -324,15 +327,12 @@ def cmd_predict(args, cfg: PipelineConfig) -> int:
     hyps = blstm.predict_batch(params, [X for X, _ in _sequences(mats, stats, False)])
     for m, hyp in zip(mats, hyps):
         (out_dir / f"{m.subject_id}.hyp").write_text(signal_io.write_hypnogram(hyp))
-    _log_run(Path(args.out), "predict", [Path(args.model)], cfg)
-    print(f"predict: {len(mats)} subjects -> {out_dir}")
-    return EXIT_OK
+    return [args.model], f"{len(mats)} subjects -> {out_dir}"
 
 
-def cmd_evaluate(args, cfg: PipelineConfig) -> int:
+def cmd_evaluate(args, cfg: PipelineConfig) -> tuple:
     manifest, params, stats = _load_model(args, cfg)
-    split = _read_split(args.split)
-    mats = _load_matrices(Path(args.features), split[args.subset], manifest)
+    [mats] = _split_matrices(args, manifest, args.subset)
     total_cm = evaluate.ConfusionMatrix(np.zeros((4, 4), dtype=int))
     per_subject = {}
     hyps = blstm.predict_batch(params, [X for X, _ in _sequences(mats, stats, True)])
@@ -368,18 +368,15 @@ def cmd_evaluate(args, cfg: PipelineConfig) -> int:
         f.write("subject_id,accuracy\n")
         for sid in sorted(per_subject):
             f.write(f"{sid},{per_subject[sid]:.6f}\n")
-    _log_run(out, "evaluate", [Path(args.model), Path(args.split)], cfg)
-    print(f"evaluate: accuracy {acc:.4f}, kappa {kappa:.4f} "
-          f"on {len(per_subject)} subjects")
-    return EXIT_OK
+    return ([args.model, args.split],
+            f"accuracy {acc:.4f}, kappa {kappa:.4f} on {len(per_subject)} subjects")
 
 
-def cmd_importance(args, cfg: PipelineConfig) -> int:
+def cmd_importance(args, cfg: PipelineConfig) -> tuple:
     if args.repeats < 1:
         raise ConfigError("--repeats must be >= 1")
     manifest, params, stats = _load_model(args, cfg)
-    split = _read_split(args.split)
-    mats = _load_matrices(Path(args.features), split["val"], manifest)
+    [mats] = _split_matrices(args, manifest, "val")
     seqs = _sequences(mats, stats, require_labels=True)
     ranking = evaluate.permutation_importance(params, seqs, manifest.names,
                                               seed=cfg.seed, repeats=args.repeats)
@@ -389,9 +386,7 @@ def cmd_importance(args, cfg: PipelineConfig) -> int:
         f.write("feature,mean_accuracy_drop\n")
         for name, drop in ranking:
             f.write(f"{name},{drop:.6f}\n")
-    _log_run(out, "importance", [Path(args.model)], cfg)
-    print(f"importance: top feature {ranking[0][0]} ({ranking[0][1]:.4f} drop)")
-    return EXIT_OK
+    return [args.model], f"top feature {ranking[0][0]} ({ranking[0][1]:.4f} drop)"
 
 
 # --- argument parsing -----------------------------------------------------
@@ -405,72 +400,53 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--workers", type=int, help="per-subject parallelism")
     parser.add_argument("--profile", choices=registry.PROFILES,
                         help="breathing-channel profile")
+    shared = {}
+    for flag in ("--out", "--meta", "--features", "--split", "--model", "--norm"):
+        shared[flag] = argparse.ArgumentParser(add_help=False)
+        shared[flag].add_argument(flag, required=True)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", help="generate synthetic subjects")
-    p.add_argument("--out", required=True)
+    def stage(name, fn, summary, *flags):
+        """The subcommand ``name``, taking --out and the shared ``flags``."""
+        p = sub.add_parser(name, help=summary,
+                           parents=[shared[f] for f in (*flags, "--out")])
+        p.set_defaults(fn=fn)
+        return p
+
+    p = stage("synth", cmd_synth, "generate synthetic subjects")
     p.add_argument("--subjects", type=int, default=30)
     p.add_argument("--epochs", type=int, default=120)
     p.add_argument("--profile-name", choices=["easy", "default"], default="easy")
-    p.set_defaults(fn=cmd_synth)
 
-    p = sub.add_parser("preprocess", help="ECG to RR, breathing denoising")
-    p.add_argument("--meta", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_preprocess)
+    stage("preprocess", cmd_preprocess, "ECG to RR, breathing denoising", "--meta")
 
-    p = sub.add_parser("extract", help="per-epoch feature matrices")
+    p = stage("extract", cmd_extract, "per-epoch feature matrices")
     p.add_argument("--preprocessed", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_extract)
 
-    p = sub.add_parser("cohort", help="subject selection")
-    p.add_argument("--meta", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_cohort)
+    stage("cohort", cmd_cohort, "subject selection", "--meta")
 
-    p = sub.add_parser("split", help="subject-disjoint train/validation split")
+    p = stage("split", cmd_split, "subject-disjoint train/validation split")
     p.add_argument("--ids", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_split)
 
-    p = sub.add_parser("train", help="fit normalization and the sequence model")
-    p.add_argument("--features", required=True)
-    p.add_argument("--split", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_train)
+    stage("train", cmd_train, "fit normalization and the sequence model",
+          "--features", "--split")
 
-    p = sub.add_parser("predict", help="stage predictions for subjects")
-    p.add_argument("--features", required=True)
-    p.add_argument("--model", required=True)
-    p.add_argument("--norm", required=True)
+    p = stage("predict", cmd_predict, "stage predictions for subjects",
+              "--features", "--model", "--norm")
     p.add_argument("--ids")
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_predict)
 
-    p = sub.add_parser("evaluate", help="metrics against reference stages")
-    p.add_argument("--features", required=True)
-    p.add_argument("--split", required=True)
+    p = stage("evaluate", cmd_evaluate, "metrics against reference stages",
+              "--features", "--split", "--model", "--norm")
     p.add_argument("--subset", choices=["train", "val"], default="val")
-    p.add_argument("--model", required=True)
-    p.add_argument("--norm", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_evaluate)
 
-    p = sub.add_parser("importance", help="permutation feature importance")
-    p.add_argument("--features", required=True)
-    p.add_argument("--split", required=True)
-    p.add_argument("--model", required=True)
-    p.add_argument("--norm", required=True)
+    p = stage("importance", cmd_importance, "permutation feature importance",
+              "--features", "--split", "--model", "--norm")
     p.add_argument("--repeats", type=int, default=5)
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_importance)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         overrides = {}
         if args.seed is not None:
@@ -480,7 +456,10 @@ def main(argv=None) -> int:
         if args.profile is not None:
             overrides["profile"] = args.profile
         cfg = load_config(args.config, **overrides)
-        return args.fn(args, cfg)
+        inputs, summary = args.fn(args, cfg)
+        _log_run(Path(args.out), args.command, inputs, cfg)
+        print(f"{args.command}: {summary}")
+        return EXIT_OK
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG

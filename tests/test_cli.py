@@ -1,4 +1,5 @@
 """End-to-end command-line pipeline on a miniature synthetic dataset."""
+import importlib.util
 import json
 from pathlib import Path
 
@@ -7,6 +8,8 @@ import pytest
 
 from cardiosleep import blstm, cli, registry, signal_io
 from cardiosleep.types import SignalTrace
+
+REPO = Path(__file__).resolve().parents[1]
 
 CONFIG = """
 seed: 0
@@ -196,6 +199,72 @@ class TestWorkers:
         assert pools[3:] == [6]
 
 
+class TestEpilogue:
+    def test_each_stage_prints_one_summary_and_appends_one_record(
+            self, tmp_path, capsys):
+        out = tmp_path
+        cfg = out / "config.yaml"
+        cfg.write_text("train:\n  max_epochs: 1\n")
+        features, split = str(out / "features"), out / "split.json"
+        model = ["--model", str(out / "model.npz"), "--norm", str(out / "norm.npz")]
+        manifest = out / "run_manifest.jsonl"
+        for step in (
+                ["synth", "--out", str(out), "--subjects", "4", "--epochs", "20"],
+                ["preprocess", "--meta", str(out / "subjects.jsonl"),
+                 "--out", str(out)],
+                ["extract", "--preprocessed", str(out / "preprocessed"),
+                 "--out", str(out)],
+                ["cohort", "--meta", str(out / "subjects.jsonl"), "--out", str(out)],
+                ["split", "--ids", str(out / "cohort_ids.json"), "--out", str(out)],
+                ["train", "--features", features, "--split", str(split),
+                 "--out", str(out)],
+                ["evaluate", "--features", features, "--split", str(split),
+                 *model, "--out", str(out)],
+                ["predict", "--features", features, *model, "--out", str(out)],
+                ["importance", "--features", features, "--split", str(split),
+                 *model, "--repeats", "1", "--out", str(out)]):
+            before = manifest.read_text() if manifest.exists() else ""
+            assert cli.main(["--config", str(cfg)] + step) == 0, step[0]
+            printed = capsys.readouterr().out.splitlines()
+            assert len(printed) == 1 and printed[0].startswith(f"{step[0]}: ")
+            after = manifest.read_text()
+            assert after.startswith(before)
+            added = after[len(before):].splitlines()
+            assert [json.loads(line)["stage"] for line in added] == [step[0]]
+        split.write_text(json.dumps({"train": [], "val": []}))
+        before = manifest.read_text()
+        assert cli.main(["--config", str(cfg), "evaluate", "--features", features,
+                         "--split", str(split), *model, "--out", str(out)]) == 3
+        assert capsys.readouterr().out == ""
+        assert manifest.read_text() == before
+
+
+class TestSynthExperimentScript:
+    @pytest.mark.parametrize("flags, given", [
+        pytest.param([], (None, None), id="config-values"),
+        pytest.param(["--seed", "3", "--workers", "2"], (3, 2), id="flags")])
+    def test_seed_and_workers_default_to_the_config(self, tmp_path, monkeypatch,
+                                                    flags, given):
+        spec = importlib.util.spec_from_file_location(
+            "run_synth_experiment", REPO / "scripts" / "run_synth_experiment.py")
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        calls = []
+
+        def spy(argv):
+            calls.append(argv)
+            return 1
+        monkeypatch.setattr(cli, "main", spy)
+        cfg = tmp_path / "config.yaml"
+        cfg.write_text("seed: 7\nworkers: 1\n")
+        assert script.main(["--out", str(tmp_path / "exp"), "--config", str(cfg),
+                            *flags]) == 1
+        [argv] = calls
+        args = cli.build_parser().parse_args(argv)
+        assert (args.command, args.config) == ("synth", str(cfg))
+        assert (args.seed, args.workers) == given
+
+
 class TestTwoChannelProfile:
     def test_abdomen_belt_runs_through_every_stage(self, tmp_path):
         out = tmp_path
@@ -360,12 +429,28 @@ class TestExitCodes:
         assert cli.main(["preprocess", "--meta", str(tmp_path / "meta.jsonl"),
                          "--out", str(tmp_path)]) == 3
 
-    def test_corrupt_edf_is_three(self, tmp_path):
+    def test_corrupt_edf_is_three(self, tmp_path, capsys):
         (tmp_path / "bad.edf").write_bytes(b"garbage")
         meta = {"subject_id": "bad", "ahi": 1.0, "edf": "bad.edf"}
         (tmp_path / "meta.jsonl").write_text(json.dumps(meta) + "\n")
         assert cli.main(["preprocess", "--meta", str(tmp_path / "meta.jsonl"),
                          "--out", str(tmp_path)]) == 3
+        assert f"{tmp_path / 'bad.edf'}: file of 7 bytes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["preprocess", "cohort"])
+    def test_unknown_hypnogram_token_names_the_file(self, pipeline_dir, tmp_path,
+                                                    capsys, command):
+        rec = signal_io.read_subject_metadata(
+            (pipeline_dir / "subjects.jsonl").read_text())[0]
+        hyp = tmp_path / "bad.hyp"
+        lines = (pipeline_dir / rec["hypnogram"]).read_text().splitlines()
+        hyp.write_text("\n".join(lines[:2] + ["X"] + lines[3:]) + "\n")
+        rec.update(edf=str(pipeline_dir / rec["edf"]), hypnogram="bad.hyp")
+        meta = tmp_path / "subjects.jsonl"
+        meta.write_text(json.dumps(rec) + "\n")
+        assert cli.main([command, "--meta", str(meta),
+                         "--out", str(tmp_path / "out")]) == 3
+        assert f"{hyp}: line 3: unknown stage token 'X'" in capsys.readouterr().err
 
     def test_corrupt_preprocessed_file_is_three(self, tmp_path, capsys):
         pre = tmp_path / "preprocessed"
@@ -628,21 +713,37 @@ class TestExitCodes:
         pytest.param("predict", "--ids", lambda p: p.write_text("[]"),
                      id="predict-empty-ids"),
         pytest.param("extract", "--preprocessed", lambda p: p.mkdir(),
-                     id="extract-dir-without-npz")])
+                     id="extract-dir-without-npz"),
+        pytest.param("train", "--split",
+                     lambda p: p.write_text('{"train": [], "val": ["a"]}'),
+                     id="train-empty-train-list"),
+        pytest.param("evaluate", "--split",
+                     lambda p: p.write_text('{"train": ["a"], "val": []}'),
+                     id="evaluate-empty-val-list"),
+        pytest.param("importance", "--split",
+                     lambda p: p.write_text('{"train": ["a"], "val": []}'),
+                     id="importance-empty-val-list")])
     def test_no_subjects_is_three(self, pipeline_dir, tmp_path, capsys,
                                   command, option, make):
         out = pipeline_dir
         path = tmp_path / "given"
         make(path)
-        args = {"--features": str(out / "features"),
-                "--model": str(out / "model.npz"),
-                "--norm": str(out / "norm.npz")} if command == "predict" else {}
+        args = {}
+        if command in ("train", "predict", "evaluate", "importance"):
+            args["--features"] = str(out / "features")
+        if command in ("predict", "evaluate", "importance"):
+            args.update({"--model": str(out / "model.npz"),
+                         "--norm": str(out / "norm.npz")})
         args[option] = str(path)
         code = cli.main(["--config", str(out / "config.yaml"), command,
                          *[x for item in args.items() for x in item],
                          "--out", str(tmp_path / "out")])
         assert code == 3
-        assert str(path) in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert str(path) in err
+        if option == "--split":
+            empty = "train" if command == "train" else "val"
+            assert f"no subjects in the {empty!r} list" in err
         assert not (tmp_path / "out").exists()
 
     def test_non_finite_inputs_are_four(self, pipeline_dir, tmp_path):
