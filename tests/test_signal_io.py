@@ -1,8 +1,11 @@
 """EDF, hypnogram text, feature-matrix CSV, and metadata round-trips."""
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from cardiosleep import errors, signal_io
 from cardiosleep.registry import FeatureMatrix, build_manifest
@@ -128,6 +131,125 @@ def _row_by_row_feature_csv(matrix: FeatureMatrix, destination) -> None:
             row = [f"{v:.17g}" for v in matrix.values[r]]
             row.append(labels[r].value if labels is not None else "?")
             f.write(",".join(row) + "\n")
+
+
+_FOUR_TOKENS = {s.value: s for s in FourStage}
+
+
+def _row_by_row_read(source, manifest) -> FeatureMatrix:
+    """The row-by-row CSV reader, one Python ``float()`` per cell, that
+    ``read_feature_matrix`` replaced, kept as the oracle of its values and
+    errors."""
+    path = Path(source)
+    with path.open("r", encoding="utf-8") as f:
+        header = f.readline().rstrip("\n").split(",")
+        if header[:-1] != manifest.names or header[-1] != "stage":
+            raise errors.ManifestMismatch(f"{path}: column names differ from the manifest")
+        values, stages = [], []
+        for lineno, line in enumerate(f, start=2):
+            parts = line.rstrip("\n").split(",")
+            if len(parts) != len(header):
+                raise errors.ManifestMismatch(f"{path}: row has {len(parts)} fields")
+            try:
+                values.append([float(v) for v in parts[:-1]])
+            except ValueError as e:
+                raise errors.UnknownToken(f"{path}: line {lineno}: {e}") from e
+            if parts[-1] != "?" and parts[-1] not in _FOUR_TOKENS:
+                raise errors.UnknownToken(
+                    f"{path}: line {lineno}: unknown stage token {parts[-1]!r}")
+            stages.append(parts[-1])
+    if not values:
+        raise errors.TruncatedData(f"{path}: no rows")
+    vals = np.array(values, dtype=float)
+    labels = None
+    if all(s != "?" for s in stages):
+        labels = Hypnogram(tuple(_FOUR_TOKENS[s] for s in stages), "four")
+    return FeatureMatrix(manifest=manifest, values=vals,
+                         missing_mask=~np.isfinite(vals), labels=labels,
+                         subject_id=path.stem)
+
+
+def _write_csv(path, manifest, vals, unlabelled=()):
+    """``vals`` as a feature CSV at ``path``, staged in turn through the four
+    classes, with ``?`` on the rows listed in ``unlabelled``."""
+    stages = list(FourStage)
+    labels = Hypnogram(tuple(stages[i % 4] for i in range(len(vals))), "four")
+    signal_io.write_feature_matrix(
+        FeatureMatrix(manifest, vals, ~np.isfinite(vals), labels), path)
+    lines = path.read_text().split("\n")
+    for r in unlabelled:
+        lines[r + 1] = lines[r + 1].rsplit(",", 1)[0] + ",?"
+    path.write_text("\n".join(lines))
+
+
+def _assert_same_matrix(got: FeatureMatrix, want: FeatureMatrix):
+    """Every entry bit for bit (NaN payloads and signed zeros included), the
+    mask, the labels and the subject."""
+    assert got.values.dtype == want.values.dtype == np.float64
+    assert got.values.shape == want.values.shape
+    assert np.array_equal(got.values.view(np.int64), want.values.view(np.int64))
+    assert np.array_equal(np.isnan(got.values), np.isnan(want.values))
+    assert np.array_equal(got.missing_mask, want.missing_mask)
+    assert got.labels == want.labels
+    assert got.subject_id == want.subject_id
+    assert got.manifest is want.manifest
+
+
+def _magnitudes(rng, n):
+    return rng.normal(scale=10.0 ** rng.integers(-300, 301, (12, 1)), size=(12, n))
+
+
+def _specials(rng, n):
+    vals = rng.normal(size=(6, n))
+    vals[0, :14] = [-0.0, 0.0, 5e-324, -5e-324, 1e-310, -4e-320,
+                    2.2250738585072009e-308, 2.2250738585072014e-308,
+                    np.inf, -np.inf, np.nan, 1.7976931348623157e308,
+                    -1.7976931348623157e308, 0.1]
+    vals[1] = np.nan
+    vals[2] = np.inf
+    vals[3, ::2] = -np.inf
+    vals[4] = rng.integers(1, 2 ** 52, n).view(np.float64)  # subnormals
+    vals[4, ::3] *= -1
+    return vals
+
+
+class TestFeatureCsvReaderParity:
+    """``read_feature_matrix`` against ``_row_by_row_read`` on the same file."""
+
+    @pytest.mark.parametrize("make, unlabelled", [
+        pytest.param(_magnitudes, (), id="magnitudes-1e+-300"),
+        pytest.param(_specials, (), id="zeros-subnormals-inf-nan"),
+        pytest.param(_magnitudes, (0, 5, 11), id="some-rows-unlabelled"),
+        pytest.param(_specials, range(6), id="all-rows-unlabelled"),
+        pytest.param(lambda rng, n: rng.normal(size=(1, n)), (), id="one-row"),
+        pytest.param(lambda rng, n: _specials(rng, n)[:1], (0,),
+                     id="one-unlabelled-row")])
+    def test_values_labels_and_mask_match_the_oracle(self, tmp_path, make,
+                                                     unlabelled):
+        manifest = build_manifest("single")
+        path = tmp_path / "s1.csv"
+        _write_csv(path, manifest, make(np.random.default_rng(11), len(manifest)),
+                   unlabelled)
+        got = signal_io.read_feature_matrix(path, manifest)
+        _assert_same_matrix(got, _row_by_row_read(path, manifest))
+        assert (got.labels is None) == bool(len(unlabelled))
+
+    @settings(max_examples=40, deadline=None)
+    @given(vals=hnp.arrays(np.float64, st.tuples(st.integers(1, 4), st.just(152)),
+                           elements=st.floats(width=64)),
+           labelled=st.booleans())
+    def test_any_float64_rows_match_the_oracle(self, tmp_path_factory, vals,
+                                               labelled):
+        manifest = build_manifest("single")
+        path = tmp_path_factory.mktemp("prop") / "s1.csv"
+        _write_csv(path, manifest, vals, () if labelled else range(len(vals)))
+        got = signal_io.read_feature_matrix(path, manifest)
+        _assert_same_matrix(got, _row_by_row_read(path, manifest))
+        # every entry a number survives bit for bit; NaN reads back as NaN
+        nan = np.isnan(vals)
+        assert np.array_equal(np.isnan(got.values), nan)
+        assert np.array_equal(got.values[~nan].view(np.int64),
+                              vals[~nan].view(np.int64))
 
 
 class TestFeatureMatrixCsv:
