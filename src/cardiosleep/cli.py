@@ -157,7 +157,8 @@ def _load_processed(path: Path) -> ProcessedSubject:
                if "abd" in d.files else None)
         hyp = None
         if "stages" in d.files:
-            hyp = signal_io.read_hypnogram("\n".join(str(s) for s in d["stages"]))
+            hyp = _parse_file(path, signal_io.read_hypnogram,
+                              lambda _: "\n".join(str(s) for s in d["stages"]))
     return ProcessedSubject(subject_id=path.stem, rr=rr, breath_chest=chest,
                             breath_abdomen=abd, hypnogram=hyp)
 

@@ -233,33 +233,42 @@ def write_feature_matrix(matrix: FeatureMatrix, destination: Union[str, Path]) -
                      for row, stage in zip(matrix.values.tolist(), stages))
 
 
+def _numbers(rows: list, n: int) -> Optional[np.ndarray]:
+    """The first ``n`` cells of each CSV row as floats, or None if one is not a number."""
+    try:
+        return np.loadtxt(rows, delimiter=",", usecols=range(n), comments=None, ndmin=2)
+    except ValueError:
+        return None
+
+
 def read_feature_matrix(source: Union[str, Path],
                         manifest: FeatureManifest) -> FeatureMatrix:
     """A ``write_feature_matrix`` CSV, unlabeled if a stage is ``?``. A header
-    other than ``manifest``'s, a malformed row or no rows raises naming the file."""
+    other than ``manifest``'s or no rows raises naming the file; a bad row, its line too."""
     path = Path(source)
-    with path.open("r", encoding="utf-8") as f:
-        header = f.readline().rstrip("\n").split(",")
-        if header[:-1] != manifest.names or header[-1] != "stage":
-            raise ManifestMismatch(f"{path}: column names differ from the manifest")
-        values, stages = [], []
-        for lineno, line in enumerate(f, start=2):
-            parts = line.rstrip("\n").split(",")
-            if len(parts) != len(header):
-                raise ManifestMismatch(f"{path}: row has {len(parts)} fields")
-            try:
-                values.append([float(v) for v in parts[:-1]])
-            except ValueError as e:
-                raise UnknownToken(f"{path}: line {lineno}: {e}") from e
-            if parts[-1] != "?" and parts[-1] not in _FOUR_TOKENS:
-                raise UnknownToken(
-                    f"{path}: line {lineno}: unknown stage token {parts[-1]!r}")
-            stages.append(parts[-1])
-    if not values:
+    header, *rows = path.read_text(encoding="utf-8").removesuffix("\n").split("\n")
+    if header.split(",") != manifest.names + ["stage"]:
+        raise ManifestMismatch(f"{path}: column names differ from the manifest")
+    if not rows:
         raise TruncatedData(f"{path}: no rows")
-    vals = np.array(values, dtype=float)
+    # check every row before the parse, which would skip a blank one
+    n = len(manifest.names)
+    stages = [row.rpartition(",")[2] for row in rows]
+    for lineno, (row, stage) in enumerate(zip(rows, stages), start=2):
+        if row.count(",") != n:
+            raise ManifestMismatch(
+                f"{path}: line {lineno}: row has {row.count(',') + 1} fields")
+        if stage != "?" and stage not in _FOUR_TOKENS:
+            raise UnknownToken(f"{path}: line {lineno}: unknown stage token {stage!r}")
+    vals = _numbers(rows, n)
+    if vals is None:  # find the cell again: loadtxt's message counts rows from 0
+        lineno, row = next((i, r) for i, r in enumerate(rows, start=2)
+                           if _numbers([r], n) is None)
+        cell = next(c for c in row.split(",")[:n] if _numbers([c + ","], 1) is None)
+        raise UnknownToken(
+            f"{path}: line {lineno}: could not convert string to float: {cell!r}")
     labels = None
-    if all(s != "?" for s in stages):
+    if "?" not in stages:
         labels = Hypnogram(tuple(_FOUR_TOKENS[s] for s in stages), "four")
     return FeatureMatrix(manifest=manifest, values=vals,
                          missing_mask=~np.isfinite(vals), labels=labels,

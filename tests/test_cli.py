@@ -638,6 +638,20 @@ class TestExitCodes:
                          "--out", str(tmp_path)]) == 3
         assert not list((tmp_path / "features").glob("*.csv"))
 
+    def test_unknown_stage_in_a_preprocessed_archive_names_it(
+            self, pipeline_dir, tmp_path, capsys):
+        src = sorted((pipeline_dir / "preprocessed").glob("*.npz"))[0]
+        with np.load(src, allow_pickle=False) as d:
+            payload = {k: d[k] for k in d.files}
+        payload["stages"][2] = "X"
+        pre = tmp_path / "preprocessed"
+        pre.mkdir()
+        np.savez(pre / src.name, **payload)
+        assert cli.main(["extract", "--preprocessed", str(pre),
+                         "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert f"{pre / src.name}: line 3: unknown stage token 'X'" in err
+
     def test_evaluate_without_labels_is_three(self, pipeline_dir, tmp_path):
         out = pipeline_dir
         unlabeled = tmp_path / "features"

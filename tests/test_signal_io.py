@@ -252,6 +252,92 @@ class TestFeatureCsvReaderParity:
                               vals[~nan].view(np.int64))
 
 
+def _set_cell(line, col, text):
+    """``line`` with cell ``col`` (0-based) replaced by ``text``."""
+    cells = line.split(",")
+    cells[col] = text
+    return ",".join(cells)
+
+
+def _damaged(row, change):
+    """The lines of a four-row CSV with ``change`` applied to line ``row``."""
+    return lambda lines: lines[:row - 1] + [change(lines[row - 1])] + lines[row:]
+
+
+class TestMalformedFeatureCsv:
+    """Damaged files read as the oracle reads them: the same values where it
+    accepts the file, else the same exception type and message, to which a
+    wrong field count adds the line."""
+
+    @pytest.mark.parametrize("damage, sep, line", [
+        pytest.param(lambda lines: lines[:3] + [""] + lines[3:], "\n", 4,
+                     id="blank-line-mid-file"),
+        pytest.param(lambda lines: lines + [""], "\n", 6,
+                     id="trailing-blank-line"),
+        pytest.param(_damaged(4, lambda l: "#" + l), "\n", 4,
+                     id="row-starting-with-hash"),
+        pytest.param(_damaged(4, lambda l: "# a comment"), "\n", 4,
+                     id="comment-row"),
+        pytest.param(_damaged(3, lambda l: _set_cell(l, 5, "1#2")), "\n", 3,
+                     id="hash-inside-a-cell"),
+        pytest.param(_damaged(4, lambda l: _set_cell(l, 0, "abc")), "\n", 4,
+                     id="non-numeric-cell"),
+        pytest.param(_damaged(2, lambda l: _set_cell(l, 151, "")), "\n", 2,
+                     id="empty-cell"),
+        pytest.param(_damaged(5, lambda l: _set_cell(l, 7, " ")), "\n", 5,
+                     id="blank-cell"),
+        pytest.param(_damaged(3, lambda l: _set_cell(_set_cell(l, 0, " 1.5 "),
+                                                     9, "\t-2e3\t")), "\n", None,
+                     id="whitespace-around-values"),
+        pytest.param(lambda lines: lines, "\r\n", None, id="crlf-line-endings"),
+        pytest.param(lambda lines: lines, "\r", None, id="cr-line-endings"),
+        pytest.param(_damaged(5, lambda l: l.replace(",", ",0,", 1)), "\n", 5,
+                     id="one-field-too-many"),
+        pytest.param(_damaged(3, lambda l: l.split(",", 1)[1]), "\n", 3,
+                     id="one-field-too-few"),
+        pytest.param(_damaged(3, lambda l: l.rsplit(",", 1)[0]), "\n", 3,
+                     id="no-stage-field"),
+        pytest.param(lambda lines: lines[:1], "\n", None, id="header-only"),
+        pytest.param(lambda lines: [], "\n", None, id="blank-header-line")])
+    def test_fails_or_reads_as_the_oracle_does(self, tmp_path, damage, sep, line):
+        manifest = build_manifest("single")
+        path = tmp_path / "s1.csv"
+        _write_csv(path, manifest, np.random.default_rng(3).normal(size=(4, 152)))
+        lines = path.read_text().split("\n")[:-1]
+        path.write_bytes((sep.join(damage(lines)) + sep).encode())
+        try:
+            want = _row_by_row_read(path, manifest)
+        except errors.CardiosleepError as e:
+            message = str(e)
+            if line is not None and not message.startswith(f"{path}: line "):
+                message = message.replace(f"{path}: ", f"{path}: line {line}: ", 1)
+            with pytest.raises(type(e)) as got:
+                signal_io.read_feature_matrix(path, manifest)
+            assert str(got.value) == message
+            assert line is None or message.startswith(f"{path}: line {line}: ")
+        else:
+            assert line is None
+            _assert_same_matrix(signal_io.read_feature_matrix(path, manifest), want)
+
+    @pytest.mark.parametrize("cell, value", [
+        pytest.param("1_0", 10.0, id="digit-separator"),
+        pytest.param("١", 1.0, id="arabic-indic-digit")])
+    def test_python_only_number_forms_are_rejected(self, tmp_path, cell, value):
+        # float() takes these and the oracle read them; the writer never emits
+        # them, and the reader now refuses them naming the line
+        manifest = build_manifest("single")
+        path = tmp_path / "s1.csv"
+        _write_csv(path, manifest, np.zeros((3, 152)))
+        lines = path.read_text().split("\n")
+        lines[2] = _set_cell(lines[2], 4, cell)
+        path.write_text("\n".join(lines))
+        assert _row_by_row_read(path, manifest).values[1, 4] == value
+        with pytest.raises(errors.UnknownToken) as got:
+            signal_io.read_feature_matrix(path, manifest)
+        assert str(got.value) == (
+            f"{path}: line 3: could not convert string to float: {cell!r}")
+
+
 class TestFeatureMatrixCsv:
     @pytest.mark.parametrize("labelled", [True, False])
     def test_bytes_match_the_row_by_row_writer(self, tmp_path, labelled):
