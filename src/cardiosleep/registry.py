@@ -84,6 +84,10 @@ class FeatureMatrix:
             raise ManifestMismatch(
                 f"matrix has {self.values.shape[1] if self.values.ndim == 2 else '?'} "
                 f"columns, manifest has {len(self.manifest)}")
+        if self.labels is not None and len(self.labels) != self.n_epochs:
+            raise LengthMismatch(
+                f"{self.subject_id}: {len(self.labels)} labels for "
+                f"{self.n_epochs} rows")
 
     @property
     def n_epochs(self) -> int:

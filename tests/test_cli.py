@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cardiosleep import blstm, cli, registry, signal_io
-from cardiosleep.types import SignalTrace
+from cardiosleep.types import FourStage, Hypnogram, SignalTrace
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -636,6 +636,26 @@ class TestExitCodes:
         np.savez(pre / src.name, **payload)
         assert cli.main(["extract", "--preprocessed", str(pre),
                          "--out", str(tmp_path)]) == 3
+        assert not list((tmp_path / "features").glob("*.csv"))
+
+    def test_labels_that_do_not_fit_the_rows_are_three(
+            self, pipeline_dir, tmp_path, capsys, monkeypatch):
+        # the writer used to zip rows with labels and drop the extra rows
+        def five_rows_three_labels(processed, manifest):
+            vals = np.zeros((5, len(manifest)))
+            return registry.FeatureMatrix(
+                manifest, vals, vals != 0,
+                Hypnogram((FourStage.WAKE,) * 3, "four"), processed.subject_id)
+
+        monkeypatch.setattr(registry, "assemble_feature_matrix",
+                            five_rows_three_labels)
+        src = sorted((pipeline_dir / "preprocessed").glob("*.npz"))[0]
+        pre = tmp_path / "preprocessed"
+        pre.mkdir()
+        (pre / src.name).write_bytes(src.read_bytes())
+        assert cli.main(["extract", "--preprocessed", str(pre),
+                         "--out", str(tmp_path)]) == 3
+        assert f"{src.stem}: 3 labels for 5 rows" in capsys.readouterr().err
         assert not list((tmp_path / "features").glob("*.csv"))
 
     def test_unknown_stage_in_a_preprocessed_archive_names_it(

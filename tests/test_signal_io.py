@@ -400,6 +400,14 @@ class TestFeatureMatrixCsv:
                            match=f"s1.csv: line 3: unknown stage token {stage!r}"):
             signal_io.read_feature_matrix(path, manifest)
 
+    def test_labels_of_another_length_are_refused(self, tmp_path):
+        # five rows with three labels used to write, and read back, three rows
+        manifest = build_manifest("single")
+        vals = np.zeros((5, len(manifest)))
+        labels = Hypnogram((FourStage.WAKE,) * 3, "four")
+        with pytest.raises(errors.LengthMismatch, match="s1: 3 labels for 5 rows"):
+            FeatureMatrix(manifest, vals, vals != 0, labels, "s1")
+
     def test_header_only_csv_names_the_file(self, tmp_path):
         manifest = build_manifest("single")
         path = tmp_path / "s1.csv"
