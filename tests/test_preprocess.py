@@ -429,6 +429,55 @@ class TestMatchesConvolutionCode:
                         for x in cases]
         assert any(flat) and not all(flat)
 
+# --- the one-call band-pass as its oracle ---------------------------------
+
+def _one_call_bandpass_qrs(x: np.ndarray, fs: float) -> np.ndarray:
+    """``preprocess._bandpass_qrs`` as two whole-record ``sosfilt`` calls over
+    a padded copy, kept as the oracle of the blocked filter."""
+    hi = min(15.0, 0.45 * fs)
+    sos = preprocess.sps.butter(2, [5.0, hi], btype="bandpass", fs=fs,
+                                output="sos")
+    pad = int(round(0.150 * fs))
+    ext = np.pad(x, pad, mode="median", stat_length=pad)
+    zi = preprocess.sps.sosfilt_zi(sos)
+    y = preprocess.sps.sosfilt(sos, ext, zi=zi * ext[0])[0]
+    del ext
+    y = preprocess.sps.sosfilt(sos, y[::-1], zi=zi * y[-1])[0]
+    return y[::-1][pad:-pad]
+
+
+def _assert_bandpass_matches(x: np.ndarray, fs: float) -> None:
+    got = preprocess._bandpass_qrs(x, fs)
+    want = _one_call_bandpass_qrs(x, fs)
+    assert got.dtype == want.dtype == np.float64
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+class TestBandpassMatchesOneCall:
+    """The band-pass filter, bit for bit."""
+
+    @pytest.mark.parametrize("seed,n_epochs", [
+        (1000, 960), (1001, 960), (1002, 960), (1003, 960), (1004, 960),
+        (3, 40), (11, 130)])
+    def test_synthetic_nights(self, seed, n_epochs):
+        # seeds 1000-1004 are perfbench's five nights, 3 and 11 the golden ones
+        ecg = synth.generate_subject(seed, synth.easy_profile(), n_epochs).ecg
+        _assert_bandpass_matches(ecg.samples, ecg.sample_rate_hz)
+
+    @pytest.mark.parametrize("fs", [100.0, 200.0, 256.0])
+    @pytest.mark.parametrize("blocks", [1, 3])
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_lengths_around_a_block_multiple(self, fs, blocks, extra):
+        # the record itself, or the record with its two extensions, is one
+        # sample under, at or one over a multiple of the block
+        pad = int(round(0.150 * fs))
+        rng = np.random.default_rng(blocks * 10 + extra)
+        for n in (blocks * preprocess._BLOCK + extra,
+                  blocks * preprocess._BLOCK + extra - 2 * pad):
+            x = np.cumsum(rng.normal(size=n)) + rng.normal(size=n)
+            _assert_bandpass_matches(x, fs)
+
+
 # --- the a-trous cascade of the wavelet baseline as its oracle -----------
 
 _DB4_G = wavelet._DB4_G
