@@ -20,18 +20,28 @@ def _bandpass_qrs(x: np.ndarray, fs: float) -> np.ndarray:
     """Zero-phase 5-15 Hz band-pass emphasizing the QRS complex. Each end is
     extended by 150 ms at the median of its last 150 ms, the ECG's level
     between beats: a mirror image would double or cancel a beat a few samples
-    from the end, and a shorter extension leaves the filter ringing there."""
+    from the end, and a shorter extension leaves the filter ringing there.
+
+    This is ``sosfiltfilt(padtype=None)`` over the extended record, run in
+    place over one array in ``_BLOCK``-sample blocks: each block's filter
+    state carries into the next, so the output is that of one call."""
     hi = min(15.0, 0.45 * fs)
     sos = sps.butter(2, [5.0, hi], btype="bandpass", fs=fs, output="sos")
     pad = int(round(0.150 * fs))
-    ext = np.pad(x, pad, mode="median", stat_length=pad)
-    # sosfiltfilt(padtype=None) with the extension freed before the backward
-    # pass, which then holds two record-length arrays rather than three
+    y = np.empty(len(x) + 2 * pad)
+    y[:pad] = np.median(x[:pad])
+    y[pad:-pad] = x
+    y[-pad:] = np.median(x[-pad:])
     zi = sps.sosfilt_zi(sos)
-    y = sps.sosfilt(sos, ext, zi=zi * ext[0])[0]
-    del ext
-    y = sps.sosfilt(sos, y[::-1], zi=zi * y[-1])[0]
-    return y[::-1][pad:-pad]
+    starts = range(0, len(y), _BLOCK)
+    z = zi * y[0]
+    for a in starts:
+        y[a:a + _BLOCK], z = sps.sosfilt(sos, y[a:a + _BLOCK], zi=z)
+    z = zi * y[-1]
+    for a in reversed(starts):
+        block = y[a:a + _BLOCK][::-1]
+        block[:], z = sps.sosfilt(sos, block, zi=z)
+    return y[pad:-pad]
 
 
 def _maybe_flat(x: np.ndarray) -> bool:

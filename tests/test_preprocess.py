@@ -1,4 +1,6 @@
 """R-peak detection, RR cleaning, wavelet baseline, Butterworth low-pass."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -476,6 +478,19 @@ class TestBandpassMatchesOneCall:
                   blocks * preprocess._BLOCK + extra - 2 * pad):
             x = np.cumsum(rng.normal(size=n)) + rng.normal(size=n)
             _assert_bandpass_matches(x, fs)
+
+    def test_peak_memory_is_one_record(self):
+        # the one-call filter peaked at 2.0x the record's bytes: its padded
+        # copy and its reversed output; the blocked one holds its output and
+        # one block's temporaries
+        x = np.random.default_rng(5).normal(size=60 * preprocess._BLOCK)
+        tracemalloc.start()
+        try:
+            preprocess._bandpass_qrs(x, 200.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * x.nbytes
 
 
 # --- the a-trous cascade of the wavelet baseline as its oracle -----------
