@@ -7,6 +7,7 @@ records of 16-bit little-endian samples.
 """
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import zipfile
@@ -218,19 +219,80 @@ def write_hypnogram(hyp: Hypnogram) -> str:
 
 
 # --- feature matrix CSV ---------------------------------------------------
+#
+# Beside each CSV, at ``<csv>.bin``, the writer leaves a binary copy of the
+# same matrix: ``_COPY_MAGIC``, the row and column counts (two little-endian
+# uint64), the values as little-endian float64 row by row, one stage code per
+# row (its index in ``_STAGES``), then the SHA-256 of the CSV's bytes followed
+# by everything before it in the copy. The reader takes the copy only while
+# that digest holds, so a CSV edited, copied alone or written by other code,
+# or a copy truncated or damaged, reads from the CSV text.
+
+_COPY_MAGIC = b"cardiosleep feature copy 1\n"
+_STAGES = (*_FOUR_TOKENS, "?")
+_STAGE_CODES = {token: code for code, token in enumerate(_STAGES)}
+_DIGEST_BYTES = 32
+
+
+def _copy_path(csv: Path) -> Path:
+    return csv.with_name(csv.name + ".bin")
+
+
+def _copy_bytes(values: np.ndarray, stages: list, csv: bytes) -> Optional[bytes]:
+    """The binary copy of a matrix whose CSV is ``csv``, or None for stage
+    tokens the reader refuses, which only the CSV may report."""
+    codes = [_STAGE_CODES.get(s) for s in stages]
+    if None in codes:
+        return None
+    # the CSV writes every NaN as "nan", which parses to the canonical NaN
+    values = np.where(np.isnan(values), np.nan, values).astype("<f8", copy=False)
+    body = b"".join([_COPY_MAGIC, np.array(values.shape, "<u8").tobytes(),
+                     values.tobytes(), bytes(codes)])
+    digest = hashlib.sha256(csv)
+    digest.update(body)
+    return body + digest.digest()
+
+
+def _read_copy(path: Path, csv: bytes, n: int) -> Optional[tuple]:
+    """The values and stage tokens of the binary copy beside the CSV ``path``
+    whose bytes are ``csv``, or None if there is no copy of ``n`` columns
+    whose digest holds for them."""
+    try:
+        copy = _copy_path(path).read_bytes()
+    except OSError:
+        return None
+    head = len(_COPY_MAGIC) + 16
+    if not copy.startswith(_COPY_MAGIC) or len(copy) < head + _DIGEST_BYTES:
+        return None
+    rows, cols = np.frombuffer(copy, "<u8", 2, len(_COPY_MAGIC)).tolist()
+    if cols != n or len(copy) != head + rows * (8 * cols + 1) + _DIGEST_BYTES:
+        return None
+    digest = hashlib.sha256(csv)
+    digest.update(memoryview(copy)[:-_DIGEST_BYTES])
+    if digest.digest() != copy[-_DIGEST_BYTES:]:
+        return None
+    values = np.frombuffer(copy, "<f8", rows * cols, head).reshape(rows, cols)
+    codes = copy[head + 8 * rows * cols:-_DIGEST_BYTES]
+    return values.astype(np.float64), [_STAGES[c] for c in codes]
+
 
 def write_feature_matrix(matrix: FeatureMatrix, destination: Union[str, Path]) -> None:
     """CSV: header row of manifest names plus a final stage column; values
-    serialized with enough digits for bitwise round-trips."""
+    serialized with enough digits for bitwise round-trips. Beside it goes
+    the matrix's binary copy (see above)."""
     path = Path(destination)
     names = matrix.manifest.names
     stages = ([s.value for s in matrix.labels.labels] if matrix.labels is not None
               else ["?"] * matrix.n_epochs)
     line = "%.17g," * len(names) + "%s\n"
-    with path.open("w", encoding="utf-8") as f:
-        f.write(",".join(names + ["stage"]) + "\n")
-        f.writelines(line % (*row, stage)
-                     for row, stage in zip(matrix.values.tolist(), stages))
+    csv = "".join([",".join(names + ["stage"]) + "\n",
+                   *(line % (*row, stage)
+                     for row, stage in zip(matrix.values.tolist(), stages))]
+                  ).encode("utf-8")
+    path.write_bytes(csv)
+    copy = _copy_bytes(matrix.values, stages, csv)
+    if copy is not None:
+        _copy_path(path).write_bytes(copy)
 
 
 def _numbers(rows: list, n: int) -> Optional[np.ndarray]:
@@ -241,18 +303,10 @@ def _numbers(rows: list, n: int) -> Optional[np.ndarray]:
         return None
 
 
-def read_feature_matrix(source: Union[str, Path],
-                        manifest: FeatureManifest) -> FeatureMatrix:
-    """A ``write_feature_matrix`` CSV, unlabeled if a stage is ``?``. A header
-    other than ``manifest``'s or no rows raises naming the file; a bad row, its line too."""
-    path = Path(source)
-    header, *rows = path.read_text(encoding="utf-8").removesuffix("\n").split("\n")
-    if header.split(",") != manifest.names + ["stage"]:
-        raise ManifestMismatch(f"{path}: column names differ from the manifest")
-    if not rows:
-        raise TruncatedData(f"{path}: no rows")
+def _parse_rows(path: Path, rows: list, n: int) -> tuple:
+    """The values and stage tokens of a feature CSV's rows; a bad row raises
+    naming the file and its line."""
     # check every row before the parse, which would skip a blank one
-    n = len(manifest.names)
     stages = [row.rpartition(",")[2] for row in rows]
     for lineno, (row, stage) in enumerate(zip(rows, stages), start=2):
         if row.count(",") != n:
@@ -267,6 +321,28 @@ def read_feature_matrix(source: Union[str, Path],
         cell = next(c for c in row.split(",")[:n] if _numbers([c + ","], 1) is None)
         raise UnknownToken(
             f"{path}: line {lineno}: could not convert string to float: {cell!r}")
+    return vals, stages
+
+
+def read_feature_matrix(source: Union[str, Path],
+                        manifest: FeatureManifest) -> FeatureMatrix:
+    """A ``write_feature_matrix`` CSV, unlabeled if a stage is ``?``, read from
+    its binary copy while that matches the CSV's bytes. A header other than
+    ``manifest``'s or no rows raises naming the file; a bad row, its line too."""
+    path = Path(source)
+    csv = path.read_bytes()
+    n = len(manifest.names)
+    copy = _read_copy(path, csv, n)
+    if copy is None:  # the universal newlines of a text-mode read
+        text = csv.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        header, *rows = text.removesuffix("\n").split("\n")
+    else:
+        header, rows = csv.partition(b"\n")[0].decode("utf-8"), copy[0]
+    if header.split(",") != manifest.names + ["stage"]:
+        raise ManifestMismatch(f"{path}: column names differ from the manifest")
+    if not len(rows):
+        raise TruncatedData(f"{path}: no rows")
+    vals, stages = _parse_rows(path, rows, n) if copy is None else copy
     labels = None
     if "?" not in stages:
         labels = Hypnogram(tuple(_FOUR_TOKENS[s] for s in stages), "four")

@@ -161,11 +161,14 @@ class TestWorkers:
                 assert cli.main(base + step) == 0
             lines = (out / "run_manifest.jsonl").read_text().splitlines()
             hashes[workers] = {json.loads(l)["config_hash"] for l in lines}
+            # each CSV and its binary copy
             features[workers] = {p.name: p.read_bytes()
-                                 for p in (out / "features").glob("*.csv")}
+                                 for p in (out / "features").iterdir()}
         assert len(hashes[1]) == 1
         assert hashes[1] == hashes[2]
-        assert len(features[1]) == 2
+        csvs = sorted(n for n in features[1] if n.endswith(".csv"))
+        assert len(csvs) == 2
+        assert sorted(features[1]) == sorted(csvs + [n + ".bin" for n in csvs])
         assert features[1] == features[2]
 
     def test_no_more_worker_processes_than_subjects(self, pipeline_dir,

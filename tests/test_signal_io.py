@@ -9,7 +9,7 @@ from hypothesis.extra import numpy as hnp
 
 from cardiosleep import errors, signal_io
 from cardiosleep.registry import FeatureMatrix, build_manifest
-from cardiosleep.types import FourStage, Hypnogram, SignalTrace
+from cardiosleep.types import FourStage, Hypnogram, SignalTrace, SixStage
 
 
 def _sine_trace(label="ECG", rate=100.0, seconds=4.0, freq=2.0, amp=1.0):
@@ -171,15 +171,34 @@ def _row_by_row_read(source, manifest) -> FeatureMatrix:
 
 def _write_csv(path, manifest, vals, unlabelled=()):
     """``vals`` as a feature CSV at ``path``, staged in turn through the four
-    classes, with ``?`` on the rows listed in ``unlabelled``."""
+    classes, with ``?`` on the rows listed in ``unlabelled``. The writer's
+    binary copy stays beside it, matching it unless only some rows are
+    unlabelled, which the writer cannot produce."""
     stages = list(FourStage)
-    labels = Hypnogram(tuple(stages[i % 4] for i in range(len(vals))), "four")
+    labels = None
+    if len(set(unlabelled)) < len(vals):
+        labels = Hypnogram(tuple(stages[i % 4] for i in range(len(vals))), "four")
     signal_io.write_feature_matrix(
         FeatureMatrix(manifest, vals, ~np.isfinite(vals), labels), path)
-    lines = path.read_text().split("\n")
-    for r in unlabelled:
-        lines[r + 1] = lines[r + 1].rsplit(",", 1)[0] + ",?"
-    path.write_text("\n".join(lines))
+    if labels is not None and len(unlabelled):
+        lines = path.read_text().split("\n")
+        for r in unlabelled:
+            lines[r + 1] = lines[r + 1].rsplit(",", 1)[0] + ",?"
+        path.write_text("\n".join(lines))
+
+
+def _copy_matches(path, manifest) -> bool:
+    return signal_io._read_copy(path, path.read_bytes(),
+                                len(manifest.names)) is not None
+
+
+def _read_both_ways(path, manifest) -> FeatureMatrix:
+    """The matrix at ``path`` read with its binary copy and again with the
+    copy deleted, which must agree bit for bit."""
+    got = signal_io.read_feature_matrix(path, manifest)
+    signal_io._copy_path(path).unlink()
+    _assert_same_matrix(got, signal_io.read_feature_matrix(path, manifest))
+    return got
 
 
 def _assert_same_matrix(got: FeatureMatrix, want: FeatureMatrix):
@@ -205,6 +224,11 @@ def _specials(rng, n):
                     2.2250738585072009e-308, 2.2250738585072014e-308,
                     np.inf, -np.inf, np.nan, 1.7976931348623157e308,
                     -1.7976931348623157e308, 0.1]
+    # NaN of either sign, quiet or signalling, with payload bits: the CSV
+    # writes each as "nan"
+    vals[0, 14:18] = np.array([0xFFF8000000000000, 0x7FF0000000000001,
+                               0xFFF4000000000123, 0x7FF80000DEADBEEF],
+                              dtype=np.uint64).view(np.float64)
     vals[1] = np.nan
     vals[2] = np.inf
     vals[3, ::2] = -np.inf
@@ -228,9 +252,10 @@ class TestFeatureCsvReaderParity:
                                                      unlabelled):
         manifest = build_manifest("single")
         path = tmp_path / "s1.csv"
-        _write_csv(path, manifest, make(np.random.default_rng(11), len(manifest)),
-                   unlabelled)
-        got = signal_io.read_feature_matrix(path, manifest)
+        vals = make(np.random.default_rng(11), len(manifest))
+        _write_csv(path, manifest, vals, unlabelled)
+        assert _copy_matches(path, manifest) == (len(unlabelled) in (0, len(vals)))
+        got = _read_both_ways(path, manifest)
         _assert_same_matrix(got, _row_by_row_read(path, manifest))
         assert (got.labels is None) == bool(len(unlabelled))
 
@@ -243,7 +268,8 @@ class TestFeatureCsvReaderParity:
         manifest = build_manifest("single")
         path = tmp_path_factory.mktemp("prop") / "s1.csv"
         _write_csv(path, manifest, vals, () if labelled else range(len(vals)))
-        got = signal_io.read_feature_matrix(path, manifest)
+        assert _copy_matches(path, manifest)
+        got = _read_both_ways(path, manifest)
         _assert_same_matrix(got, _row_by_row_read(path, manifest))
         # every entry a number survives bit for bit; NaN reads back as NaN
         nan = np.isnan(vals)
@@ -267,7 +293,8 @@ def _damaged(row, change):
 class TestMalformedFeatureCsv:
     """Damaged files read as the oracle reads them: the same values where it
     accepts the file, else the same exception type and message, to which a
-    wrong field count adds the line."""
+    wrong field count adds the line. The writer's binary copy of the file
+    before the damage stays beside it."""
 
     @pytest.mark.parametrize("damage, sep, line", [
         pytest.param(lambda lines: lines[:3] + [""] + lines[3:], "\n", 4,
@@ -303,8 +330,10 @@ class TestMalformedFeatureCsv:
         manifest = build_manifest("single")
         path = tmp_path / "s1.csv"
         _write_csv(path, manifest, np.random.default_rng(3).normal(size=(4, 152)))
+        assert _copy_matches(path, manifest)
         lines = path.read_text().split("\n")[:-1]
         path.write_bytes((sep.join(damage(lines)) + sep).encode())
+        assert signal_io._copy_path(path).is_file()
         try:
             want = _row_by_row_read(path, manifest)
         except errors.CardiosleepError as e:
@@ -420,6 +449,134 @@ class TestFeatureMatrixCsv:
         path = tmp_path / "bad.csv"
         path.write_text("a,b,stage\n1,2,WAKE\n")
         with pytest.raises(errors.ManifestMismatch):
+            signal_io.read_feature_matrix(path, manifest)
+
+
+def _labelled(manifest, vals, sid="s1"):
+    stages = list(FourStage)
+    labels = Hypnogram(tuple(stages[i % 4] for i in range(len(vals))), "four")
+    return FeatureMatrix(manifest, vals, ~np.isfinite(vals), labels, sid)
+
+
+class TestFeatureCopy:
+    """The binary copy ``write_feature_matrix`` leaves beside each CSV is read
+    only while it matches the CSV; otherwise the CSV is parsed."""
+
+    @pytest.fixture
+    def parsed(self, monkeypatch):
+        """The rows of every CSV that ``read_feature_matrix`` parses."""
+        calls = []
+
+        def parse_rows(path, rows, n):
+            calls.append(path)
+            return parse(path, rows, n)
+
+        parse = signal_io._parse_rows
+        monkeypatch.setattr(signal_io, "_parse_rows", parse_rows)
+        return calls
+
+    def _written(self, tmp_path, rows=5, sid="s1"):
+        manifest = build_manifest("single")
+        vals = np.random.default_rng([rows, len(sid)]).normal(
+            size=(rows, len(manifest)))
+        path = tmp_path / f"{sid}.csv"
+        signal_io.write_feature_matrix(_labelled(manifest, vals, sid), path)
+        return manifest, path
+
+    def test_a_matching_copy_is_read_instead_of_the_csv(self, tmp_path, parsed):
+        manifest, path = self._written(tmp_path)
+        assert signal_io._copy_path(path).name == "s1.csv.bin"
+        got = signal_io.read_feature_matrix(path, manifest)
+        assert parsed == []
+        _assert_same_matrix(got, _row_by_row_read(path, manifest))
+        assert got.values.flags.writeable
+
+    def test_no_cli_glob_picks_up_the_copy(self, tmp_path):
+        self._written(tmp_path)
+        assert [p.name for p in tmp_path.glob("*.csv")] == ["s1.csv"]
+        assert not list(tmp_path.glob("*.npz"))
+
+    def test_the_same_matrix_writes_the_same_copy(self, tmp_path):
+        copies = []
+        for name in ("a", "b"):
+            (tmp_path / name).mkdir()
+            path = self._written(tmp_path / name)[1]
+            copies.append(signal_io._copy_path(path).read_bytes())
+        assert copies[0] == copies[1]
+
+    @pytest.mark.parametrize("damage", [
+        pytest.param(lambda b: b[:-1], id="last-byte-cut"),
+        pytest.param(lambda b: b[:len(b) // 2], id="cut-in-half"),
+        pytest.param(lambda b: b"", id="empty"),
+        pytest.param(lambda b: b[:10], id="cut-in-the-magic"),
+        pytest.param(lambda b: b + b"\0", id="one-byte-appended")])
+    def test_a_truncated_or_padded_copy_is_ignored(self, tmp_path, parsed, damage):
+        manifest, path = self._written(tmp_path)
+        copy = signal_io._copy_path(path)
+        copy.write_bytes(damage(copy.read_bytes()))
+        got = signal_io.read_feature_matrix(path, manifest)
+        assert parsed == [path]
+        _assert_same_matrix(got, _row_by_row_read(path, manifest))
+
+    @pytest.mark.parametrize("at", [
+        pytest.param(0, id="magic"),
+        pytest.param(len(signal_io._COPY_MAGIC), id="row-count"),
+        pytest.param(len(signal_io._COPY_MAGIC) + 8, id="column-count"),
+        pytest.param(len(signal_io._COPY_MAGIC) + 16 + 7, id="first-value"),
+        pytest.param(-33, id="last-stage-code"),
+        pytest.param(-1, id="digest")])
+    def test_a_copy_with_one_flipped_byte_is_ignored(self, tmp_path, parsed, at):
+        manifest, path = self._written(tmp_path)
+        copy = signal_io._copy_path(path)
+        data = bytearray(copy.read_bytes())
+        data[at] ^= 0x40
+        copy.write_bytes(bytes(data))
+        got = signal_io.read_feature_matrix(path, manifest)
+        assert parsed == [path]
+        _assert_same_matrix(got, _row_by_row_read(path, manifest))
+
+    @pytest.mark.parametrize("rows", [5, 6])
+    def test_the_copy_of_another_matrix_is_ignored(self, tmp_path, parsed, rows):
+        manifest, path = self._written(tmp_path)
+        _, other = self._written(tmp_path, rows, sid="s22")
+        signal_io._copy_path(path).write_bytes(
+            signal_io._copy_path(other).read_bytes())
+        got = signal_io.read_feature_matrix(path, manifest)
+        assert parsed == [path]
+        _assert_same_matrix(got, _row_by_row_read(path, manifest))
+
+    def test_a_matrix_without_rows_is_still_truncated(self, tmp_path):
+        manifest = build_manifest("single")
+        path = tmp_path / "s1.csv"
+        vals = np.zeros((0, len(manifest)))
+        signal_io.write_feature_matrix(FeatureMatrix(manifest, vals, vals != 0),
+                                       path)
+        assert _copy_matches(path, manifest)
+        with pytest.raises(errors.TruncatedData, match="s1.csv: no rows"):
+            signal_io.read_feature_matrix(path, manifest)
+
+    def test_another_profile_is_still_a_manifest_mismatch(self, tmp_path):
+        two = build_manifest("two-channel")
+        path = tmp_path / "s1.csv"
+        vals = np.zeros((3, len(two)))
+        signal_io.write_feature_matrix(FeatureMatrix(two, vals, vals != 0), path)
+        single = build_manifest("single")
+        assert _copy_matches(path, single)
+        with pytest.raises(errors.ManifestMismatch,
+                           match="s1.csv: column names differ from the manifest"):
+            signal_io.read_feature_matrix(path, single)
+
+    def test_six_class_labels_get_no_copy(self, tmp_path):
+        # the reader refuses their tokens, naming the line, as it always did
+        manifest = build_manifest("single")
+        vals = np.zeros((3, len(manifest)))
+        labels = Hypnogram((SixStage.W,) * 3, "six")
+        path = tmp_path / "s1.csv"
+        signal_io.write_feature_matrix(
+            FeatureMatrix(manifest, vals, vals != 0, labels, "s1"), path)
+        assert not signal_io._copy_path(path).exists()
+        with pytest.raises(errors.UnknownToken,
+                           match="s1.csv: line 2: unknown stage token 'W'"):
             signal_io.read_feature_matrix(path, manifest)
 
 
