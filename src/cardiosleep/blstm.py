@@ -527,16 +527,16 @@ def load_checkpoint(path, expected_manifest_hash: Optional[str] = None
     with signal_io.open_npz(path) as data:
         meta = json.loads(str(data["__meta"]))
         if not isinstance(meta, dict):
-            raise ManifestMismatch(f"{path}: __meta is not a JSON object")
+            raise ManifestMismatch("__meta is not a JSON object")
         if meta.get("version") != CHECKPOINT_VERSION:
             raise ManifestMismatch(
-                f"{path}: unsupported checkpoint version {meta.get('version')}")
+                f"unsupported checkpoint version {meta.get('version')}")
         missing = [k for k in META_KEYS if k not in meta]
         if missing:
-            raise MissingMember(f"{path}: __meta has no {missing[0]!r}")
+            raise MissingMember(f"__meta has no {missing[0]!r}")
         if (expected_manifest_hash is not None
                 and meta["manifest_hash"] != expected_manifest_hash):
-            raise ManifestMismatch(f"{path}: trained against a different manifest")
+            raise ManifestMismatch("trained against a different manifest")
         weights = {k: data[k] for k in data.files if k != "__meta"}
         dims = tuple(meta[k] for k in META_KEYS[1:])
         try:  # the key count bounds the layers before any shape is formed
@@ -545,5 +545,5 @@ def load_checkpoint(path, expected_manifest_hash: Optional[str] = None
         except (TypeError, ValueError):
             fits = False
         if not fits:
-            raise ManifestMismatch(f"{path}: weights do not fit the model dimensions {dims}")
+            raise ManifestMismatch(f"weights do not fit the model dimensions {dims}")
     return BlstmParams(*dims, weights), meta

@@ -55,14 +55,11 @@ def _map(fn, items, workers: int):
         return list(ex.map(fn, items))
 
 
-def _parse_file(path: Path, parse, read=Path.read_text):
-    """``parse`` applied to the file at ``path`` as ``read`` gives it; a data
-    error ``parse`` raises is raised again with the path in front."""
-    content = read(path)
-    try:
-        return parse(content)
-    except CardiosleepError as e:
-        raise type(e)(f"{path}: {e}") from e
+def _parse_file(path: Path, parse, read=lambda path: path.read_text(encoding="utf-8")):
+    """``parse`` applied to the file at ``path`` as ``read`` gives it, by
+    default as UTF-8 text, inside ``signal_io.naming``."""
+    with signal_io.naming(path):
+        return parse(read(path))
 
 
 def _read_metadata(meta: Path) -> list:
@@ -157,8 +154,7 @@ def _load_processed(path: Path) -> ProcessedSubject:
                if "abd" in d.files else None)
         hyp = None
         if "stages" in d.files:
-            hyp = _parse_file(path, signal_io.read_hypnogram,
-                              lambda _: "\n".join(str(s) for s in d["stages"]))
+            hyp = signal_io.read_hypnogram("\n".join(str(s) for s in d["stages"]))
     return ProcessedSubject(subject_id=path.stem, rr=rr, breath_chest=chest,
                             breath_abdomen=abd, hypnogram=hyp)
 
@@ -204,16 +200,17 @@ def _read_id_lists(path: str, shape: str, id_lists) -> object:
     of subject ids it must hold, or None if it is not ``shape``. Raises
     ``CardiosleepError`` naming the file unless each list holds only ids
     and no id appears twice across them."""
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as e:
-        raise CardiosleepError(f"{path}: not JSON ({e})") from e
-    lists = id_lists(doc)
-    if lists is None or not all(map(_is_ids, lists)):
-        raise CardiosleepError(f"{path}: not {shape}")
-    twice = [sid for sid, n in Counter(sum(lists, [])).items() if n > 1]
-    if twice:
-        raise CardiosleepError(f"{path}: subject {twice[0]!r} is listed more than once")
+    with signal_io.naming(path):
+        try:
+            doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        except json.JSONDecodeError as e:
+            raise CardiosleepError(f"not JSON ({e})") from e
+        lists = id_lists(doc)
+        if lists is None or not all(map(_is_ids, lists)):
+            raise CardiosleepError(f"not {shape}")
+        twice = [sid for sid, n in Counter(sum(lists, [])).items() if n > 1]
+        if twice:
+            raise CardiosleepError(f"subject {twice[0]!r} is listed more than once")
     return doc
 
 
@@ -237,13 +234,8 @@ def cmd_split(args, cfg: PipelineConfig) -> tuple:
 
 
 def _load_matrices(feat_dir: Path, ids, manifest):
-    mats = []
-    for sid in ids:
-        path = feat_dir / f"{sid}.csv"
-        if not path.is_file():
-            raise CardiosleepError(f"missing feature file {path}")
-        mats.append(signal_io.read_feature_matrix(path, manifest))
-    return mats
+    return [signal_io.read_feature_matrix(feat_dir / f"{sid}.csv", manifest)
+            for sid in ids]
 
 
 def _split_matrices(args, manifest, *subsets, may_be_empty=()) -> list:
@@ -270,10 +262,10 @@ def _save_norm(stats: registry.NormStats, path: Path) -> None:
 def _load_norm(path: Path, manifest) -> registry.NormStats:
     with signal_io.open_npz(path) as d:
         if str(d["manifest_hash"]) != registry.manifest_hash(manifest):
-            raise CardiosleepError(f"{path}: statistics built for a different manifest")
+            raise CardiosleepError("statistics built for a different manifest")
         stats = {k: d[k] for k in ("mean", "sd", "constant")}
-    if any(np.shape(v) != (len(manifest),) for v in stats.values()):
-        raise CardiosleepError(f"{path}: statistics do not cover the {len(manifest)} features")
+        if any(np.shape(v) != (len(manifest),) for v in stats.values()):
+            raise CardiosleepError(f"statistics do not cover the {len(manifest)} features")
     return registry.NormStats(manifest=manifest, **stats)
 
 
@@ -467,7 +459,7 @@ def main(argv=None) -> int:
     except (NonFiniteLoss, NonFiniteInput) as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (CardiosleepError, OSError, json.JSONDecodeError) as e:
+    except (CardiosleepError, OSError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
 

@@ -25,7 +25,7 @@ from . import features_resp, features_rr
 from .cohort import merge_stages
 from .epoching import EPOCH_S, count_epochs, resolve_window
 from .errors import (EmptyTrainingSet, LengthMismatch, ManifestMismatch,
-                     SubjectUnusable)
+                     MixedScheme, SubjectUnusable)
 from .preprocess import usable_intervals
 from .types import Hypnogram, ProcessedSubject, SignalTrace
 
@@ -88,6 +88,8 @@ class FeatureMatrix:
             raise LengthMismatch(
                 f"{self.subject_id}: {len(self.labels)} labels for "
                 f"{self.n_epochs} rows")
+        if self.labels is not None and self.labels.scheme != "four":
+            raise MixedScheme(f"{self.subject_id}: labels are not four-class")
 
     @property
     def n_epochs(self) -> int:

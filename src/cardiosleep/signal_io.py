@@ -17,9 +17,9 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import (MalformedHeader, ManifestMismatch, MissingMember,
-                     MissingMetadata, MixedScheme, TruncatedData, UnknownToken,
-                     UnsupportedVariant)
+from .errors import (CardiosleepError, MalformedHeader, ManifestMismatch,
+                     MissingMember, MissingMetadata, MixedScheme, TruncatedData,
+                     UnknownToken, UnsupportedVariant)
 from .registry import FeatureManifest, FeatureMatrix
 from .types import FourStage, Hypnogram, SignalTrace, SixStage
 
@@ -28,6 +28,18 @@ MAX_SAMPLES_PER_RECORD = 100_000
 
 _SIX_TOKENS = {s.value: s for s in SixStage}
 _FOUR_TOKENS = {s.value: s for s in FourStage}
+
+
+@contextmanager
+def naming(path: Union[str, Path]):
+    """Put ``path`` in front of a data error the block raises, and make text
+    that is not UTF-8 an ``UnknownToken`` naming the first bad byte's offset."""
+    try:
+        yield
+    except UnicodeDecodeError as e:
+        raise UnknownToken(f"{path}: byte {e.start} is not UTF-8") from e
+    except CardiosleepError as e:
+        raise type(e)(f"{path}: {e}") from e
 
 
 # --- EDF ------------------------------------------------------------------
@@ -238,16 +250,12 @@ def _copy_path(csv: Path) -> Path:
     return csv.with_name(csv.name + ".bin")
 
 
-def _copy_bytes(values: np.ndarray, stages: list, csv: bytes) -> Optional[bytes]:
-    """The binary copy of a matrix whose CSV is ``csv``, or None for stage
-    tokens the reader refuses, which only the CSV may report."""
-    codes = [_STAGE_CODES.get(s) for s in stages]
-    if None in codes:
-        return None
+def _copy_bytes(values: np.ndarray, stages: list, csv: bytes) -> bytes:
+    """The binary copy of a matrix whose CSV is ``csv``."""
     # the CSV writes every NaN as "nan", which parses to the canonical NaN
     values = np.where(np.isnan(values), np.nan, values).astype("<f8", copy=False)
     body = b"".join([_COPY_MAGIC, np.array(values.shape, "<u8").tobytes(),
-                     values.tobytes(), bytes(codes)])
+                     values.tobytes(), bytes(_STAGE_CODES[s] for s in stages)])
     digest = hashlib.sha256(csv)
     digest.update(body)
     return body + digest.digest()
@@ -290,9 +298,7 @@ def write_feature_matrix(matrix: FeatureMatrix, destination: Union[str, Path]) -
                      for row, stage in zip(matrix.values.tolist(), stages))]
                   ).encode("utf-8")
     path.write_bytes(csv)
-    copy = _copy_bytes(matrix.values, stages, csv)
-    if copy is not None:
-        _copy_path(path).write_bytes(copy)
+    _copy_path(path).write_bytes(_copy_bytes(matrix.values, stages, csv))
 
 
 def _numbers(rows: list, n: int) -> Optional[np.ndarray]:
@@ -303,24 +309,24 @@ def _numbers(rows: list, n: int) -> Optional[np.ndarray]:
         return None
 
 
-def _parse_rows(path: Path, rows: list, n: int) -> tuple:
+def _parse_rows(rows: list, n: int) -> tuple:
     """The values and stage tokens of a feature CSV's rows; a bad row raises
-    naming the file and its line."""
+    naming its line."""
     # check every row before the parse, which would skip a blank one
     stages = [row.rpartition(",")[2] for row in rows]
     for lineno, (row, stage) in enumerate(zip(rows, stages), start=2):
         if row.count(",") != n:
             raise ManifestMismatch(
-                f"{path}: line {lineno}: row has {row.count(',') + 1} fields")
+                f"line {lineno}: row has {row.count(',') + 1} fields")
         if stage != "?" and stage not in _FOUR_TOKENS:
-            raise UnknownToken(f"{path}: line {lineno}: unknown stage token {stage!r}")
+            raise UnknownToken(f"line {lineno}: unknown stage token {stage!r}")
     vals = _numbers(rows, n)
     if vals is None:  # find the cell again: loadtxt's message counts rows from 0
         lineno, row = next((i, r) for i, r in enumerate(rows, start=2)
                            if _numbers([r], n) is None)
         cell = next(c for c in row.split(",")[:n] if _numbers([c + ","], 1) is None)
         raise UnknownToken(
-            f"{path}: line {lineno}: could not convert string to float: {cell!r}")
+            f"line {lineno}: could not convert string to float: {cell!r}")
     return vals, stages
 
 
@@ -330,19 +336,20 @@ def read_feature_matrix(source: Union[str, Path],
     its binary copy while that matches the CSV's bytes. A header other than
     ``manifest``'s or no rows raises naming the file; a bad row, its line too."""
     path = Path(source)
-    csv = path.read_bytes()
     n = len(manifest.names)
-    copy = _read_copy(path, csv, n)
-    if copy is None:  # the universal newlines of a text-mode read
-        text = csv.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
-        header, *rows = text.removesuffix("\n").split("\n")
-    else:
-        header, rows = csv.partition(b"\n")[0].decode("utf-8"), copy[0]
-    if header.split(",") != manifest.names + ["stage"]:
-        raise ManifestMismatch(f"{path}: column names differ from the manifest")
-    if not len(rows):
-        raise TruncatedData(f"{path}: no rows")
-    vals, stages = _parse_rows(path, rows, n) if copy is None else copy
+    with naming(path):
+        csv = path.read_bytes()
+        copy = _read_copy(path, csv, n)
+        if copy is None:  # the universal newlines of a text-mode read
+            text = csv.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+            header, *rows = text.removesuffix("\n").split("\n")
+        else:
+            header, rows = csv.partition(b"\n")[0].decode("utf-8"), copy[0]
+        if header.split(",") != manifest.names + ["stage"]:
+            raise ManifestMismatch("column names differ from the manifest")
+        if not len(rows):
+            raise TruncatedData("no rows")
+        vals, stages = _parse_rows(rows, n) if copy is None else copy
     labels = None
     if "?" not in stages:
         labels = Hypnogram(tuple(_FOUR_TOKENS[s] for s in stages), "four")
@@ -403,27 +410,26 @@ def write_subject_metadata(records: Sequence[dict]) -> str:
 
 class _Archive:
     """An open npz archive whose missing members raise ``MissingMember``
-    naming the archive and the member."""
+    naming the member."""
 
-    def __init__(self, archive, path):
+    def __init__(self, archive):
         self.files = archive.files
         self._archive = archive
-        self._path = path
 
     def __getitem__(self, name: str) -> np.ndarray:
         if name not in self.files:
-            raise MissingMember(f"{self._path}: no member {name!r}")
+            raise MissingMember(f"no member {name!r}")
         return self._archive[name]
 
 
 @contextmanager
 def open_npz(path: Union[str, Path]):
-    """The npz archive at ``path``, open for reading without pickles. A file
-    that is not one, or whose members cannot be read, raises
-    ``MalformedHeader`` naming the file; reading a member it lacks raises
-    ``MissingMember``."""
-    try:
-        with np.load(Path(path), allow_pickle=False) as archive:
-            yield _Archive(archive, path)
-    except (ValueError, EOFError, zipfile.BadZipFile) as e:
-        raise MalformedHeader(f"{path}: not a readable npz archive ({e})") from e
+    """The npz archive at ``path``, open for reading without pickles, with the
+    block inside ``naming(path)``. A file that is not one, or whose members
+    cannot be read, raises ``MalformedHeader``; a member it lacks, ``MissingMember``."""
+    with naming(path):
+        try:
+            with np.load(Path(path), allow_pickle=False) as archive:
+                yield _Archive(archive)
+        except (ValueError, EOFError, zipfile.BadZipFile) as e:
+            raise MalformedHeader(f"not a readable npz archive ({e})") from e

@@ -1,6 +1,7 @@
 """Acceptance gate: ten scaled-down, property-based criteria for the whole
 pipeline. Each test prints a single pass/fail line with its headline numbers.
 """
+import argparse
 import json
 import statistics
 import time
@@ -10,10 +11,11 @@ import numpy as np
 import pytest
 
 from cardiosleep import (blstm, cli, cohort, evaluate, features_rr, preprocess,
-                         signal_io, wavelet)
+                         registry, signal_io, wavelet)
 from cardiosleep.epoching import resolve_window
 from cardiosleep.errors import CardiosleepError
-from cardiosleep.types import SignalTrace, four_hypnogram_from_indices
+from cardiosleep.types import (Hypnogram, SignalTrace, SixStage,
+                               four_hypnogram_from_indices)
 
 DOCS_MANIFEST = Path(__file__).resolve().parents[1] / "docs" / "feature_manifest.tsv"
 
@@ -387,6 +389,25 @@ def test_criterion_9_manifest_integrity(feature_matrix):
 
 # -- 10: parser robustness ----------------------------------------------------
 
+def _mutated(rng, valid: bytes) -> bytes:
+    """``valid`` after one of four mutations drawn from ``rng``."""
+    data = bytearray(valid)
+    kind = rng.integers(0, 4)
+    if kind == 0:  # corrupt random bytes
+        for _ in range(int(rng.integers(1, 16))):
+            data[rng.integers(0, len(data))] = int(rng.integers(0, 256))
+    elif kind == 1:  # truncate
+        data = data[:rng.integers(0, len(data))]
+    elif kind == 2:  # extend with noise
+        data = data + bytes(rng.integers(0, 256, int(rng.integers(1, 64)),
+                                         dtype=np.uint8))
+    else:  # splice a random block
+        i = rng.integers(0, len(data))
+        j = rng.integers(0, len(data))
+        data[i:i + 32], data[j:j + 32] = data[j:j + 32], data[i:i + 32]
+    return bytes(data)
+
+
 def test_criterion_10_parser_robustness():
     rng = np.random.default_rng(1010)
     t = np.arange(300) / 100.0
@@ -401,22 +422,8 @@ def test_criterion_10_parser_robustness():
 
     crashes = 0
     for _ in range(10000):
-        data = bytearray(valid)
-        kind = rng.integers(0, 4)
-        if kind == 0:  # corrupt random bytes
-            for _ in range(int(rng.integers(1, 16))):
-                data[rng.integers(0, len(data))] = int(rng.integers(0, 256))
-        elif kind == 1:  # truncate
-            data = data[:rng.integers(0, len(data))]
-        elif kind == 2:  # extend with noise
-            data = data + bytes(rng.integers(0, 256, int(rng.integers(1, 64)),
-                                             dtype=np.uint8))
-        else:  # splice a random block
-            i = rng.integers(0, len(data))
-            j = rng.integers(0, len(data))
-            data[i:i + 32], data[j:j + 32] = data[j:j + 32], data[i:i + 32]
         try:
-            signal_io.read_edf(bytes(data))
+            signal_io.read_edf(_mutated(rng, valid))
         except CardiosleepError:
             pass
         except Exception:
@@ -424,3 +431,61 @@ def test_criterion_10_parser_robustness():
     ok = crashes == 0 and rt_ok
     _report(10, "parser robustness", ok,
             f"crashes {crashes}/10000, round-trip within quantization={rt_ok}")
+
+
+def test_every_text_input_reads_to_a_value_or_a_data_error(tmp_path):
+    # criterion 10's mutations on writer-produced text inputs and on the
+    # feature CSV's binary copy, read from disk through the readers the
+    # stages use, which name the file
+    rng = np.random.default_rng(1011)
+    manifest = registry.build_manifest("single")
+    ids = [f"synth-{i:05d}" for i in range(4)]
+    csv = tmp_path / f"{ids[0]}.csv"
+    vals = rng.normal(size=(3, len(manifest)))
+    vals[1, 5] = np.nan
+    signal_io.write_feature_matrix(registry.FeatureMatrix(
+        manifest, vals, ~np.isfinite(vals),
+        four_hypnogram_from_indices([0, 1, 3]), ids[0]), csv)
+    csv_bytes, copy = csv.read_bytes(), signal_io._copy_path(csv)
+    copy_bytes = copy.read_bytes()
+    hyp = Hypnogram(tuple(SixStage)[::-1] * 3, "six")
+    records = [{"subject_id": sid, "ahi": 1.5 * i, "edf": f"raw/{sid}.edf",
+                "hypnogram": f"raw/{sid}.hyp"} for i, sid in enumerate(ids)]
+    split = argparse.Namespace(split=str(tmp_path / "split.json"),
+                               features=str(tmp_path))
+
+    def read_csv(path, beside=None):
+        """The matrix of the CSV at ``path`` with ``beside`` as its copy, if given."""
+        copy.unlink(missing_ok=True)
+        if beside is not None:
+            copy.write_bytes(beside)
+        return signal_io.read_feature_matrix(path, manifest)
+
+    targets = {  # name: (file, its valid bytes, its reader)
+        "hypnogram": (tmp_path / "h.hyp", signal_io.write_hypnogram(hyp).encode(),
+                      lambda p: cli._parse_file(p, signal_io.read_hypnogram)),
+        "metadata": (tmp_path / "subjects.jsonl",
+                     signal_io.write_subject_metadata(records).encode(),
+                     cli._read_metadata),
+        "ids": (tmp_path / "ids.json", json.dumps(ids, indent=2).encode(),
+                cli._read_ids),
+        "split": (tmp_path / "split.json",
+                  json.dumps({"train": ids[:3], "val": ids[3:]}, indent=2).encode(),
+                  lambda p: cli._split_matrices(split, manifest)),
+        "csv-with-copy": (csv, csv_bytes, lambda p: read_csv(p, copy_bytes)),
+        "csv-alone": (csv, csv_bytes, read_csv),
+        "copy": (copy, copy_bytes, lambda p: signal_io.read_feature_matrix(
+            csv, manifest)),
+    }
+    crashes = []
+    for name, (path, valid, read) in targets.items():
+        for _ in range(4000):
+            path.write_bytes(_mutated(rng, valid))
+            try:
+                read(path)
+            except CardiosleepError:
+                pass
+            except Exception as e:
+                crashes.append(f"{name}: {type(e).__name__}: {e}")
+        path.write_bytes(valid)
+    assert not crashes, f"{len(crashes)} crashes, first {crashes[:3]}"

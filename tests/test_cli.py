@@ -1,6 +1,7 @@
 """End-to-end command-line pipeline on a miniature synthetic dataset."""
 import importlib.util
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -615,6 +616,48 @@ class TestExitCodes:
                          "--out", str(tmp_path / "out")])
         assert code == 3
         assert f"{sid}.csv: line 4: unknown stage token 'W'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, kind", [
+        ("preprocess", "meta"), ("cohort", "meta"),
+        ("preprocess", "hypnogram"), ("cohort", "hypnogram"),
+        ("split", "ids"), ("predict", "ids"),
+        ("train", "split"), ("evaluate", "split"), ("importance", "split"),
+        ("evaluate", "csv-with-copy"), ("evaluate", "csv-alone")])
+    def test_text_that_is_not_utf8_names_the_file_and_byte(
+            self, pipeline_dir, tmp_path, capsys, command, kind):
+        out = pipeline_dir
+        rec = json.loads((out / "subjects.jsonl").read_text().splitlines()[0])
+        rec.update(edf=str(out / rec["edf"]), hypnogram=str(out / rec["hypnogram"]))
+        files = {"--meta": tmp_path / "subjects.jsonl",
+                 "--ids": tmp_path / "ids.json", "--split": tmp_path / "split.json",
+                 "--features": tmp_path / "features",
+                 "--model": out / "model.npz", "--norm": out / "norm.npz"}
+        files["--ids"].write_bytes((out / "cohort_ids.json").read_bytes())
+        files["--split"].write_bytes((out / "split.json").read_bytes())
+        shutil.copytree(out / "features", files["--features"])
+        sid = json.loads(files["--split"].read_text())["val"][0]
+        bad = {"meta": files["--meta"], "hypnogram": tmp_path / "h.hyp",
+               "ids": files["--ids"], "split": files["--split"]}.get(
+            kind, files["--features"] / f"{sid}.csv")
+        if kind == "hypnogram":
+            bad.write_bytes(Path(rec["hypnogram"]).read_bytes())
+            rec["hypnogram"] = str(bad)
+        files["--meta"].write_text(json.dumps(rec) + "\n")
+        if kind == "csv-alone":
+            signal_io._copy_path(bad).unlink()
+        data = bytearray(bad.read_bytes())
+        data[len(data) // 2] = 0xff
+        bad.write_bytes(bytes(data))
+        flags = {"preprocess": ["--meta"], "cohort": ["--meta"], "split": ["--ids"],
+                 "train": ["--features", "--split"],
+                 "predict": ["--features", "--model", "--norm", "--ids"]}.get(
+            command, ["--features", "--split", "--model", "--norm"])
+        code = cli.main(["--config", str(out / "config.yaml"), command,
+                         *(a for f in flags for a in (f, str(files[f]))),
+                         "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert (f"{bad}: byte {len(data) // 2} is not UTF-8"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("member", ["rr_valid", "chest_rate"])
     def test_preprocessed_file_without_a_member_is_three(
