@@ -1,9 +1,9 @@
 """File formats: minimal EDF, hypnogram text, feature-matrix CSV, metadata
 lines, and the npz archives the pipeline stages write.
 
-EDF support covers the plain 1992 layout only (no EDF+ annotations): a
-256-byte fixed-width ASCII header, 256 header bytes per signal, then data
-records of 16-bit little-endian samples.
+EDF support covers the plain 1992 layout only (no EDF+ annotations; EDF+D
+is refused): a 256-byte fixed-width ASCII header, 256 header bytes per
+signal, then data records of 16-bit little-endian samples.
 """
 from __future__ import annotations
 
@@ -64,6 +64,8 @@ def read_edf(data: bytes) -> list[SignalTrace]:
     """Parse a plain EDF byte string into one trace per signal."""
     if len(data) < 256:
         raise MalformedHeader(f"file of {len(data)} bytes is smaller than the header")
+    if data[192:197] == b"EDF+D":  # records with gaps, which would shift later epochs
+        raise UnsupportedVariant("discontinuous EDF+D recording")
     n_records = _num_field(data, 236, 8, int)
     record_dur = _num_field(data, 244, 8, float)
     n_signals = _num_field(data, 252, 4, int)

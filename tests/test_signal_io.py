@@ -88,6 +88,19 @@ class TestEdfErrors:
         with pytest.raises(errors.MalformedHeader):
             signal_io.read_edf(bytes(data))
 
+    @pytest.mark.parametrize("reserved, refused", [
+        (b"EDF+D", True), (b"EDF+C", False), (b"     ", False)])
+    def test_discontinuous_edf_plus_unsupported(self, reserved, refused):
+        # its records have gaps between them, which reading them end to end
+        # would drop, shifting every later epoch against the hypnogram
+        data = bytearray(signal_io.write_edf([_sine_trace()]))
+        data[192:197] = reserved
+        if refused:
+            with pytest.raises(errors.UnsupportedVariant, match="EDF\\+D"):
+                signal_io.read_edf(bytes(data))
+        else:
+            assert len(signal_io.read_edf(bytes(data))[0].samples) == 400
+
 
 class TestHypnogramText:
     def test_six_class_round_trip(self):
