@@ -61,9 +61,9 @@ def load_config(path: Optional[Union[str, Path]] = None, **overrides) -> Pipelin
     data: dict = {}
     if path is not None:
         try:
-            with open(path) as f:
+            with open(path, encoding="utf-8") as f:
                 data = yaml.safe_load(f) or {}
-        except (OSError, yaml.YAMLError) as e:
+        except (OSError, UnicodeError, yaml.YAMLError) as e:
             raise ConfigError(f"cannot read config {path}: {e}") from e
         if not isinstance(data, dict):
             raise ConfigError(f"config root must be a mapping, got {type(data).__name__}")

@@ -389,6 +389,9 @@ class TestExitCodes:
             assert code == 2, text
         assert cli.main(["--config", str(tmp_path / "missing.yaml"), "synth",
                          "--out", str(tmp_path), "--subjects", "2"]) == 2
+        bad.write_bytes(b"seed: 1\n\xff\n")
+        assert cli.main(["--config", str(bad), "synth",
+                         "--out", str(tmp_path), "--subjects", "2"]) == 2
 
     def test_unknown_config_key_is_two(self, tmp_path):
         bad = tmp_path / "bad.yaml"
