@@ -201,9 +201,10 @@ def _read_id_lists(path: str, shape: str, id_lists) -> object:
     ``CardiosleepError`` naming the file unless each list holds only ids
     and no id appears twice across them."""
     with signal_io.naming(path):
+        text = Path(path).read_text(encoding="utf-8")
         try:
-            doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as e:
+            doc = json.loads(text)
+        except ValueError as e:  # a number too long to convert is no JSONDecodeError
             raise CardiosleepError(f"not JSON ({e})") from e
         lists = id_lists(doc)
         if lists is None or not all(map(_is_ids, lists)):

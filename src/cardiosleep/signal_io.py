@@ -374,7 +374,7 @@ def _metadata_fault(obj: dict) -> Optional[str]:
     ahi = obj.get("ahi")
     if ahi is not None and (isinstance(ahi, bool)
                             or not isinstance(ahi, (int, float))
-                            or not math.isfinite(ahi)):
+                            or isinstance(ahi, float) and not math.isfinite(ahi)):
         return f"ahi {ahi!r} is not a finite number"
     return None
 
@@ -389,7 +389,7 @@ def read_subject_metadata(text: str) -> list[dict]:
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as e:
+        except ValueError as e:  # a number too long to convert is no JSONDecodeError
             raise MissingMetadata(f"line {lineno}: invalid metadata ({e})") from e
         if not isinstance(obj, dict) or "subject_id" not in obj:
             raise MissingMetadata(f"line {lineno}: missing subject_id")

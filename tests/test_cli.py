@@ -768,7 +768,9 @@ class TestExitCodes:
         ("train", "--split", '{"train": ["a"]}'),
         ("train", "--split", '{"train": "ab", "val": []}'),
         ("evaluate", "--split", '{"train": [], "val": [1]}'),
-        ("importance", "--split", '["a"]')])
+        ("importance", "--split", '["a"]'),
+        pytest.param("split", "--ids", "[" + "1" * 5000 + "]",
+                     id="split---ids-a-number-too-long-to-convert")])
     def test_misshapen_split_or_ids_file_is_three(self, pipeline_dir, tmp_path,
                                                   capsys, command, option, text):
         out = pipeline_dir

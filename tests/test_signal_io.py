@@ -622,6 +622,11 @@ class TestSubjectMetadata:
         with pytest.raises(errors.MissingMetadata, match="line 2"):
             signal_io.read_subject_metadata(text)
 
+    def test_number_too_long_to_convert_reports_line(self):
+        text = '{"subject_id": "ok"}\n{"subject_id": "a", "ahi": ' + "1" * 5000 + "}\n"
+        with pytest.raises(errors.MissingMetadata, match="line 2: invalid metadata"):
+            signal_io.read_subject_metadata(text)
+
     def test_repeated_subject_id_names_both_lines(self):
         text = ('{"subject_id": "a"}\n{"subject_id": "b"}\n'
                 '{"subject_id": "a", "ahi": 1.0}\n')
@@ -633,6 +638,6 @@ class TestSubjectMetadata:
         recs = [{"subject_id": "a.b-1", "ahi": 3, "edf": "raw/a.edf",
                  "hypnogram": "raw/a.hyp"},
                 {"subject_id": "b", "ahi": None, "edf": None, "hypnogram": None},
-                {"subject_id": "c", "ahi": 0.5}]
+                {"subject_id": "c", "ahi": 0.5}, {"subject_id": "d", "ahi": 10 ** 400}]
         assert signal_io.read_subject_metadata(
             signal_io.write_subject_metadata(recs)) == recs
