@@ -61,8 +61,8 @@ def load_config(path: Optional[Union[str, Path]] = None, **overrides) -> Pipelin
     data: dict = {}
     if path is not None:
         try:
-            with open(path, encoding="utf-8") as f:
-                data = yaml.safe_load(f) or {}
+            # decoded in one piece, so a bad byte's position counts from the start
+            data = yaml.safe_load(Path(path).read_text(encoding="utf-8")) or {}
         except (OSError, UnicodeError, yaml.YAMLError) as e:
             raise ConfigError(f"cannot read config {path}: {e}") from e
         if not isinstance(data, dict):

@@ -377,7 +377,7 @@ def _drop_meta_key(key):
 
 
 class TestExitCodes:
-    def test_config_error_is_two(self, tmp_path):
+    def test_config_error_is_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"
         for text in ("workers: 0\n", "train:\n  max_epochs: 0\n",
                      "workers: two\n", "seed: abc\n",
@@ -389,9 +389,12 @@ class TestExitCodes:
             assert code == 2, text
         assert cli.main(["--config", str(tmp_path / "missing.yaml"), "synth",
                          "--out", str(tmp_path), "--subjects", "2"]) == 2
-        bad.write_bytes(b"seed: 1\n\xff\n")
+        bad.write_bytes(b"#" * 5000 + b"\nseed: 1\n\xff\n")
+        capsys.readouterr()
         assert cli.main(["--config", str(bad), "synth",
                          "--out", str(tmp_path), "--subjects", "2"]) == 2
+        assert f"{bad}: 'utf-8' codec can't decode byte 0xff in position 5009" in (
+            capsys.readouterr().err)
 
     def test_unknown_config_key_is_two(self, tmp_path):
         bad = tmp_path / "bad.yaml"
