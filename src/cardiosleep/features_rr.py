@@ -104,16 +104,18 @@ def _in_blocks(names, size: np.ndarray, rows: np.ndarray, kernel) -> dict:
     return out
 
 
-def _whole_night(kernel, names: list, values, lo, hi) -> dict:
-    """``kernel``'s columns over the windows ``values[lo:hi]``, one row per
-    window; NaN rows for windows of fewer than 2 intervals. The kernel sees
-    row blocks of the other windows, as many as fit ``BLOCK_VALUES`` at the
-    night's longest window."""
+def _whole_night(kernel, names, values, lo, hi, min_n: int = 2,
+                 usable=True) -> dict:
+    """``kernel(values, lo, n)``'s columns over the windows ``values[lo:hi]``,
+    one row per window; NaN rows for windows of fewer than ``min_n``
+    intervals or not ``usable`` (a per-window mask). The kernel sees row
+    blocks of the other windows in window order, as many as fit
+    ``BLOCK_VALUES`` at the night's longest window."""
     values = np.asarray(values, dtype=float)
     lo, hi = np.asarray(lo, dtype=int), np.asarray(hi, dtype=int)
     n = hi - lo
     return _in_blocks(names, np.full(len(n), n.max(initial=0)),
-                      np.flatnonzero(n >= 2),
+                      np.flatnonzero((n >= min_n) & usable),
                       lambda r, _: kernel(values, lo[r], n[r]))
 
 
@@ -350,9 +352,9 @@ def sample_entropy(values: np.ndarray, m: int = 2, r_frac: float = 0.2) -> float
 def sampen_features(values: np.ndarray, lo, hi) -> dict:
     """The sample entropy of each window ``values[lo:hi]``, NaN below 50
     intervals: key -> column, one ``sample_entropy`` call per window."""
-    return {"rr_sampen": np.array([
-        sample_entropy(values[a:b]) if b - a >= 50 else np.nan
-        for a, b in zip(np.asarray(lo).tolist(), np.asarray(hi).tolist())])}
+    return _whole_night(lambda x, lo, n: {"rr_sampen": np.array([
+        sample_entropy(x[a:a + k]) for a, k in zip(lo.tolist(), n.tolist())])},
+        ["rr_sampen"], values, lo, hi, min_n=50)
 
 
 def _nonlinear_rows(values, lo, n) -> dict:
@@ -397,17 +399,15 @@ def _window_epochs(epoch_means: np.ndarray, epoch_counts: np.ndarray,
     means = np.nan_to_num(mid)
     counts = np.where(np.isfinite(mid), epoch_counts, 0).astype(float)
     first, last = resolve_window(len(means), np.arange(len(means)), n)
-    size = last + 1 - first
 
-    def block(r, m):
-        M, _, _ = _padded(means, first[r], size[r])
-        C, _, _ = _padded(counts, first[r], size[r])
+    def block(means, lo, size):
+        M, _, _ = _padded(means, lo, size)
+        C, _, _ = _padded(counts, lo, size)
         mean = np.sum(M * C, axis=1) / np.sum(C, axis=1)
         dev = np.where(C > 0, M - mean[:, None], 0.0)
         return {"mean": mean, "sd": np.sqrt(
             np.sum(dev * dev, axis=1) / np.count_nonzero(C, axis=1))}
-    return _in_blocks(("mean", "sd"), np.full(len(size), size.max()),
-                      np.arange(len(size)), block)
+    return _whole_night(block, ("mean", "sd"), means, first, last + 1, min_n=0)
 
 
 def novel_f1(epoch_means: np.ndarray, epoch_counts: np.ndarray,
@@ -424,16 +424,9 @@ def novel_f2(epoch_means: np.ndarray, epoch_counts: np.ndarray,
     values ``values[lo:hi]``; NaN where the centre epoch has no usable
     intervals."""
     mid = _center_means(epoch_means, epoch_counts)
-    values = np.asarray(values, dtype=float)
-    lo, hi = np.asarray(lo, dtype=int), np.asarray(hi, dtype=int)
-    n = hi - lo
-
-    def block(r, m):
-        X, mask, _ = _padded(values, lo[r], n[r])
-        return {"rr_f2": mid[r] - _median(_sorted_rows(X, mask), n[r])}
-    return _in_blocks(["rr_f2"], np.full(len(n), n.max(initial=0)),
-                      np.flatnonzero(np.isfinite(mid) & (n > 0)),
-                      block)["rr_f2"]
+    return mid - _whole_night(
+        lambda x, lo, n: {"median": _median(_sorted_rows(*_padded(x, lo, n)[:2]), n)},
+        ["median"], values, lo, hi, min_n=1, usable=np.isfinite(mid))["median"]
 
 
 def novel_f3(epoch_means: np.ndarray, epoch_counts: np.ndarray,

@@ -336,7 +336,7 @@ class TestAssembly:
                              n))
         assert checked == {("rr_time", 1), ("rr_stat", 1), ("rr_time", 9),
                            ("rr_stat", 9), ("rr_nonlinear", 9),
-                           ("rr_sampen", 9), ("rr_freq", 1), ("rr_freq", 9),
+                           ("rr_freq", 1), ("rr_freq", 9),
                            ("cpc", 9), ("rr_f1", 119), ("rr_f2", 9),
                            ("rr_f3", 9)}
 
