@@ -17,8 +17,8 @@ import numpy as np
 
 from . import blstm, cohort, evaluate, pipeline, registry, signal_io, synth
 from .config import PipelineConfig, load_config
-from .errors import (CardiosleepError, ConfigError, MissingMetadata,
-                     NonFiniteInput, NonFiniteLoss)
+from .errors import (CardiosleepError, ConfigError, MalformedHeader,
+                     MissingMetadata, NonFiniteInput, NonFiniteLoss)
 from .types import ProcessedSubject, RrSeries, SignalTrace, SubjectRecord
 
 EXIT_OK = 0
@@ -77,16 +77,27 @@ def _hypnogram(rec: dict, base: Path):
     return _parse_file(base / rec["hypnogram"], signal_io.read_hypnogram)
 
 
+_CHANNELS = ("ECG", "THOR RES", "ABDO RES")  # the EDF labels the pipeline reads
+
+
+def _channels(traces: list) -> dict:
+    """The traces of ``_CHANNELS`` by label; a label on two signals raises."""
+    labels = Counter(t.channel_label for t in traces)
+    twice = [label for label in _CHANNELS if labels[label] > 1]
+    if twice:
+        raise MalformedHeader(f"label {twice[0]!r} is on {labels[twice[0]]} signals")
+    return {t.channel_label: t for t in traces}
+
+
 def _load_subject(rec: dict, base: Path) -> SubjectRecord:
     if rec.get("edf") is None:
         raise MissingMetadata(f"{rec['subject_id']}: no edf path in the metadata")
-    traces = _parse_file(base / rec["edf"], signal_io.read_edf, Path.read_bytes)
-    by_label = {t.channel_label: t for t in traces}
-    ecg = by_label.get("ECG")
-    chest = by_label.get("THOR RES")
-    abd = by_label.get("ABDO RES")
-    return SubjectRecord(subject_id=rec["subject_id"], ecg=ecg,
-                         breath_chest=chest, breath_abdomen=abd,
+    by_label = _parse_file(base / rec["edf"],
+                           lambda data: _channels(signal_io.read_edf(data)),
+                           Path.read_bytes)
+    return SubjectRecord(subject_id=rec["subject_id"], ecg=by_label.get("ECG"),
+                         breath_chest=by_label.get("THOR RES"),
+                         breath_abdomen=by_label.get("ABDO RES"),
                          hypnogram=_hypnogram(rec, base), ahi=rec.get("ahi"))
 
 
@@ -146,11 +157,19 @@ def cmd_preprocess(args, cfg: PipelineConfig) -> tuple:
     return [meta], f"{len(done)} subjects -> {out_dir}"
 
 
+def _rate(d, member: str) -> float:
+    """The sample rate an archive holds in ``member``: one real number."""
+    rate = d[member]
+    if rate.shape != () or rate.dtype.kind not in "biuf":
+        raise MalformedHeader(f"member {member!r} is not a sample rate")
+    return float(rate)
+
+
 def _load_processed(path: Path) -> ProcessedSubject:
     with signal_io.open_npz(path) as d:
         rr = RrSeries(d["rr_peak_times"], d["rr_intervals"], d["rr_valid"])
-        chest = SignalTrace("THOR RES", float(d["chest_rate"]), d["chest"])
-        abd = (SignalTrace("ABDO RES", float(d["abd_rate"]), d["abd"])
+        chest = SignalTrace("THOR RES", _rate(d, "chest_rate"), d["chest"])
+        abd = (SignalTrace("ABDO RES", _rate(d, "abd_rate"), d["abd"])
                if "abd" in d.files else None)
         hyp = None
         if "stages" in d.files:
@@ -198,8 +217,9 @@ def cmd_cohort(args, cfg: PipelineConfig) -> tuple:
 def _read_id_lists(path: str, shape: str, id_lists) -> object:
     """The JSON document at ``path``, of which ``id_lists`` gives the lists
     of subject ids it must hold, or None if it is not ``shape``. Raises
-    ``CardiosleepError`` naming the file unless each list holds only ids
-    and no id appears twice across them."""
+    ``CardiosleepError`` naming the file unless each list holds only ids,
+    each a plain file name as in the metadata, and no id appears twice
+    across them."""
     with signal_io.naming(path):
         text = Path(path).read_text(encoding="utf-8")
         try:
@@ -209,6 +229,9 @@ def _read_id_lists(path: str, shape: str, id_lists) -> object:
         lists = id_lists(doc)
         if lists is None or not all(map(_is_ids, lists)):
             raise CardiosleepError(f"not {shape}")
+        bad = [sid for sid in sum(lists, []) if not signal_io.plain_file_name(sid)]
+        if bad:
+            raise CardiosleepError(f"subject id {bad[0]!r} is not a plain file name")
         twice = [sid for sid, n in Counter(sum(lists, [])).items() if n > 1]
         if twice:
             raise CardiosleepError(f"subject {twice[0]!r} is listed more than once")

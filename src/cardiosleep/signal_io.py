@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import tokenize
 import zipfile
 from contextlib import contextmanager
 from pathlib import Path
@@ -362,11 +363,17 @@ def read_feature_matrix(source: Union[str, Path],
 
 # --- subject metadata lines ----------------------------------------------
 
+def plain_file_name(sid) -> bool:
+    """Whether ``sid`` can be a subject id, which names the subject's files:
+    a string that is a plain file name."""
+    return (isinstance(sid, str) and sid not in ("", "..") and "\0" not in sid
+            and Path(sid).name == sid)
+
+
 def _metadata_fault(obj: dict) -> Optional[str]:
-    """What is wrong with one metadata record's fields, or None: the subject
-    id names its output files, so it must be a plain file name."""
+    """What is wrong with one metadata record's fields, or None."""
     sid = obj["subject_id"]
-    if not isinstance(sid, str) or sid in ("", "..") or Path(sid).name != sid:
+    if not plain_file_name(sid):
         return f"subject_id {sid!r} is not a plain file name"
     for key in ("edf", "hypnogram"):
         if obj.get(key) is not None and not isinstance(obj[key], str):
@@ -428,10 +435,16 @@ class _Archive:
 def open_npz(path: Union[str, Path]):
     """The npz archive at ``path``, open for reading without pickles, with the
     block inside ``naming(path)``. A file that is not one, or whose members
-    cannot be read, raises ``MalformedHeader``; a member it lacks, ``MissingMember``."""
+    cannot be read, raises ``MalformedHeader``; a member it lacks,
+    ``MissingMember``; a missing file, ``FileNotFoundError``."""
     with naming(path):
         try:
             with np.load(Path(path), allow_pickle=False) as archive:
                 yield _Archive(archive)
-        except (ValueError, EOFError, zipfile.BadZipFile) as e:
+        except FileNotFoundError:
+            raise
+        # zipfile refuses encrypted or unknown members with RuntimeError or
+        # NotImplementedError; a damaged .npy header can fail to tokenize
+        except (ValueError, EOFError, OSError, RuntimeError, NotImplementedError,
+                tokenize.TokenError, zipfile.BadZipFile) as e:
             raise MalformedHeader(f"not a readable npz archive ({e})") from e

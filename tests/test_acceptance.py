@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from cardiosleep import (blstm, cli, cohort, evaluate, features_rr, preprocess,
-                         registry, signal_io, wavelet)
+                         registry, signal_io, synth, wavelet)
 from cardiosleep.epoching import resolve_window
 from cardiosleep.errors import CardiosleepError
 from cardiosleep.types import (Hypnogram, SignalTrace, SixStage,
@@ -485,6 +485,47 @@ def test_every_text_input_reads_to_a_value_or_a_data_error(tmp_path):
                 read(path)
             except CardiosleepError:
                 pass
+            except Exception as e:
+                crashes.append(f"{name}: {type(e).__name__}: {e}")
+        path.write_bytes(valid)
+    assert not crashes, f"{len(crashes)} crashes, first {crashes[:3]}"
+
+
+def test_every_archive_reads_to_a_value_or_a_data_error(tmp_path):
+    # criterion 10's mutations on a preprocessed archive, a model and its
+    # normalisation statistics, each as its stage writes it, read from disk
+    # through the readers the stages use, which name the archive
+    rng = np.random.default_rng(1012)
+    record = synth.generate_subject(seed=12, profile=synth.easy_profile(),
+                                    n_epochs=synth.MIN_EPOCHS)
+    (tmp_path / "r.edf").write_bytes(signal_io.write_edf(
+        [record.ecg, record.breath_chest, record.breath_abdomen]))
+    (tmp_path / "r.hyp").write_text(signal_io.write_hypnogram(record.hypnogram))
+    cli._preprocess_one(({"subject_id": "r", "edf": "r.edf", "hypnogram": "r.hyp"},
+                         tmp_path, tmp_path, "two-channel"))
+    manifest = registry.build_manifest("single")
+    digest = registry.manifest_hash(manifest)
+    blstm.save_checkpoint(blstm.init_params(0, hidden=2, layers=1),
+                          tmp_path / "model.npz", digest)
+    vals = rng.normal(size=(3, len(manifest)))
+    cli._save_norm(registry.fit_normalization([registry.FeatureMatrix(
+        manifest, vals, ~np.isfinite(vals))]), tmp_path / "norm.npz")
+    targets = {  # name: (archive, its reader)
+        "preprocessed": (tmp_path / "r.npz", cli._load_processed),
+        "model": (tmp_path / "model.npz",
+                  lambda p: blstm.load_checkpoint(p, digest)),
+        "norm": (tmp_path / "norm.npz", lambda p: cli._load_norm(p, manifest)),
+    }
+    crashes = []
+    for name, (path, read) in targets.items():
+        valid = path.read_bytes()
+        read(path)
+        for _ in range(1500):
+            path.write_bytes(_mutated(rng, valid))
+            try:
+                read(path)
+            except CardiosleepError as e:
+                assert str(e).startswith(f"{path}: "), e
             except Exception as e:
                 crashes.append(f"{name}: {type(e).__name__}: {e}")
         path.write_bytes(valid)

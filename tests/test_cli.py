@@ -724,6 +724,56 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"{pre / src.name}: line 3: unknown stage token 'X'" in err
 
+    @pytest.mark.parametrize("member, value", [
+        ("chest_rate", np.array([25.0, 25.0])), ("chest_rate", np.array([25.0])),
+        ("chest_rate", np.array(25 + 1j))])
+    def test_rate_that_is_not_a_sample_rate_is_three(
+            self, pipeline_dir, tmp_path, capsys, member, value):
+        src = sorted((pipeline_dir / "preprocessed").glob("*.npz"))[0]
+        with np.load(src, allow_pickle=False) as d:
+            payload = {k: d[k] for k in d.files}
+        payload[member] = value
+        pre = tmp_path / "preprocessed"
+        pre.mkdir()
+        np.savez(pre / src.name, **payload)
+        assert cli.main(["extract", "--preprocessed", str(pre),
+                         "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert f"{pre / src.name}: member {member!r} is not a sample rate" in err
+
+    def test_missing_archive_names_it(self, pipeline_dir, tmp_path, capsys):
+        out = pipeline_dir
+        code = cli.main(["--config", str(out / "config.yaml"), "predict",
+                         "--features", str(out / "features"),
+                         "--model", str(out / "model.npz"),
+                         "--norm", str(tmp_path / "nope.npz"),
+                         "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert (f"data error: [Errno 2] No such file or directory: "
+                f"'{tmp_path / 'nope.npz'}'") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("label, flat_first", [
+        ("ECG", False), ("ECG", True), ("THOR RES", False), ("ABDO RES", True)])
+    def test_label_on_two_signals_is_three(self, pipeline_dir, tmp_path, capsys,
+                                           label, flat_first):
+        # a flat copy of the signal, before or after the real one
+        rec = signal_io.read_subject_metadata(
+            (pipeline_dir / "subjects.jsonl").read_text())[0]
+        traces = signal_io.read_edf((pipeline_dir / rec["edf"]).read_bytes())
+        i = [t.channel_label for t in traces].index(label)
+        flat = traces[i].with_samples(np.zeros(len(traces[i].samples)))
+        traces[i + (not flat_first):i + (not flat_first)] = [flat]
+        edf = tmp_path / "twice.edf"
+        edf.write_bytes(signal_io.write_edf(traces))
+        rec.update(edf=str(edf), hypnogram=str(pipeline_dir / rec["hypnogram"]))
+        meta = tmp_path / "subjects.jsonl"
+        meta.write_text(json.dumps(rec) + "\n")
+        assert cli.main(["preprocess", "--meta", str(meta),
+                         "--out", str(tmp_path / "out")]) == 3
+        assert (f"{edf}: label {label!r} is on 2 signals"
+                in capsys.readouterr().err)
+        assert not list(tmp_path.rglob("*.npz"))
+
     def test_evaluate_without_labels_is_three(self, pipeline_dir, tmp_path):
         out = pipeline_dir
         unlabeled = tmp_path / "features"
@@ -787,6 +837,27 @@ class TestExitCodes:
                          str(path), *args, "--out", str(tmp_path / "out")])
         assert code == 3
         assert str(path) in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("sid", ["../x", "a/b", "", "a\0b"])
+    @pytest.mark.parametrize("command, option, lists", [
+        ("split", "--ids", lambda sid: ["a", sid]),
+        ("predict", "--ids", lambda sid: [sid]),
+        ("train", "--split", lambda sid: {"train": ["a", sid], "val": []})])
+    def test_subject_id_that_is_not_a_plain_file_name_is_three(
+            self, pipeline_dir, tmp_path, capsys, command, option, lists, sid):
+        out = pipeline_dir
+        path = tmp_path / "given.json"
+        path.write_text(json.dumps(lists(sid)))
+        args = {"split": [],
+                "train": ["--features", str(out / "features")]}.get(command, [
+            "--features", str(out / "features"),
+            "--model", str(out / "model.npz"), "--norm", str(out / "norm.npz")])
+        code = cli.main(["--config", str(out / "config.yaml"), command, option,
+                         str(path), *args, "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert (f"{path}: subject id {sid!r} is not a plain file name"
+                in capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command, option, make", [
