@@ -77,6 +77,17 @@ class TestDetectRPeaks:
             preprocess.detect_r_peaks(
                 SignalTrace("ECG", 200.0, np.random.default_rng(1).normal(size=400)))
 
+    def test_peaks_do_not_depend_on_amplitude_units(self):
+        # the same night in mV, in uV and in V
+        ecg = synth.generate_subject(seed=5, profile=synth.default_profile(),
+                                     n_epochs=120).ecg
+        peaks = preprocess.detect_r_peaks(ecg)
+        assert len(peaks) > 120 * 30 * 0.5
+        for scale in (1e3, 1e-3):
+            np.testing.assert_array_equal(
+                preprocess.detect_r_peaks(ecg.with_samples(ecg.samples * scale)),
+                peaks)
+
     def test_refractory_suppresses_double_detections(self):
         rr = np.full(30, 1.0)
         ecg, _ = _impulse_ecg(rr)
