@@ -158,9 +158,9 @@ def cmd_preprocess(args, cfg: PipelineConfig) -> tuple:
 
 
 def _rate(d, member: str) -> float:
-    """The sample rate an archive holds in ``member``: one real number."""
+    """The sample rate an archive holds in ``member``: one finite number."""
     rate = d[member]
-    if rate.shape != () or rate.dtype.kind not in "biuf":
+    if rate.shape != () or rate.dtype.kind not in "biuf" or not np.isfinite(rate):
         raise MalformedHeader(f"member {member!r} is not a sample rate")
     return float(rate)
 
@@ -229,10 +229,11 @@ def _read_id_lists(path: str, shape: str, id_lists) -> object:
         lists = id_lists(doc)
         if lists is None or not all(map(_is_ids, lists)):
             raise CardiosleepError(f"not {shape}")
-        bad = [sid for sid in sum(lists, []) if not signal_io.plain_file_name(sid)]
+        ids = sum(lists, [])
+        bad = [sid for sid in ids if not signal_io.plain_file_name(sid)]
         if bad:
             raise CardiosleepError(f"subject id {bad[0]!r} is not a plain file name")
-        twice = [sid for sid, n in Counter(sum(lists, [])).items() if n > 1]
+        twice = [sid for sid, n in Counter(ids).items() if n > 1]
         if twice:
             raise CardiosleepError(f"subject {twice[0]!r} is listed more than once")
     return doc

@@ -726,7 +726,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("member, value", [
         ("chest_rate", np.array([25.0, 25.0])), ("chest_rate", np.array([25.0])),
-        ("chest_rate", np.array(25 + 1j))])
+        ("chest_rate", np.array(25 + 1j)), ("chest_rate", np.array(np.nan))])
     def test_rate_that_is_not_a_sample_rate_is_three(
             self, pipeline_dir, tmp_path, capsys, member, value):
         src = sorted((pipeline_dir / "preprocessed").glob("*.npz"))[0]
