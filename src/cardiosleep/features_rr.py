@@ -400,8 +400,8 @@ def _window_epochs(epoch_means: np.ndarray, epoch_counts: np.ndarray,
     counts = np.where(np.isfinite(mid), epoch_counts, 0).astype(float)
     first, last = resolve_window(len(means), np.arange(len(means)), n)
 
-    def block(means, lo, size):
-        M, _, _ = _padded(means, lo, size)
+    def block(x, lo, size):
+        M, _, _ = _padded(x, lo, size)
         C, _, _ = _padded(counts, lo, size)
         mean = np.sum(M * C, axis=1) / np.sum(C, axis=1)
         dev = np.where(C > 0, M - mean[:, None], 0.0)
