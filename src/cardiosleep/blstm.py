@@ -347,8 +347,7 @@ def _weighted_nll(probs: np.ndarray, Y: np.ndarray,
 
 
 def loss_and_gradients(params: BlstmParams, batch: Sequence[tuple],
-                       class_weights: Optional[np.ndarray] = None
-                       ) -> tuple[float, dict]:
+                       class_weights: np.ndarray) -> tuple[float, dict]:
     """Class-weighted mean cross-entropy over all epochs of the batch, with
     gradients from full backpropagation through time.
 
@@ -357,8 +356,6 @@ def loss_and_gradients(params: BlstmParams, batch: Sequence[tuple],
     """
     if not batch:
         raise EmptyDataset("empty batch")
-    if class_weights is None:
-        class_weights = np.ones(params.classes)
     class_weights = np.asarray(class_weights, dtype=float)
     # allocated before the batch's caches and temporaries, so that the
     # gradients, which outlive this call, do not split the heap space those
@@ -415,16 +412,16 @@ def _clip(grads: dict) -> None:
             g *= scale
 
 
-def default_class_weights(labels: Sequence[np.ndarray], classes: int = 4,
-                          clamp: tuple[float, float] = (0.25, 4.0)) -> np.ndarray:
-    """Inverse-frequency weights, mean-normalized then clamped."""
+def default_class_weights(labels: Sequence[np.ndarray], classes: int = 4) -> np.ndarray:
+    """Inverse-frequency weights, mean-normalized, floored at 0.25. With k
+    classes present each weight is at most k, an absent class's at most 1."""
     counts = np.zeros(classes)
     for y in labels:
         counts += np.bincount(np.asarray(y, dtype=int), minlength=classes)
     freq = counts / max(1.0, counts.sum())
     inv = np.where(freq > 0, 1.0 / np.maximum(freq, 1e-12), 1.0)
     inv = inv / np.mean(inv[freq > 0]) if np.any(freq > 0) else inv
-    return np.clip(inv, clamp[0], clamp[1])
+    return np.maximum(inv, 0.25)
 
 
 def evaluate_loss(params: BlstmParams, data: Sequence[tuple],
@@ -513,17 +510,15 @@ def train(config: TrainConfig, train_data: Sequence[tuple],
 
 # --- checkpointing --------------------------------------------------------
 
-def save_checkpoint(params: BlstmParams, path, manifest_hash: str,
-                    config: Optional[dict] = None) -> None:
+def save_checkpoint(params: BlstmParams, path, manifest_hash: str, config: dict) -> None:
     meta = {k: getattr(params, k) for k in META_KEYS[1:]}
     meta.update(version=CHECKPOINT_VERSION, manifest_hash=manifest_hash,
-                config=config or {})
+                config=config)
     np.savez(Path(path), __meta=json.dumps(meta, sort_keys=True),
              **params.weights)
 
 
-def load_checkpoint(path, expected_manifest_hash: Optional[str] = None
-                    ) -> tuple[BlstmParams, dict]:
+def load_checkpoint(path, expected_manifest_hash: str) -> tuple[BlstmParams, dict]:
     with signal_io.open_npz(path) as data:
         meta = json.loads(str(data["__meta"]))
         if not isinstance(meta, dict):
@@ -534,8 +529,7 @@ def load_checkpoint(path, expected_manifest_hash: Optional[str] = None
         missing = [k for k in META_KEYS if k not in meta]
         if missing:
             raise MissingMember(f"__meta has no {missing[0]!r}")
-        if (expected_manifest_hash is not None
-                and meta["manifest_hash"] != expected_manifest_hash):
+        if meta["manifest_hash"] != expected_manifest_hash:
             raise ManifestMismatch("trained against a different manifest")
         weights = {k: data[k] for k in data.files if k != "__meta"}
         dims = tuple(meta[k] for k in META_KEYS[1:])

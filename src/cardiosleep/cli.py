@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import blstm, cohort, evaluate, pipeline, registry, signal_io, synth
+from . import blstm, cohort, evaluate, pipeline, preprocess, registry, signal_io, synth
 from .config import PipelineConfig, load_config
 from .errors import (CardiosleepError, ConfigError, MalformedHeader,
                      MissingMetadata, NonFiniteInput, NonFiniteLoss)
@@ -158,16 +158,21 @@ def cmd_preprocess(args, cfg: PipelineConfig) -> tuple:
 
 
 def _rate(d, member: str) -> float:
-    """The sample rate an archive holds in ``member``: one finite number."""
-    rate = d[member]
-    if rate.shape != () or rate.dtype.kind not in "biuf" or not np.isfinite(rate):
-        raise MalformedHeader(f"member {member!r} is not a sample rate")
+    """One finite sample rate in ``member``, above twice the belt's low-pass cutoff."""
+    rate, low = d[member], 2 * preprocess.BREATH_CUTOFF_HZ
+    if rate.shape != () or rate.dtype.kind not in "biuf" or not low < rate < np.inf:
+        raise MalformedHeader(f"member {member!r} is not a sample rate above {low:g} Hz")
     return float(rate)
 
 
 def _load_processed(path: Path) -> ProcessedSubject:
     with signal_io.open_npz(path) as d:
-        rr = RrSeries(d["rr_peak_times"], d["rr_intervals"], d["rr_valid"])
+        members = [d[k] for k in ("rr_peak_times", "rr_intervals", "rr_valid")]
+        try:  # open_npz would call a ValueError an unreadable archive
+            rr = RrSeries(*members)
+        except ValueError as e:
+            raise MalformedHeader("members 'rr_peak_times', 'rr_intervals' and "
+                                  f"'rr_valid' are not an RR series ({e})") from e
         chest = SignalTrace("THOR RES", _rate(d, "chest_rate"), d["chest"])
         abd = (SignalTrace("ABDO RES", _rate(d, "abd_rate"), d["abd"])
                if "abd" in d.files else None)
@@ -181,8 +186,9 @@ def _load_processed(path: Path) -> ProcessedSubject:
 def _extract_one(task) -> str:
     path, out_dir, profile = task
     manifest = registry.build_manifest(profile)
-    processed = _load_processed(path)
-    matrix = registry.assemble_feature_matrix(processed, manifest)
+    processed = _load_processed(path)  # open_npz names the archive
+    with signal_io.naming(path):
+        matrix = registry.assemble_feature_matrix(processed, manifest)
     signal_io.write_feature_matrix(matrix, out_dir / f"{processed.subject_id}.csv")
     return processed.subject_id
 

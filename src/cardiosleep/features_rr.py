@@ -15,11 +15,11 @@ padded to the longest one and processed in row blocks of at most
 ``BLOCK_VALUES`` values. Against the window-by-window definitions, kept as
 oracles in the tests, every entry agrees within rtol 1e-12 plus 1e-12 times
 its column's largest magnitude, with the same NaN entries; the counts, runs
-above the mean and zero crossings agree exactly. ``sampen_features``, the
-nonlinear family's fifth entry, calls ``sample_entropy`` once per window of
-at least 50 intervals. It compares each unordered template pair once, by lag,
-in ceil(n/2) x n distances, and equals the n x n definition kept as a test
-oracle bit for bit.
+above the mean and zero crossings agree exactly. The nonlinear family's
+sample entropy calls ``sample_entropy`` once per window of at least 50
+intervals, in window order. It compares each unordered template pair once,
+by lag, in ceil(n/2) x n distances, and equals the n x n definition kept as
+a test oracle bit for bit.
 The sudden-variation features ``novel_f1``-``novel_f3`` read the night's
 per-epoch mean RRs and interval counts as zero-padded rows and return a
 column over every centre epoch, within the same tolerance.
@@ -349,15 +349,9 @@ def sample_entropy(values: np.ndarray, m: int = 2, r_frac: float = 0.2) -> float
     return float(-np.log(a / b))
 
 
-def sampen_features(values: np.ndarray, lo, hi) -> dict:
-    """The sample entropy of each window ``values[lo:hi]``, NaN below 50
-    intervals: key -> column, one ``sample_entropy`` call per window."""
-    return _whole_night(lambda x, lo, n: {"rr_sampen": np.array([
-        sample_entropy(x[a:a + k]) for a, k in zip(lo.tolist(), n.tolist())])},
-        ["rr_sampen"], values, lo, hi, min_n=50)
-
-
 def _nonlinear_rows(values, lo, n) -> dict:
+    sampen = [sample_entropy(values[a:a + k]) if k >= 50 else np.nan
+              for a, k in zip(lo.tolist(), n.tolist())]
     X, mask, _ = _padded(values, lo, n)
     mean, _, _ = _moments(X, mask, n)
     zc = _zero_crossings(np.where(
@@ -366,6 +360,7 @@ def _nonlinear_rows(values, lo, n) -> dict:
     _, sd_d, _ = _moments(D, dmask, n - 1)
     _, sd_s, _ = _moments(X[:, :-1] + X[:, 1:], dmask, n - 1)
     return {
+        "rr_sampen": np.array(sampen),
         "rr_zero_cross_count": 1.0 * zc,
         "rr_zero_cross_rate": zc / n,
         "rr_sd1": sd_d / np.sqrt(2),
@@ -374,10 +369,10 @@ def _nonlinear_rows(values, lo, n) -> dict:
 
 
 def nonlinear_features(values: np.ndarray, lo, hi) -> dict:
-    """The zero crossings of the mean and the Poincaré SD1 and SD2 of each
-    window ``values[lo:hi]``: key -> column. Sample entropy, the family's
-    fifth entry, is ``sampen_features``."""
-    return _whole_night(_nonlinear_rows, NONLINEAR_NAMES[1:], values, lo, hi)
+    """The sample entropy (NaN below 50 intervals, one ``sample_entropy`` call
+    per longer window), the zero crossings of the mean and the Poincaré SD1
+    and SD2 of each window ``values[lo:hi]``: key -> column."""
+    return _whole_night(_nonlinear_rows, NONLINEAR_NAMES, values, lo, hi)
 
 
 # --- sudden-variation features -------------------------------------------

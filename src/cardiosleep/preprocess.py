@@ -13,6 +13,8 @@ RR_MIN_S = 0.3
 RR_MAX_S = 2.0
 REFRACTORY_S = 0.3
 MAX_INTERP_RUN = 3
+BREATH_CUTOFF_HZ = 1.0  # corner of the breathing belt's low-pass
+BREATH_ORDER = 4  # its Butterworth order, applied forward and backward
 _BLOCK = 1 << 16  # samples per block of the QRS integrator
 
 
@@ -181,13 +183,12 @@ def usable_intervals(rr: RrSeries) -> tuple[np.ndarray, np.ndarray]:
     return rr.peak_times_s[:-1][keep], rr.intervals_s[keep]
 
 
-def butterworth_lowpass(trace: SignalTrace, cutoff_hz: float = 1.0,
-                        order: int = 4) -> SignalTrace:
-    """Zero-phase (forward-backward) Butterworth low-pass."""
+def butterworth_lowpass(trace: SignalTrace) -> SignalTrace:
+    """Zero-phase (forward-backward) Butterworth low-pass at 1 Hz."""
     nyq = trace.sample_rate_hz / 2.0
-    if cutoff_hz >= nyq:
-        raise CutoffAboveNyquist(f"cutoff {cutoff_hz} Hz >= Nyquist {nyq} Hz")
-    sos = sps.butter(order, cutoff_hz, btype="lowpass",
+    if BREATH_CUTOFF_HZ >= nyq:
+        raise CutoffAboveNyquist(f"cutoff {BREATH_CUTOFF_HZ} Hz >= Nyquist {nyq} Hz")
+    sos = sps.butter(BREATH_ORDER, BREATH_CUTOFF_HZ, btype="lowpass",
                      fs=trace.sample_rate_hz, output="sos")
     y = sps.sosfiltfilt(sos, trace.samples, padtype="even")
     return trace.with_samples(y)
@@ -203,6 +204,6 @@ def remove_baseline_wavelet(breath: SignalTrace) -> SignalTrace:
     return breath.with_samples(breath.samples - baseline)
 
 
-def preprocess_breathing(breath: SignalTrace, cutoff_hz: float = 1.0) -> SignalTrace:
+def preprocess_breathing(breath: SignalTrace) -> SignalTrace:
     """Baseline removal followed by the 1 Hz low-pass."""
-    return butterworth_lowpass(remove_baseline_wavelet(breath), cutoff_hz)
+    return butterworth_lowpass(remove_baseline_wavelet(breath))

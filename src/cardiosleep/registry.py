@@ -206,9 +206,8 @@ _FAMILIES = {
         night.rr_values, *night.rr_bounds[n]),
     "rr_stat": lambda night, n: features_rr.statistical_features(
         night.rr_values, *night.rr_bounds[n]),
-    "rr_nonlinear": lambda night, n: {
-        **features_rr.sampen_features(night.rr_values, *night.rr_bounds[n]),
-        **features_rr.nonlinear_features(night.rr_values, *night.rr_bounds[n])},
+    "rr_nonlinear": lambda night, n: features_rr.nonlinear_features(
+        night.rr_values, *night.rr_bounds[n]),
     "rr_freq": lambda night, n: features_rr.rr_freq_features(
         night.rr_times, night.rr_values, *night.edges[n]),
     # the sudden-variation features (source rr_novel) differ in width

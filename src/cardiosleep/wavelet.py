@@ -33,6 +33,7 @@ _DB4_H = np.array([
 _DB4_H = _DB4_H / _DB4_H.sum()
 # symmetric zero-phase kernel, 15 taps, unit DC gain
 _DB4_G = np.convolve(_DB4_H, _DB4_H[::-1])
+BASELINE_CORNER_HZ = 0.1
 
 
 def approximation(x: np.ndarray, depth: int) -> np.ndarray:
@@ -48,6 +49,6 @@ def approximation(x: np.ndarray, depth: int) -> np.ndarray:
     return sps.oaconvolve(ext, g, mode="valid")
 
 
-def baseline_depth(sample_rate_hz: float, corner_hz: float = 0.1) -> int:
+def baseline_depth(sample_rate_hz: float) -> int:
     """Decomposition depth putting the approximation band below corner/2."""
-    return int(np.ceil(np.log2(sample_rate_hz / corner_hz)))
+    return int(np.ceil(np.log2(sample_rate_hz / BASELINE_CORNER_HZ)))

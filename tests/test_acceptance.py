@@ -506,7 +506,7 @@ def test_every_archive_reads_to_a_value_or_a_data_error(tmp_path):
     manifest = registry.build_manifest("single")
     digest = registry.manifest_hash(manifest)
     blstm.save_checkpoint(blstm.init_params(0, hidden=2, layers=1),
-                          tmp_path / "model.npz", digest)
+                          tmp_path / "model.npz", digest, {})
     vals = rng.normal(size=(3, len(manifest)))
     cli._save_norm(registry.fit_normalization([registry.FeatureMatrix(
         manifest, vals, ~np.isfinite(vals))]), tmp_path / "norm.npz")

@@ -726,7 +726,9 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("member, value", [
         ("chest_rate", np.array([25.0, 25.0])), ("chest_rate", np.array([25.0])),
-        ("chest_rate", np.array(25 + 1j)), ("chest_rate", np.array(np.nan))])
+        ("chest_rate", np.array(25 + 1j)), ("chest_rate", np.array(np.nan)),
+        ("chest_rate", np.array(0.0)), ("chest_rate", np.array(-25.0)),
+        ("chest_rate", np.array(1e-300))])
     def test_rate_that_is_not_a_sample_rate_is_three(
             self, pipeline_dir, tmp_path, capsys, member, value):
         src = sorted((pipeline_dir / "preprocessed").glob("*.npz"))[0]
@@ -740,6 +742,26 @@ class TestExitCodes:
                          "--out", str(tmp_path)]) == 3
         err = capsys.readouterr().err
         assert f"{pre / src.name}: member {member!r} is not a sample rate" in err
+
+    @pytest.mark.parametrize("member, change, message", [
+        ("chest_rate", lambda rate: np.array(1e300),
+         "recording of 0.0 s is shorter than one epoch"),
+        ("rr_peak_times", lambda times: times[::-1],
+         "members 'rr_peak_times', 'rr_intervals' and 'rr_valid' are not an "
+         "RR series (peak times must be strictly increasing)")],
+        ids=["rate-1e300", "reversed-peak-times"])
+    def test_member_that_fails_extraction_names_the_archive(
+            self, pipeline_dir, tmp_path, capsys, member, change, message):
+        src = sorted((pipeline_dir / "preprocessed").glob("*.npz"))[0]
+        with np.load(src, allow_pickle=False) as d:
+            payload = {k: d[k] for k in d.files}
+        payload[member] = change(payload[member])
+        pre = tmp_path / "preprocessed"
+        pre.mkdir()
+        np.savez(pre / src.name, **payload)
+        assert cli.main(["extract", "--preprocessed", str(pre),
+                         "--out", str(tmp_path)]) == 3
+        assert f"{pre / src.name}: {message}" in capsys.readouterr().err
 
     def test_missing_archive_names_it(self, pipeline_dir, tmp_path, capsys):
         out = pipeline_dir

@@ -234,7 +234,7 @@ def _window_zero_crossings(centered: np.ndarray) -> int:
 
 def _window_nonlinear_without_sampen(values: np.ndarray) -> dict:
     """The nonlinear family's entries but sample entropy, which
-    ``sampen_features`` evaluates window by window."""
+    ``_window_sampen_entry`` gives."""
     x = np.asarray(values, dtype=float)
     n = len(x)
     if n < 2:
@@ -401,7 +401,8 @@ LENGTHS = [*range(121), 150, 299, 300, 301, 1000]
 
 FAMILIES = [(fr.hrv_time_features, _window_hrv_time_features),
             (fr.statistical_features, _window_statistical_features),
-            (fr.nonlinear_features, _window_nonlinear_without_sampen)]
+            (fr.nonlinear_features, lambda x: {
+                **_window_sampen_entry(x), **_window_nonlinear_without_sampen(x)})]
 
 
 def night_edges(width, n_epochs=960):
@@ -895,11 +896,11 @@ class TestNonlinear:
 
     def test_sampen_nan_below_fifty_intervals(self):
         x = np.random.default_rng(2).normal(0.9, 0.05, 50)
-        out = fr.sampen_features(x, [0, 0], [49, 50])["rr_sampen"]
+        out = fr.nonlinear_features(x, [0, 0], [49, 50])["rr_sampen"]
         assert math.isnan(out[0])
         assert math.isfinite(out[1])
 
-    def test_sampen_features_calls_sample_entropy_once_per_long_window(
+    def test_nonlinear_features_calls_sample_entropy_once_per_long_window(
             self, monkeypatch):
         # perfbench times the family by wrapping this module attribute
         calls = []
@@ -910,7 +911,7 @@ class TestNonlinear:
             return real(*args, **kwargs)
         monkeypatch.setattr(fr, "sample_entropy", counted)
         x = np.random.default_rng(8).normal(0.9, 0.05, 300)
-        out = fr.sampen_features(x, [0, 0, 10, 100, 0], [49, 50, 200, 100, 300])
+        out = fr.nonlinear_features(x, [0, 0, 10, 100, 0], [49, 50, 200, 100, 300])
         assert calls == [50, 190, 300]
         assert np.isnan(out["rr_sampen"][[0, 3]]).all()
 
@@ -1289,7 +1290,7 @@ class TestNovelMatchesWindowOracle:
         want = np.array([_window_sampen_entry(values[a:b])["rr_sampen"]
                          for a, b in zip(lo, hi)])
         np.testing.assert_array_equal(
-            fr.sampen_features(values, lo, hi)["rr_sampen"], want)
+            fr.nonlinear_features(values, lo, hi)["rr_sampen"], want)
 
 
 def _one_freq(times, values, t0, t1) -> dict:

@@ -577,11 +577,10 @@ class TestApproximationMatchesCascade:
 
 
 class TestButterworth:
-    def _gain(self, freq, fs=25.0, cutoff=1.0, seconds=120.0):
+    def _gain(self, freq, fs=25.0, seconds=120.0):
         t = np.arange(int(fs * seconds)) / fs
         x = np.sin(2 * np.pi * freq * t)
-        y = preprocess.butterworth_lowpass(
-            SignalTrace("B", fs, x), cutoff).samples
+        y = preprocess.butterworth_lowpass(SignalTrace("B", fs, x)).samples
         core = slice(int(5 * fs), int((seconds - 5) * fs))
         return np.sqrt(np.mean(y[core] ** 2) / np.mean(x[core] ** 2))
 
@@ -608,8 +607,7 @@ class TestButterworth:
 
     def test_cutoff_at_nyquist_rejected(self):
         with pytest.raises(CutoffAboveNyquist):
-            preprocess.butterworth_lowpass(
-                SignalTrace("B", 2.0, np.zeros(100)), cutoff_hz=1.0)
+            preprocess.butterworth_lowpass(SignalTrace("B", 2.0, np.zeros(100)))
 
 
 class TestWaveletBaseline:

@@ -235,7 +235,6 @@ class TestAssembly:
         for module, name in ((features_rr, "hrv_time_features"),
                              (features_rr, "statistical_features"),
                              (features_rr, "nonlinear_features"),
-                             (features_rr, "sampen_features"),
                              (features_rr, "rr_freq_features"),
                              (features_resp, "breath_features"),
                              (features_resp, "cpc_spectrum")):
@@ -255,7 +254,7 @@ class TestAssembly:
         n = again.n_epochs
         assert {k: [count for _, count in v] for k, v in calls.items()} == {
             "hrv_time_features": [n, n], "statistical_features": [n, n],
-            "nonlinear_features": [n], "sampen_features": [n],
+            "nonlinear_features": [n],
             "rr_freq_features": [n, n], "breath_features": [n],
             "cpc_spectrum": [n]}
         assert calls["breath_features"][0][0] is (
