@@ -17,7 +17,7 @@ import numpy as np
 
 from . import blstm, cohort, evaluate, pipeline, preprocess, registry, signal_io, synth
 from .config import PipelineConfig, load_config
-from .errors import (CardiosleepError, ConfigError, MalformedHeader,
+from .errors import (CardiosleepError, ConfigError, InvalidSeries, MalformedHeader,
                      MissingMetadata, NonFiniteInput, NonFiniteLoss)
 from .types import ProcessedSubject, RrSeries, SignalTrace, SubjectRecord
 
@@ -165,17 +165,25 @@ def _rate(d, member: str) -> float:
     return float(rate)
 
 
+def _trace(d, label: str, member: str) -> SignalTrace:
+    """The belt in ``member``, sampled at the rate in ``<member>_rate``."""
+    rate = _rate(d, f"{member}_rate")
+    try:
+        return SignalTrace(label, rate, d[member])
+    except InvalidSeries as e:
+        raise MalformedHeader(f"member {member!r} is not a trace ({e})") from e
+
+
 def _load_processed(path: Path) -> ProcessedSubject:
     with signal_io.open_npz(path) as d:
         members = [d[k] for k in ("rr_peak_times", "rr_intervals", "rr_valid")]
-        try:  # open_npz would call a ValueError an unreadable archive
+        try:
             rr = RrSeries(*members)
-        except ValueError as e:
+        except InvalidSeries as e:
             raise MalformedHeader("members 'rr_peak_times', 'rr_intervals' and "
                                   f"'rr_valid' are not an RR series ({e})") from e
-        chest = SignalTrace("THOR RES", _rate(d, "chest_rate"), d["chest"])
-        abd = (SignalTrace("ABDO RES", _rate(d, "abd_rate"), d["abd"])
-               if "abd" in d.files else None)
+        chest = _trace(d, "THOR RES", "chest")
+        abd = _trace(d, "ABDO RES", "abd") if "abd" in d.files else None
         hyp = None
         if "stages" in d.files:
             hyp = signal_io.read_hypnogram("\n".join(str(s) for s in d["stages"]))

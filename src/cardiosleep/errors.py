@@ -61,6 +61,11 @@ class RecordingTooShort(CardiosleepError):
     pass
 
 
+class InvalidSeries(CardiosleepError):
+    """A trace or RR series whose rate or arrays are not finite real numbers
+    of the right shape."""
+
+
 # --- feature extraction ---------------------------------------------------
 
 class LengthMismatch(CardiosleepError):

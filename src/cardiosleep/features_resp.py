@@ -12,10 +12,9 @@ SDs (``bb_*``, ``amp_*``, ``trough_*``, ``ie_ratio_mean``), summed over the
 masked cells of zero-padded rows, and the skewness and kurtosis, which take
 cubes and fourth powers by multiplication.
 
-``cpc_spectrum`` evaluates the coupling bands of every window of a night
-the same way, one batched Welch estimate per window length, and agrees with
-its window-by-window definition within the RR families' tolerance. Both its
-series go onto the 4 Hz grid in blocks, as the RR spectrum's does.
+``cpc_spectrum`` interpolates each series onto the 4 Hz grid once and makes
+one batched Welch estimate per window length of the night; it agrees with its
+window-by-window definition within the RR families' tolerance.
 """
 from __future__ import annotations
 
@@ -306,8 +305,8 @@ def cpc_spectrum(rr_times: np.ndarray, rr_values: np.ndarray,
     k0, k1 = _grid_index(t0), _grid_index(t1)
     lo, hi = np.searchsorted(rr_times, t0), np.searchsorted(rr_times, t1)
     rows = np.flatnonzero(hi - lo >= 4)
-    rr = _grid_gather(rr_times.__getitem__, rr_values, lo, hi, k0, k1)
-    belt = _grid_gather(lambda i: i / sample_rate_hz, samples,
+    rr = _grid_gather(rr_times, rr_values, lo, hi, k0, k1)
+    belt = _grid_gather(np.arange(len(samples)) / sample_rate_hz, samples,
                         *sample_bounds(len(samples), sample_rate_hz, t0, t1),
                         k0, k1)
     return _in_blocks(CPC_NAMES, k1 - k0, rows,

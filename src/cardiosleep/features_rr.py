@@ -25,8 +25,8 @@ per-epoch mean RRs and interval counts as zero-padded rows and return a
 column over every centre epoch, within the same tolerance.
 
 ``rr_freq_features(times, values, t0, t1)`` evaluates the spectra of every
-window ``[t0, t1)`` of a night: one interpolation onto the 4 Hz grid in
-blocks, as for both series of the coupling spectrum, then one batched FFT
+window ``[t0, t1)`` of a night: one interpolation of the series onto the
+4 Hz grid, as for each series of the coupling spectrum, then one batched FFT
 per window length. Its entries equal the window-by-window definition bit for
 bit. Every family fills its columns through one row-block driver.
 
@@ -34,8 +34,6 @@ Entries that are undefined on a given window (zero-variance moments, too few
 beats) come back as NaN and are masked as missing downstream.
 """
 from __future__ import annotations
-
-import bisect
 
 import numpy as np
 
@@ -481,32 +479,21 @@ def _grid_index(t: np.ndarray) -> np.ndarray:
 
 def _grid_gather(at, values, lo, hi, k0, k1):
     """``take(r, m)``: the first m points of windows r of the 4 Hz grid,
-    ``[k0, k1)``, one row each, from one interpolation of the series
-    ``values`` whose point i (or points, i an array) lies at ascending time
-    ``at(i)``. Each window holds its own first and last points ``lo`` and
-    ``hi - 1`` before and after them, as ``np.interp`` of its own points
-    does. The grid goes through ``np.interp`` in blocks of about
-    ``BLOCK_VALUES`` series points, each against only the points that
-    bracket it, found by binary search on ``at``: as a point depends only on
-    the two around it, this is one whole-series ``np.interp`` bit for bit."""
+    ``[k0, k1)``, one row each, from one ``np.interp`` over the whole grid
+    of the series ``values`` whose points lie at ascending times ``at``.
+    Each window holds its own first and last points ``lo`` and ``hi - 1``
+    before and after them, as ``np.interp`` of its own points does."""
     if len(k0) == 0 or len(values) == 0:
         return None  # no window reads a point
     start = k0.min()
     grid = np.arange(start, k1.max()) / RESAMPLE_HZ
-    series = np.empty(len(grid))
-    points = range(len(values))
-    step = max(1, BLOCK_VALUES * len(grid) // len(values))
-    for g in range(0, len(grid), step):
-        t = grid[g:g + step]
-        a = max(0, bisect.bisect_right(points, t[0], key=at) - 1)
-        b = min(len(values), bisect.bisect_left(points, t[-1], key=at) + 1)
-        series[g:g + len(t)] = np.interp(t, at(np.arange(a, b)), values[a:b])
+    series = np.interp(grid, at, values)
 
     def take(r, m):
         idx = (k0[r] - start)[:, None] + np.arange(m)
         first, last = lo[r, None], hi[r, None] - 1
-        X = np.where(grid[idx] < at(first), values[first], series[idx])
-        return np.where(grid[idx] > at(last), values[last], X)
+        X = np.where(grid[idx] < at[first], values[first], series[idx])
+        return np.where(grid[idx] > at[last], values[last], X)
     return take
 
 
@@ -522,10 +509,9 @@ def _freq_rows(X: np.ndarray) -> dict:
         band = _band(freqs, lo, hi)
         power[name] = np.sum(P[:, band], axis=1)
         out[f"rrf_{name}_power"] = power[name]
-        if band.stop > band.start:
-            k = band.start + np.argmax(P[:, band], axis=1)
-            out[f"rrf_{name}_peak_freq"] = np.where(live, freqs[k], np.nan)
-            out[f"rrf_{name}_peak_power"] = np.where(live, P[rows, k], np.nan)
+        k = band.start + np.argmax(P[:, band], axis=1)
+        out[f"rrf_{name}_peak_freq"] = np.where(live, freqs[k], np.nan)
+        out[f"rrf_{name}_peak_power"] = np.where(live, P[rows, k], np.nan)
     out["rrf_band_power_04_10"] = np.sum(P[:, _band(freqs, 0.4, 1.0)], axis=1)
 
     lf, hf = power["lf"], power["hf"]
@@ -572,6 +558,6 @@ def rr_freq_features(times: np.ndarray, values: np.ndarray, t0, t1) -> dict:
     rows = np.flatnonzero(hi - lo >= 4)
     rows = rows[(win[rows] >= 30.0 - 1e-9) & (
         times[hi[rows] - 1] - times[lo[rows]] >= 0.75 * win[rows])]
-    take = _grid_gather(times.__getitem__, values, lo, hi, k0, k1)
+    take = _grid_gather(times, values, lo, hi, k0, k1)
     return _in_blocks(FREQ_NAMES, k1 - k0, rows,
                       lambda r, m: _freq_rows(take(r, m)))

@@ -176,10 +176,10 @@ def rr_from_peaks(peaks: np.ndarray, sample_rate_hz: float) -> RrSeries:
 
 
 def usable_intervals(rr: RrSeries) -> tuple[np.ndarray, np.ndarray]:
-    """First-peak times and values of intervals safe for feature extraction:
-    valid ones plus interpolated replacements (which land back in range)."""
-    in_range = (rr.intervals_s >= RR_MIN_S) & (rr.intervals_s <= RR_MAX_S)
-    keep = rr.valid_mask | in_range
+    """First-peak times and values of the intervals in [0.3 s, 2.0 s], the
+    ones safe for feature extraction: valid ones and interpolated replacements,
+    which lie between two in-range values."""
+    keep = (rr.intervals_s >= RR_MIN_S) & (rr.intervals_s <= RR_MAX_S)
     return rr.peak_times_s[:-1][keep], rr.intervals_s[keep]
 
 

@@ -7,6 +7,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .errors import InvalidSeries
+
 
 class SixStage(Enum):
     W = "W"
@@ -31,6 +33,17 @@ class FourStage(Enum):
 FOUR_STAGE_ORDER = tuple(FourStage)
 
 
+def _finite_reals(name: str, values) -> np.ndarray:
+    """``values`` as a float array, refused unless 1-D, real and finite."""
+    a = np.asarray(values)
+    if a.ndim != 1 or a.dtype.kind not in "biuf":
+        raise InvalidSeries(f"{name} must be a 1-D array of real numbers")
+    a = a.astype(float, copy=False)
+    if not np.isfinite(a).all():
+        raise InvalidSeries(f"{name} must be finite")
+    return a
+
+
 @dataclass(frozen=True)
 class SignalTrace:
     """Uniformly sampled channel."""
@@ -40,17 +53,17 @@ class SignalTrace:
     samples: np.ndarray
 
     def __post_init__(self):
-        if self.sample_rate_hz <= 0:
-            raise ValueError("sample_rate_hz must be positive")
-        object.__setattr__(self, "samples", np.asarray(self.samples, dtype=float))
+        rate = np.asarray(self.sample_rate_hz)
+        if rate.shape != () or rate.dtype.kind not in "biuf" or not 0 < rate < np.inf:
+            raise InvalidSeries("sample_rate_hz must be one finite positive number")
+        object.__setattr__(self, "samples", _finite_reals("samples", self.samples))
 
     @property
     def duration_s(self) -> float:
         return len(self.samples) / self.sample_rate_hz
 
     def with_samples(self, samples: np.ndarray) -> "SignalTrace":
-        return SignalTrace(self.channel_label, self.sample_rate_hz,
-                           np.asarray(samples, dtype=float))
+        return SignalTrace(self.channel_label, self.sample_rate_hz, samples)
 
 
 @dataclass(frozen=True)
@@ -96,15 +109,18 @@ class RrSeries:
     valid_mask: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "peak_times_s", np.asarray(self.peak_times_s, dtype=float))
-        object.__setattr__(self, "intervals_s", np.asarray(self.intervals_s, dtype=float))
-        object.__setattr__(self, "valid_mask", np.asarray(self.valid_mask, dtype=bool))
+        object.__setattr__(self, "peak_times_s", _finite_reals("peak times", self.peak_times_s))
+        object.__setattr__(self, "intervals_s", _finite_reals("intervals", self.intervals_s))
+        mask = np.asarray(self.valid_mask)
+        if mask.ndim != 1 or mask.dtype != bool:
+            raise InvalidSeries("valid_mask must be a 1-D boolean array")
+        object.__setattr__(self, "valid_mask", mask)
         if len(self.intervals_s) != len(self.peak_times_s) - 1:
-            raise ValueError("len(intervals) must equal len(peaks) - 1")
+            raise InvalidSeries("len(intervals) must equal len(peaks) - 1")
         if len(self.valid_mask) != len(self.intervals_s):
-            raise ValueError("valid_mask length must match intervals")
+            raise InvalidSeries("valid_mask length must match intervals")
         if np.any(np.diff(self.peak_times_s) <= 0):
-            raise ValueError("peak times must be strictly increasing")
+            raise InvalidSeries("peak times must be strictly increasing")
 
 
 @dataclass

@@ -376,6 +376,10 @@ def _drop_meta_key(key):
     return damage
 
 
+_RR_MEMBERS = ("members 'rr_peak_times', 'rr_intervals' and 'rr_valid' are "
+               "not an RR series")
+
+
 class TestExitCodes:
     def test_config_error_is_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"
@@ -747,9 +751,23 @@ class TestExitCodes:
         ("chest_rate", lambda rate: np.array(1e300),
          "recording of 0.0 s is shorter than one epoch"),
         ("rr_peak_times", lambda times: times[::-1],
-         "members 'rr_peak_times', 'rr_intervals' and 'rr_valid' are not an "
-         "RR series (peak times must be strictly increasing)")],
-        ids=["rate-1e300", "reversed-peak-times"])
+         f"{_RR_MEMBERS} (peak times must be strictly increasing)"),
+        ("rr_peak_times", lambda times: np.append(times[:-1], np.nan),
+         f"{_RR_MEMBERS} (peak times must be finite)"),
+        ("rr_intervals", lambda rr: np.where(np.arange(len(rr)) == 5, np.nan, rr),
+         f"{_RR_MEMBERS} (intervals must be finite)"),
+        ("rr_intervals", lambda rr: rr + 1j,
+         f"{_RR_MEMBERS} (intervals must be a 1-D array of real numbers)"),
+        ("rr_valid", lambda valid: valid.astype(float),
+         f"{_RR_MEMBERS} (valid_mask must be a 1-D boolean array)"),
+        ("chest", lambda x: np.where(np.arange(len(x)) == 100, np.inf, x),
+         "member 'chest' is not a trace (samples must be finite)"),
+        ("chest", lambda x: x.reshape(-1, 1),
+         "member 'chest' is not a trace (samples must be a 1-D array of "
+         "real numbers)")],
+        ids=["rate-1e300", "reversed-peak-times", "nan-last-peak-time",
+             "nan-interval", "complex-intervals", "float-rr-valid",
+             "inf-chest-sample", "2d-chest"])
     def test_member_that_fails_extraction_names_the_archive(
             self, pipeline_dir, tmp_path, capsys, member, change, message):
         src = sorted((pipeline_dir / "preprocessed").glob("*.npz"))[0]

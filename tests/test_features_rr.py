@@ -680,11 +680,10 @@ def assert_gather_matches(times_or_rate, values, t0, t1):
     series at ``times_or_rate`` or a trace sampled at that rate."""
     t0, t1 = np.asarray(t0, dtype=float), np.asarray(t1, dtype=float)
     if np.ndim(times_or_rate):
-        at = times_or_rate.__getitem__
+        at = times_or_rate
         lo, hi = np.searchsorted(times_or_rate, (t0, t1))
     else:
-        def at(i):
-            return i / times_or_rate
+        at = np.arange(len(values)) / times_or_rate
         lo = np.ceil(t0 * times_or_rate - 1e-9).astype(int)
         hi = np.minimum(np.ceil(t1 * times_or_rate - 1e-9).astype(int),
                         len(values))

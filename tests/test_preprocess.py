@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from cardiosleep import preprocess, synth, wavelet
-from cardiosleep.errors import (CutoffAboveNyquist, FlatSignal, SignalTooShort,
-                                TooFewPeaks)
+from cardiosleep.errors import (CutoffAboveNyquist, FlatSignal, InvalidSeries,
+                                SignalTooShort, TooFewPeaks)
 from cardiosleep.types import RrSeries, SignalTrace
 
 
@@ -146,6 +146,14 @@ class TestRrFromPeaks:
         times, values = preprocess.usable_intervals(rr)
         assert np.allclose(values, [1.0, 1.0])
         assert np.allclose(times, [0.1, 1.1])
+
+    def test_usable_intervals_drop_out_of_range_ones_marked_valid(self):
+        # an archive can mark a 2.5-s and a 0.2-s interval valid
+        times = np.array([0.0, 1.0, 3.5, 4.5, 4.7, 5.5])
+        rr = RrSeries(times, np.diff(times), np.ones(5, dtype=bool))
+        got_times, values = preprocess.usable_intervals(rr)
+        np.testing.assert_array_equal(got_times, [0.0, 3.5, 4.7])
+        np.testing.assert_allclose(values, [1.0, 1.0, 0.8])
 
 
 # --- the loop-based detection and gap filling as exact oracles ------------
@@ -648,3 +656,39 @@ class TestWaveletBaseline:
     def test_depth_rule(self):
         assert wavelet.baseline_depth(25.0) == 8
         assert wavelet.baseline_depth(200.0) == 11
+
+
+class TestSeriesTypesCheckTheirNumbers:
+    @pytest.mark.parametrize("rate", [0.0, -25.0, np.nan, np.inf, 25 + 1j,
+                                      np.array([25.0, 25.0]), "25"])
+    def test_trace_refuses_a_rate_that_is_not_one_positive_number(self, rate):
+        with pytest.raises(InvalidSeries, match="sample_rate_hz"):
+            SignalTrace("B", rate, np.zeros(10))
+
+    @pytest.mark.parametrize("samples, message", [
+        (np.array([0.0, np.nan, 1.0]), "finite"),
+        (np.array([0.0, -np.inf]), "finite"),
+        (np.zeros((2, 5)), "1-D"), (np.zeros(3, dtype=complex), "real"),
+        (np.array(["1.0", "2.0"]), "real")])
+    def test_trace_refuses_samples_that_are_not_finite_reals(self, samples,
+                                                              message):
+        with pytest.raises(InvalidSeries, match=message):
+            SignalTrace("B", 25.0, samples)
+
+    def test_trace_keeps_an_empty_or_integer_signal_as_floats(self):
+        assert SignalTrace("B", 25, []).samples.dtype == float
+        np.testing.assert_array_equal(
+            SignalTrace("B", 25, np.arange(3)).samples, [0.0, 1.0, 2.0])
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("peak_times_s", [0.0, 1.0, np.inf], "peak times must be finite"),
+        ("intervals_s", [1.0, np.nan], "intervals must be finite"),
+        ("intervals_s", [[1.0, 1.0]], "intervals must be a 1-D array"),
+        ("valid_mask", [1.0, 1.0], "valid_mask must be a 1-D boolean array"),
+        ("valid_mask", [[True, True]], "valid_mask must be a 1-D boolean array")])
+    def test_rr_series_refuses_what_is_not_finite_reals_and_a_mask(
+            self, field, value, message):
+        arrays = {"peak_times_s": [0.0, 1.0, 2.0], "intervals_s": [1.0, 1.0],
+                  "valid_mask": [True, True], field: value}
+        with pytest.raises(InvalidSeries, match=message):
+            RrSeries(**arrays)
