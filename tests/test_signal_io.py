@@ -46,6 +46,112 @@ class TestEdfRoundTrip:
         assert int(data[252:256].decode().strip()) == 1
 
 
+def _temporaries_write_edf(traces) -> bytes:
+    """The writer that quantises through whole-signal temporaries and joins
+    header and body by concatenation, kept as the oracle of
+    ``signal_io.write_edf``."""
+    _fit8 = signal_io._fit8
+    ns = len(traces)
+    spr = []
+    for t in traces:
+        rate = t.sample_rate_hz
+        if abs(rate - round(rate)) > 1e-9:
+            raise ValueError(f"rate {rate} does not fit 1 s records")
+        spr.append(int(round(rate)))
+    n_records = min(len(t.samples) // s for t, s in zip(traces, spr))
+
+    head = b"0".ljust(8)
+    head += b"".ljust(80)   # patient
+    head += b"".ljust(80)   # recording
+    head += b"01.01.00"     # start date
+    head += b"00.00.00"     # start time
+    head += _fit8(256 * (ns + 1))
+    head += b"".ljust(44)   # reserved
+    head += _fit8(n_records)
+    head += _fit8(1)        # record duration, s
+    head += str(ns).ljust(4).encode("ascii")
+
+    pmins, pmaxs = [], []
+    for t in traces:
+        lo, hi = float(np.min(t.samples)), float(np.max(t.samples))
+        if hi == lo:
+            hi = lo + 1.0
+        pmins.append(lo)
+        pmaxs.append(hi)
+    dmin, dmax = -32768, 32767
+
+    fields = [
+        b"".join(t.channel_label[:16].ljust(16).encode("ascii") for t in traces),
+        b"".join(b"".ljust(80) for _ in traces),               # transducer
+        b"".join(b"".ljust(8) for _ in traces),                # dimension
+        b"".join(_fit8(v) for v in pmins),
+        b"".join(_fit8(v) for v in pmaxs),
+        b"".join(_fit8(dmin) for _ in traces),
+        b"".join(_fit8(dmax) for _ in traces),
+        b"".join(b"".ljust(80) for _ in traces),               # prefilter
+        b"".join(_fit8(s) for s in spr),
+        b"".join(b"".ljust(32) for _ in traces),               # reserved
+    ]
+    head += b"".join(fields)
+
+    # parse back the 8-char physical bounds so reader and writer agree exactly
+    pmins = [float(_fit8(v).decode()) for v in pmins]
+    pmaxs = [float(_fit8(v).decode()) for v in pmaxs]
+
+    body = np.empty((n_records, sum(spr)), dtype="<i2")
+    col = 0
+    for i, t in enumerate(traces):
+        gain = (pmaxs[i] - pmins[i]) / (dmax - dmin)
+        x = t.samples[: n_records * spr[i]]
+        dig = np.round((x - pmins[i]) / gain + dmin)
+        body[:, col:col + spr[i]] = np.clip(dig, dmin, dmax).astype("<i2").reshape(
+            n_records, spr[i])
+        col += spr[i]
+    return head + body.tobytes()
+
+
+def _subject_traces(seed, n_epochs):
+    from cardiosleep import synth
+    rec = synth.generate_subject(seed, synth.easy_profile(), n_epochs)
+    return [rec.ecg, rec.breath_chest, rec.breath_abdomen]
+
+
+class TestEdfWriterMatchesOracle:
+    """``write_edf`` returns the oracle's bytes, header and records."""
+
+    @pytest.mark.parametrize("seed, n_epochs", [(0, 20), (101, 120), (1000, 960)])
+    def test_synthetic_subject(self, seed, n_epochs):
+        traces = _subject_traces(seed, n_epochs)
+        got = signal_io.write_edf(traces)
+        assert type(got) is bytes
+        assert got == _temporaries_write_edf(traces)
+
+    def test_constant_trace(self):
+        traces = [SignalTrace("FLAT", 10.0, np.full(30, 2.5)),
+                  SignalTrace("ZERO", 4.0, np.zeros(13))]
+        assert signal_io.write_edf(traces) == _temporaries_write_edf(traces)
+
+    def test_samples_that_reach_the_16_bit_clip(self):
+        # the bounds are written with six significant digits, so samples
+        # just outside the parsed-back range quantise past -32768 and 32767
+        x = np.linspace(1234.5651, 1235.1049, 500)
+        traces = [SignalTrace("EDGE", 50.0, x), _sine_trace("ECG", 20.0, 10.0)]
+        lo, hi = (float(signal_io._fit8(v)) for v in (x.min(), x.max()))
+        assert lo > x.min() and hi < x.max()
+        body = np.frombuffer(signal_io.write_edf(traces), "<i2", offset=768)
+        assert body.min() == -32768 and body.max() == 32767
+        assert signal_io.write_edf(traces) == _temporaries_write_edf(traces)
+
+    @settings(max_examples=40, deadline=None)
+    @given(steps=hnp.arrays(np.int64, st.integers(1, 60),
+                            elements=st.integers(-10 ** 6, 10 ** 6)),
+           rate=st.sampled_from([1.0, 3.0, 7.0]))
+    def test_any_trace(self, steps, rate):
+        traces = [SignalTrace("X", rate, steps / 64),
+                  SignalTrace("ECG", 2.0, np.arange(60.0))]
+        assert signal_io.write_edf(traces) == _temporaries_write_edf(traces)
+
+
 class TestEdfErrors:
     def test_short_file_raises_malformed(self):
         with pytest.raises(errors.MalformedHeader):

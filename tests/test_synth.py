@@ -3,8 +3,11 @@ import numpy as np
 import pytest
 
 from cardiosleep import preprocess, synth
+from cardiosleep.epoching import EPOCH_S
 from cardiosleep.errors import InvalidProfile
-from cardiosleep.types import FourStage
+from cardiosleep.synth import BREATH_RATE_HZ, ECG_RATE_HZ, MIN_EPOCHS
+from cardiosleep.types import (FOUR_STAGE_ORDER, FourStage, SignalTrace,
+                               SubjectRecord, four_hypnogram_from_indices)
 
 
 class TestProfiles:
@@ -104,3 +107,122 @@ class TestGenerateSubject:
                     dyn[stage].breath_rate_hz, abs=0.06)
                 checked += 1
         assert checked >= 5
+
+
+def _scalar_stage_sequence(rng: np.random.Generator, transition: np.ndarray,
+                           n_epochs: int) -> np.ndarray:
+    seq = np.empty(n_epochs, dtype=int)
+    state = 0  # start awake
+    for e in range(n_epochs):
+        seq[e] = state
+        state = int(rng.choice(4, p=transition[state]))
+    return seq
+
+
+def _scalar_generate_subject(seed: int, profile, n_epochs: int) -> SubjectRecord:
+    """The generator with one NumPy scalar call per draw and per beat, kept
+    as the oracle of ``synth.generate_subject``."""
+    if n_epochs < MIN_EPOCHS:
+        raise InvalidProfile(f"need >= {MIN_EPOCHS} epochs, got {n_epochs}")
+    rng = np.random.default_rng(seed)
+    dyn = profile.scaled()
+    stages = _scalar_stage_sequence(rng, profile.transition, n_epochs)
+    duration = n_epochs * EPOCH_S
+
+    # breathing phase/amplitude evolve continuously; stage params switch per epoch
+    n_breath = int(round(duration * BREATH_RATE_HZ))
+    t_breath = np.arange(n_breath) / BREATH_RATE_HZ
+    epoch_of = np.minimum((t_breath / EPOCH_S).astype(int), n_epochs - 1)
+    bounds = np.searchsorted(epoch_of, np.arange(n_epochs + 1))
+    freq = np.empty(n_breath)
+    amp = np.empty(n_breath)
+    for e in range(n_epochs):
+        d = dyn[FOUR_STAGE_ORDER[stages[e]]]
+        sl = slice(bounds[e], bounds[e + 1])
+        # slowly varying per-epoch modulation
+        f_jit = rng.normal(0.0, d.breath_rate_jitter)
+        a_jit = rng.normal(0.0, d.breath_amp_jitter)
+        freq[sl] = d.breath_rate_hz * (1.0 + f_jit)
+        amp[sl] = d.breath_amp * (1.0 + a_jit)
+        # within-epoch amplitude wobble
+        amp[sl] *= 1.0 + 0.5 * d.breath_amp_jitter * np.sin(
+            2 * np.pi * rng.uniform(0.01, 0.03) * t_breath[sl] + rng.uniform(0, 2 * np.pi))
+    freq = np.clip(freq, 0.08, 0.6)
+    phase = 2 * np.pi * np.cumsum(freq) / BREATH_RATE_HZ
+    drift = profile.drift_amp * np.sin(
+        2 * np.pi * profile.drift_freq_hz * t_breath + rng.uniform(0, 2 * np.pi))
+    baseline_offset = rng.uniform(-2.0, 2.0)
+    breath = (amp * np.sin(phase) + drift + baseline_offset
+              + rng.normal(0.0, profile.breath_noise, n_breath))
+
+    # RR process: AR(1) around the stage mean plus RSA at the breathing phase
+    peak_times = []
+    t = rng.uniform(0.2, 0.6)
+    ar = 0.0
+    while t < duration - 0.3:
+        e = min(int(t / EPOCH_S), n_epochs - 1)
+        d = dyn[FOUR_STAGE_ORDER[stages[e]]]
+        ar = 0.95 * ar + rng.normal(0.0, d.rr_ar_sd_s * np.sqrt(1 - 0.95 ** 2))
+        k = min(int(t * BREATH_RATE_HZ), n_breath - 1)
+        rsa = d.rsa_depth_s * np.sin(phase[k])
+        rr = d.rr_mean_s + ar + rsa + rng.normal(0.0, profile.rr_noise_s)
+        rr = float(np.clip(rr, 0.4, 1.8))
+        peak_times.append(t)
+        t += rr
+
+    n_ecg = int(round(duration * ECG_RATE_HZ))
+    ecg = np.zeros(n_ecg)
+    idx = np.round(np.array(peak_times) * ECG_RATE_HZ).astype(int)
+    idx = idx[idx < n_ecg]
+    ecg[idx] = 1.0
+
+    return SubjectRecord(
+        subject_id=f"synth-{seed:05d}",
+        ecg=SignalTrace("ECG", ECG_RATE_HZ, ecg),
+        breath_chest=SignalTrace("THOR RES", BREATH_RATE_HZ, breath),
+        breath_abdomen=SignalTrace("ABDO RES", BREATH_RATE_HZ,
+                                   breath + rng.normal(0.0, profile.breath_noise,
+                                                       n_breath)),
+        hypnogram=four_hypnogram_from_indices(stages),
+        ahi=float(rng.uniform(0.0, 4.5)),
+    )
+
+
+_PROFILES = {
+    "easy": synth.easy_profile,
+    "default": synth.default_profile,
+    "sep-0.5": lambda: synth.default_profile(separability=0.5),
+    "sep-2.0": lambda: synth.default_profile(separability=2.0),
+}
+
+
+def assert_same_subject(got: SubjectRecord, want: SubjectRecord) -> None:
+    assert got.subject_id == want.subject_id
+    for name in ("ecg", "breath_chest", "breath_abdomen"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.channel_label, a.sample_rate_hz) == (b.channel_label,
+                                                       b.sample_rate_hz)
+        assert a.samples.dtype == b.samples.dtype
+        assert a.samples.tobytes() == b.samples.tobytes(), name
+    assert got.hypnogram.labels == want.hypnogram.labels
+    # ahi is the last draw, so a shift anywhere in the stream moves it
+    assert got.ahi.hex() == want.ahi.hex()
+
+
+class TestMatchesScalarOracle:
+    """Every byte of every trace, the stages and ``ahi`` equal the oracle's,
+    so the random stream is consumed in the same order."""
+
+    @pytest.mark.parametrize("n_epochs", [MIN_EPOCHS, 41, 120])
+    @pytest.mark.parametrize("seed", [0, 3, 101, 1000])
+    @pytest.mark.parametrize("profile", sorted(_PROFILES))
+    def test_short_nights(self, profile, seed, n_epochs):
+        p = _PROFILES[profile]()
+        assert_same_subject(synth.generate_subject(seed, p, n_epochs),
+                            _scalar_generate_subject(seed, p, n_epochs))
+
+    @pytest.mark.parametrize("profile, seed", [("easy", 1000), ("default", 7)])
+    def test_whole_night(self, profile, seed):
+        p = _PROFILES[profile]()
+        assert_same_subject(synth.generate_subject(seed, p, 960),
+                            _scalar_generate_subject(seed, p, 960))
