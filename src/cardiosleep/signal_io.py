@@ -26,6 +26,7 @@ from .types import FourStage, Hypnogram, SignalTrace, SixStage
 
 MAX_SIGNALS = 512
 MAX_SAMPLES_PER_RECORD = 100_000
+_EDF_BLOCK = 256  # data records write_edf quantises per pass
 
 _SIX_TOKENS = {s.value: s for s in SixStage}
 _FOUR_TOKENS = {s.value: s for s in FourStage}
@@ -192,16 +193,27 @@ def write_edf(traces: Sequence[SignalTrace]) -> bytes:
     pmins = [float(_fit8(v).decode()) for v in pmins]
     pmaxs = [float(_fit8(v).decode()) for v in pmaxs]
 
-    body = np.empty((n_records, sum(spr)), dtype="<i2")
+    # quantise each signal in place, _EDF_BLOCK records at a time through one
+    # float buffer, into its columns of the records, a view on the output
+    out = bytearray(len(head) + 2 * n_records * sum(spr))
+    out[:len(head)] = head
+    body = np.frombuffer(out, dtype="<i2", offset=len(head)).reshape(n_records, sum(spr))
     col = 0
     for i, t in enumerate(traces):
+        s = spr[i]
         gain = (pmaxs[i] - pmins[i]) / (dmax - dmin)
-        x = t.samples[: n_records * spr[i]]
-        dig = np.round((x - pmins[i]) / gain + dmin)
-        body[:, col:col + spr[i]] = np.clip(dig, dmin, dmax).astype("<i2").reshape(
-            n_records, spr[i])
-        col += spr[i]
-    return head + body.tobytes()
+        buf = np.empty(min(_EDF_BLOCK, n_records) * s)
+        for r in range(0, n_records, _EDF_BLOCK):
+            rows = min(_EDF_BLOCK, n_records - r)
+            dig = buf[:rows * s]
+            np.subtract(t.samples[r * s:(r + rows) * s], pmins[i], out=dig)
+            dig /= gain
+            dig += dmin
+            np.round(dig, out=dig)
+            np.clip(dig, dmin, dmax, out=dig)
+            body[r:r + rows, col:col + s] = dig.reshape(rows, s)
+        col += s
+    return bytes(out)
 
 
 # --- hypnogram text -------------------------------------------------------

@@ -20,6 +20,9 @@ from .types import (FOUR_STAGE_ORDER, FourStage, SignalTrace, SubjectRecord,
 ECG_RATE_HZ = 200.0
 BREATH_RATE_HZ = 25.0
 MIN_EPOCHS = 20  # the shortest night generate_subject makes
+_RR_MIN_S, _RR_MAX_S = 0.4, 1.8  # each synthetic RR interval is clipped to this range
+_AR_COEF = 0.95
+_AR_INNOVATION = float(np.sqrt(1 - _AR_COEF ** 2))  # stationary SD -> innovation SD
 
 
 @dataclass(frozen=True)
@@ -109,6 +112,74 @@ def _stage_sequence(rng: np.random.Generator, transition: np.ndarray,
     return seq
 
 
+def _each(per_epoch: list, field: str) -> list:
+    return [getattr(d, field) for d in per_epoch]
+
+
+def _breathing(rng: np.random.Generator, profile: StageProfile,
+               per_epoch: list) -> tuple:
+    """The chest belt and the sine of its breathing phase, at BREATH_RATE_HZ.
+
+    Phase and amplitude evolve continuously and the stage parameters switch
+    per epoch. Each epoch draws its rate and amplitude jitter, then the
+    frequency and phase of its within-epoch amplitude wobble, in that order.
+    """
+    n_epochs = len(per_epoch)
+    n_breath = int(round(n_epochs * EPOCH_S * BREATH_RATE_HZ))
+    t_breath = np.arange(n_breath) / BREATH_RATE_HZ
+    epoch_of = np.minimum((t_breath / EPOCH_S).astype(int), n_epochs - 1)
+    f_jit, a_jit, w_freq, w_phase = np.array([
+        (rng.normal(0.0, d.breath_rate_jitter), rng.normal(0.0, d.breath_amp_jitter),
+         rng.uniform(0.01, 0.03), rng.uniform(0, 2 * np.pi))
+        for d in per_epoch]).T
+    freq = np.clip(np.array(_each(per_epoch, "breath_rate_hz")) * (1.0 + f_jit),
+                   0.08, 0.6)
+    amp = np.array(_each(per_epoch, "breath_amp")) * (1.0 + a_jit)
+    wobble = 0.5 * np.array(_each(per_epoch, "breath_amp_jitter"))
+    amp = amp[epoch_of] * (1.0 + wobble[epoch_of] * np.sin(
+        (2 * np.pi * w_freq)[epoch_of] * t_breath + w_phase[epoch_of]))
+    sin_phase = np.sin(2 * np.pi * np.cumsum(freq[epoch_of]) / BREATH_RATE_HZ)
+    drift = profile.drift_amp * np.sin(
+        2 * np.pi * profile.drift_freq_hz * t_breath + rng.uniform(0, 2 * np.pi))
+    baseline_offset = rng.uniform(-2.0, 2.0)
+    breath = (amp * sin_phase + drift + baseline_offset
+              + rng.normal(0.0, profile.breath_noise, n_breath))
+    return breath, sin_phase
+
+
+def _beat_times(rng: np.random.Generator, profile: StageProfile, per_epoch: list,
+                sin_phase: np.ndarray) -> list:
+    """R-peak times: an AR(1) RR process around the stage mean plus RSA at the
+    breathing phase, with two normals per beat.
+
+    ``Generator.normal(0.0, s)`` is ``s * standard_normal()``, so the normals
+    come in one draw of more than a night can use; the stream is then rewound
+    and advanced by exactly the draws used.
+    """
+    duration = len(per_epoch) * EPOCH_S
+    t = rng.uniform(0.2, 0.6)
+    state = rng.bit_generator.state
+    normals = rng.standard_normal(2 * (int(duration / _RR_MIN_S) + 2))
+    draw = iter(normals.tolist()).__next__
+    rr_mean, rsa_depth = _each(per_epoch, "rr_mean_s"), _each(per_epoch, "rsa_depth_s")
+    ar_sd = [v * _AR_INNOVATION for v in _each(per_epoch, "rr_ar_sd_s")]
+    sin_at, rr_noise = sin_phase.item, profile.rr_noise_s
+    peak_times = []
+    ar = 0.0
+    # a beat starts before the night's last 0.3 s, so its epoch and its
+    # breathing sample both lie inside the night
+    while t < duration - 0.3:
+        e = int(t / EPOCH_S)
+        ar = _AR_COEF * ar + ar_sd[e] * draw()
+        rr = (rr_mean[e] + ar + rsa_depth[e] * sin_at(int(t * BREATH_RATE_HZ))
+              + rr_noise * draw())
+        peak_times.append(t)
+        t += min(max(rr, _RR_MIN_S), _RR_MAX_S)
+    rng.bit_generator.state = state
+    rng.standard_normal(2 * len(peak_times))
+    return peak_times
+
+
 def generate_subject(seed: int, profile: StageProfile, n_epochs: int) -> SubjectRecord:
     """One subject-night with ground-truth four-class stages."""
     if n_epochs < MIN_EPOCHS:
@@ -116,50 +187,11 @@ def generate_subject(seed: int, profile: StageProfile, n_epochs: int) -> Subject
     rng = np.random.default_rng(seed)
     dyn = profile.scaled()
     stages = _stage_sequence(rng, profile.transition, n_epochs)
-    duration = n_epochs * EPOCH_S
+    per_epoch = [dyn[FOUR_STAGE_ORDER[s]] for s in stages.tolist()]
+    breath, sin_phase = _breathing(rng, profile, per_epoch)
+    peak_times = _beat_times(rng, profile, per_epoch, sin_phase)
 
-    # breathing phase/amplitude evolve continuously; stage params switch per epoch
-    n_breath = int(round(duration * BREATH_RATE_HZ))
-    t_breath = np.arange(n_breath) / BREATH_RATE_HZ
-    epoch_of = np.minimum((t_breath / EPOCH_S).astype(int), n_epochs - 1)
-    bounds = np.searchsorted(epoch_of, np.arange(n_epochs + 1))
-    freq = np.empty(n_breath)
-    amp = np.empty(n_breath)
-    for e in range(n_epochs):
-        d = dyn[FOUR_STAGE_ORDER[stages[e]]]
-        sl = slice(bounds[e], bounds[e + 1])
-        # slowly varying per-epoch modulation
-        f_jit = rng.normal(0.0, d.breath_rate_jitter)
-        a_jit = rng.normal(0.0, d.breath_amp_jitter)
-        freq[sl] = d.breath_rate_hz * (1.0 + f_jit)
-        amp[sl] = d.breath_amp * (1.0 + a_jit)
-        # within-epoch amplitude wobble
-        amp[sl] *= 1.0 + 0.5 * d.breath_amp_jitter * np.sin(
-            2 * np.pi * rng.uniform(0.01, 0.03) * t_breath[sl] + rng.uniform(0, 2 * np.pi))
-    freq = np.clip(freq, 0.08, 0.6)
-    phase = 2 * np.pi * np.cumsum(freq) / BREATH_RATE_HZ
-    drift = profile.drift_amp * np.sin(
-        2 * np.pi * profile.drift_freq_hz * t_breath + rng.uniform(0, 2 * np.pi))
-    baseline_offset = rng.uniform(-2.0, 2.0)
-    breath = (amp * np.sin(phase) + drift + baseline_offset
-              + rng.normal(0.0, profile.breath_noise, n_breath))
-
-    # RR process: AR(1) around the stage mean plus RSA at the breathing phase
-    peak_times = []
-    t = rng.uniform(0.2, 0.6)
-    ar = 0.0
-    while t < duration - 0.3:
-        e = min(int(t / EPOCH_S), n_epochs - 1)
-        d = dyn[FOUR_STAGE_ORDER[stages[e]]]
-        ar = 0.95 * ar + rng.normal(0.0, d.rr_ar_sd_s * np.sqrt(1 - 0.95 ** 2))
-        k = min(int(t * BREATH_RATE_HZ), n_breath - 1)
-        rsa = d.rsa_depth_s * np.sin(phase[k])
-        rr = d.rr_mean_s + ar + rsa + rng.normal(0.0, profile.rr_noise_s)
-        rr = float(np.clip(rr, 0.4, 1.8))
-        peak_times.append(t)
-        t += rr
-
-    n_ecg = int(round(duration * ECG_RATE_HZ))
+    n_ecg = int(round(n_epochs * EPOCH_S * ECG_RATE_HZ))
     ecg = np.zeros(n_ecg)
     idx = np.round(np.array(peak_times) * ECG_RATE_HZ).astype(int)
     idx = idx[idx < n_ecg]
@@ -171,7 +203,7 @@ def generate_subject(seed: int, profile: StageProfile, n_epochs: int) -> Subject
         breath_chest=SignalTrace("THOR RES", BREATH_RATE_HZ, breath),
         breath_abdomen=SignalTrace("ABDO RES", BREATH_RATE_HZ,
                                    breath + rng.normal(0.0, profile.breath_noise,
-                                                       n_breath)),
+                                                       len(breath))),
         hypnogram=four_hypnogram_from_indices(stages),
         ahi=float(rng.uniform(0.0, 4.5)),
     )
