@@ -1,9 +1,10 @@
 """File formats: minimal EDF, hypnogram text, feature-matrix CSV, metadata
 lines, and the npz archives the pipeline stages write.
 
-EDF support covers the plain 1992 layout only (no EDF+ annotations; EDF+D
-is refused): a 256-byte fixed-width ASCII header, 256 header bytes per
-signal, then data records of 16-bit little-endian samples.
+EDF support covers the plain 1992 layout and continuous EDF+ (EDF+C, whose
+``EDF Annotations`` signals are skipped; EDF+D is refused): a 256-byte
+fixed-width ASCII header, 256 header bytes per signal, then data records of
+16-bit little-endian samples.
 """
 from __future__ import annotations
 
@@ -63,11 +64,13 @@ def _num_field(raw: bytes, start: int, length: int, kind=float):
 
 
 def read_edf(data: bytes) -> list[SignalTrace]:
-    """Parse a plain EDF byte string into one trace per signal."""
+    """Parse an EDF byte string into one trace per signal, but an EDF+C
+    file's annotation signals."""
     if len(data) < 256:
         raise MalformedHeader(f"file of {len(data)} bytes is smaller than the header")
     if data[192:197] == b"EDF+D":  # records with gaps, which would shift later epochs
         raise UnsupportedVariant("discontinuous EDF+D recording")
+    plus = data[192:197] == b"EDF+C"
     n_records = _num_field(data, 236, 8, int)
     record_dur = _num_field(data, 244, 8, float)
     n_signals = _num_field(data, 252, 4, int)
@@ -92,6 +95,8 @@ def read_edf(data: bytes) -> list[SignalTrace]:
         return _num_field(data, start, width, kind)
 
     labels = [sig_field(0, 16, i) for i in range(n_signals)]
+    # EDF+ annotation text: its bytes count in each record but hold no samples
+    skipped = [plus and label == "EDF Annotations" for label in labels]
     phys_min = [sig_field(16 + 80 + 8, 8, i, float) for i in range(n_signals)]
     phys_max = [sig_field(16 + 80 + 16, 8, i, float) for i in range(n_signals)]
     dig_min = [sig_field(16 + 80 + 24, 8, i, int) for i in range(n_signals)]
@@ -104,7 +109,8 @@ def read_edf(data: bytes) -> list[SignalTrace]:
         if dig_max[i] == dig_min[i]:
             raise MalformedHeader(f"zero digital range for signal {i}")
         rate = spr[i] / record_dur
-        if record_dur != int(record_dur) and abs(rate - round(rate)) > 1e-9:
+        if (not skipped[i] and record_dur != int(record_dur)
+                and abs(rate - round(rate)) > 1e-9):
             raise UnsupportedVariant(
                 f"fractional record duration {record_dur} with fractional rate {rate}")
 
@@ -120,8 +126,10 @@ def read_edf(data: bytes) -> list[SignalTrace]:
     traces = []
     col = 0
     for i in range(n_signals):
-        dig = raw[:, col:col + spr[i]].reshape(-1).astype(float)
         col += spr[i]
+        if skipped[i]:
+            continue
+        dig = raw[:, col - spr[i]:col].reshape(-1).astype(float)
         gain = (phys_max[i] - phys_min[i]) / (dig_max[i] - dig_min[i])
         phys = (dig - dig_min[i]) * gain + phys_min[i]
         traces.append(SignalTrace(channel_label=labels[i],
@@ -147,11 +155,15 @@ def write_edf(traces: Sequence[SignalTrace]) -> bytes:
     whole numbers of samples per second. Samples are quantized to the full
     16-bit range."""
     ns = len(traces)
+    if ns == 0:
+        raise ValueError("an EDF file needs at least one signal")
     spr = []
     for t in traces:
         rate = t.sample_rate_hz
         if abs(rate - round(rate)) > 1e-9:
             raise ValueError(f"rate {rate} does not fit 1 s records")
+        if round(rate) < 1:
+            raise ValueError(f"rate {rate} gives no sample per 1 s record")
         spr.append(int(round(rate)))
     n_records = min(len(t.samples) // s for t, s in zip(traces, spr))
 

@@ -188,6 +188,15 @@ class TestEdfErrors:
         with pytest.raises(errors.UnsupportedVariant):
             signal_io.read_edf(bytes(data))
 
+    def test_writer_refuses_no_signals(self):
+        with pytest.raises(ValueError, match="at least one signal"):
+            signal_io.write_edf([])
+
+    @pytest.mark.parametrize("rate", [1e-10, 1e-300])
+    def test_writer_refuses_a_rate_below_one_sample_per_record(self, rate):
+        with pytest.raises(ValueError, match=f"rate {rate} gives no sample"):
+            signal_io.write_edf([SignalTrace("SLOW", rate, np.zeros(3))])
+
     def test_implausible_signal_count(self):
         data = bytearray(signal_io.write_edf([_sine_trace()]))
         data[252:256] = b"999 "
@@ -207,6 +216,25 @@ class TestEdfErrors:
         else:
             assert len(signal_io.read_edf(bytes(data))[0].samples) == 400
 
+
+    @pytest.mark.parametrize("reserved, kept", [
+        (b"EDF+C", ["ECG", "THOR RES"]),
+        (b"     ", ["ECG", "EDF Annotations", "THOR RES"])])
+    def test_edf_plus_annotation_signal_is_skipped(self, reserved, kept):
+        # its samples-per-record still count in each record's layout, so the
+        # signal after it decodes to the same values
+        ecg = _sine_trace("ECG", 20.0, 3.0, 2.0)
+        chest = _sine_trace("THOR RES", 5.0, 3.0)
+        notes = SignalTrace("EDF Annotations", 8.0, np.arange(24.0))
+        data = bytearray(signal_io.write_edf([ecg, notes, chest]))
+        data[192:197] = reserved
+        got = signal_io.read_edf(bytes(data))
+        assert [t.channel_label for t in got] == kept
+        plain = {t.channel_label: t for t in signal_io.read_edf(
+            signal_io.write_edf([ecg, notes, chest]))}
+        for t in got:
+            assert t.sample_rate_hz == plain[t.channel_label].sample_rate_hz
+            assert t.samples.tobytes() == plain[t.channel_label].samples.tobytes()
 
 class TestHypnogramText:
     def test_six_class_round_trip(self):
