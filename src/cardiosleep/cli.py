@@ -9,6 +9,7 @@ import argparse
 import hashlib
 import json
 import sys
+import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -35,13 +36,15 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def _log_run(out_dir: Path, stage: str, inputs: list, cfg: PipelineConfig) -> None:
+def _log_run(out_dir: Path, stage: str, inputs: list, cfg: PipelineConfig,
+             wall_s: float) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     line = {
         "stage": stage,
         "inputs": {str(p): _sha256(p) for p in map(Path, inputs) if p.is_file()},
         "config_hash": cfg.config_hash(),
         "version": 1,
+        "wall_s": wall_s,
     }
     with open(out_dir / "run_manifest.jsonl", "a") as f:
         f.write(json.dumps(line, sort_keys=True) + "\n")
@@ -488,8 +491,10 @@ def main(argv=None) -> int:
         if args.profile is not None:
             overrides["profile"] = args.profile
         cfg = load_config(args.config, **overrides)
+        start = time.perf_counter()
         inputs, summary = args.fn(args, cfg)
-        _log_run(Path(args.out), args.command, inputs, cfg)
+        wall_s = time.perf_counter() - start
+        _log_run(Path(args.out), args.command, inputs, cfg, wall_s)
         print(f"{args.command}: {summary}")
         return EXIT_OK
     except ConfigError as e:

@@ -1,6 +1,7 @@
 """End-to-end command-line pipeline on a miniature synthetic dataset."""
 import importlib.util
 import json
+import math
 import shutil
 from pathlib import Path
 
@@ -233,8 +234,13 @@ class TestEpilogue:
             assert len(printed) == 1 and printed[0].startswith(f"{step[0]}: ")
             after = manifest.read_text()
             assert after.startswith(before)
-            added = after[len(before):].splitlines()
-            assert [json.loads(line)["stage"] for line in added] == [step[0]]
+            added = [json.loads(line) for line in after[len(before):].splitlines()]
+            assert [rec["stage"] for rec in added] == [step[0]]
+            # the stage's own seconds, beside the keys every line carries
+            assert set(added[0]) == {"stage", "inputs", "config_hash", "version",
+                                     "wall_s"}
+            assert type(added[0]["wall_s"]) is float
+            assert math.isfinite(added[0]["wall_s"]) and added[0]["wall_s"] >= 0
         split.write_text(json.dumps({"train": [], "val": []}))
         before = manifest.read_text()
         assert cli.main(["--config", str(cfg), "evaluate", "--features", features,
