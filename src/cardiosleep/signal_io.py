@@ -95,8 +95,6 @@ def read_edf(data: bytes) -> list[SignalTrace]:
         return _num_field(data, start, width, kind)
 
     labels = [sig_field(0, 16, i) for i in range(n_signals)]
-    # EDF+ annotation text: its bytes count in each record but hold no samples
-    skipped = [plus and label == "EDF Annotations" for label in labels]
     phys_min = [sig_field(16 + 80 + 8, 8, i, float) for i in range(n_signals)]
     phys_max = [sig_field(16 + 80 + 16, 8, i, float) for i in range(n_signals)]
     dig_min = [sig_field(16 + 80 + 24, 8, i, int) for i in range(n_signals)]
@@ -109,8 +107,7 @@ def read_edf(data: bytes) -> list[SignalTrace]:
         if dig_max[i] == dig_min[i]:
             raise MalformedHeader(f"zero digital range for signal {i}")
         rate = spr[i] / record_dur
-        if (not skipped[i] and record_dur != int(record_dur)
-                and abs(rate - round(rate)) > 1e-9):
+        if record_dur != int(record_dur) and abs(rate - round(rate)) > 1e-9:
             raise UnsupportedVariant(
                 f"fractional record duration {record_dur} with fractional rate {rate}")
 
@@ -126,10 +123,10 @@ def read_edf(data: bytes) -> list[SignalTrace]:
     traces = []
     col = 0
     for i in range(n_signals):
-        col += spr[i]
-        if skipped[i]:
-            continue
-        dig = raw[:, col - spr[i]:col].reshape(-1).astype(float)
+        lo, col = col, col + spr[i]
+        if plus and labels[i] == "EDF Annotations":
+            continue  # EDF+ annotation text: it fills its columns, holds no samples
+        dig = raw[:, lo:col].reshape(-1).astype(float)
         gain = (phys_max[i] - phys_min[i]) / (dig_max[i] - dig_min[i])
         phys = (dig - dig_min[i]) * gain + phys_min[i]
         traces.append(SignalTrace(channel_label=labels[i],
