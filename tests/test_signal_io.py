@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from cardiosleep import errors, signal_io
+from cardiosleep import errors, signal_io, synth
 from cardiosleep.registry import FeatureMatrix, build_manifest
 from cardiosleep.types import FourStage, Hypnogram, SignalTrace, SixStage
 
@@ -111,7 +111,6 @@ def _temporaries_write_edf(traces) -> bytes:
 
 
 def _subject_traces(seed, n_epochs):
-    from cardiosleep import synth
     rec = synth.generate_subject(seed, synth.easy_profile(), n_epochs)
     return [rec.ecg, rec.breath_chest, rec.breath_abdomen]
 

@@ -196,7 +196,7 @@ _PROFILES = {
 }
 
 
-def assert_same_subject(got: SubjectRecord, want: SubjectRecord) -> None:
+def _assert_same_subject(got: SubjectRecord, want: SubjectRecord) -> None:
     assert got.subject_id == want.subject_id
     for name in ("ecg", "breath_chest", "breath_abdomen"):
         a, b = getattr(got, name), getattr(want, name)
@@ -218,11 +218,11 @@ class TestMatchesScalarOracle:
     @pytest.mark.parametrize("profile", sorted(_PROFILES))
     def test_short_nights(self, profile, seed, n_epochs):
         p = _PROFILES[profile]()
-        assert_same_subject(synth.generate_subject(seed, p, n_epochs),
+        _assert_same_subject(synth.generate_subject(seed, p, n_epochs),
                             _scalar_generate_subject(seed, p, n_epochs))
 
     @pytest.mark.parametrize("profile, seed", [("easy", 1000), ("default", 7)])
     def test_whole_night(self, profile, seed):
         p = _PROFILES[profile]()
-        assert_same_subject(synth.generate_subject(seed, p, 960),
+        _assert_same_subject(synth.generate_subject(seed, p, 960),
                             _scalar_generate_subject(seed, p, 960))
