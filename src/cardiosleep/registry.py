@@ -9,10 +9,10 @@ Feature accounting (single-breathing-channel profile, the default):
 The two-channel profile swaps 25 of those re-evaluations for the abdomen
 breathing set: 104 + 25 + 23 = 152.
 
-Assembly groups the manifest's entries by family and window width and makes
-one evaluator call per group. ``_FAMILIES[family](night, width)`` returns a
-column per key, one row per epoch, NaN where the entry is missing: every
-family computes every window of a width in that one call.
+Assembly groups the manifest's entries by source and window width and makes
+one evaluator call per group. ``_FAMILIES[source](night, width, keys)``
+returns a column per key, one row per epoch, NaN where the entry is missing:
+every family computes every window of a width in that one call.
 """
 from __future__ import annotations
 
@@ -181,7 +181,6 @@ class _Night:
 
     def __init__(self, subject: ProcessedSubject, n_epochs: int, widths):
         self.subject = subject
-        self.n_epochs = n_epochs
         self.rr_times, self.rr_values = usable_intervals(subject.rr)
         self.epoch_means, self.epoch_counts = _rr_epoch_means(
             self.rr_times, self.rr_values, n_epochs)
@@ -197,32 +196,34 @@ def _breath(trace: SignalTrace, night: _Night, n: int) -> dict:
             len(trace.samples), trace.sample_rate_hz, *night.edges[n]))
 
 
-# manifest key or, failing that, source -> evaluator(night, width): one
-# family call over every window of the width. Extractors are looked up on
-# their modules at call time so that wrappers installed on those attributes
-# see every call.
+def _novel(night: _Night, n: int, keys) -> dict:
+    """Only the sudden-variation features ``keys`` names, at width n."""
+    means, counts = night.epoch_means, night.epoch_counts
+    make = {"rr_f1": lambda: features_rr.novel_f1(means, counts, n),
+            "rr_f2": lambda: features_rr.novel_f2(
+                means, counts, night.rr_values, *night.rr_bounds[n]),
+            "rr_f3": lambda: features_rr.novel_f3(means, counts, n)}
+    return {k: make[k]() for k in keys}
+
+
+# source -> evaluator(night, width, keys): one family call over every window
+# of the width; all but rr_novel ignore keys. Extractors are looked up on their
+# modules at call time so that wrappers installed on them see every call.
 _FAMILIES = {
-    "rr_time": lambda night, n: features_rr.hrv_time_features(
+    "rr_time": lambda night, n, _: features_rr.hrv_time_features(
         night.rr_values, *night.rr_bounds[n]),
-    "rr_stat": lambda night, n: features_rr.statistical_features(
+    "rr_stat": lambda night, n, _: features_rr.statistical_features(
         night.rr_values, *night.rr_bounds[n]),
-    "rr_nonlinear": lambda night, n: features_rr.nonlinear_features(
+    "rr_nonlinear": lambda night, n, _: features_rr.nonlinear_features(
         night.rr_values, *night.rr_bounds[n]),
-    "rr_freq": lambda night, n: features_rr.rr_freq_features(
+    "rr_freq": lambda night, n, _: features_rr.rr_freq_features(
         night.rr_times, night.rr_values, *night.edges[n]),
-    # the sudden-variation features (source rr_novel) differ in width
-    "rr_f1": lambda night, n: {"rr_f1": features_rr.novel_f1(
-        night.epoch_means, night.epoch_counts, n)},
-    "rr_f2": lambda night, n: {"rr_f2": features_rr.novel_f2(
-        night.epoch_means, night.epoch_counts, night.rr_values,
-        *night.rr_bounds[n])},
-    "rr_f3": lambda night, n: {"rr_f3": features_rr.novel_f3(
-        night.epoch_means, night.epoch_counts, n)},
-    "breath_chest": lambda night, n: _breath(
+    "rr_novel": _novel,
+    "breath_chest": lambda night, n, _: _breath(
         night.subject.breath_chest, night, n),
-    "breath_abdomen": lambda night, n: _breath(
+    "breath_abdomen": lambda night, n, _: _breath(
         night.subject.breath_abdomen, night, n),
-    "cpc": lambda night, n: features_resp.cpc_spectrum(
+    "cpc": lambda night, n, _: features_resp.cpc_spectrum(
         night.rr_times, night.rr_values, night.subject.breath_chest.samples,
         night.subject.breath_chest.sample_rate_hz, *night.edges[n]),
 }
@@ -232,11 +233,10 @@ def assemble_feature_matrix(subject: ProcessedSubject,
                             manifest: FeatureManifest) -> FeatureMatrix:
     """Evaluate every manifest feature for every epoch of one subject.
 
-    Entries sharing a family (their key's own ``_FAMILIES`` row if it has
-    one, else their source's) and a window width are computed by one
-    evaluator call over every epoch's window of exactly that width. A
-    hypnogram shorter than the epoch grid is a ``LengthMismatch``; a longer
-    one is cut to the grid.
+    Entries sharing a source and a window width are computed by one
+    evaluator call, given their keys, over every epoch's window of exactly
+    that width. A hypnogram shorter than the epoch grid is a
+    ``LengthMismatch``; a longer one is cut to the grid.
     """
     two_channel = any(e.source == "breath_abdomen" for e in manifest.entries)
     if two_channel and subject.breath_abdomen is None:
@@ -256,18 +256,17 @@ def assemble_feature_matrix(subject: ProcessedSubject,
 
     night = _Night(subject, n_ep, {e.window_n for e in manifest.entries})
 
-    # family-major: each (family, width) group runs over every epoch before
+    # family-major: each (source, width) group runs over every epoch before
     # the next starts, which measured faster than every family per epoch
-    groups: dict[tuple[str, int], list[int]] = {}
+    groups: dict[tuple[str, int], list[tuple[int, str]]] = {}
     for j, e in enumerate(manifest.entries):
-        family = e.key if e.key in _FAMILIES else e.source
-        groups.setdefault((family, e.window_n), []).append(j)
+        groups.setdefault((e.source, e.window_n), []).append((j, e.key))
 
     mat = np.full((n_ep, len(manifest)), np.nan)
-    for (family, n), cols in groups.items():
-        feats = _FAMILIES[family](night, n)
-        for j in cols:
-            mat[:, j] = feats[manifest.entries[j].key]
+    for (source, n), cols in groups.items():
+        feats = _FAMILIES[source](night, n, [key for _, key in cols])
+        for j, key in cols:
+            mat[:, j] = feats[key]
 
     missing = ~np.isfinite(mat)
     if missing.mean() > MAX_MISSING_FRAC:

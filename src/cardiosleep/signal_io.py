@@ -9,11 +9,13 @@ fixed-width ASCII header, 256 header bytes per signal, then data records of
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import tokenize
 import zipfile
 from contextlib import contextmanager
+from decimal import ROUND_CEILING, ROUND_FLOOR, Decimal
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -147,6 +149,25 @@ def _fit8(value) -> bytes:
     return s.ljust(8).encode("ascii")
 
 
+def _bound8(value: float, up: bool) -> bytes:
+    """A physical bound as ``_fit8`` writes it or, where that does not fit,
+    rounded outward (up for a maximum, down for a minimum) to the most digits
+    that fit 8 characters, so the written range still holds every sample."""
+    try:
+        return _fit8(value)
+    except ValueError:
+        pass
+    exact = Decimal(value)
+    rounding = ROUND_CEILING if up else ROUND_FLOOR
+    # from the finest quantum up; one a decade above the value makes the
+    # bound 0 or a power of ten, which always fits
+    for k in itertools.count(exact.adjusted() - 7):
+        q = exact.quantize(Decimal(1).scaleb(k), rounding=rounding).normalize()
+        s = min(f"{q:f}", f"{q:e}".replace("e+", "e"), key=len)
+        if len(s) <= 8:
+            return s.ljust(8).encode("ascii")
+
+
 def write_edf(traces: Sequence[SignalTrace]) -> bytes:
     """Serialize traces as plain EDF with 1-s data records; rates must be
     whole numbers of samples per second. Samples are quantized to the full
@@ -180,16 +201,16 @@ def write_edf(traces: Sequence[SignalTrace]) -> bytes:
         lo, hi = float(np.min(t.samples)), float(np.max(t.samples))
         if hi == lo:
             hi = lo + 1.0
-        pmins.append(lo)
-        pmaxs.append(hi)
+        pmins.append(_bound8(lo, up=False))
+        pmaxs.append(_bound8(hi, up=True))
     dmin, dmax = -32768, 32767
 
     fields = [
         b"".join(t.channel_label[:16].ljust(16).encode("ascii") for t in traces),
         b"".join(b"".ljust(80) for _ in traces),               # transducer
         b"".join(b"".ljust(8) for _ in traces),                # dimension
-        b"".join(_fit8(v) for v in pmins),
-        b"".join(_fit8(v) for v in pmaxs),
+        b"".join(pmins),
+        b"".join(pmaxs),
         b"".join(_fit8(dmin) for _ in traces),
         b"".join(_fit8(dmax) for _ in traces),
         b"".join(b"".ljust(80) for _ in traces),               # prefilter
@@ -199,8 +220,8 @@ def write_edf(traces: Sequence[SignalTrace]) -> bytes:
     head += b"".join(fields)
 
     # parse back the 8-char physical bounds so reader and writer agree exactly
-    pmins = [float(_fit8(v).decode()) for v in pmins]
-    pmaxs = [float(_fit8(v).decode()) for v in pmaxs]
+    pmins = [float(v.decode()) for v in pmins]
+    pmaxs = [float(v.decode()) for v in pmaxs]
 
     # quantise each signal in place, _EDF_BLOCK records at a time through one
     # float buffer, into its columns of the records, a view on the output

@@ -48,7 +48,9 @@ class StageProfile:
 
     def __post_init__(self):
         t = np.asarray(self.transition, dtype=float)
-        if t.shape != (4, 4) or np.any(t < 0) or not np.allclose(t.sum(axis=1), 1.0):
+        # rows must sum to 1 within the tolerance Generator.choice applies
+        if t.shape != (4, 4) or np.any(t < 0) or not np.all(
+                np.abs(t.sum(axis=1) - 1.0) <= np.sqrt(np.finfo(float).eps)):
             raise InvalidProfile("transition matrix must be 4x4 row-stochastic")
         object.__setattr__(self, "transition", t)
         for st, dyn in self.stages.items():

@@ -76,6 +76,12 @@ class TestManifest:
         assert manifest_hash(build_manifest("two-channel")) == (
             "b92f1d5eebe79e07287ba788dc56c75a08932b52ba14dca4d7e10ea6ccac82c3")
 
+    def test_one_family_row_per_manifest_source(self):
+        sources = {e.source for p in registry.PROFILES
+                   for e in build_manifest(p).entries}
+        assert set(registry._FAMILIES) == sources
+        assert len(sources) == 8
+
     def test_export_reproduces_checked_in_manifest(self, tmp_path):
         spec = importlib.util.spec_from_file_location(
             "export_manifest", REPO / "scripts" / "export_manifest.py")
@@ -227,6 +233,18 @@ class TestAssembly:
         assert calls == {"novel_f1": [n], "novel_f2": [n], "novel_f3": [n]}
         assert np.array_equal(again.values, feature_matrix.values)
 
+    def test_novel_row_computes_only_the_keys_it_names(
+            self, processed_subject, monkeypatch):
+        calls = []
+        for name in ("novel_f1", "novel_f2", "novel_f3"):
+            def counted(*args, _fn=getattr(features_rr, name), _name=name):
+                calls.append(_name)
+                return _fn(*args)
+            monkeypatch.setattr(features_rr, name, counted)
+        night = registry._Night(processed_subject, 39, {9})
+        out = registry._FAMILIES["rr_novel"](night, 9, ["rr_f3"])
+        assert list(out) == ["rr_f3"] and calls == ["novel_f3"]
+
     @staticmethod
     def _count_whole_night_calls(monkeypatch):
         """Wrap every whole-night family; each call records its first
@@ -331,28 +349,19 @@ class TestAssembly:
                 assert np.isnan(col[15]), e.name
                 assert np.array_equal(matrix.missing_mask[:, j], np.isnan(col)), (
                     e.name)
-                checked.add((e.key if e.key in registry._FAMILIES else e.source,
-                             n))
+                checked.add((e.source, n))
         assert checked == {("rr_time", 1), ("rr_stat", 1), ("rr_time", 9),
                            ("rr_stat", 9), ("rr_nonlinear", 9),
                            ("rr_freq", 1), ("rr_freq", 9),
-                           ("cpc", 9), ("rr_f1", 119), ("rr_f2", 9),
-                           ("rr_f3", 9)}
+                           ("cpc", 9), ("rr_novel", 119), ("rr_novel", 9)}
 
     def test_empty_interior_epoch_misses_only_center_features(
             self, processed_subject, single_manifest):
         """An epoch without usable RR intervals has no centre mean, so rr_f1
         and rr_f2 go missing there; rr_f3 averages the window's other
         epochs and stays finite."""
-        from cardiosleep.types import RrSeries
-        rr = processed_subject.rr
-        first_peaks = rr.peak_times_s[:-1]
-        gone = (first_peaks >= 20 * 30.0) & (first_peaks < 21 * 30.0)
-        assert gone.any()
-        # out-of-range and rejected, so not even interpolated values are kept
-        intervals = np.where(gone, 5.0, rr.intervals_s)
-        holed = dataclasses.replace(processed_subject, rr=RrSeries(
-            rr.peak_times_s, intervals, rr.valid_mask & ~gone))
+        holed = _without_rr_in(processed_subject, 20, 20)
+        assert not holed.rr.valid_mask.all()
         matrix = assemble_feature_matrix(holed, single_manifest)
         col = {name: single_manifest.names.index(name)
                for name in ("rr_f1", "rr_f2", "rr_f3")}
@@ -378,6 +387,57 @@ class TestAssembly:
         matrix = assemble_feature_matrix(subject, build_manifest("single"))
         assert matrix.n_epochs == 119
         assert not matrix.missing_mask.any()
+
+
+def _without_rr_in(subject: ProcessedSubject, first: int, last: int
+                   ) -> ProcessedSubject:
+    """The subject with every RR interval starting in epochs first..last
+    out of range and rejected, so not even interpolated values are kept."""
+    rr = subject.rr
+    epoch = np.floor(rr.peak_times_s[:-1] / EPOCH_S).astype(int)
+    gone = (epoch >= first) & (epoch <= last)
+    return dataclasses.replace(subject, rr=RrSeries(
+        rr.peak_times_s, np.where(gone, 5.0, rr.intervals_s),
+        rr.valid_mask & ~gone))
+
+
+class TestBlockSize:
+    """The row blocks of the whole-night evaluators bound memory only: the
+    matrix's missing cells do not depend on ``BLOCK_VALUES``, and its
+    values only at the rounding level, because ``_padded`` pads each block
+    to its own longest window."""
+
+    @staticmethod
+    def _night(name, request):
+        if name == "960-single":
+            return _without_rr_in(request.getfixturevalue(
+                "night_960_subject"), 400, 420), "single"
+        if name == "40-single":
+            return _without_rr_in(request.getfixturevalue(
+                "processed_subject"), 10, 20), "single"
+        n, profile, hole = {"130-two-channel": (130, "two-channel", (60, 75)),
+                            "20-single": (20, "single", (5, 7))}[name]
+        record = synth.generate_subject(17, synth.default_profile(), n)
+        return _without_rr_in(preprocess_subject(record, profile), *hole), profile
+
+    @pytest.mark.parametrize("name", ["130-two-channel", "40-single",
+                                      "20-single", "960-single"])
+    def test_missing_cells_do_not_depend_on_block_size(self, name, request,
+                                                          monkeypatch):
+        subject, profile = self._night(name, request)
+        manifest = build_manifest(profile)
+        assert features_rr.BLOCK_VALUES == 65_536
+        want = assemble_feature_matrix(subject, manifest)
+        miss = want.missing_mask
+        assert miss.any()
+        ref = np.where(miss, 0.0, want.values)
+        bound = 1e-12 * np.abs(ref) + 1e-12 * np.abs(ref).max(axis=0)
+        for size in (1, 97, 4096, 2 ** 20):
+            monkeypatch.setattr(features_rr, "BLOCK_VALUES", size)
+            got = assemble_feature_matrix(subject, manifest)
+            assert np.array_equal(got.missing_mask, miss), size
+            assert np.all(np.abs(np.where(miss, 0.0, got.values) - ref)
+                          <= bound), size
 
 
 class TestNormalization:

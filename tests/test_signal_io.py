@@ -40,6 +40,23 @@ class TestEdfRoundTrip:
         back = signal_io.read_edf(signal_io.write_edf([tr]))[0]
         assert len(back.samples) == 30  # 3 whole one-second records
 
+    @pytest.mark.parametrize("lo, hi, too_long", [
+        (-0.000123, 1.0, -0.000123), (-1.23456e-14, 0.5, -1.23456e-14),
+        (-1.23456e15, 1e15, -1.23456e15), (-0.5, -0.000123, -0.000123),
+        (-2.5e-14, -1.23456e-14, -1.23456e-14)])
+    def test_bounds_too_long_for_8_chars_round_outward(self, lo, hi, too_long):
+        """A bound that neither six nor three significant digits spell in 8
+        characters is written rounded outward, so the written range holds
+        every sample and the trace still round-trips."""
+        with pytest.raises(ValueError, match="8-char"):
+            signal_io._fit8(too_long)
+        x = np.linspace(lo, hi, 40)
+        data = signal_io.write_edf([SignalTrace("X", 4.0, x)])
+        pmin, pmax = float(data[360:368]), float(data[368:376])
+        assert pmin <= x.min() and x.max() <= pmax
+        back = signal_io.read_edf(data)[0].samples
+        assert np.max(np.abs(back - x)) <= (pmax - pmin) / 65535
+
     def test_header_size_arithmetic(self):
         data = signal_io.write_edf([_sine_trace()])
         assert int(data[184:192].decode().strip()) == 512

@@ -31,6 +31,19 @@ class TestProfiles:
         with pytest.raises(InvalidProfile):
             synth.StageProfile(stages=stages, transition=np.eye(4) * 0.5)
 
+    def test_rows_must_sum_to_one_as_generation_needs(self):
+        """A row off by more than ``Generator.choice``'s tolerance fails at
+        construction, not inside ``generate_subject``; one within it still
+        generates."""
+        p = synth.default_profile()
+        off, near = p.transition.copy(), p.transition.copy()
+        off[0, 0] += 1e-6
+        near[0, 0] += 1e-9
+        with pytest.raises(InvalidProfile):
+            synth.StageProfile(stages=p.stages, transition=off)
+        profile = synth.StageProfile(stages=p.stages, transition=near)
+        assert len(synth.generate_subject(2, profile, 25).hypnogram) == 25
+
     def test_implausible_rr_rejected(self):
         p = synth.default_profile()
         stages = dict(p.stages)
