@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import resource
 import sys
 import time
 from collections import Counter
@@ -36,6 +37,14 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
+def _peak_rss_mb() -> float:
+    """The process's peak resident memory so far, in MB: the larger of its own
+    ``ru_maxrss`` and that of its largest finished child (KB on Linux)."""
+    own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    kids = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+    return max(own, kids) / 1024.0
+
+
 def _log_run(out_dir: Path, stage: str, inputs: list, cfg: PipelineConfig,
              wall_s: float) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -45,6 +54,7 @@ def _log_run(out_dir: Path, stage: str, inputs: list, cfg: PipelineConfig,
         "config_hash": cfg.config_hash(),
         "version": 1,
         "wall_s": wall_s,
+        "peak_rss_mb": _peak_rss_mb(),
     }
     with open(out_dir / "run_manifest.jsonl", "a") as f:
         f.write(json.dumps(line, sort_keys=True) + "\n")

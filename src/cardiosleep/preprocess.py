@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import numpy as np
 from scipy import signal as sps
+# the greedy selection by height that find_peaks(distance=) applies
+from scipy.signal._peak_finding_utils import _select_by_peak_distance
 
 from . import wavelet
 from .errors import (CutoffAboveNyquist, FlatSignal, SignalTooShort,
@@ -15,7 +17,7 @@ REFRACTORY_S = 0.3
 MAX_INTERP_RUN = 3
 BREATH_CUTOFF_HZ = 1.0  # corner of the breathing belt's low-pass
 BREATH_ORDER = 4  # its Butterworth order, applied forward and backward
-_BLOCK = 1 << 16  # samples per block of the QRS integrator
+_BLOCK = 1 << 16  # samples per block of the QRS filter and integrator
 
 
 def _bandpass_qrs(x: np.ndarray, fs: float) -> np.ndarray:
@@ -73,22 +75,53 @@ def _moving_sum(p: np.ndarray, win: int) -> np.ndarray:
         width *= 2
 
 
-def _integrate(bp: np.ndarray, win: int) -> np.ndarray:
-    """Moving-window mean of the squared ``np.gradient(bp)``, taken in blocks
-    so no record-length square is ever held. Output i averages the squares
-    ``sq[i - win // 2:i - win // 2 + win]``, where ``np.convolve(mode="same")``
-    puts its window, with zeros past the record's ends."""
+def _integrate(bp: np.ndarray, a: int, b: int, win: int) -> np.ndarray:
+    """Outputs ``a:b`` of the moving-window mean of the squared
+    ``np.gradient(bp)``, without a record-length square. Output i averages the
+    squares ``sq[i - win // 2:i - win // 2 + win]``, where
+    ``np.convolve(mode="same")`` puts its window, with zeros past the record's
+    ends. Each output is summed from its own window alone, so any split of the
+    record into spans gives the same values."""
     half = win // 2
-    integ = np.empty_like(bp)
-    for a in range(0, len(bp), _BLOCK):
-        b = min(a + _BLOCK, len(bp))
-        lo, hi = max(0, a - half), min(len(bp), b - half + win - 1)
-        # one sample of margin keeps the differences at lo and hi - 1 central
-        grad = np.gradient(bp[max(0, lo - 1):hi + 1])[min(lo, 1):][:hi - lo]
-        sq = np.zeros(b - a + win - 1)
-        sq[lo - a + half:hi - a + half] = grad * grad
-        integ[a:b] = _moving_sum(sq, win) * (1.0 / win)
-    return integ
+    lo, hi = max(0, a - half), min(len(bp), b - half + win - 1)
+    # one sample of margin keeps the differences at lo and hi - 1 central
+    grad = np.gradient(bp[max(0, lo - 1):hi + 1])[min(lo, 1):][:hi - lo]
+    sq = np.zeros(b - a + win - 1)
+    sq[lo - a + half:hi - a + half] = grad * grad
+    return _moving_sum(sq, win) * (1.0 / win)
+
+
+def _candidates(blocks, distance: int) -> tuple[np.ndarray, np.ndarray]:
+    """``sps.find_peaks(x, distance=distance)`` and the peaks' heights, where
+    ``x`` is the concatenation of ``blocks`` and is never built.
+
+    The plateau-aware local maxima are found block by block. A run of equal
+    values at a block's end may be a plateau whose right neighbour lies
+    beyond it, so that run and the one sample before it are carried to the
+    front of the next block; a block that only continues that run holds no
+    peak and joins the carry uncopied, so a run over many blocks, as a flat
+    stretch of ECG makes, is copied once. The greedy selection by height then
+    runs once, over the candidates, through the routine ``find_peaks`` itself
+    calls."""
+    found, heights = [], []
+    carry, start = [], 0
+    for block in blocks:
+        if carry and block[0] == block[-1] == carry[-1][-1] and (
+                block == block[0]).all():
+            carry.append(block)
+            continue
+        x = np.concatenate([*carry, block])
+        peaks, _ = sps.find_peaks(x)
+        found.append(peaks + start)
+        heights.append(x[peaks])
+        cut = max(len(x) - 2, 0)
+        if x[cut] == x[-1]:  # the run is longer than the last sample
+            differ = np.flatnonzero(x != x[-1])
+            cut = differ[-1] if len(differ) else 0
+        carry, start = [x[cut:]], start + cut
+    cand, level = np.concatenate(found), np.concatenate(heights)
+    keep = _select_by_peak_distance(cand, level, distance)
+    return cand[keep], level[keep]
 
 
 def detect_r_peaks(ecg: SignalTrace) -> np.ndarray:
@@ -98,6 +131,9 @@ def detect_r_peaks(ecg: SignalTrace) -> np.ndarray:
     adaptive dual threshold with a 300 ms refractory period; each detection is
     refined to the local maximum of the band-passed signal within +/-50 ms, or
     on to the record's end from within half an integration window of it.
+
+    Besides the band-passed record, only one block of the integrator and the
+    candidates' positions and heights are held at a time.
     """
     fs = ecg.sample_rate_hz
     if fs < 100:
@@ -110,14 +146,16 @@ def detect_r_peaks(ecg: SignalTrace) -> np.ndarray:
 
     bp = _bandpass_qrs(x, fs)
     win = max(1, int(round(0.150 * fs)))
-    integ = _integrate(bp, win)
+    n = len(bp)
 
-    # candidate local maxima of the integrated signal
-    cand, _ = sps.find_peaks(integ, distance=max(1, int(round(REFRACTORY_S * fs))))
+    # candidate local maxima of the integrated signal, and their levels
+    cand, levels = _candidates(
+        (_integrate(bp, a, min(a + _BLOCK, n), win) for a in range(0, n, _BLOCK)),
+        max(1, int(round(REFRACTORY_S * fs))))
     if len(cand) == 0:
         raise FlatSignal("no candidate peaks in integrated signal")
 
-    lead = integ[: int(2 * fs)] if len(integ) >= int(2 * fs) else integ
+    lead = _integrate(bp, 0, int(2 * fs), win)  # the record holds >= 10 s
     spki = float(np.max(lead))
     npki = float(np.mean(lead))
     refine = max(1, int(round(0.050 * fs)))
@@ -125,19 +163,24 @@ def detect_r_peaks(ecg: SignalTrace) -> np.ndarray:
 
     # refine every candidate to the first maximum of the band-passed signal
     # within +/-refine samples; clipping repeats only the edge samples, so
-    # the first maximum is the one the unclipped window would give
-    near = np.clip(cand[:, None] + np.arange(-refine, refine + 1), 0, len(bp) - 1)
-    refined = near[np.arange(len(cand)), np.argmax(bp[near], axis=1)]
+    # the first maximum is the one the unclipped window would give. The
+    # windows are gathered for about a block's worth of samples at a time.
+    offsets = np.arange(-refine, refine + 1)
+    refined = np.empty_like(cand)
+    step = max(1, _BLOCK // len(offsets))
+    for s in range(0, len(cand), step):
+        near = np.clip(cand[s:s + step, None] + offsets, 0, n - 1)
+        refined[s:s + step] = near[np.arange(len(near)), np.argmax(bp[near], axis=1)]
     # zeros past either end pull an end beat's integrator candidate up to
     # half the window inward, so a window that close runs on to the end
     reach = refine + win // 2
-    for i in np.flatnonzero((cand < reach) | (cand >= len(bp) - reach)).tolist():
+    for i in np.flatnonzero((cand < reach) | (cand >= n - reach)).tolist():
         lo = 0 if cand[i] < reach else cand[i] - refine
-        hi = len(bp) if cand[i] >= len(bp) - reach else cand[i] + refine + 1
+        hi = n if cand[i] >= n - reach else cand[i] + refine + 1
         refined[i] = lo + np.argmax(bp[lo:hi])
 
     peaks: list[int] = []
-    for level, r in zip(integ[cand].tolist(), refined.tolist()):
+    for level, r in zip(levels.tolist(), refined.tolist()):
         if level >= npki + 0.25 * (spki - npki) and (
                 not peaks or r - peaks[-1] >= refr):
             peaks.append(r)

@@ -60,9 +60,12 @@ def _ascii_field(raw: bytes, start: int, length: int) -> str:
 def _num_field(raw: bytes, start: int, length: int, kind=float):
     text = _ascii_field(raw, start, length)
     try:
-        return kind(text)
+        value = kind(text)
     except ValueError as e:
         raise MalformedHeader(f"non-numeric header field {text!r} at {start}") from e
+    if not math.isfinite(value):  # nan, inf, or a number too large, like 1e999
+        raise MalformedHeader(f"non-finite header field {text!r} at {start}")
+    return value
 
 
 def read_edf(data: bytes) -> list[SignalTrace]:
@@ -128,9 +131,13 @@ def read_edf(data: bytes) -> list[SignalTrace]:
         lo, col = col, col + spr[i]
         if plus and labels[i] == "EDF Annotations":
             continue  # EDF+ annotation text: it fills its columns, holds no samples
-        dig = raw[:, lo:col].reshape(-1).astype(float)
+        # (dig - dig_min) * gain + phys_min, decoded into the output array
         gain = (phys_max[i] - phys_min[i]) / (dig_max[i] - dig_min[i])
-        phys = (dig - dig_min[i]) * gain + phys_min[i]
+        phys = np.empty(n_records * spr[i])
+        rows = phys.reshape(n_records, spr[i])
+        np.subtract(raw[:, lo:col], dig_min[i], out=rows, dtype=float)
+        rows *= gain
+        rows += phys_min[i]
         traces.append(SignalTrace(channel_label=labels[i],
                                   sample_rate_hz=spr[i] / record_dur,
                                   samples=phys))
@@ -152,20 +159,26 @@ def _fit8(value) -> bytes:
 def _bound8(value: float, up: bool) -> bytes:
     """A physical bound as ``_fit8`` writes it or, where that does not fit,
     rounded outward (up for a maximum, down for a minimum) to the most digits
-    that fit 8 characters, so the written range still holds every sample."""
+    that fit 8 characters, so the written range still holds every sample. A
+    bound whose text reads back as infinite, as ``1.8e+308`` does, raises
+    ``ValueError``."""
     try:
-        return _fit8(value)
+        field = _fit8(value)
     except ValueError:
-        pass
-    exact = Decimal(value)
-    rounding = ROUND_CEILING if up else ROUND_FLOOR
-    # from the finest quantum up; one a decade above the value makes the
-    # bound 0 or a power of ten, which always fits
-    for k in itertools.count(exact.adjusted() - 7):
-        q = exact.quantize(Decimal(1).scaleb(k), rounding=rounding).normalize()
-        s = min(f"{q:f}", f"{q:e}".replace("e+", "e"), key=len)
-        if len(s) <= 8:
-            return s.ljust(8).encode("ascii")
+        exact = Decimal(value)
+        rounding = ROUND_CEILING if up else ROUND_FLOOR
+        # from the finest quantum up; one a decade above the value makes the
+        # bound 0 or a power of ten, which always fits
+        for k in itertools.count(exact.adjusted() - 7):
+            q = exact.quantize(Decimal(1).scaleb(k), rounding=rounding).normalize()
+            s = min(f"{q:f}", f"{q:e}".replace("e+", "e"), key=len)
+            if len(s) <= 8:
+                field = s.ljust(8).encode("ascii")
+                break
+    if not math.isfinite(float(field)):
+        raise ValueError(f"bound {value} is written as {field.decode().strip()!r}, "
+                         f"which reads back as {float(field)}")
+    return field
 
 
 def write_edf(traces: Sequence[SignalTrace]) -> bytes:

@@ -66,6 +66,13 @@ class TestPipelineStages:
             rec = json.loads(l)
             assert "config_hash" in rec and "inputs" in rec
 
+    def test_every_stage_line_carries_a_positive_peak_memory(self, pipeline_dir):
+        lines = (pipeline_dir / "run_manifest.jsonl").read_text().splitlines()
+        assert lines
+        for l in lines:
+            peak = json.loads(l)["peak_rss_mb"]
+            assert type(peak) is float and math.isfinite(peak) and peak > 0
+
     def test_predict_then_evaluate(self, pipeline_dir):
         out = pipeline_dir
         cfg = ["--config", str(out / "config.yaml")]
@@ -236,9 +243,10 @@ class TestEpilogue:
             assert after.startswith(before)
             added = [json.loads(line) for line in after[len(before):].splitlines()]
             assert [rec["stage"] for rec in added] == [step[0]]
-            # the stage's own seconds, beside the keys every line carries
+            # the stage's own seconds and the process's peak memory so far,
+            # beside the keys every line carries
             assert set(added[0]) == {"stage", "inputs", "config_hash", "version",
-                                     "wall_s"}
+                                     "wall_s", "peak_rss_mb"}
             assert type(added[0]["wall_s"]) is float
             assert math.isfinite(added[0]["wall_s"]) and added[0]["wall_s"] >= 0
         split.write_text(json.dumps({"train": [], "val": []}))

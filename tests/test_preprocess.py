@@ -3,11 +3,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cardiosleep import preprocess, synth, wavelet
+from cardiosleep import (blstm, pipeline, preprocess, registry, signal_io, synth,
+                         wavelet)
 from cardiosleep.errors import (CutoffAboveNyquist, FlatSignal, InvalidSeries,
                                 SignalTooShort, TooFewPeaks)
-from cardiosleep.types import RrSeries, SignalTrace
+from cardiosleep.types import RrSeries, SignalTrace, SubjectRecord
 
 
 def _impulse_ecg(rr_s, fs=200.0, pad_s=1.0):
@@ -400,15 +402,20 @@ class TestMatchesConvolutionCode:
     ``find_peaks`` candidates; the refined peaks must not move."""
 
     @pytest.mark.parametrize("block", [64, 1000, preprocess._BLOCK])
-    def test_integrator_within_rtol(self, block, monkeypatch):
-        monkeypatch.setattr(preprocess, "_BLOCK", block)
+    def test_integrator_within_rtol(self, block):
         rng = np.random.default_rng(block)
         for win in (1, 2, 3, 15, 30, 31, 64, 75):
             for n in (2 * win + 1, 999, 1000, 4097, 70_000):
                 bp = rng.normal(size=n) * rng.exponential(size=n) ** 3
                 bp[rng.integers(0, n, 3)] = 0.0
-                got = preprocess._integrate(bp, win)
+                got = np.concatenate([
+                    preprocess._integrate(bp, a, min(a + block, n), win)
+                    for a in range(0, n, block)])
                 assert got.shape == bp.shape
+                # each output comes from its own window alone, so detection
+                # may integrate any span of the record on its own
+                assert np.array_equal(got.view(np.int64),
+                                      preprocess._integrate(bp, 0, n, win).view(np.int64))
                 np.testing.assert_allclose(got, _convolve_integrate(bp, win),
                                            rtol=1e-12, atol=0)
 
@@ -449,6 +456,110 @@ class TestMatchesConvolutionCode:
         assert flat == [bool(np.std(x) < 1e-8 * (1.0 + np.abs(np.mean(x))))
                         for x in cases]
         assert any(flat) and not all(flat)
+
+
+# --- one whole-record find_peaks as the oracle of the blocked search -------
+
+_BLOCK_SIZES = [64, 1000, preprocess._BLOCK]
+
+
+def _assert_candidates_match(x: np.ndarray, distance: int, block: int) -> None:
+    want, _ = preprocess.sps.find_peaks(x, distance=distance)
+    cand, levels = preprocess._candidates(
+        (x[a:a + block] for a in range(0, len(x), block)), distance)
+    np.testing.assert_array_equal(cand, want)
+    assert np.array_equal(levels.view(np.int64), x[want].view(np.int64))
+
+
+class TestBlockedCandidates:
+    """``_candidates`` over the integrator's blocks finds exactly what one
+    ``find_peaks(integ, distance=d)`` call finds, plateaus included."""
+
+    @pytest.mark.parametrize("block", _BLOCK_SIZES)
+    @pytest.mark.parametrize("values, lengths", [
+        # a flat run crossing a block edge, and a lower one crossing the next
+        ([0, 2, 0, 1, 0], [(1, -3), (0, 7), (1, -6), (0, 9), (1, 0)]),
+        # a plateau longer than one block, and a flat stretch of two blocks
+        ([0, 1, 2, 1, 0], [(0, 5), (0, 1), (2, 5), (0, 3), (2, 0)]),
+        # a one-sample peak on a block's last sample, then a plateau touching
+        # the record's last sample
+        ([0, 3, 1, 2], [(1, -1), (0, 1), (0, 5), (1, 1)]),
+        # a record that is one plateau
+        ([4], [(2, 1)])])
+    def test_plateaus_at_block_edges(self, block, values, lengths):
+        x = np.repeat(np.array(values, dtype=float),
+                      [k * block + extra for k, extra in lengths])
+        for distance in (1, 3, block // 2, 2 * block):
+            _assert_candidates_match(x, distance, block)
+
+    @pytest.mark.parametrize("block", _BLOCK_SIZES)
+    @settings(max_examples=40, deadline=None)
+    @given(runs=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2),
+                                   st.integers(-2, 3)), min_size=1, max_size=12),
+           distance=st.integers(1, 300))
+    def test_any_run_lengths(self, block, runs, distance):
+        # runs of a few levels, each a few samples or about one or two blocks
+        # long, so plateaus cross edges, outlast blocks and end the record
+        values = np.array([v for v, _, _ in runs], dtype=float)
+        lengths = [max(1, k * block + extra) for _, k, extra in runs]
+        _assert_candidates_match(np.repeat(values, lengths), distance, block)
+
+    @pytest.mark.parametrize("block", _BLOCK_SIZES)
+    @pytest.mark.parametrize("seed,n_epochs", [(3, 40), (11, 130)])
+    def test_integrator_of_golden_nights(self, block, seed, n_epochs):
+        ecg = synth.generate_subject(seed, synth.easy_profile(), n_epochs).ecg
+        fs = ecg.sample_rate_hz
+        bp = preprocess._bandpass_qrs(ecg.samples, fs)
+        integ = preprocess._integrate(bp, 0, len(bp), round(0.150 * fs))
+        _assert_candidates_match(integ, round(preprocess.REFRACTORY_S * fs), block)
+
+
+def _traced_peak(fn, *args) -> tuple:
+    """``fn(*args)`` and the bytes it allocated at its peak, above what was
+    live when it was called."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _score_night(edf: bytes, man, params, stats):
+    """EDF bytes to stages, one night in process."""
+    by_label = {t.channel_label: t for t in signal_io.read_edf(edf)}
+    record = SubjectRecord("night", ecg=by_label["ECG"],
+                           breath_chest=by_label["THOR RES"],
+                           breath_abdomen=by_label["ABDO RES"])
+    matrix = registry.assemble_feature_matrix(pipeline.preprocess_subject(record), man)
+    normed = registry.apply_normalization(matrix, stats)
+    return blstm.predict_batch(params, [normed.values])[0]
+
+
+class TestNightMemory:
+    def test_detection_holds_under_one_and_a_half_records(self):
+        # the record-length integrator and find_peaks's work on it took
+        # 3.5x the ECG's bytes; the band-passed record alone is 1.0x
+        ecg = synth.generate_subject(1001, synth.easy_profile(), 960).ecg
+        peaks, peak = _traced_peak(preprocess.detect_r_peaks, ecg)
+        assert len(peaks) > 960 * 30 * 0.5
+        assert peak <= 1.5 * ecg.samples.nbytes
+
+    @pytest.mark.parametrize("n_epochs", [
+        960, pytest.param(2880, marks=pytest.mark.slow)])
+    def test_night_from_edf_bytes_peaks_under_nine_edf_sizes(self, n_epochs):
+        # it peaked at 15.2x at both lengths, in detection
+        rec = synth.generate_subject(1001, synth.easy_profile(), n_epochs)
+        edf = signal_io.write_edf([rec.ecg, rec.breath_chest, rec.breath_abdomen])
+        del rec
+        man = registry.build_manifest("single")
+        k = len(man.names)
+        stats = registry.NormStats(man, np.zeros(k), np.ones(k), np.zeros(k, bool))
+        hyp, peak = _traced_peak(_score_night, edf, man,
+                                 blstm.init_params(0, input_dim=k), stats)
+        assert len(hyp) == n_epochs - 1
+        assert peak <= 9 * len(edf)
+
 
 # --- the one-call band-pass as its oracle ---------------------------------
 

@@ -1,5 +1,7 @@
 """EDF, hypnogram text, feature-matrix CSV, and metadata round-trips."""
 import json
+import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -168,7 +170,96 @@ class TestEdfWriterMatchesOracle:
         assert signal_io.write_edf(traces) == _temporaries_write_edf(traces)
 
 
+def _temporaries_read_samples(data: bytes) -> list:
+    """The samples of a plain EDF as ``read_edf`` decoded them through an
+    int16 copy and two float temporaries per signal, kept as its oracle."""
+    ns, n_records = int(data[252:256]), int(data[236:244])
+
+    def field(offset, i, kind):
+        start = 256 + offset * ns + 8 * i
+        return kind(data[start:start + 8])
+
+    raw = np.frombuffer(data, "<i2", offset=256 * (ns + 1))
+    raw = raw.reshape(n_records, -1)
+    out, col = [], 0
+    for i in range(ns):
+        pmin, pmax = field(104, i, float), field(112, i, float)
+        dmin, dmax, spr = field(120, i, int), field(128, i, int), field(216, i, int)
+        dig = raw[:, col:col + spr].reshape(-1).astype(float)
+        col += spr
+        gain = (pmax - pmin) / (dmax - dmin)
+        out.append((dig - dmin) * gain + pmin)
+    return out
+
+
+def _assert_decodes_as_the_oracle(data: bytes) -> None:
+    got = signal_io.read_edf(data)
+    want = _temporaries_read_samples(data)
+    assert len(got) == len(want)
+    for t, w in zip(got, want):
+        assert t.samples.dtype == np.float64
+        assert t.samples.tobytes() == w.tobytes()
+
+
+class TestEdfDecodeMatchesOracle:
+    """``read_edf`` decodes each signal in place into the same bytes."""
+
+    @pytest.mark.parametrize("seed, n_epochs", [(0, 20), (1000, 960)])
+    def test_synthetic_subject(self, seed, n_epochs):
+        _assert_decodes_as_the_oracle(
+            signal_io.write_edf(_subject_traces(seed, n_epochs)))
+
+    @pytest.mark.parametrize("dmin, dmax, pmin, pmax", [
+        ("-32768", "32767", "-3.3", "12.5"), ("-2048", "2047", "0", "1e-6"),
+        ("0", "4095", "-1e15", "7.5"), ("-1", "1", "-.25", "0.25"),
+        ("100", "-100", "5", "-5")])
+    def test_any_digital_and_physical_range(self, dmin, dmax, pmin, pmax):
+        traces = [_sine_trace("ECG", 20.0, 6.0), _sine_trace("THOR RES", 3.0, 6.0)]
+        data = bytearray(signal_io.write_edf(traces))
+        body = np.random.default_rng(7).integers(-32768, 32768, len(data) - 768)
+        data[768:] = body.astype("<i2").tobytes()[:len(data) - 768]
+        for i in range(2):
+            for offset, value in ((104, pmin), (112, pmax), (120, dmin), (128, dmax)):
+                start = 256 + 2 * offset + 8 * i
+                data[start:start + 8] = value.ljust(8).encode()
+        _assert_decodes_as_the_oracle(bytes(data))
+
+    def test_peak_memory_is_the_returned_arrays_and_one_int16_signal(self):
+        # two float temporaries per signal made the peak 1.7x the arrays
+        data = signal_io.write_edf(_subject_traces(1001, 960))
+        tracemalloc.start()
+        try:
+            traces = signal_io.read_edf(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        sizes = [t.samples.nbytes for t in traces]
+        assert peak <= sum(sizes) + max(sizes) // 4
+
+
 class TestEdfErrors:
+    @pytest.mark.parametrize("offset, text", [
+        (244, b"nan     "), (244, b"inf     "), (244, b"-inf    "),
+        (256 + 104, b"nan     "), (256 + 112, b"1e999   "),
+        (256 + 112, b"-1e999  ")])
+    def test_non_finite_header_number_is_malformed(self, offset, text):
+        # a nan or inf record duration ended in a ValueError or an
+        # OverflowError, and an infinite bound in a RuntimeWarning
+        data = bytearray(signal_io.write_edf([_sine_trace(rate=10.0)]))
+        data[offset:offset + 8] = text
+        with pytest.raises(errors.MalformedHeader,
+                           match=f"non-finite header field .* at {offset}$"):
+            signal_io.read_edf(bytes(data))
+
+    @pytest.mark.parametrize("lo, hi, bound", [
+        (0.0, 1.7976931348623157e308, 1.7976931348623157e308),
+        (-1.7976931348623157e308, 0.0, -1.7976931348623157e308)])
+    def test_writer_refuses_a_bound_that_reads_back_infinite(self, lo, hi, bound):
+        # 1.8e+308 and -1.8e308, the 8-char spellings, read back as +-inf
+        x = np.linspace(lo, hi, 40)
+        with pytest.raises(ValueError, match=re.escape(f"bound {bound} is written")):
+            signal_io.write_edf([SignalTrace("X", 4.0, x)])
+
     def test_short_file_raises_malformed(self):
         with pytest.raises(errors.MalformedHeader):
             signal_io.read_edf(b"0" * 100)
